@@ -45,7 +45,8 @@ print("static vs dynamic |diff|:",
 report = bench(graph2, n_warmup=3, n_runs=20)
 print(f"latency: mean {report['mean_ms']:.2f} ms, "
       f"p50 {report['p50_ms']:.2f} ms, p95 {report['p95_ms']:.2f} ms; "
-      f"steady-state allocations: {report['steady_state_allocs']}")
+      f"steady-state allocations: {report['steady_state_allocs']}, "
+      f"measured {report['alloc_mib_per_run']:.3f} MiB per run")
 
 # the full (recurrent) variant refuses to lower, by design
 try:

@@ -266,7 +266,9 @@ def cmd_bench(args) -> int:
           f"({report['runs']} runs, {report['warmup']} warmup)")
     print(f"parameters: {report['param_count']}; "
           f"serialized size: {report['graph_bytes']} bytes; "
-          f"steady-state allocs: {report['steady_state_allocs']}")
+          f"steady-state allocs: {report['steady_state_allocs']}; "
+          f"measured allocation per run: "
+          f"{report['alloc_mib_per_run']:.3f} MiB")
     if args.out:
         with open(args.out, "w") as fp:
             json.dump(report, fp, indent=2, sort_keys=True)

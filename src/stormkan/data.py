@@ -253,6 +253,10 @@ def split_dataset(samples, train_frac: float, seed: int):
 # on-disk format
 
 
+INDEX_COLUMNS = ["file", "storm_id", "rotation", "t_index",
+                 "y_msw_norm", "y_rmw_norm"]
+
+
 def save_dataset(path, samples) -> int:
     """Write per-sample .kft files plus index.csv; returns sample count."""
     os.makedirs(path, exist_ok=True)
@@ -264,13 +268,12 @@ def save_dataset(path, samples) -> int:
         with open(os.path.join(path, fname), "wb") as fp:
             Tensor(s.x_seq).write(fp)
             Tensor(s.x_img).write(fp)
-        rows.append((fname, s.storm_id, s.rotation,
+        rows.append((fname, s.storm_id, s.rotation, s.t_index,
                      repr(float(s.y_msw_norm)), repr(float(s.y_rmw_norm))))
         count += 1
     with open(os.path.join(path, "index.csv"), "w", newline="") as fp:
         writer = csv.writer(fp)
-        writer.writerow(["file", "storm_id", "rotation",
-                         "y_msw_norm", "y_rmw_norm"])
+        writer.writerow(INDEX_COLUMNS)
         writer.writerows(rows)
     return count
 
@@ -282,8 +285,7 @@ def load_dataset(path) -> list[TcSample]:
     samples = []
     with open(index_path, newline="") as fp:
         reader = csv.DictReader(fp)
-        if reader.fieldnames != ["file", "storm_id", "rotation",
-                                 "y_msw_norm", "y_rmw_norm"]:
+        if reader.fieldnames != INDEX_COLUMNS:
             raise DataError(f"unexpected index columns: {reader.fieldnames}")
         for row in reader:
             fpath = os.path.join(path, row["file"])
@@ -295,10 +297,14 @@ def load_dataset(path) -> list[TcSample]:
                 raise DataError(f"missing sample file {row['file']}") from exc
             except DataError as exc:
                 raise DataError(f"corrupt sample file {row['file']}: {exc}") from exc
-            samples.append(TcSample(
-                x_seq, x_img, float(row["y_msw_norm"]),
-                float(row["y_rmw_norm"]), int(row["storm_id"]),
-                row["rotation"]))
+            try:
+                samples.append(TcSample(
+                    x_seq, x_img, float(row["y_msw_norm"]),
+                    float(row["y_rmw_norm"]), int(row["storm_id"]),
+                    row["rotation"], int(row["t_index"])))
+            except ValueError as exc:
+                raise DataError(
+                    f"malformed index row for {row['file']}: {exc}") from exc
     return samples
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels as _k
 from .errors import ShapeError
 from .tape import Var
 
@@ -101,14 +100,19 @@ def _window_view(xp: np.ndarray, kh: int, kw: int, stride: int,
     )
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+            cols: np.ndarray) -> None:
+    """Pack the conv windows of xp [B, C, H, W] into the contiguous
+    cols [C*kh*kw, B*OH*OW] with one strided copy and no temporary."""
+    win = _window_view(xp, kh, kw, stride, dilation)
+    b, c, _, _, oh, ow = win.shape
+    np.copyto(cols.reshape(c, kh, kw, b, oh, ow),
+              win.transpose(1, 2, 3, 0, 4, 5))
+
+
 def _padded(x: np.ndarray, padding: int) -> np.ndarray:
     if not padding:
         return np.ascontiguousarray(x)
-    b, c, h, w = x.shape
-    if _k.HAS_NUMBA:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        _k.pad_nchw(x, xp, padding)
-        return xp
     return np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
 
 
@@ -123,14 +127,8 @@ def _pack_chunks(xp, kh, kw, stride, dilation, oh, ow, dtype):
     chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * dtype.itemsize, 1)))
     for b0 in range(0, bsz, chunk):
         bc = min(chunk, bsz - b0)
-        if _k.HAS_NUMBA:
-            cols = np.empty((k, bc * ohw), dtype=dtype)
-            _k.pack_cols(xp[b0:b0 + bc], cols, kh, kw, stride, dilation,
-                         oh, ow)
-        else:
-            win = _window_view(xp[b0:b0 + bc], kh, kw, stride, dilation)
-            cols = np.ascontiguousarray(
-                win.transpose(1, 2, 3, 0, 4, 5).reshape(k, bc * ohw))
+        cols = np.empty((k, bc * ohw), dtype=dtype)
+        _im2col(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
         yield b0, bc, cols
 
 
@@ -152,11 +150,8 @@ def _conv2d_fwd(x, w, stride, padding, dilation, keep_cols=False):
     for b0, bc, cols in _pack_chunks(xp, kh, kw, stride, dilation, oh, ow,
                                      x.dtype):
         out2 = np.matmul(w2, cols)
-        if _k.HAS_NUMBA:
-            _k.unpack_nchw(out2, out, b0)
-        else:
-            out[b0:b0 + bc] = out2.reshape(cout, bc, ohw).transpose(1, 0, 2) \
-                .reshape(bc, cout, oh, ow)
+        out[b0:b0 + bc] = out2.reshape(cout, bc, ohw).transpose(1, 0, 2) \
+            .reshape(bc, cout, oh, ow)
         if kept is not None:
             kept.append((b0, bc, cols))
     return out, (xp, kept)
@@ -178,12 +173,8 @@ def _conv2d_dw(xp, cols_chunks, g, w_shape, stride, dilation):
     chunks = cols_chunks if cols_chunks is not None else _pack_chunks(
         xp, kh, kw, stride, dilation, oh, ow, g.dtype)
     for b0, bc, cols in chunks:
-        if _k.HAS_NUMBA:
-            g2 = np.empty((cout, bc * ohw), dtype=g.dtype)
-            _k.pack_rows(g, g2, b0, bc)
-        else:
-            g2 = np.ascontiguousarray(
-                g[b0:b0 + bc].transpose(1, 0, 2, 3).reshape(cout, bc * ohw))
+        g2 = np.ascontiguousarray(
+            g[b0:b0 + bc].transpose(1, 0, 2, 3).reshape(cout, bc * ohw))
         dw2t += np.matmul(cols, g2.T)
     return np.ascontiguousarray(dw2t.T).reshape(w_shape)
 
@@ -281,26 +272,19 @@ def maxpool2d(x: Var, kernel: int, stride: int) -> Var:
     kk = kernel * kernel
 
     out = np.empty((bsz, c, oh, ow), dtype=xd.dtype)
-    if _k.HAS_NUMBA:
-        am = np.empty((bsz, c, oh, ow), dtype=np.int32)
-        _k.maxpool_fwd(np.ascontiguousarray(xd), out, am, kernel, stride)
-    else:
-        win = _window_view(xd, kernel, kernel, stride, 1)  # B,C,k,k,OH,OW
-        am = np.empty((bsz, c, oh, ow), dtype=np.intp)
-        per_sample = c * kk * oh * ow * xd.dtype.itemsize
-        chunk = max(1, min(bsz, _CHUNK_BYTES // max(per_sample, 1)))
-        for s in range(0, bsz, chunk):
-            flat = win[s:s + chunk].transpose(0, 1, 4, 5, 2, 3).reshape(
-                -1, c, oh, ow, kk)
-            np.argmax(flat, axis=-1, out=am[s:s + chunk])
-            out[s:s + chunk] = np.take_along_axis(
-                flat, am[s:s + chunk, ..., None], axis=-1)[..., 0]
+    win = _window_view(xd, kernel, kernel, stride, 1)  # B,C,k,k,OH,OW
+    am = np.empty((bsz, c, oh, ow), dtype=np.intp)
+    per_sample = c * kk * oh * ow * xd.dtype.itemsize
+    chunk = max(1, min(bsz, _CHUNK_BYTES // max(per_sample, 1)))
+    for s in range(0, bsz, chunk):
+        flat = win[s:s + chunk].transpose(0, 1, 4, 5, 2, 3).reshape(
+            -1, c, oh, ow, kk)
+        np.argmax(flat, axis=-1, out=am[s:s + chunk])
+        out[s:s + chunk] = np.take_along_axis(
+            flat, am[s:s + chunk, ..., None], axis=-1)[..., 0]
 
     def backward(g):
         dx = np.zeros_like(xd)
-        if _k.HAS_NUMBA:
-            _k.maxpool_bwd(np.ascontiguousarray(g), am, dx, kernel, stride)
-            return (dx,)
         rows = np.arange(oh)[:, None] * stride + am // kernel
         cols = np.arange(ow)[None, :] * stride + am % kernel
         bi = np.arange(bsz)[:, None, None, None]

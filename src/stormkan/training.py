@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import ops
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
+from .errors import (CheckpointError, ConfigError, DataError, ShapeError,
+                     TrainingError)
 from .model import CycloneNet, ModelConfig, build_model
 from .tape import Tape, Var
 from .tensor import Parameter, Tensor
@@ -251,7 +252,7 @@ def load_checkpoint(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             (name_len,) = struct.unpack("<H", fp.read(2))
             name = fp.read(name_len).decode("utf-8")
             state[name] = Tensor.read(fp).data
-    except (struct.error, json.JSONDecodeError) as exc:
+    except (struct.error, json.JSONDecodeError, DataError) as exc:
         raise CheckpointError(f"truncated or corrupt checkpoint: {exc}") from exc
     return config, state
 

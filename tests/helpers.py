@@ -42,3 +42,56 @@ def check_gradients(build, arrays, tol=1e-6, h=1e-5):
         worst = max(worst, max_rel_err(analytic, numeric))
     assert worst < tol, f"gradient mismatch: rel err {worst:.3e} >= {tol}"
     return worst
+
+
+def naive_conv2d(x, w, stride, padding, dilation):
+    """Cross-correlation as a loop over output positions (reference)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+    bsz, _, hp, wp = xp.shape
+    cout, _, kh, kw = w.shape
+    oh = (hp - dilation * (kh - 1) - 1) // stride + 1
+    ow = (wp - dilation * (kw - 1) - 1) // stride + 1
+    out = np.zeros((bsz, cout, oh, ow))
+    for b in range(bsz):
+        for co in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    r0, c0 = i * stride, j * stride
+                    win = xp[b, :, r0:r0 + dilation * (kh - 1) + 1:dilation,
+                             c0:c0 + dilation * (kw - 1) + 1:dilation]
+                    out[b, co, i, j] = np.sum(win * w[co])
+    return out
+
+
+def naive_conv2d_grads(x, w, g, stride, padding, dilation):
+    """(dx, dw) of sum(g * conv2d(x, w)) by the same loop (reference)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    _, _, kh, kw = w.shape
+    bsz, cout, oh, ow = g.shape
+    for b in range(bsz):
+        for co in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    r0, c0 = i * stride, j * stride
+                    key = (b, slice(None),
+                           slice(r0, r0 + dilation * (kh - 1) + 1, dilation),
+                           slice(c0, c0 + dilation * (kw - 1) + 1, dilation))
+                    dw[co] += g[b, co, i, j] * xp[key]
+                    dxp[key] += g[b, co, i, j] * w[co]
+    h, wid = x.shape[2], x.shape[3]
+    return dxp[:, :, padding:padding + h, padding:padding + wid], dw
+
+
+def naive_maxpool2d(x, kernel, stride):
+    """Window max as a loop over output positions (reference)."""
+    bsz, c, h, w = x.shape
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    out = np.empty((bsz, c, oh, ow), dtype=x.dtype)
+    for i in range(oh):
+        for j in range(ow):
+            win = x[:, :, i * stride:i * stride + kernel,
+                    j * stride:j * stride + kernel]
+            out[:, :, i, j] = win.max(axis=(2, 3))
+    return out

@@ -1,11 +1,12 @@
 """Synthetic generator, rotations, splits, on-disk format, recoverability."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from stormkan.data import (CH_AFFINE, PIXEL_SCALE, SyntheticDataset,
+from stormkan.data import (CH_AFFINE, PIXEL_SCALE, SyntheticDataset, TcSample,
                            VortexParams, augment_rotations, estimate_latents,
                            eye_radius_px, generate_sample, latents_at,
                            load_dataset, radial_profile, rotate_sample,
@@ -146,17 +147,21 @@ class TestSplits:
 
 class TestDiskFormat:
     def test_roundtrip_bit_identical(self, tmp_path):
-        ds = SyntheticDataset(range(3), 2, seed=7, image_hw=40)
+        # augmented, so rotation and t_index both vary across samples
+        ds = SyntheticDataset(range(2), 3, seed=7, image_hw=40, augment=True)
         path = str(tmp_path / "ds")
         count = save_dataset(path, ds)
-        assert count == 6
+        assert count == 24
         back = load_dataset(path)
-        assert len(back) == 6
-        for i in range(6):
-            assert np.array_equal(back[i].x_img, ds[i].x_img)
-            assert np.array_equal(back[i].x_seq, ds[i].x_seq)
-            assert back[i].y_msw_norm == ds[i].y_msw_norm
-            assert back[i].storm_id == ds[i].storm_id
+        assert len(back) == 24
+        for i in range(24):
+            for f in dataclasses.fields(TcSample):
+                got, want = getattr(back[i], f.name), getattr(ds[i], f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype, f.name
+                    assert np.array_equal(got, want), f.name
+                else:
+                    assert got == want, f.name
 
     def test_index_rows_equal_file_count(self, tmp_path):
         ds = SyntheticDataset(range(2), 2, seed=7, image_hw=40)

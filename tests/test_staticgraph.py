@@ -1,18 +1,22 @@
 """Deployment lowering, serialization, interpreter, pooling decomposition."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stormkan.errors import ExportError, GraphError, ShapeError
 from stormkan.model import ModelConfig, build_model
-from stormkan.staticgraph import (AVGPOOL2D, MAXPOOL2D, Session, bench,
+from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MAXPOOL2D, GraphNode,
+                                  Session, StaticGraph, bench,
                                   decompose_pooling, export, fixed_pool_spec,
                                   load_graph, run, save_graph)
 from stormkan.tape import Tape
+
+from helpers import naive_conv2d, naive_maxpool2d
 
 rng = np.random.default_rng(31)
 
@@ -146,6 +150,16 @@ class TestValidation:
             load_graph(save_graph(bad))
 
 
+def one_node_graph(op, attrs, x_shape, constants=()):
+    """A graph of one node reading input "x" and the given constants."""
+    consts = {1 + i: np.asarray(c, dtype=np.float32)
+              for i, c in enumerate(constants)}
+    out = 1 + len(consts)
+    return StaticGraph([("x", tuple(x_shape))], consts,
+                       [GraphNode(op, tuple(attrs), tuple(range(out)), out)],
+                       [("y", out)])
+
+
 class TestSession:
     def test_matches_dynamic_forward(self, deploy_graph):
         model, graph = deploy_graph
@@ -157,6 +171,57 @@ class TestSession:
             ym, yr = model.forward_deploy(tape, xs, xi)
             assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5
             assert abs(out["y_rmw"][0, 0] - yr.data[0, 0]) <= 1e-5
+
+    def test_matches_dynamic_forward_full_size(self):
+        cfg = ModelConfig(variant="deploy")
+        assert (cfg.image_hw, cfg.ring_count) == (156, 39)
+        model = build_model(cfg, seed=4)
+        session = Session(export(model))
+        r = np.random.default_rng(8)
+        for _ in range(2):
+            xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
+            xi = r.uniform(0, 1, (1, 8, 156, 156)).astype(np.float32)
+            out = session.run({"x_seq_flat": xs, "x_img": xi})
+            ym, yr = model.forward_deploy(Tape(), xs, xi)
+            assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5
+            assert abs(out["y_rmw"][0, 0] - yr.data[0, 0]) <= 1e-5
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_maxpool_node_matches_naive_loop(self, bsz, c, kernel, stride,
+                                             oh, ow, seed):
+        shape = (bsz, c, (oh - 1) * stride + kernel, (ow - 1) * stride + kernel)
+        session = Session(one_node_graph(MAXPOOL2D, (kernel, stride), shape))
+        r = np.random.default_rng(seed)
+        for _ in range(2):   # the second run must not see the first
+            x = r.standard_normal(shape).astype(np.float32)
+            np.testing.assert_array_equal(session.run({"x": x})["y"],
+                                          naive_maxpool2d(x, kernel, stride))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_conv_node_matches_naive_loop(self, bsz, cin, cout, kh, kw,
+                                          stride, padding, dilation, oh, ow,
+                                          seed):
+        h = (oh - 1) * stride + dilation * (kh - 1) + 1 - 2 * padding
+        wid = (ow - 1) * stride + dilation * (kw - 1) + 1 - 2 * padding
+        assume(h >= 1 and wid >= 1)
+        r = np.random.default_rng(seed)
+        w = r.standard_normal((cout, cin, kh, kw)).astype(np.float32)
+        session = Session(one_node_graph(
+            CONV2D, (stride, padding, dilation), (bsz, cin, h, wid), (w,)))
+        for _ in range(2):
+            x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
+            np.testing.assert_allclose(
+                session.run({"x": x})["y"],
+                naive_conv2d(x.astype(np.float64), w.astype(np.float64),
+                             stride, padding, dilation),
+                rtol=1e-5, atol=1e-5)
 
     def test_wrong_shape_rejected_before_execution(self, deploy_graph):
         _, graph = deploy_graph
@@ -179,6 +244,15 @@ class TestSession:
         for _ in range(3):
             session.run({"x_seq_flat": xs, "x_img": xi})
         assert session.alloc_count == before
+        # measured: the traced peak inside a warm run, above what was held
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            session.run({"x_seq_flat": xs, "x_img": xi})
+            transient = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert transient < 2**20
 
     def test_concurrent_sessions_identical(self, deploy_graph):
         _, graph = deploy_graph
@@ -206,11 +280,13 @@ class TestBench:
         _, graph = deploy_graph
         report = bench(graph, n_warmup=1, n_runs=3)
         for key in ("mean_ms", "p50_ms", "p95_ms", "runs", "warmup",
-                    "param_count", "steady_state_allocs"):
+                    "param_count", "steady_state_allocs",
+                    "alloc_mib_per_run"):
             assert key in report
         assert report["runs"] == 3
         assert np.isfinite(report["mean_ms"])
         assert report["steady_state_allocs"] == 0
+        assert 0 < report["alloc_mib_per_run"] < 1
 
     def test_runs_validated(self, deploy_graph):
         _, graph = deploy_graph

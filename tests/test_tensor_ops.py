@@ -4,13 +4,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stormkan import ops
 from stormkan.errors import DataError, ShapeError
 from stormkan.tape import Tape
 from stormkan.tensor import Tensor
 
-from helpers import check_gradients, numerical_grad, max_rel_err
+from helpers import check_gradients, naive_conv2d, naive_conv2d_grads
 
 rng = np.random.default_rng(42)
 
@@ -106,6 +108,33 @@ class TestConv2d:
             return ops.sum_(ops.mul(out, tape.constant(r)))
 
         check_gradients(build, [x, w, b])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_naive_loop(self, bsz, cin, cout, kh, kw, stride,
+                                padding, dilation, oh, ow, seed):
+        # input extents chosen so the output is exactly oh x ow
+        h = (oh - 1) * stride + dilation * (kh - 1) + 1 - 2 * padding
+        wid = (ow - 1) * stride + dilation * (kw - 1) + 1 - 2 * padding
+        assume(h >= 1 and wid >= 1)
+        r = np.random.default_rng(seed)
+        x = r.standard_normal((bsz, cin, h, wid))
+        w = r.standard_normal((cout, cin, kh, kw))
+        g = r.standard_normal((bsz, cout, oh, ow))
+        tape = Tape()
+        xv, wv = leafy(tape, x), leafy(tape, w)
+        out = ops.conv2d(xv, wv, stride=stride, padding=padding,
+                         dilation=dilation)
+        np.testing.assert_allclose(
+            out.data, naive_conv2d(x, w, stride, padding, dilation),
+            rtol=1e-12, atol=1e-12)
+        grads = tape.backprop(ops.sum_(ops.mul(out, tape.constant(g))))
+        dx, dw = naive_conv2d_grads(x, w, g, stride, padding, dilation)
+        np.testing.assert_allclose(grads.wrt(xv), dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads.wrt(wv), dw, rtol=1e-12, atol=1e-12)
 
     def test_non_integral_extent_rejected(self):
         tape = Tape()
