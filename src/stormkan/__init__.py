@@ -15,8 +15,8 @@ from .tape import Tape, Var
 from .spline import (KanLinear, SplineGrid, bspline_basis,
                      bspline_basis_values, eval_basis_piecewise, kan_init,
                      precompute_basis_coefficients)
-from .model import (CycloneNet, ModelConfig, TaskFeatures, build_ablation,
-                    build_model, ring_bounds)
+from .model import (CycloneNet, ModelConfig, TaskFeatures, build_model,
+                    ring_bounds)
 from .training import (EarlyStopper, Metrics, PlateauScheduler, TrainConfig,
                        TrainResult, compute_metrics, denormalize, early_stop,
                        evaluate, lr_on_plateau, mae, mae_loss,

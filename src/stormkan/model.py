@@ -431,12 +431,6 @@ class CycloneNet:
         return ops.reshape(ops.concat(pieces, axis=1),
                            (-1, cfg.ring_count, 4))
 
-    def kan_attention(self, tape: Tape, f_seq: Var, x_img,
-                      task: str, fixed_pool: bool = False) -> Var:
-        head = {"msw": self.head_msw, "rmw": self.head_rmw}[task]
-        rings = self.ring_features(tape, x_img, fixed_pool=fixed_pool)
-        return head.forward(rings, f_seq)
-
     def physics_constraint(self, a_msw: Var, a_rmw: Var) -> tuple[Var, Var]:
         """Returns (gamma_rmw2msw, gamma_msw2rmw)."""
         gamma_m2r = ops.add(a_rmw, self.k_msw2rmw.forward(a_msw))
@@ -486,10 +480,4 @@ def _fixed_pool_to_2(x: Var) -> Var:
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> CycloneNet:
-    return CycloneNet(cfg, seed=seed, dtype=dtype)
-
-
-def build_ablation(cfg: ModelConfig, seed: int = 0,
-                   dtype=np.float32) -> CycloneNet:
-    """Construct a model with ablation flags (validated by ModelConfig)."""
     return CycloneNet(cfg, seed=seed, dtype=dtype)

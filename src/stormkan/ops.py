@@ -2,9 +2,13 @@
 
 Every public function takes Vars, validates extents, computes the
 forward result with numpy, and registers an exact backward rule.
-Convolutions run as im2col + BLAS matmul with internal batch chunking
-to bound scratch memory; the annular pooling op uses a summed-area
-table so the 39-ring geometry costs a few image passes.
+Convolutions run as im2col + batched BLAS matmuls that write straight
+into their outputs, with batch chunking to bound scratch memory; the
+input gradient is col2im, a scatter-add of W^T g through the strided
+window offsets.  Max pooling folds np.maximum over the same offset
+slices and routes gradients by equality masks.  The annular pooling op
+uses a summed-area table so the 39-ring geometry costs a few image
+passes.
 """
 
 from __future__ import annotations
@@ -116,87 +120,53 @@ def _padded(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
 
 
+def _offset_keys(kh: int, kw: int, stride: int, dilation: int, oh: int,
+                ow: int) -> list[tuple[slice, ...]]:
+    """NCHW index keys of the kh*kw window offsets, in flat (row-major)
+    window order: key (i, j) selects the [.., OH, OW] strided slice of
+    the input that window element (i, j) reads at every output position."""
+    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    return [(slice(None), slice(None),
+             slice(i * dilation, i * dilation + span_h, stride),
+             slice(j * dilation, j * dilation + span_w, stride))
+            for i in range(kh) for j in range(kw)]
+
+
 _COLS_CACHE_BYTES = 256 * 2**20  # per-conv cap on cols kept for backward
 
 
-def _pack_chunks(xp, kh, kw, stride, dilation, oh, ow, dtype):
-    """Yield (b0, bc, cols[K, bc*OH*OW]) im2col chunks."""
+def _pack_chunks(xp, kh, kw, stride, dilation, oh, ow, keep):
+    """Yield (b0, bc, cols[K, bc*OH*OW]) im2col chunks of xp.
+
+    With keep, every chunk gets its own buffer; otherwise one buffer is
+    reused, so a chunk is only valid until the next one is yielded.
+    """
     bsz, cin = xp.shape[0], xp.shape[1]
     k = cin * kh * kw
     ohw = oh * ow
-    chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * dtype.itemsize, 1)))
+    chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xp.itemsize, 1)))
+    buf = None if keep else np.empty(k * chunk * ohw, dtype=xp.dtype)
     for b0 in range(0, bsz, chunk):
         bc = min(chunk, bsz - b0)
-        cols = np.empty((k, bc * ohw), dtype=dtype)
+        if keep:
+            cols = np.empty((k, bc * ohw), dtype=xp.dtype)
+        else:
+            cols = buf[:k * bc * ohw].reshape(k, bc * ohw)
         _im2col(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
         yield b0, bc, cols
-
-
-def _conv2d_fwd(x, w, stride, padding, dilation, keep_cols=False):
-    """Forward conv; optionally retains (xp, cols chunks) for backward."""
-    bsz, cin, h, wid = x.shape
-    cout, _, kh, kw = w.shape
-    oh = _conv_out_extent(h, kh, stride, padding, dilation)
-    ow = _conv_out_extent(wid, kw, stride, padding, dilation)
-    if (kh, kw, stride, padding, dilation) == (1, 1, 1, 0, 1):
-        x3 = x.reshape(bsz, cin, oh * ow)
-        out = np.matmul(w.reshape(cout, cin), x3).reshape(bsz, cout, oh, ow)
-        return out, (None, None)
-    xp = _padded(x, padding)
-    w2 = np.ascontiguousarray(w.reshape(cout, -1))
-    out = np.empty((bsz, cout, oh, ow), dtype=x.dtype)
-    ohw = oh * ow
-    kept = [] if keep_cols else None
-    for b0, bc, cols in _pack_chunks(xp, kh, kw, stride, dilation, oh, ow,
-                                     x.dtype):
-        out2 = np.matmul(w2, cols)
-        out[b0:b0 + bc] = out2.reshape(cout, bc, ohw).transpose(1, 0, 2) \
-            .reshape(bc, cout, oh, ow)
-        if kept is not None:
-            kept.append((b0, bc, cols))
-    return out, (xp, kept)
-
-
-def _conv2d_raw(x, w, stride, padding, dilation):
-    return _conv2d_fwd(x, w, stride, padding, dilation)[0]
-
-
-def _conv2d_dw(xp, cols_chunks, g, w_shape, stride, dilation):
-    """Weight gradient; reuses cached cols chunks when available."""
-    cout, cin, kh, kw = w_shape
-    bsz, _, oh, ow = g.shape
-    if (kh, kw, stride, dilation) == (1, 1, 1, 1) and xp is None:
-        return None  # handled by the 1x1 fast path
-    ohw = oh * ow
-    k = cin * kh * kw
-    dw2t = np.zeros((k, cout), dtype=g.dtype)
-    chunks = cols_chunks if cols_chunks is not None else _pack_chunks(
-        xp, kh, kw, stride, dilation, oh, ow, g.dtype)
-    for b0, bc, cols in chunks:
-        g2 = np.ascontiguousarray(
-            g[b0:b0 + bc].transpose(1, 0, 2, 3).reshape(cout, bc * ohw))
-        dw2t += np.matmul(cols, g2.T)
-    return np.ascontiguousarray(dw2t.T).reshape(w_shape)
-
-
-def _pad_or_crop_hw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if ph > 0 or pw > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
-    if ph < 0:
-        x = x[:, :, -ph:ph, :]
-    if pw < 0:
-        x = x[:, :, :, -pw:pw]
-    return x
 
 
 def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1) -> Var:
     """2-d cross-correlation with optional per-channel bias.
 
-    Backward produces input, weight and bias gradients; the input
-    gradient is the stride-stuffed full correlation with the spatially
-    flipped kernel, so arbitrary stride/padding/dilation combinations
-    stay exact.
+    Forward is im2col + one batched GEMM per batch chunk, written
+    straight into the output.  Backward produces input, weight and bias
+    gradients: dw from the same columns (kept from the forward pass when
+    they fit under _COLS_CACHE_BYTES, repacked chunk by chunk
+    otherwise), and dx as dcols = W^T g written over those columns, then
+    scatter-added back through the kh*kw strided window offsets (col2im)
+    into a padded buffer.  Every stride/padding/dilation stays exact.
     """
     xd, wd = x.data, w.data
     _require(xd.ndim == 4 and wd.ndim == 4, "conv2d expects NCHW and OIHW")
@@ -209,9 +179,24 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     k = cin * kh * kw
     oh = _conv_out_extent(h, kh, stride, padding, dilation)
     ow = _conv_out_extent(wid, kw, stride, padding, dilation)
-    keep = (w.requires_grad and not is_1x1
-            and k * oh * ow * bsz * xd.dtype.itemsize <= _COLS_CACHE_BYTES)
-    out, ctx = _conv2d_fwd(xd, wd, stride, padding, dilation, keep_cols=keep)
+    ohw = oh * ow
+    w2 = np.ascontiguousarray(wd.reshape(cout, k))
+    out = np.empty((bsz, cout, oh, ow), dtype=np.result_type(xd, wd))
+    out3 = out.reshape(bsz, cout, ohw)
+    xp = kept = None
+    if is_1x1:
+        np.matmul(w2, xd.reshape(bsz, cin, ohw), out=out3)
+    else:
+        xp = _padded(xd, padding)
+        keep = (w.requires_grad
+                and k * ohw * bsz * xd.dtype.itemsize <= _COLS_CACHE_BYTES)
+        kept = [] if keep else None
+        for b0, bc, cols in _pack_chunks(xp, kh, kw, stride, dilation, oh,
+                                         ow, keep):
+            np.matmul(w2, cols.reshape(k, bc, ohw).transpose(1, 0, 2),
+                      out=out3[b0:b0 + bc])
+            if keep:
+                kept.append((b0, bc, cols))
     if bias is not None:
         _require(bias.data.shape == (cout,), "conv2d bias must be [Cout]")
         out += bias.data.reshape(1, cout, 1, 1)
@@ -222,35 +207,34 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)) if has_bias else None
-        g = np.ascontiguousarray(g)
+        g3 = np.ascontiguousarray(g).reshape(bsz, cout, ohw)
         if is_1x1:
-            g3 = g.reshape(bsz, cout, oh * ow)
-            x3 = xd.reshape(bsz, cin, oh * ow)
-            dw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0) \
-                .reshape(wd.shape)
-            dx = None
-            if x_needs_grad:
-                dx = np.matmul(wd.reshape(cout, cin).T, g3).reshape(xd.shape)
-        else:
-            xp, kept = ctx
-            dw = _conv2d_dw(xp, kept, g, wd.shape, stride, dilation)
-            dx = None
-            if x_needs_grad:
-                if stride > 1:
-                    gu = np.zeros((bsz, cout, (oh - 1) * stride + 1,
-                                   (ow - 1) * stride + 1), dtype=g.dtype)
-                    gu[:, :, ::stride, ::stride] = g
-                else:
-                    gu = g
-                ph = dilation * (kh - 1) - padding
-                pw = dilation * (kw - 1) - padding
-                gu = _pad_or_crop_hw(gu, ph, pw)
-                w_flip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                dx = _conv2d_raw(gu, np.ascontiguousarray(w_flip), 1, 0,
-                                 dilation)
-        if has_bias:
-            return dx, dw, db
-        return dx, dw
+            dw = np.matmul(g3, xd.reshape(bsz, cin, ohw).transpose(0, 2, 1)) \
+                .sum(axis=0).reshape(wd.shape)
+            dx = np.matmul(w2.T, g3).reshape(xd.shape) if x_needs_grad \
+                else None
+            return (dx, dw, db) if has_bias else (dx, dw)
+        dw = np.zeros((k, cout), dtype=g.dtype)
+        dxp = np.zeros(xp.shape, dtype=g.dtype) if x_needs_grad else None
+        keys = _offset_keys(kh, kw, stride, dilation, oh, ow)
+        chunks = kept if kept is not None else _pack_chunks(
+            xp, kh, kw, stride, dilation, oh, ow, False)
+        for b0, bc, cols in chunks:
+            c3 = cols.reshape(k, bc, ohw).transpose(1, 0, 2)
+            gc = g3[b0:b0 + bc]
+            dw += np.matmul(c3, gc.transpose(0, 2, 1)).sum(axis=0)
+            if dxp is None:
+                continue
+            np.matmul(w2.T, gc, out=c3)  # dcols overwrite the columns
+            dcols = cols.reshape(cin, kh * kw, bc, oh, ow)
+            dxc = dxp[b0:b0 + bc].transpose(1, 0, 2, 3)
+            for t, key in enumerate(keys):
+                np.add(dxc[key], dcols[:, t], out=dxc[key])
+        dx = dxp
+        if padding and dxp is not None:
+            dx = dxp[:, :, padding:padding + h, padding:padding + wid]
+        dw = np.ascontiguousarray(dw.T).reshape(wd.shape)
+        return (dx, dw, db) if has_bias else (dx, dw)
 
     parents = (x, w) if bias is None else (x, w, bias)
     return x.tape.record("conv2d", parents, out, backward)
@@ -261,7 +245,14 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
 
 
 def maxpool2d(x: Var, kernel: int, stride: int) -> Var:
-    """Window max; gradient routes to the first flat index of each argmax."""
+    """Window max over strided offset slices.
+
+    Forward folds np.maximum over the kernel*kernel offset slices.
+    Backward walks the offsets in flat window order: an offset whose
+    value equals the max takes the window's gradient unless an earlier
+    offset already did (the `free` mask), so ties route to the first
+    flat index, as argmax would.
+    """
     xd = x.data
     _require(xd.ndim == 4, "maxpool2d expects NCHW")
     bsz, c, h, w = xd.shape
@@ -269,32 +260,23 @@ def maxpool2d(x: Var, kernel: int, stride: int) -> Var:
              f"maxpool kernel {kernel} exceeds input extent {h}x{w}")
     oh = _conv_out_extent(h, kernel, stride, 0, 1)
     ow = _conv_out_extent(w, kernel, stride, 0, 1)
-    kk = kernel * kernel
-
-    out = np.empty((bsz, c, oh, ow), dtype=xd.dtype)
-    win = _window_view(xd, kernel, kernel, stride, 1)  # B,C,k,k,OH,OW
-    am = np.empty((bsz, c, oh, ow), dtype=np.intp)
-    per_sample = c * kk * oh * ow * xd.dtype.itemsize
-    chunk = max(1, min(bsz, _CHUNK_BYTES // max(per_sample, 1)))
-    for s in range(0, bsz, chunk):
-        flat = win[s:s + chunk].transpose(0, 1, 4, 5, 2, 3).reshape(
-            -1, c, oh, ow, kk)
-        np.argmax(flat, axis=-1, out=am[s:s + chunk])
-        out[s:s + chunk] = np.take_along_axis(
-            flat, am[s:s + chunk, ..., None], axis=-1)[..., 0]
+    keys = _offset_keys(kernel, kernel, stride, 1, oh, ow)
+    out = xd[keys[0]].copy()
+    for key in keys[1:]:
+        np.maximum(out, xd[key], out=out)
 
     def backward(g):
         dx = np.zeros_like(xd)
-        rows = np.arange(oh)[:, None] * stride + am // kernel
-        cols = np.arange(ow)[None, :] * stride + am % kernel
-        bi = np.arange(bsz)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        if stride >= kernel:
-            # non-overlapping windows: targets are unique, plain fancy
-            # assignment accumulates correctly
-            dx[bi, ci, rows, cols] = g
-        else:
-            np.add.at(dx, (bi, ci, rows, cols), g)
+        free = np.ones(out.shape, dtype=bool)
+        eq = np.empty(out.shape, dtype=bool)
+        for key in keys:
+            np.equal(xd[key], out, out=eq)
+            eq &= free
+            free ^= eq
+            if stride < kernel:  # overlapping windows accumulate
+                dx[key] += g * eq
+            else:
+                np.multiply(g, eq, out=dx[key])
         return (dx,)
 
     return x.tape.record("maxpool2d", (x,), out, backward)
@@ -315,10 +297,8 @@ def avgpool2d_fixed(x: Var, kernel: int, stride: int) -> Var:
     def backward(g):
         dx = np.zeros_like(xd)
         gk = g / (kernel * kernel)
-        for i in range(kernel):
-            for j in range(kernel):
-                dx[:, :, i:i + oh * stride:stride,
-                   j:j + ow * stride:stride] += gk
+        for key in _offset_keys(kernel, kernel, stride, 1, oh, ow):
+            dx[key] += gk
         return (dx,)
 
     return x.tape.record("avgpool2d", (x,), out, backward)

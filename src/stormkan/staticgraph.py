@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExportError, GraphError, ShapeError
-from .ops import _im2col, _window_view
+from .ops import _im2col, _offset_keys, _window_view
 from .spline import KanLinear, SplineGrid, precompute_basis_coefficients
 from .tape import Tape
 from .tensor import Tensor
@@ -613,10 +613,7 @@ class Session:
             # one strided slice of the input per window offset
             kernel, stride = node.attrs
             _, _, oh, ow = shapes[node.output]
-            span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-            return [(slice(None), slice(None), slice(i, i + span_h, stride),
-                     slice(j, j + span_w, stride))
-                    for i in range(kernel) for j in range(kernel)]
+            return _offset_keys(kernel, kernel, stride, 1, oh, ow)
         if node.op == SOFTMAX:
             axis = node.attrs[0]
             red = list(shapes[node.inputs[0]])

@@ -96,7 +96,10 @@ class Tensor:
         raw = fp.read(nbytes)
         if len(raw) < nbytes:
             raise DataError("truncated tensor data block")
-        data = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        try:
+            data = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # e.g. a rank beyond numpy's limit
+            raise DataError(f"unsupported tensor shape: {exc}") from exc
         return cls(data)
 
     @classmethod

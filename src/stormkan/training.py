@@ -252,7 +252,8 @@ def load_checkpoint(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             (name_len,) = struct.unpack("<H", fp.read(2))
             name = fp.read(name_len).decode("utf-8")
             state[name] = Tensor.read(fp).data
-    except (struct.error, json.JSONDecodeError, DataError) as exc:
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
+            DataError) as exc:
         raise CheckpointError(f"truncated or corrupt checkpoint: {exc}") from exc
     return config, state
 
@@ -269,9 +270,10 @@ def model_from_checkpoint(data_or_path) -> tuple[CycloneNet, dict]:
         config, state = read_checkpoint(data_or_path)
     try:
         cfg = ModelConfig(**config["model"])
-    except TypeError as exc:
+        dtype = np.dtype(config.get("dtype", "float32"))
+    except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint/config mismatch: {exc}") from exc
-    model = build_model(cfg, seed=0, dtype=np.dtype(config.get("dtype", "float32")))
+    model = build_model(cfg, seed=0, dtype=dtype)
     try:
         model.load_state(state)
     except ConfigError as exc:

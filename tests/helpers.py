@@ -95,3 +95,19 @@ def naive_maxpool2d(x, kernel, stride):
                     j * stride:j * stride + kernel]
             out[:, :, i, j] = win.max(axis=(2, 3))
     return out
+
+
+def naive_maxpool2d_grad(x, g, kernel, stride):
+    """dx of sum(g * maxpool2d(x)): each window's gradient goes to the
+    first flat index of its max, as np.argmax picks it (reference)."""
+    dx = np.zeros_like(x)
+    bsz, c, oh, ow = g.shape
+    for b in range(bsz):
+        for ch in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    r0, c0 = i * stride, j * stride
+                    win = x[b, ch, r0:r0 + kernel, c0:c0 + kernel]
+                    di, dj = divmod(int(np.argmax(win)), kernel)
+                    dx[b, ch, r0 + di, c0 + dj] += g[b, ch, i, j]
+    return dx

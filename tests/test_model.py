@@ -5,8 +5,7 @@ import pytest
 
 from stormkan import ops
 from stormkan.errors import ConfigError
-from stormkan.model import (CycloneNet, ModelConfig, build_ablation,
-                            build_model, ring_bounds)
+from stormkan.model import CycloneNet, ModelConfig, build_model, ring_bounds
 from stormkan.tape import Tape
 
 from helpers import max_rel_err
@@ -283,7 +282,7 @@ class TestAblations:
                                     "mlp_constraint", "mlp_decoder")}
                  if name == "all_mlp" else {name: True})
         cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9, **flags)
-        m = build_ablation(cfg, seed=9)
+        m = build_model(cfg, seed=9)
         xs, xi = tiny_inputs(seed=21)
         from stormkan.training import multitask_loss, sgd_step
         tape = Tape()
@@ -297,7 +296,7 @@ class TestAblations:
     def test_mlp_constraint_zero_weights_identity(self):
         cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9,
                           mlp_constraint=True)
-        m = build_ablation(cfg, seed=10)
+        m = build_model(cfg, seed=10)
         for p in (m.k_msw2rmw.parameters() + m.k_rmw2msw.parameters()):
             p.data[:] = 0
         tape = Tape()
@@ -309,7 +308,7 @@ class TestAblations:
 
     def test_no_seq_uses_last_step_only(self):
         cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9, no_seq=True)
-        m = build_ablation(cfg, seed=11)
+        m = build_model(cfg, seed=11)
         xs, xi = tiny_inputs(seed=23)
         xs2 = xs.copy()
         xs2[:, :2, :] = 0.123  # earlier steps must not matter
@@ -321,7 +320,7 @@ class TestAblations:
     def test_no_lstm_uses_deploy_temporal_path(self):
         cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9,
                           no_lstm=True)
-        m = build_ablation(cfg, seed=12)
+        m = build_model(cfg, seed=12)
         assert m.lstm is None and m.deploy_seq1 is not None
 
 

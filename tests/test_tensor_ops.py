@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, exact gradients, serialization."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from stormkan.errors import DataError, ShapeError
 from stormkan.tape import Tape
 from stormkan.tensor import Tensor
 
-from helpers import check_gradients, naive_conv2d, naive_conv2d_grads
+from helpers import (check_gradients, naive_conv2d, naive_conv2d_grads,
+                     naive_maxpool2d, naive_maxpool2d_grad)
 
 rng = np.random.default_rng(42)
 
@@ -113,9 +115,9 @@ class TestConv2d:
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
            st.integers(0, 2), st.integers(1, 3), st.integers(1, 4),
-           st.integers(1, 4), st.integers(0, 2**32 - 1))
+           st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
     def test_matches_naive_loop(self, bsz, cin, cout, kh, kw, stride,
-                                padding, dilation, oh, ow, seed):
+                                padding, dilation, oh, ow, unkept, seed):
         # input extents chosen so the output is exactly oh x ow
         h = (oh - 1) * stride + dilation * (kh - 1) + 1 - 2 * padding
         wid = (ow - 1) * stride + dilation * (kw - 1) + 1 - 2 * padding
@@ -124,14 +126,20 @@ class TestConv2d:
         x = r.standard_normal((bsz, cin, h, wid))
         w = r.standard_normal((cout, cin, kh, kw))
         g = r.standard_normal((bsz, cout, oh, ow))
-        tape = Tape()
-        xv, wv = leafy(tape, x), leafy(tape, w)
-        out = ops.conv2d(xv, wv, stride=stride, padding=padding,
-                         dilation=dilation)
+        with pytest.MonkeyPatch.context() as mp:
+            if unkept:
+                # no columns kept for backward and one sample per chunk:
+                # the backward repacks each chunk into one reused buffer
+                mp.setattr(ops, "_COLS_CACHE_BYTES", 0)
+                mp.setattr(ops, "_CHUNK_BYTES", 1)
+            tape = Tape()
+            xv, wv = leafy(tape, x), leafy(tape, w)
+            out = ops.conv2d(xv, wv, stride=stride, padding=padding,
+                             dilation=dilation)
+            grads = tape.backprop(ops.sum_(ops.mul(out, tape.constant(g))))
         np.testing.assert_allclose(
             out.data, naive_conv2d(x, w, stride, padding, dilation),
             rtol=1e-12, atol=1e-12)
-        grads = tape.backprop(ops.sum_(ops.mul(out, tape.constant(g))))
         dx, dw = naive_conv2d_grads(x, w, g, stride, padding, dilation)
         np.testing.assert_allclose(grads.wrt(xv), dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads.wrt(wv), dw, rtol=1e-12, atol=1e-12)
@@ -174,6 +182,26 @@ class TestMaxPool:
         tape = Tape()
         with pytest.raises(ShapeError):
             ops.maxpool2d(tape.constant(np.ones((1, 1, 3, 3))), 4, 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 4),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_naive_loop(self, bsz, c, kernel, stride, oh, ow, seed):
+        # few distinct integer values, so most windows hold ties; integer
+        # gradients keep overlapping-window sums exact in any order
+        r = np.random.default_rng(seed)
+        h, w = (oh - 1) * stride + kernel, (ow - 1) * stride + kernel
+        x = r.integers(0, 3, (bsz, c, h, w)).astype(np.float64)
+        g = r.integers(-4, 5, (bsz, c, oh, ow)).astype(np.float64)
+        tape = Tape()
+        xv = leafy(tape, x)
+        out = ops.maxpool2d(xv, kernel, stride)
+        np.testing.assert_array_equal(out.data,
+                                      naive_maxpool2d(x, kernel, stride))
+        grads = tape.backprop(ops.sum_(ops.mul(out, tape.constant(g))))
+        np.testing.assert_array_equal(
+            grads.wrt(xv), naive_maxpool2d_grad(x, g, kernel, stride))
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (2, 1)])
     def test_gradients(self, kernel, stride):
@@ -490,3 +518,10 @@ class TestTensorSerialization:
         payload = Tensor(np.ones((4, 4), dtype=np.float32)).tobytes()
         with pytest.raises(DataError):
             Tensor.frombytes(payload[:-8])
+
+    def test_rank_beyond_numpy_limit(self):
+        # 65 unit extents: one element, but more axes than numpy allows
+        payload = (b"KFT1" + bytes([0, 65]) + struct.pack("<65I", *[1] * 65)
+                   + b"\x00" * 4)
+        with pytest.raises(DataError):
+            Tensor.frombytes(payload)

@@ -1,5 +1,8 @@
 """Losses, optimizer, schedulers, metrics, checkpoints, train loop."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,32 @@ class TestCheckpoints:
         payload = save_checkpoint(build_model(TINY, seed=9))
         with pytest.raises(CheckpointError):
             load_checkpoint(payload[: len(payload) // 2])
+
+    @pytest.mark.parametrize("part", ["name", "config"])
+    def test_invalid_utf8_rejected(self, part):
+        payload = save_checkpoint(build_model(TINY, seed=9))
+        _, state = load_checkpoint(payload)
+        target = sorted(state)[0].encode() if part == "name" else b'"model"'
+        assert payload.count(target) == 1
+        corrupt = payload.replace(target, b"\xff" + target[1:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(corrupt)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c["model"].update(ring_count=0),
+        lambda c: c.update(dtype="not-a-dtype"),
+        lambda c: c.pop("model"),
+    ], ids=["ring_count_0", "bad_dtype", "no_model"])
+    def test_invalid_stored_config_rejected(self, edit):
+        payload = save_checkpoint(build_model(TINY, seed=9))
+        (blob_len,) = struct.unpack("<I", payload[8:12])
+        config = json.loads(payload[12:12 + blob_len])
+        edit(config)
+        blob = json.dumps(config).encode()
+        edited = (payload[:8] + struct.pack("<I", len(blob)) + blob
+                  + payload[12 + blob_len:])
+        with pytest.raises(CheckpointError):
+            model_from_checkpoint(edited)
 
     def test_mismatched_state_rejected(self):
         model = build_model(TINY, seed=10)
