@@ -5,9 +5,10 @@ Run: python demos/02_spline_layers.py
 
 import numpy as np
 
-from stormkan import (SplineGrid, Tape, bspline_basis_values,
-                      eval_basis_piecewise, kan_init,
+from stormkan import (Session, SplineGrid, StaticGraph, Tape,
+                      bspline_basis_values, kan_init,
                       precompute_basis_coefficients)
+from stormkan.staticgraph import SPLINE_BASIS, GraphNode
 
 grid = SplineGrid()  # 5 intervals, cubic, domain [-1, 1]
 print("knots:", grid.knots)
@@ -22,11 +23,16 @@ print("basis sums:", bases.sum(axis=-1))
 print("active bases per x:", (bases > 1e-12).sum(axis=-1))
 
 # the deployment path evaluates the same bases from precomputed
-# per-interval polynomial coefficients via Horner's rule
-coeffs = precompute_basis_coefficients(grid)
+# per-interval polynomial coefficients via Horner's rule: a one-node
+# static graph (input x, constants coeffs and [lo, step, n_intervals])
+coeffs = precompute_basis_coefficients(grid).astype(np.float32)
+meta = np.array([grid.lo, grid.step, grid.grid_size], dtype=np.float32)
 sample = np.random.default_rng(1).uniform(-1, 1, 10_000)
+graph = StaticGraph([("x", sample.shape)], {1: coeffs, 2: meta},
+                    [GraphNode(SPLINE_BASIS, (), (0, 1, 2), 3)],
+                    [("bases", 3)])
+horner = Session(graph).run({"x": sample.astype(np.float32)})["bases"]
 direct = bspline_basis_values(sample, grid)
-horner = eval_basis_piecewise(sample, grid, coeffs)
 print("max |direct - horner|:", np.abs(direct - horner).max())
 
 # a spline-dense layer: silu base path + learnable spline per edge

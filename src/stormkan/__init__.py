@@ -12,22 +12,19 @@ from .errors import (CheckpointError, ConfigError, DataError, ExportError,
                      TrainingError)
 from .tensor import Parameter, Tensor
 from .tape import Tape, Var
-from .spline import (KanLinear, SplineGrid, bspline_basis,
-                     bspline_basis_values, eval_basis_piecewise, kan_init,
-                     precompute_basis_coefficients)
+from .spline import (KanLinear, SplineGrid, bspline_basis, bspline_basis_values,
+                     kan_init, precompute_basis_coefficients)
 from .model import (CycloneNet, ModelConfig, TaskFeatures, build_model,
-                    ring_bounds)
+                    decompose_pooling, fixed_pool_spec, ring_bounds)
 from .training import (EarlyStopper, Metrics, PlateauScheduler, TrainConfig,
-                       TrainResult, compute_metrics, denormalize, early_stop,
-                       evaluate, lr_on_plateau, mae, mae_loss,
-                       model_from_checkpoint, multitask_loss, normalize,
-                       predict, read_checkpoint, rmse, save_checkpoint,
-                       sgd_step, train, write_checkpoint)
+                       TrainResult, compute_metrics, denormalize, evaluate,
+                       mae, mae_loss, model_from_checkpoint, multitask_loss,
+                       normalize, predict, read_checkpoint, rmse,
+                       save_checkpoint, sgd_step, train, write_checkpoint)
 from .data import (SyntheticDataset, TcSample, VortexParams,
                    augment_rotations, estimate_latents, generate_sample,
                    load_dataset, save_dataset, split_dataset, split_storm_ids)
-from .staticgraph import (Session, StaticGraph, bench, decompose_pooling,
-                          export, fixed_pool_spec, load_graph, run,
+from .staticgraph import (Session, StaticGraph, bench, export, load_graph,
                           save_graph)
 
 __version__ = "0.1.0"

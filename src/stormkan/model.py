@@ -7,13 +7,15 @@ ring-attention head per task, bidirectional residual task coupling,
 and per-task fusion decoders.  A ``deploy`` variant replaces the LSTM
 with a flattened-input spline stack and all adaptive pooling with
 fixed-kernel stages so the whole forward pass can be lowered to a
-static graph.
+static graph.  Those stages are planned here, once, under the
+63-kernel limit (``spatial_pool_plan``, ``ring_pool_plan``): the deploy
+forward pools through exactly the stages ``staticgraph.export`` emits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +79,13 @@ class ModelConfig:
             raise ConfigError(f"ring geometry invalid: {err}")
         if self.image_hw % 2 != 0:
             raise ConfigError("image_hw must be even (2x2 max-pool stage)")
+        if self.variant == "deploy":
+            try:
+                spatial_pool_plan(self)
+                ring_pool_plan(self)
+            except ShapeError as exc:
+                raise ConfigError(
+                    f"deploy pooling cannot be exported: {exc}") from exc
 
     def _resolved_fields(self) -> dict:
         if not self.compressed:
@@ -114,6 +123,60 @@ def ring_bounds(cfg: ModelConfig) -> list[tuple[int, int]]:
     ring 0's high edge, so the nesting is strict only from ring 2 on.
     """
     return ops.ring_crops(cfg.r_center, cfg.ring_count)
+
+
+# ---------------------------------------------------------------------------
+# fixed pooling plans (the deploy variant's replacement for adaptive pools)
+
+MAX_POOL_KERNEL = 63
+
+
+def decompose_pooling(kernel: int, stride: int) -> list[tuple[int, int]]:
+    """Split a non-overlapping mean pool into <= 2 stages within the limit.
+
+    Requires stride == kernel.  Balanced factor pairs are preferred;
+    kernels with no two-factor split whose parts both fit (e.g. primes
+    beyond the limit) are an error.
+    """
+    if kernel < 1:
+        raise ShapeError(f"pool kernel must be >= 1, got {kernel}")
+    if stride != kernel:
+        raise ShapeError("pool decomposition requires stride == kernel")
+    if kernel <= MAX_POOL_KERNEL:
+        return [(kernel, kernel)]
+    for k1 in range(math.isqrt(kernel), 1, -1):
+        if kernel % k1 == 0 and kernel // k1 <= MAX_POOL_KERNEL:
+            return [(k1, k1), (kernel // k1, kernel // k1)]
+    raise ShapeError(
+        f"pool kernel {kernel} has no two-stage factorization with both "
+        f"stages <= {MAX_POOL_KERNEL}")
+
+
+def fixed_pool_spec(extent: int, out: int = 2) -> tuple[int, int]:
+    """(kernel, stride) of the fixed pool equal to adaptive extent->out."""
+    if extent % out == 0:
+        return extent // out, extent // out
+    if out == 2:
+        return -(-extent // 2), extent // 2
+    raise ShapeError(
+        f"adaptive pool {extent}->{out} has no fixed kernel/stride equivalent")
+
+
+def _pool_stages(extent: int, out: int = 2) -> list[tuple[int, int]]:
+    kernel, stride = fixed_pool_spec(extent, out)
+    if kernel <= MAX_POOL_KERNEL:
+        return [(kernel, stride)]
+    return decompose_pooling(kernel, stride)
+
+
+def spatial_pool_plan(cfg: ModelConfig) -> list[tuple[int, int]]:
+    """Fixed stages replacing the spatial adaptive 2x2 pool."""
+    return _pool_stages(cfg.image_hw // 2, 2)
+
+
+def ring_pool_plan(cfg: ModelConfig) -> list[list[tuple[int, int]]]:
+    """Fixed stages replacing each ring's adaptive 2x2 pool."""
+    return [_pool_stages(hi - lo, 2) for lo, hi in ring_bounds(cfg)]
 
 
 @dataclass
@@ -361,13 +424,6 @@ class CycloneNet:
 
     # -- forward pieces ------------------------------------------------------
 
-    def _check_inputs(self, x_seq, x_img):
-        cfg = self.cfg
-        if x_img.shape[1:] != (IMG_CHANNELS, cfg.image_hw, cfg.image_hw):
-            raise ShapeError(f"image shape {x_img.shape} does not match config")
-        if x_seq is not None and x_seq.shape[1:] != (cfg.seq_len, cfg.seq_feat):
-            raise ShapeError(f"sequence shape {x_seq.shape} does not match config")
-
     def temporal_features(self, tape: Tape, x_seq: np.ndarray) -> Var:
         cfg = self.cfg
         xs = tape.constant(np.asarray(x_seq, dtype=self.dtype))
@@ -379,19 +435,8 @@ class CycloneNet:
             return self.deploy_seq2.forward(self.deploy_seq1.forward(flat))
         return self.seq_proj.forward(self.lstm.forward(xs))
 
-    def _temporal_deploy(self, tape: Tape, x_seq_flat: np.ndarray) -> Var:
+    def spatial_features(self, tape: Tape, x_img: np.ndarray) -> Var:
         cfg = self.cfg
-        if self.deploy_seq1 is None:
-            raise ConfigError("model was not built with the deploy temporal path")
-        xs = tape.constant(np.asarray(x_seq_flat, dtype=self.dtype))
-        if xs.data.ndim != 2 or xs.data.shape[1] != cfg.flat_seq:
-            raise ShapeError(
-                f"flattened sequence must be [B, {cfg.flat_seq}], "
-                f"got {xs.data.shape}")
-        return self.deploy_seq2.forward(self.deploy_seq1.forward(xs))
-
-    def spatial_features(self, tape: Tape, x_img: np.ndarray,
-                         fixed_pool: bool = False) -> Var:
         xi = tape.constant(np.asarray(x_img, dtype=self.dtype))
         c1 = ops.relu(self.conv1.forward(xi))
         c2 = ops.maxpool2d(ops.relu(self.conv2.forward(c1)), 2, 2)
@@ -400,27 +445,22 @@ class CycloneNet:
         for layer in self.dilated[1:]:
             dsum = ops.add(dsum, layer.forward(c2))
         multi = ops.concat([res, dsum], axis=1)
-        red = self.reduce.forward(multi)
-        if fixed_pool:
-            pooled = _fixed_pool_to_2(red)
+        pooled = self.reduce.forward(multi)
+        if cfg.variant == "deploy":
+            for kernel, stride in spatial_pool_plan(cfg):
+                pooled = ops.avgpool2d_fixed(pooled, kernel, stride)
         else:
-            pooled = ops.adaptive_avgpool2d(red, 2, 2)
+            pooled = ops.adaptive_avgpool2d(pooled, 2, 2)
         return self.img_proj.forward(ops.flatten(pooled))
 
-    def shared_features(self, tape: Tape, x_seq, x_img) -> Var:
-        self._check_inputs(x_seq, x_img)
-        return ops.concat([self.temporal_features(tape, x_seq),
-                           self.spatial_features(tape, x_img)], axis=1)
-
-    def ring_features(self, tape: Tape, x_img, fixed_pool: bool = False) -> Var:
+    def ring_features(self, tape: Tape, x_img) -> Var:
         """[B, rings, 4] ring means of the attention infrared channel."""
         cfg = self.cfg
         xi = tape.constant(np.asarray(x_img, dtype=self.dtype))
         ch7 = ops.slice_(
             xi, (slice(None), slice(ATTN_CHANNEL, ATTN_CHANNEL + 1)))
-        if not fixed_pool:
+        if cfg.variant != "deploy":
             return ops.ring_pool(ch7, cfg.r_center, cfg.ring_count)
-        from .staticgraph import ring_pool_plan
         pieces = []
         for (lo, hi), stages in zip(ring_bounds(cfg), ring_pool_plan(cfg)):
             crop = ops.slice_(ch7, (slice(None), slice(None),
@@ -446,37 +486,36 @@ class CycloneNet:
 
     # -- end-to-end ----------------------------------------------------------
 
-    def _features(self, tape: Tape, f_seq: Var, x_img,
-                  fixed_pool: bool) -> TaskFeatures:
-        f_img = self.spatial_features(tape, x_img, fixed_pool=fixed_pool)
+    def forward(self, tape: Tape, x_seq, x_img) -> tuple[Var, Var]:
+        """The one forward body; the deploy variant pools at fixed stride."""
+        cfg = self.cfg
+        if x_img.shape[1:] != (IMG_CHANNELS, cfg.image_hw, cfg.image_hw):
+            raise ShapeError(f"image shape {x_img.shape} does not match config")
+        if x_seq.shape[1:] != (cfg.seq_len, cfg.seq_feat):
+            raise ShapeError(f"sequence shape {x_seq.shape} does not match config")
+        f_seq = self.temporal_features(tape, x_seq)
+        f_img = self.spatial_features(tape, x_img)
         f_shared = ops.concat([f_seq, f_img], axis=1)
-        rings = self.ring_features(tape, x_img, fixed_pool=fixed_pool)
+        rings = self.ring_features(tape, x_img)
         a_msw = self.head_msw.forward(rings, f_seq)
         a_rmw = self.head_rmw.forward(rings, f_seq)
         gamma_r2m, gamma_m2r = self.physics_constraint(a_msw, a_rmw)
-        return TaskFeatures(a_msw, a_rmw, gamma_m2r, gamma_r2m, f_shared)
-
-    def forward(self, tape: Tape, x_seq, x_img) -> tuple[Var, Var]:
-        self._check_inputs(x_seq, x_img)
-        if self.cfg.variant == "deploy":
-            flat = np.asarray(x_seq).reshape(len(x_seq), -1)
-            return self.forward_deploy(tape, flat, x_img)
-        f_seq = self.temporal_features(tape, x_seq)
-        return self.fuse_decode(self._features(tape, f_seq, x_img, False))
+        return self.fuse_decode(
+            TaskFeatures(a_msw, a_rmw, gamma_m2r, gamma_r2m, f_shared))
 
     def forward_deploy(self, tape: Tape, x_seq_flat, x_img) -> tuple[Var, Var]:
-        """Branch-free forward: flat temporal input, fixed-stride pooling."""
-        if self.cfg.variant != "deploy":
+        """``forward`` of a deploy-variant model on the flat [B, seq_len *
+        seq_feat] sequence that the static graph takes."""
+        cfg = self.cfg
+        if cfg.variant != "deploy":
             raise ConfigError("forward_deploy requires a deploy-variant model")
-        self._check_inputs(None, x_img)
-        f_seq = self._temporal_deploy(tape, x_seq_flat)
-        return self.fuse_decode(self._features(tape, f_seq, x_img, True))
-
-
-def _fixed_pool_to_2(x: Var) -> Var:
-    """Fixed kernel/stride equivalent of adaptive 2x2 pooling."""
-    h = x.shape[2]
-    return ops.avgpool2d_fixed(x, -(-h // 2), h // 2)
+        x_seq_flat = np.asarray(x_seq_flat)
+        if x_seq_flat.ndim != 2 or x_seq_flat.shape[1] != cfg.flat_seq:
+            raise ShapeError(
+                f"flattened sequence must be [B, {cfg.flat_seq}], "
+                f"got {x_seq_flat.shape}")
+        x_seq = x_seq_flat.reshape(-1, cfg.seq_len, cfg.seq_feat)
+        return self.forward(tape, x_seq, x_img)
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> CycloneNet:

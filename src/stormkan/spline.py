@@ -6,9 +6,10 @@ A layer edge (j, i) realizes
 
 with the spline argument clamped to the grid domain (the silu path sees
 the raw input, preserving gradient flow outside the grid).  Bases are a
-clamped-uniform knot grid evaluated by the Cox-de Boor recursion; the
-deployment path evaluates the same bases from precomputed per-interval
-power-basis coefficients via Horner's rule.
+clamped-uniform knot grid evaluated by the Cox-de Boor recursion.  For
+deployment, ``precompute_basis_coefficients`` turns them into
+per-interval power-basis coefficients, which the static graph's
+``SPLINE_BASIS`` node evaluates by Horner's rule.
 """
 
 from __future__ import annotations
@@ -111,21 +112,6 @@ def precompute_basis_coefficients(grid: SplineGrid) -> np.ndarray:
         values = bspline_basis_values(xs, grid)       # [order+1, nb]
         coeffs[j] = (inv @ values).T
     return coeffs
-
-
-def eval_basis_piecewise(x: np.ndarray, grid: SplineGrid,
-                         coeffs: np.ndarray) -> np.ndarray:
-    """Horner evaluation of precomputed coefficients, [..., basis_count]."""
-    x = np.asarray(x)
-    xc = np.clip(x, grid.lo, grid.hi)
-    idx = np.clip(((xc - grid.lo) / grid.step).astype(np.int64),
-                  0, grid.grid_size - 1)
-    u = (xc - (grid.lo + idx * grid.step))[..., None]
-    c = coeffs[idx]                                   # [..., nb, order+1]
-    acc = c[..., -1].copy()
-    for p in range(c.shape[-1] - 2, -1, -1):
-        acc = acc * u + c[..., p]
-    return acc.astype(x.dtype) if x.dtype.kind == "f" else acc
 
 
 class KanLinear:

@@ -3,13 +3,16 @@
 ``export`` lowers a deploy-variant model to a topologically ordered,
 fixed-shape op list: spline layers become clamp/piecewise-polynomial
 basis evaluation against precomputed coefficients plus the silu path,
-every adaptive pool becomes fixed kernel/stride average pooling, and
-pools wider than the 63-kernel limit are split into two balanced
-stages.  The serialized form ("KFG1") round-trips bit-exactly; a
-``Session`` pre-allocates every buffer at load, and every kernel then
-writes into those buffers.  That a warm ``run`` allocates nothing beyond
-its small output copies is measured with tracemalloc (``bench`` reports
-the figure), not self-counted.
+and every adaptive pool becomes the fixed kernel/stride stages that
+``model.spatial_pool_plan`` and ``model.ring_pool_plan`` give (pools
+wider than the 63-kernel limit split into two balanced stages), the
+same stages the deploy tape forward runs.  The serialized form ("KFG1")
+round-trips bit-exactly, and ``load_graph`` validates every shape and
+every constant the interpreter indexes by.  A ``Session`` gives every
+value and every kernel's scratch its own buffer, all allocated when it
+is created; kernels then write into those buffers.  That a warm ``run``
+allocates nothing beyond its small output copies is measured with
+tracemalloc (``bench`` reports the figure), not self-counted.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExportError, GraphError, ShapeError
+from .errors import DataError, ExportError, GraphError, ShapeError
+from .model import (ATTN_CHANNEL, IMG_CHANNELS, MAX_POOL_KERNEL, ring_bounds,
+                    ring_pool_plan, spatial_pool_plan)
 from .ops import _im2col, _offset_keys, _window_view
 from .spline import KanLinear, SplineGrid, precompute_basis_coefficients
 from .tape import Tape
@@ -30,7 +35,7 @@ from .tensor import Tensor
 
 MAGIC = b"KFG1"
 VERSION = 1
-MAX_POOL_KERNEL = 63
+MAX_RANK = 32   # numpy 1.x's array rank limit
 
 # op ids
 CONV2D, RELU, SILU, TANH, MAXPOOL2D, AVGPOOL2D, SLICE, CONCAT, RESHAPE, \
@@ -44,58 +49,14 @@ _OP_NAMES = {
     MEAN: "mean", SPLINE_BASIS: "spline_basis",
 }
 
-
-# ---------------------------------------------------------------------------
-# pooling plans
-
-
-def decompose_pooling(kernel: int, stride: int) -> list[tuple[int, int]]:
-    """Split a non-overlapping mean pool into <= 2 stages within the limit.
-
-    Requires stride == kernel.  Balanced factor pairs are preferred;
-    kernels with no two-factor split whose parts both fit (e.g. primes
-    beyond the limit) are an error.
-    """
-    if kernel < 1:
-        raise ShapeError(f"pool kernel must be >= 1, got {kernel}")
-    if stride != kernel:
-        raise ShapeError("pool decomposition requires stride == kernel")
-    if kernel <= MAX_POOL_KERNEL:
-        return [(kernel, kernel)]
-    for k1 in range(math.isqrt(kernel), 1, -1):
-        if kernel % k1 == 0 and kernel // k1 <= MAX_POOL_KERNEL:
-            return [(k1, k1), (kernel // k1, kernel // k1)]
-    raise ShapeError(
-        f"pool kernel {kernel} has no two-stage factorization with both "
-        f"stages <= {MAX_POOL_KERNEL}")
-
-
-def fixed_pool_spec(extent: int, out: int = 2) -> tuple[int, int]:
-    """(kernel, stride) of the fixed pool equal to adaptive extent->out."""
-    if extent % out == 0:
-        return extent // out, extent // out
-    if out == 2:
-        return -(-extent // 2), extent // 2
-    raise ShapeError(
-        f"adaptive pool {extent}->{out} has no fixed kernel/stride equivalent")
-
-
-def _pool_stages(extent: int, out: int = 2) -> list[tuple[int, int]]:
-    kernel, stride = fixed_pool_spec(extent, out)
-    if kernel <= MAX_POOL_KERNEL:
-        return [(kernel, stride)]
-    return decompose_pooling(kernel, stride)
-
-
-def spatial_pool_plan(cfg) -> list[tuple[int, int]]:
-    """Fixed stages replacing the spatial adaptive 2x2 pool."""
-    return _pool_stages(cfg.image_hw // 2, 2)
-
-
-def ring_pool_plan(cfg) -> list[list[tuple[int, int]]]:
-    """Fixed stages replacing each ring's adaptive 2x2 pool."""
-    from .model import ring_bounds
-    return [_pool_stages(hi - lo, 2) for lo, hi in ring_bounds(cfg)]
+# (input count, attr count) of each op; None: any count
+_ARITY = {
+    CONV2D: (2, 3), RELU: (1, 0), SILU: (1, 0), TANH: (1, 0),
+    MAXPOOL2D: (1, 2), AVGPOOL2D: (1, 2), SLICE: (1, None),
+    CONCAT: (None, 1), RESHAPE: (1, None), TRANSPOSE: (1, None),
+    MATMUL: (2, 0), MUL: (2, 0), ADD: (2, 0), SOFTMAX: (1, 1), MEAN: (1, 1),
+    SPLINE_BASIS: (3, 0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +89,15 @@ class StaticGraph:
     def infer_shapes(self) -> list[tuple[int, ...]]:
         """Shape-check every node; raises GraphError on any violation."""
         shapes: list[tuple[int, ...] | None] = [None] * self.n_values
+        names = [name for name, _ in self.inputs]
+        if len(set(names)) != len(names):
+            raise GraphError(f"duplicate input names {names}")
         for i, (_, shape) in enumerate(self.inputs):
-            shapes[i] = tuple(shape)
+            shapes[i] = _checked_shape(tuple(shape), f"input {i}")
         for vid, arr in self.constants.items():
             if not (len(self.inputs) <= vid < len(self.inputs) + len(self.constants)):
                 raise GraphError(f"constant id {vid} out of range")
-            shapes[vid] = arr.shape
+            shapes[vid] = _checked_shape(arr.shape, f"constant {vid}")
         base = len(self.inputs) + len(self.constants)
         for n, node in enumerate(self.nodes):
             if node.output != base + n:
@@ -144,38 +108,88 @@ class StaticGraph:
                         f"node {n} ({_OP_NAMES.get(node.op)}) reads undefined "
                         f"value {j}")
             try:
-                shapes[node.output] = _infer_shape(
-                    node, [shapes[j] for j in node.inputs])
+                shape = _infer_shape(node, [shapes[j] for j in node.inputs])
+                if node.op == SPLINE_BASIS:
+                    _check_spline_constants(node, self.constants)
             except (ShapeError, GraphError) as exc:
                 raise GraphError(
                     f"node {n} ({_OP_NAMES.get(node.op, node.op)}): {exc}"
                 ) from exc
+            shapes[node.output] = _checked_shape(shape, f"node {n} output")
         for _, vid in self.outputs:
-            if shapes[vid] is None:
+            if not 0 <= vid < self.n_values or shapes[vid] is None:
                 raise GraphError(f"output value {vid} undefined")
         return [s if s is not None else () for s in shapes]
 
 
+def _checked_shape(shape: tuple[int, ...], what: str) -> tuple[int, ...]:
+    if len(shape) > MAX_RANK or min(shape, default=1) < 1:
+        raise GraphError(f"{what} has unsupported shape {shape}")
+    return shape
+
+
+def _check_spline_constants(node: GraphNode, constants) -> None:
+    """The interpreter indexes the coefficient rows by the meta constant:
+    both must be constants, the meta finite, with step > 0 and
+    n_intervals equal to the number of coefficient rows."""
+    if not all(j in constants for j in node.inputs[1:]):
+        raise GraphError("spline coefficients and meta must be constants")
+    n_rows = constants[node.inputs[1]].shape[0]
+    lo, step, n_int = (float(v) for v in constants[node.inputs[2]])
+    if not (math.isfinite(lo) and math.isfinite(step) and step > 0
+            and n_int == n_rows):
+        raise GraphError(
+            f"spline meta [lo={lo}, step={step}, n_intervals={n_int}] "
+            f"invalid for {n_rows} coefficient rows")
+
+
+def _need(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ShapeError(msg)
+
+
+def _broadcast(*shapes) -> tuple[int, ...]:
+    try:
+        return tuple(np.broadcast_shapes(*shapes))
+    except ValueError as exc:
+        raise ShapeError(f"shapes {shapes} do not broadcast") from exc
+
+
 def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     op, attrs = node.op, node.attrs
+    if op not in _ARITY:
+        raise GraphError(f"unknown op id {op}")
+    n_in, n_attrs = _ARITY[op]
+    _need(len(in_shapes) == n_in if n_in else len(in_shapes) >= 1,
+          f"takes {n_in or 'at least 1'} inputs, got {len(in_shapes)}")
+    _need(n_attrs is None or len(attrs) == n_attrs,
+          f"takes {n_attrs} attrs, got {len(attrs)}")
     if op == CONV2D:
         stride, padding, dilation = attrs
-        x, w = in_shapes[0], in_shapes[1]
-        if len(x) != 4 or len(w) != 4 or x[1] != w[1]:
-            raise ShapeError(f"conv shapes {x} x {w}")
+        x, w = in_shapes
+        _need(len(x) == 4 and len(w) == 4 and x[1] == w[1],
+              f"conv shapes {x} x {w}")
+        _need(stride >= 1 and padding >= 0 and dilation >= 1,
+              f"conv stride, padding, dilation {attrs}")
         oh = (x[2] + 2 * padding - dilation * (w[2] - 1) - 1)
         ow = (x[3] + 2 * padding - dilation * (w[3] - 1) - 1)
         if oh % stride or ow % stride or oh < 0 or ow < 0:
             raise ShapeError("non-integral conv output extent")
         return (x[0], w[0], oh // stride + 1, ow // stride + 1)
-    if op in (RELU, SILU, TANH, SOFTMAX):
+    if op in (RELU, SILU, TANH):
         return in_shapes[0]
+    if op in (SOFTMAX, MEAN):
+        x, axis = in_shapes[0], attrs[0]
+        _need(0 <= axis < len(x), f"axis {axis} out of range for {x}")
+        return x if op == SOFTMAX else x[:axis] + x[axis + 1:]
     if op in (MAXPOOL2D, AVGPOOL2D):
         kernel, stride = attrs
         if kernel > MAX_POOL_KERNEL:
             raise GraphError(
                 f"pool kernel {kernel} exceeds limit {MAX_POOL_KERNEL}")
         x = in_shapes[0]
+        _need(len(x) == 4 and kernel >= 1 and stride >= 1,
+              f"pool {kernel}/{stride} on {x}")
         span_h, span_w = x[2] - kernel, x[3] - kernel
         if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
             raise ShapeError(f"pool {kernel}/{stride} does not tile {x}")
@@ -194,15 +208,18 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     if op == CONCAT:
         axis = attrs[0]
         ref = list(in_shapes[0])
+        _need(0 <= axis < len(ref), f"concat axis {axis} out of range")
         total = 0
         for s in in_shapes:
-            if list(s[:axis]) + list(s[axis + 1:]) != ref[:axis] + ref[axis + 1:]:
+            if (len(s) != len(ref)
+                    or list(s[:axis]) + list(s[axis + 1:])
+                    != ref[:axis] + ref[axis + 1:]):
                 raise ShapeError("concat extent mismatch")
             total += s[axis]
         ref[axis] = total
         return tuple(ref)
     if op == RESHAPE:
-        if int(np.prod(attrs)) != int(np.prod(in_shapes[0])):
+        if math.prod(attrs) != math.prod(in_shapes[0]):
             raise ShapeError(f"reshape {in_shapes[0]} -> {attrs}")
         return tuple(attrs)
     if op == TRANSPOSE:
@@ -212,22 +229,17 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
         return tuple(x[a] for a in attrs)
     if op == MATMUL:
         a, b = in_shapes
-        if a[-1] != b[-2]:
+        if len(a) < 2 or len(b) < 2 or a[-1] != b[-2]:
             raise ShapeError(f"matmul inner extents {a} x {b}")
-        lead = np.broadcast_shapes(a[:-2], b[:-2])
-        return tuple(lead) + (a[-2], b[-1])
+        return _broadcast(a[:-2], b[:-2]) + (a[-2], b[-1])
     if op in (MUL, ADD):
-        return tuple(np.broadcast_shapes(*in_shapes))
-    if op == MEAN:
-        axis = attrs[0]
-        x = in_shapes[0]
-        return tuple(e for i, e in enumerate(x) if i != axis)
-    if op == SPLINE_BASIS:
-        x, coeffs, meta = in_shapes
-        if len(meta) != 1 or meta[0] != 3:
-            raise ShapeError("spline meta constant must be [lo, step, n_intervals]")
-        return tuple(x) + (coeffs[1],)
-    raise GraphError(f"unknown op id {node.op}")
+        return _broadcast(*in_shapes)
+    # SPLINE_BASIS
+    x, coeffs, meta = in_shapes
+    _need(len(coeffs) == 3,
+          "spline coefficients must be [intervals, bases, order + 1]")
+    _need(meta == (3,), "spline meta constant must be [lo, step, n_intervals]")
+    return tuple(x) + (coeffs[1],)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +371,8 @@ def load_graph(data: bytes) -> StaticGraph:
             (vid,) = struct.unpack_from("<I", buf, p)
             p += 4
             outputs.append((name, vid))
-    except struct.error as exc:
-        raise GraphError(f"truncated graph payload: {exc}") from exc
+    except (struct.error, UnicodeDecodeError, DataError) as exc:
+        raise GraphError(f"truncated or corrupt graph payload: {exc}") from exc
 
     graph = StaticGraph(inputs, constants, nodes, outputs, version)
     graph.infer_shapes()  # validation is total at load time
@@ -473,8 +485,6 @@ def export(model) -> StaticGraph:
     if cfg.variant != "deploy":
         raise ExportError(
             f"export requires the deploy variant, got {cfg.variant!r}")
-
-    from .model import ATTN_CHANNEL, IMG_CHANNELS, ring_bounds
 
     b = _Builder()
     coeff_cache: dict = {}
@@ -606,9 +616,7 @@ class Session:
             out = shapes[node.output]
             cols = self._alloc((w[1] * w[2] * w[3],
                                 x[0] * out[2] * out[3]))
-            out2 = self._alloc((w[0], x[0] * out[2] * out[3])) \
-                if x[0] > 1 else None
-            return xp, cols, out2
+            return xp, cols
         if node.op == MAXPOOL2D:
             # one strided slice of the input per window offset
             kernel, stride = node.attrs
@@ -667,17 +675,14 @@ class Session:
                 np.matmul(w2, x.reshape(bsz, x.shape[1], -1),
                           out=out.reshape(bsz, cout, -1))
                 return
-            xp, cols, out2 = scratch
+            xp, cols = scratch
             if xp is not None:
                 xp[:, :, padding:-padding, padding:-padding] = x
                 x = xp
             _im2col(x, w.shape[2], w.shape[3], stride, dilation, cols)
-            if out2 is None:
-                np.matmul(w2, cols, out=out.reshape(cout, -1))
-            else:
-                np.matmul(w2, cols, out=out2)
-                np.copyto(out.reshape(bsz, cout, -1),
-                          out2.reshape(cout, bsz, -1).transpose(1, 0, 2))
+            # the batched GEMM view of ops.conv2d: [B, K, OH*OW] columns
+            np.matmul(w2, cols.reshape(cols.shape[0], bsz, -1)
+                      .transpose(1, 0, 2), out=out.reshape(bsz, cout, -1))
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)
         elif op == SILU:
@@ -742,7 +747,8 @@ class Session:
             np.subtract(t, u, out=t)       # fractional part in [0, 1]
             t *= step
             np.copyto(idx, u, casting="unsafe")
-            np.take(coeffs, idx, axis=0, out=cg)
+            # clip: a NaN input must not become an out-of-range row
+            np.take(coeffs, idx, axis=0, out=cg, mode="clip")
             acc = out.reshape(cg.shape[:-1])
             np.copyto(acc, cg[..., -1])
             for p in range(cg.shape[-1] - 2, -1, -1):
@@ -750,10 +756,6 @@ class Session:
                 acc += cg[..., p]
         else:
             raise GraphError(f"unknown op id {op}")
-
-
-def run(graph: StaticGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return Session(graph).run(inputs)
 
 
 def bench(graph: StaticGraph, n_warmup: int = 5, n_runs: int = 50,

@@ -8,6 +8,7 @@ one u32 per extent, then the raw row-major data.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import BinaryIO
 
@@ -92,8 +93,8 @@ class Tensor:
             raise DataError("truncated tensor shape block")
         shape = struct.unpack(f"<{rank}I", raw_shape)
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        raw = fp.read(nbytes)
+        nbytes = math.prod(shape) * dtype.itemsize   # exact, never wraps
+        raw = fp.read(nbytes) if nbytes < 2**63 else b""
         if len(raw) < nbytes:
             raise DataError("truncated tensor data block")
         try:

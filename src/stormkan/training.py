@@ -175,34 +175,6 @@ class EarlyStopper:
         return self.counter >= self.patience
 
 
-def lr_on_plateau(history, patience: int = 5, factor: float = 0.5,
-                  threshold: float = 1e-6) -> tuple[float, list[int]]:
-    """Replay a validation history; returns (lr multiplier, reduction epochs).
-
-    Epoch numbers are 1-based positions in the history.
-    """
-    if len(history) == 0:
-        raise ShapeError("lr_on_plateau needs a non-empty history")
-    sched = PlateauScheduler(1.0, patience, factor, threshold)
-    reductions = []
-    for epoch, loss in enumerate(history, start=1):
-        before = sched.lr
-        sched.update(loss)
-        if sched.lr != before:
-            reductions.append(epoch)
-    return sched.lr, reductions
-
-
-def early_stop(history, patience: int = 10,
-               threshold: float = 1e-6) -> int | None:
-    """1-based epoch at which training would stop, or None."""
-    stopper = EarlyStopper(patience, threshold)
-    for epoch, loss in enumerate(history, start=1):
-        if stopper.update(loss):
-            return epoch
-    return None
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -324,18 +296,11 @@ def predict(model: CycloneNet, dataset, batch: int = 64):
 def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
              beta: float = 1.0, batch: int = 64):
     """(multitask normalized MAE, denormalized Metrics) over a dataset."""
-    preds_m, preds_r, tgt_m, tgt_r = [], [], [], []
-    for start in range(0, len(dataset), batch):
-        idxs = range(start, min(start + batch, len(dataset)))
-        xs, xi, tm, tr = collate(dataset, idxs, dtype=model.dtype)
-        tape = Tape()
-        ym, yr = model.forward(tape, xs, xi)
-        preds_m.append(ym.data[:, 0].copy())
-        preds_r.append(yr.data[:, 0].copy())
-        tgt_m.append(tm[:, 0])
-        tgt_r.append(tr[:, 0])
-    pm, pr = np.concatenate(preds_m), np.concatenate(preds_r)
-    tm, tr = np.concatenate(tgt_m), np.concatenate(tgt_r)
+    pm, pr = predict(model, dataset, batch)
+    samples = [dataset[i] for i in range(len(dataset))]
+    # targets in the model's precision, as collate gives them to training
+    tm = np.array([s.y_msw_norm for s in samples], dtype=model.dtype)
+    tr = np.array([s.y_rmw_norm for s in samples], dtype=model.dtype)
     loss = alpha * mae(pm, tm) + beta * mae(pr, tr)
     return loss, compute_metrics(pm, pr, tm, tr)
 

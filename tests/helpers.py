@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from stormkan.staticgraph import GraphNode, StaticGraph
 from stormkan.tape import Tape
 
 
@@ -111,3 +112,13 @@ def naive_maxpool2d_grad(x, g, kernel, stride):
                     di, dj = divmod(int(np.argmax(win)), kernel)
                     dx[b, ch, r0 + di, c0 + dj] += g[b, ch, i, j]
     return dx
+
+
+def one_node_graph(op, attrs, x_shape, constants=()):
+    """A graph of one node reading input "x" and the given constants."""
+    consts = {1 + i: np.asarray(c, dtype=np.float32)
+              for i, c in enumerate(constants)}
+    out = 1 + len(consts)
+    return StaticGraph([("x", tuple(x_shape))], consts,
+                       [GraphNode(op, tuple(attrs), tuple(range(out)), out)],
+                       [("y", out)])

@@ -5,7 +5,8 @@ import pytest
 
 from stormkan import ops
 from stormkan.errors import ConfigError
-from stormkan.model import CycloneNet, ModelConfig, build_model, ring_bounds
+from stormkan.model import (CycloneNet, ModelConfig, build_model,
+                            ring_bounds, ring_pool_plan, spatial_pool_plan)
 from stormkan.tape import Tape
 
 from helpers import max_rel_err
@@ -45,6 +46,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(ring_count=0)
 
+    def test_unexportable_deploy_pooling_rejected(self):
+        # spatial extent 127: adaptive 127->2 is a 64-wide pool at stride
+        # 63, which no two-stage split of stride == kernel can replace
+        ModelConfig(image_hw=254, r_center=127)
+        with pytest.raises(ConfigError, match="deploy pooling"):
+            ModelConfig(image_hw=254, r_center=127, variant="deploy")
+
     def test_compressed_preset(self):
         cfg = ModelConfig(compressed=True).resolved()
         assert (cfg.task_dim, cfg.d_attn, cfg.lstm_hidden) == (16, 16, 32)
@@ -72,11 +80,14 @@ class TestRingGeometry:
         assert bounds[38][1] <= 156
 
     def test_fixed_pool_matches_ring_pool_full_size(self):
-        # ring 38 (side 152) needs the two-stage fixed pool 76 = 4*19
-        m = build_model(ModelConfig(), seed=0, dtype=np.float64)
+        # ring 38 (side 152) needs the two-stage fixed pool 76 = 4*19;
+        # the deploy variant pools at fixed stride, the full one adaptively
+        full = build_model(ModelConfig(), seed=0, dtype=np.float64)
+        dep = build_model(ModelConfig(variant="deploy"), seed=0,
+                          dtype=np.float64)
         xi = np.random.default_rng(3).standard_normal((2, 8, 156, 156))
-        adaptive = m.ring_features(Tape(), xi)
-        fixed = m.ring_features(Tape(), xi, fixed_pool=True)
+        adaptive = full.ring_features(Tape(), xi)
+        fixed = dep.ring_features(Tape(), xi)
         assert adaptive.shape == fixed.shape == (2, 39, 4)
         np.testing.assert_allclose(fixed.data, adaptive.data,
                                    rtol=0, atol=1e-10)
@@ -112,8 +123,9 @@ class TestShapeWalk:
         for p in m.parameters():
             p.data[:] = 0
         tape = Tape()
-        out = m.shared_features(tape, np.zeros((1, 3, 5)),
-                                np.zeros((1, 8, 40, 40)))
+        out = ops.concat([m.temporal_features(tape, np.zeros((1, 3, 5))),
+                          m.spatial_features(tape, np.zeros((1, 8, 40, 40)))],
+                         axis=1)
         np.testing.assert_array_equal(out.data, np.zeros((1, 64)))
 
 
@@ -251,11 +263,31 @@ class TestDeployVariant:
         np.testing.assert_allclose(y_full[1].data, y_dep[1].data, atol=1e-5)
 
     def test_pooling_plan_within_kernel_limit(self):
-        from stormkan.staticgraph import ring_pool_plan, spatial_pool_plan
         cfg = ModelConfig(variant="deploy")
         for stages in ring_pool_plan(cfg) + [spatial_pool_plan(cfg)]:
             for kernel, stride in stages:
                 assert kernel <= 63
+
+    def test_forward_pools_through_the_plan(self, monkeypatch):
+        # at 260 the spatial adaptive pool is 65 wide: the tape must use
+        # the planned 5 then 13, as the exported graph does
+        cfg = ModelConfig(image_hw=260, r_center=130, ring_count=3,
+                          variant="deploy")
+        assert spatial_pool_plan(cfg) == [(5, 5), (13, 13)]
+        pools = []
+        fixed = ops.avgpool2d_fixed
+
+        def recorded(x, kernel, stride):
+            pools.append((kernel, stride))
+            return fixed(x, kernel, stride)
+
+        monkeypatch.setattr(ops, "avgpool2d_fixed", recorded)
+        m = build_model(cfg, seed=0)
+        r = np.random.default_rng(0)
+        m.forward_deploy(Tape(), r.uniform(0, 1, (1, 15)),
+                         r.uniform(0, 1, (1, 8, 260, 260)))
+        planned = spatial_pool_plan(cfg) + sum(ring_pool_plan(cfg), [])
+        assert pools == planned
 
     def test_deterministic(self):
         cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9,

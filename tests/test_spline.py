@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from stormkan import ops
 from stormkan.errors import ShapeError
 from stormkan.spline import (SplineGrid, bspline_basis, bspline_basis_values,
-                             eval_basis_piecewise, kan_init,
-                             precompute_basis_coefficients)
+                             kan_init, precompute_basis_coefficients)
+from stormkan.staticgraph import SPLINE_BASIS, Session
 from stormkan.tape import Tape
 
-from helpers import check_gradients
+from helpers import check_gradients, one_node_graph
 
 rng = np.random.default_rng(7)
 GRID = SplineGrid()  # 5 intervals, cubic, [-1, 1]
@@ -96,10 +96,14 @@ class TestBasis:
 
 class TestPrecomputedCoefficients:
     def test_horner_matches_cox_de_boor(self):
+        # the deployment evaluator: the static graph's SPLINE_BASIS node
         coeffs = precompute_basis_coefficients(GRID)
+        meta = [GRID.lo, GRID.step, GRID.grid_size]
         xs = rng.uniform(-1, 1, 10_000)
+        session = Session(one_node_graph(SPLINE_BASIS, (), xs.shape,
+                                         (coeffs, meta)))
+        horner = session.run({"x": xs.astype(np.float32)})["y"]
         direct = bspline_basis_values(xs, GRID)
-        horner = eval_basis_piecewise(xs, GRID, coeffs)
         assert np.abs(direct - horner).max() < 1e-6
 
     def test_order_one_hat_functions(self):

@@ -1,5 +1,7 @@
 """Deployment lowering, serialization, interpreter, pooling decomposition."""
 
+import math
+import struct
 import threading
 import tracemalloc
 
@@ -8,15 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stormkan.errors import ExportError, GraphError, ShapeError
-from stormkan.model import ModelConfig, build_model
-from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MAXPOOL2D, GraphNode,
-                                  Session, StaticGraph, bench,
-                                  decompose_pooling, export, fixed_pool_spec,
-                                  load_graph, run, save_graph)
+from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
+from stormkan.model import (ModelConfig, build_model, decompose_pooling,
+                            fixed_pool_spec)
+from stormkan.spline import SplineGrid, precompute_basis_coefficients
+from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MAXPOOL2D, SPLINE_BASIS,
+                                  GraphNode, Session, StaticGraph, bench,
+                                  export, load_graph, save_graph)
 from stormkan.tape import Tape
 
-from helpers import naive_conv2d, naive_maxpool2d
+from helpers import naive_conv2d, naive_maxpool2d, one_node_graph
 
 rng = np.random.default_rng(31)
 
@@ -121,8 +124,8 @@ class TestExport:
         back = load_graph(payload)
         assert save_graph(back) == payload
         xs, xi = tiny_io(3)
-        out1 = run(graph, {"x_seq_flat": xs, "x_img": xi})
-        out2 = run(back, {"x_seq_flat": xs, "x_img": xi})
+        out1 = Session(graph).run({"x_seq_flat": xs, "x_img": xi})
+        out2 = Session(back).run({"x_seq_flat": xs, "x_img": xi})
         assert np.array_equal(out1["y_msw"], out2["y_msw"])
         assert np.array_equal(out1["y_rmw"], out2["y_rmw"])
 
@@ -150,14 +153,140 @@ class TestValidation:
             load_graph(save_graph(bad))
 
 
-def one_node_graph(op, attrs, x_shape, constants=()):
-    """A graph of one node reading input "x" and the given constants."""
-    consts = {1 + i: np.asarray(c, dtype=np.float32)
-              for i, c in enumerate(constants)}
-    out = 1 + len(consts)
-    return StaticGraph([("x", tuple(x_shape))], consts,
-                       [GraphNode(op, tuple(attrs), tuple(range(out)), out)],
-                       [("y", out)])
+GRID_COEFFS = precompute_basis_coefficients(SplineGrid())   # [5, 8, 4]
+
+
+def spline_graph(coeffs=GRID_COEFFS, meta=(-1.0, 0.4, 5.0)):
+    return one_node_graph(SPLINE_BASIS, (), (4, 3), (coeffs, meta))
+
+
+class TestSplineValidation:
+    """load_graph checks what the SPLINE_BASIS kernel indexes by."""
+
+    def test_nan_input_gives_nan_bases(self):
+        x = np.zeros((4, 3), np.float32)
+        x[0] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = Session(spline_graph()).run({"x": x})["y"]
+        assert np.isnan(out[0]).all() and np.isfinite(out[1:]).all()
+
+    @pytest.mark.parametrize("meta", [
+        (math.nan, 0.4, 5.0),    # lo not finite
+        (-1.0, 0.4, math.nan),   # n_intervals not finite
+        (-1.0, 0.4, 7.0),        # 7 intervals, 5 coefficient rows
+        (-1.0, 0.0, 5.0),        # step 0
+        (-1.0, 0.4, 2.5),        # n_intervals not integral
+    ], ids=["nan_lo", "nan_intervals", "intervals_7_rows_5", "step_0",
+            "intervals_2.5"])
+    def test_bad_meta_rejected(self, meta):
+        with pytest.raises(GraphError, match="spline meta"):
+            load_graph(save_graph(spline_graph(meta=meta)))
+
+    def test_rank_1_coefficients_rejected(self):
+        with pytest.raises(GraphError, match="coefficients"):
+            load_graph(save_graph(spline_graph(coeffs=np.ones(5))))
+
+    def test_coefficients_and_meta_must_be_constants(self):
+        graph = StaticGraph(
+            [("x", (4, 3)), ("meta", (3,))],
+            {2: GRID_COEFFS.astype(np.float32)},
+            [GraphNode(SPLINE_BASIS, (), (0, 2, 1), 3)], [("y", 3)])
+        with pytest.raises(GraphError, match="constants"):
+            load_graph(save_graph(graph))
+
+
+class TestCorruptBytes:
+    def test_invalid_utf8_input_name(self):
+        blob = save_graph(spline_graph())
+        assert blob[20:23] == b"\x01\x00x"    # the first input's name
+        with pytest.raises(GraphError):
+            load_graph(blob[:22] + b"\xff" + blob[23:])
+
+    def test_bad_constant_blob(self):
+        blob = save_graph(spline_graph())
+        pos = blob.index(b"KFT1")
+        with pytest.raises(GraphError):
+            load_graph(blob[:pos] + b"XXXX" + blob[pos + 4:])
+
+
+def sections(blob):
+    """(start, end) of the magic/version header and of every section."""
+    spans, off = [(0, 8)], 8
+    while off < len(blob):
+        (n,) = struct.unpack_from("<Q", blob, off)
+        spans.append((off, min(off + 8 + n, len(blob))))
+        off += 8 + n
+    return spans
+
+
+FUZZ_RUN_BYTES = 64 * 2**20   # declared buffers beyond this: load only
+
+
+@pytest.fixture(scope="module")
+def deploy_blob(deploy_graph):
+    return save_graph(deploy_graph[1])
+
+
+class TestFuzzLoad:
+    """Byte mutations of the tiny deploy graph: load_graph, and a Session
+    run of whatever loads, raise only StormkanError subclasses."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_mutations_fail_typed(self, deploy_blob, data):
+        blob = bytearray(deploy_blob)
+        start, end = data.draw(st.sampled_from(sections(deploy_blob)))
+        pos = data.draw(st.integers(start, end - 1))
+        kind = data.draw(st.sampled_from(
+            ["overwrite", "insert", "delete", "truncate"]))
+        chunk = data.draw(st.binary(min_size=1, max_size=8))
+        if kind == "overwrite":
+            blob[pos:pos + len(chunk)] = chunk
+        elif kind == "insert":
+            blob[pos:pos] = chunk
+        elif kind == "delete":
+            del blob[pos:pos + len(chunk)]
+        else:
+            del blob[pos:]
+        try:
+            graph = load_graph(bytes(blob))
+        except StormkanError:
+            return
+        declared = sum(math.prod(s) for s in graph.infer_shapes()) * 4
+        if declared > FUZZ_RUN_BYTES:
+            return
+        r = np.random.default_rng(0)
+        inputs = {name: r.uniform(0, 1, shape).astype(np.float32)
+                  for name, shape in graph.inputs}
+        try:
+            Session(graph).run(inputs)
+        except StormkanError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_graphs_fail_typed(self, data):
+        # small random op lists: wrong arity, attrs and shapes included
+        shape = st.lists(st.integers(1, 4), max_size=4).map(tuple)
+        inputs = [(f"x{i}", s) for i, s in enumerate(
+            data.draw(st.lists(shape, min_size=1, max_size=2)))]
+        consts = {len(inputs) + i: np.ones(s, np.float32) for i, s in
+                  enumerate(data.draw(st.lists(shape, max_size=2)))}
+        nodes = []
+        for n in range(data.draw(st.integers(1, 3))):
+            vid = len(inputs) + len(consts) + n
+            nodes.append(GraphNode(
+                data.draw(st.integers(0, 16)),
+                tuple(data.draw(st.lists(st.integers(-1, 4), max_size=4))),
+                tuple(data.draw(st.lists(st.integers(0, vid - 1),
+                                         max_size=3))), vid))
+        blob = save_graph(StaticGraph(inputs, consts, nodes, [("y", vid)]))
+        try:
+            graph = load_graph(blob)
+            Session(graph).run({name: np.ones(s, np.float32)
+                                for name, s in graph.inputs})
+        except StormkanError:
+            pass
 
 
 class TestSession:

@@ -525,3 +525,9 @@ class TestTensorSerialization:
                    + b"\x00" * 4)
         with pytest.raises(DataError):
             Tensor.frombytes(payload)
+
+    def test_size_beyond_int64(self):
+        # 2**61 float32 elements: 2**63 bytes, beyond any read size
+        payload = b"KFT1" + bytes([0, 2]) + struct.pack("<2I", 2**31, 2**30)
+        with pytest.raises(DataError):
+            Tensor.frombytes(payload + b"\x00" * 16)

@@ -11,11 +11,11 @@ from stormkan.errors import CheckpointError, ConfigError, ShapeError, TrainingEr
 from stormkan.model import ModelConfig, build_model
 from stormkan.tape import Tape
 from stormkan.training import (EarlyStopper, PlateauScheduler, TrainConfig,
-                               compute_metrics, denormalize, early_stop,
-                               evaluate, load_checkpoint, lr_on_plateau, mae,
-                               mae_loss, model_from_checkpoint,
-                               multitask_loss, normalize, rmse,
-                               save_checkpoint, sgd_step, train)
+                               compute_metrics, denormalize, evaluate,
+                               load_checkpoint, mae, mae_loss,
+                               model_from_checkpoint, multitask_loss,
+                               normalize, rmse, save_checkpoint, sgd_step,
+                               train)
 
 rng = np.random.default_rng(11)
 
@@ -121,34 +121,47 @@ class TestSgd:
         assert after < before
 
 
+def plateau_replay(history):
+    """(lr multiplier, 1-based epochs whose update reduced the lr)."""
+    sched = PlateauScheduler(1.0)
+    reductions = []
+    for epoch, loss in enumerate(history, start=1):
+        before = sched.lr
+        if sched.update(loss) != before:
+            reductions.append(epoch)
+    return sched.lr, reductions
+
+
+def stop_epoch(history):
+    """1-based epoch at which EarlyStopper first fires, or None."""
+    stopper = EarlyStopper()
+    for epoch, loss in enumerate(history, start=1):
+        if stopper.update(loss):
+            return epoch
+    return None
+
+
 class TestSchedulers:
     def test_strictly_decreasing_no_reduction(self):
-        mult, reductions = lr_on_plateau([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
+        mult, reductions = plateau_replay([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
         assert mult == 1.0 and reductions == []
 
     def test_flat_six_one_reduction_after_epoch_five(self):
-        mult, reductions = lr_on_plateau([1.0] * 6)
+        mult, reductions = plateau_replay([1.0] * 6)
         assert reductions == [6]
         assert mult == 0.5
 
     def test_two_plateaus_two_reductions(self):
         history = [1.0] * 6 + [0.5] + [0.5] * 5
-        mult, reductions = lr_on_plateau(history)
+        mult, reductions = plateau_replay(history)
         assert len(reductions) == 2
         assert mult == 0.25
 
     def test_early_stop_improving_never_stops(self):
-        assert early_stop([1.0 - 0.01 * i for i in range(200)]) is None
+        assert stop_epoch([1.0 - 0.01 * i for i in range(200)]) is None
 
     def test_early_stop_flat_11(self):
-        assert early_stop([0.7] * 11) == 11
-
-    def test_stateful_matches_functional(self):
-        history = list(rng.uniform(0.4, 0.6, 30))
-        sched = PlateauScheduler(1.0)
-        for v in history:
-            sched.update(v)
-        assert sched.lr == lr_on_plateau(history)[0]
+        assert stop_epoch([0.7] * 11) == 11
 
 
 class TestDenormalize:
