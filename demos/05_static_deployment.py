@@ -1,9 +1,11 @@
 """Lower a deploy-variant model to a static graph and benchmark it.
 
 The deploy variant replaces the LSTM with a flattened-input spline
-stack and every adaptive pool with fixed kernel/stride stages (split in
-two when a kernel would exceed the 63 limit), so the whole forward pass
-becomes a branch-free op list with precomputed spline coefficients.
+stack and every adaptive ring pool with fixed kernel/stride stages
+(split in two when a kernel would exceed the 63 limit), so the whole
+forward pass becomes a branch-free op list with precomputed spline
+coefficients.  The spatial quadrant mean needs no pool: it is computed
+on tap means in front of the convs it follows.
 
 Run: python demos/05_static_deployment.py
 """

@@ -4,12 +4,22 @@ Two normalized targets (peak wind, radius of peak wind) are predicted
 from a 3x5 temporal sequence and an 8x156x156 infrared image stack.
 The network composes a shared temporal/spatial extractor, one
 ring-attention head per task, bidirectional residual task coupling,
-and per-task fusion decoders.  A ``deploy`` variant replaces the LSTM
-with a flattened-input spline stack and all adaptive pooling with
-fixed-kernel stages so the whole forward pass can be lowered to a
-static graph.  Those stages are planned here, once, under the
-63-kernel limit (``spatial_pool_plan``, ``ring_pool_plan``): the deploy
-forward pools through exactly the stages ``staticgraph.export`` emits.
+and per-task fusion decoders.
+
+The spatial tail never runs at the resolution of the trunk (78x78 at 156²).
+Between the max-pooled trunk map and the image projection, ``res``, the
+three dilated convs, their sum, the concat, ``reduce`` and the 2x2
+quadrant mean are all linear, so the mean moves in front of them: each
+conv runs on the quadrant means of shifted copies of the trunk map
+(``quadrant_tap_matrix``), a tap grid of 2x2 quadrants x kxk kernel
+taps, at stride k.  Both variants compute it this way.
+
+A ``deploy`` variant replaces the LSTM with a flattened-input spline
+stack and the adaptive ring pools with fixed-kernel stages so the
+whole forward pass can be lowered to a static graph.  Those stages are
+planned here, once, under the 63-kernel limit (``ring_pool_plan``): the
+deploy forward pools through exactly the stages ``staticgraph.export``
+emits.
 """
 
 from __future__ import annotations
@@ -81,7 +91,6 @@ class ModelConfig:
             raise ConfigError("image_hw must be even (2x2 max-pool stage)")
         if self.variant == "deploy":
             try:
-                spatial_pool_plan(self)
                 ring_pool_plan(self)
             except ShapeError as exc:
                 raise ConfigError(
@@ -169,14 +178,27 @@ def _pool_stages(extent: int, out: int = 2) -> list[tuple[int, int]]:
     return decompose_pooling(kernel, stride)
 
 
-def spatial_pool_plan(cfg: ModelConfig) -> list[tuple[int, int]]:
-    """Fixed stages replacing the spatial adaptive 2x2 pool."""
-    return _pool_stages(cfg.image_hw // 2, 2)
-
-
 def ring_pool_plan(cfg: ModelConfig) -> list[list[tuple[int, int]]]:
     """Fixed stages replacing each ring's adaptive 2x2 pool."""
     return [_pool_stages(hi - lo, 2) for lo, hi in ring_bounds(cfg)]
+
+
+def quadrant_tap_matrix(n: int, offsets, dtype) -> np.ndarray:
+    """[n, 2 * len(offsets)] averaging matrix of the shifted quadrant means.
+
+    Column q * len(offsets) + i averages the rows of quadrant q's
+    adaptive bin (``ops._adaptive_bins(n, 2)``) shifted by offsets[i];
+    rows shifted outside [0, n) are dropped, which is zero padding.  So
+    for a map X [.., n, n], R^T X R holds the 2x2 quadrant means of
+    every shifted copy of X: quadrant (p, q) at shift (o_i, o_j) is
+    element (p * k + i, q * k + j), k = len(offsets).
+    """
+    k = len(offsets)
+    r = np.zeros((n, 2 * k), dtype=dtype)
+    for q, (lo, hi) in enumerate(ops._adaptive_bins(n, 2)):
+        for i, off in enumerate(offsets):
+            r[max(lo + off, 0):min(hi + off, n), q * k + i] = 1.0 / (hi - lo)
+    return r
 
 
 @dataclass
@@ -211,6 +233,27 @@ class Conv2dLayer:
         t = x.tape
         return ops.conv2d(x, t.param(self.w), t.param(self.b), stride=1,
                           padding=self.padding, dilation=self.dilation)
+
+    @property
+    def tap_offsets(self) -> tuple[int, ...]:
+        """Row (and column) shift of each kernel tap against the output."""
+        return tuple(j * self.dilation - self.padding
+                     for j in range(self.w.data.shape[-1]))
+
+    def quadrant_mean(self, x: Var) -> Var:
+        """2x2 quadrant mean of ``forward(x)``, computed on quadrant means.
+
+        The pool is linear, so it moves in front of the conv: square x's
+        [.., 2k, 2k] tap grid (``quadrant_tap_matrix``) convolved with
+        the same kxk kernel at stride k gives the 2x2 map directly.
+        Holds for this layer's size-preserving convs, whose output bins
+        are x's bins.
+        """
+        t = x.tape
+        r = quadrant_tap_matrix(x.shape[-1], self.tap_offsets, x.dtype)
+        taps = ops.matmul(ops.matmul(t.constant(r.T), x), t.constant(r))
+        return ops.conv2d(taps, t.param(self.w), t.param(self.b),
+                          stride=self.w.data.shape[-1])
 
 
 class LinearBlock:
@@ -436,22 +479,24 @@ class CycloneNet:
         return self.seq_proj.forward(self.lstm.forward(xs))
 
     def spatial_features(self, tape: Tape, x_img: np.ndarray) -> Var:
-        cfg = self.cfg
+        """Only conv1, conv2 and the 2x2 max-pool see full-resolution maps;
+        res, the dilated convs and reduce run on quadrant means, since the
+        pool after them is linear (``spatial_tail``)."""
         xi = tape.constant(np.asarray(x_img, dtype=self.dtype))
         c1 = ops.relu(self.conv1.forward(xi))
         c2 = ops.maxpool2d(ops.relu(self.conv2.forward(c1)), 2, 2)
-        res = self.res.forward(c2)
-        dsum = self.dilated[0].forward(c2)
+        return self.img_proj.forward(ops.flatten(self.spatial_tail(c2)))
+
+    def spatial_tail(self, c2: Var) -> Var:
+        """[B, reduce_channels, 2, 2] quadrant means of reduce(concat(res,
+        dil1 + dil2 + dil3)) on the max-pooled trunk map c2; res and the
+        dilated convs run on c2's quadrant tap means
+        (``Conv2dLayer.quadrant_mean``), reduce on their 2x2 concat."""
+        res = self.res.quadrant_mean(c2)
+        dsum = self.dilated[0].quadrant_mean(c2)
         for layer in self.dilated[1:]:
-            dsum = ops.add(dsum, layer.forward(c2))
-        multi = ops.concat([res, dsum], axis=1)
-        pooled = self.reduce.forward(multi)
-        if cfg.variant == "deploy":
-            for kernel, stride in spatial_pool_plan(cfg):
-                pooled = ops.avgpool2d_fixed(pooled, kernel, stride)
-        else:
-            pooled = ops.adaptive_avgpool2d(pooled, 2, 2)
-        return self.img_proj.forward(ops.flatten(pooled))
+            dsum = ops.add(dsum, layer.quadrant_mean(c2))
+        return self.reduce.forward(ops.concat([res, dsum], axis=1))
 
     def ring_features(self, tape: Tape, x_img) -> Var:
         """[B, rings, 4] ring means of the attention infrared channel."""

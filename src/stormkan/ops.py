@@ -50,10 +50,16 @@ def matmul(a: Var, b: Var) -> Var:
     _require(ad.shape[-1] == bd.shape[-2],
              f"matmul inner extents differ: {ad.shape} x {bd.shape}")
     out = np.matmul(ad, bd)
+    # plain flags, as in conv2d: an operand that needs no gradient (a
+    # constant averaging matrix, say) gets none computed
+    a_needs_grad, b_needs_grad = a.requires_grad, b.requires_grad
 
     def backward(g):
-        da = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
-        db = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
+        da = db = None
+        if a_needs_grad:
+            da = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
+        if b_needs_grad:
+            db = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
         return da, db
 
     return a.tape.record("matmul", (a, b), out, backward)

@@ -1,12 +1,16 @@
 """Deployment lowering: branch-free static graphs + a standalone interpreter.
 
 ``export`` lowers a deploy-variant model to a topologically ordered,
-fixed-shape op list: spline layers become clamp/piecewise-polynomial
-basis evaluation against precomputed coefficients plus the silu path,
-and every adaptive pool becomes the fixed kernel/stride stages that
-``model.spatial_pool_plan`` and ``model.ring_pool_plan`` give (pools
-wider than the 63-kernel limit split into two balanced stages), the
-same stages the deploy tape forward runs.  The serialized form ("KFG1")
+fixed-shape op list that computes what the deploy tape forward does.
+Spline layers become clamp/piecewise-polynomial basis evaluation
+against precomputed coefficients plus the silu path.  The spatial
+2x2 quadrant mean has no pool node: it is linear, like ``res``, the
+dilated convs and ``reduce`` before it, so it moves in front of them,
+and each of those convs becomes MATMUL, MATMUL (the quadrant tap means
+of ``model.quadrant_tap_matrix``) and a CONV2D at stride k on the tap
+grid.  Each ring's adaptive pool becomes the fixed kernel/stride stages
+that ``model.ring_pool_plan`` gives (pools wider than the 63-kernel
+limit split into two balanced stages).  The serialized form ("KFG1")
 round-trips bit-exactly, and ``load_graph`` validates every shape and
 every constant the interpreter indexes by.  A ``Session`` gives every
 value and every kernel's scratch its own buffer, all allocated when it
@@ -26,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ExportError, GraphError, ShapeError
-from .model import (ATTN_CHANNEL, IMG_CHANNELS, MAX_POOL_KERNEL, ring_bounds,
-                    ring_pool_plan, spatial_pool_plan)
+from .model import (ATTN_CHANNEL, IMG_CHANNELS, MAX_POOL_KERNEL,
+                    quadrant_tap_matrix, ring_bounds, ring_pool_plan)
 from .ops import _im2col, _offset_keys, _window_view
 from .spline import KanLinear, SplineGrid, precompute_basis_coefficients
 from .tape import Tape
@@ -296,7 +300,11 @@ def _section(payload: bytes) -> bytes:
 
 
 def load_graph(data: bytes) -> StaticGraph:
-    """Parse and fully validate a serialized graph."""
+    """Parse and fully validate a serialized graph.
+
+    Each section's content must end exactly where its length prefix
+    says, and the outputs section must end the payload.
+    """
     buf = memoryview(data)
     if len(buf) < 8 or bytes(buf[:4]) != MAGIC:
         raise GraphError("bad graph magic")
@@ -314,6 +322,11 @@ def load_graph(data: bytes) -> StaticGraph:
             raise GraphError("truncated graph section")
         return off + 8, end
 
+    def check_end(p, end, name):
+        if p != end:
+            raise GraphError(f"{name} section content ends {p - end:+d} "
+                             f"bytes from where its length prefix says")
+
     try:
         start, end = section(off)
         (n_in,) = struct.unpack_from("<I", buf, start)
@@ -328,6 +341,7 @@ def load_graph(data: bytes) -> StaticGraph:
             shape = struct.unpack_from(f"<{rank}I", buf, p)
             p += 4 * rank
             inputs.append((name, tuple(shape)))
+        check_end(p, end, "inputs")
         off = end
 
         start, end = section(off)
@@ -342,6 +356,7 @@ def load_graph(data: bytes) -> StaticGraph:
                 raise GraphError("graph constants must be float32")
             constants[vid] = arr
             p += blob_len
+        check_end(p, end, "constants")
         off = end
 
         start, end = section(off)
@@ -360,6 +375,7 @@ def load_graph(data: bytes) -> StaticGraph:
             (out_id,) = struct.unpack_from("<I", buf, p)
             p += 4
             nodes.append(GraphNode(op, tuple(attrs), tuple(node_in), out_id))
+        check_end(p, end, "nodes")
         off = end
 
         start, end = section(off)
@@ -371,8 +387,12 @@ def load_graph(data: bytes) -> StaticGraph:
             (vid,) = struct.unpack_from("<I", buf, p)
             p += 4
             outputs.append((name, vid))
+        check_end(p, end, "outputs")
     except (struct.error, UnicodeDecodeError, DataError) as exc:
         raise GraphError(f"truncated or corrupt graph payload: {exc}") from exc
+    if end != len(buf):
+        raise GraphError(
+            f"{len(buf) - end} trailing bytes after the outputs section")
 
     graph = StaticGraph(inputs, constants, nodes, outputs, version)
     graph.infer_shapes()  # validation is total at load time
@@ -468,11 +488,22 @@ def _lower_dense(b: _Builder, layer, x_id, coeff_cache):
     return y
 
 
-def _lower_conv(b, layer, x_id):
+def _lower_conv(b, layer, x_id, attrs=None):
+    attrs = attrs or (1, layer.padding, layer.dilation)
     w_id = b.const(layer.w.data)
     bias_id = b.const(layer.b.data.reshape(1, -1, 1, 1))
-    y = b.node(CONV2D, (1, layer.padding, layer.dilation), (x_id, w_id))
+    y = b.node(CONV2D, attrs, (x_id, w_id))
     return b.node(ADD, (), (y, bias_id))
+
+
+def _lower_quadrant_mean(b, layer, x_id):
+    """``Conv2dLayer.quadrant_mean``: (R^T x) R, then the kxk kernel at
+    stride k on the tap grid."""
+    r = quadrant_tap_matrix(b.shapes[x_id][-1], layer.tap_offsets,
+                            np.float32)
+    rx = b.node(MATMUL, (), (b.const(r.T), x_id))
+    taps = b.node(MATMUL, (), (rx, b.const(r)))
+    return _lower_conv(b, layer, taps, (layer.w.data.shape[-1], 0, 1))
 
 
 def export(model) -> StaticGraph:
@@ -499,14 +530,12 @@ def export(model) -> StaticGraph:
     h = b.node(RELU, (), (_lower_conv(b, model.conv1, x_img),))
     h = b.node(RELU, (), (_lower_conv(b, model.conv2, h),))
     h = b.node(MAXPOOL2D, (2, 2), (h,))
-    res = _lower_conv(b, model.res, h)
-    dsum = _lower_conv(b, model.dilated[0], h)
+    res = _lower_quadrant_mean(b, model.res, h)
+    dsum = _lower_quadrant_mean(b, model.dilated[0], h)
     for layer in model.dilated[1:]:
-        dsum = b.node(ADD, (), (dsum, _lower_conv(b, layer, h)))
+        dsum = b.node(ADD, (), (dsum, _lower_quadrant_mean(b, layer, h)))
     multi = b.node(CONCAT, (1,), (res, dsum))
     red = _lower_conv(b, model.reduce, multi)
-    for kernel, stride in spatial_pool_plan(cfg):
-        red = b.node(AVGPOOL2D, (kernel, stride), (red,))
     flat = b.node(RESHAPE, (1, cfg.flatten_width), (red,))
     f_img = _lower_dense(b, model.img_proj, flat, coeff_cache)
     f_shared = b.node(CONCAT, (1,), (f_seq, f_img))

@@ -1,12 +1,14 @@
 """Network assembly: extent chain, attention geometry, variants."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from stormkan import ops
 from stormkan.errors import ConfigError
 from stormkan.model import (CycloneNet, ModelConfig, build_model,
-                            ring_bounds, ring_pool_plan, spatial_pool_plan)
+                            quadrant_tap_matrix, ring_bounds, ring_pool_plan)
 from stormkan.tape import Tape
 
 from helpers import max_rel_err
@@ -47,11 +49,12 @@ class TestConfig:
             ModelConfig(ring_count=0)
 
     def test_unexportable_deploy_pooling_rejected(self):
-        # spatial extent 127: adaptive 127->2 is a 64-wide pool at stride
-        # 63, which no two-stage split of stride == kernel can replace
-        ModelConfig(image_hw=254, r_center=127)
+        # ring 67 is 268 wide: its 2x2 pool is kernel 134 = 2 * 67, which
+        # has no two-stage split with both stages <= 63
+        ModelConfig(image_hw=276, r_center=137, ring_count=68)
         with pytest.raises(ConfigError, match="deploy pooling"):
-            ModelConfig(image_hw=254, r_center=127, variant="deploy")
+            ModelConfig(image_hw=276, r_center=137, ring_count=68,
+                        variant="deploy")
 
     def test_compressed_preset(self):
         cfg = ModelConfig(compressed=True).resolved()
@@ -91,6 +94,64 @@ class TestRingGeometry:
         assert adaptive.shape == fixed.shape == (2, 39, 4)
         np.testing.assert_allclose(fixed.data, adaptive.data,
                                    rtol=0, atol=1e-10)
+
+
+TAP_OFFSETS = [(0,), (-1, 0, 1), (-2, 0, 2), (-3, 0, 3)]
+
+
+def conv_path_tail(m, c2):
+    """The spatial tail as convs at c2's resolution, then the adaptive
+    2x2 pool: the reference that ``spatial_tail`` must equal."""
+    tape = c2.tape
+
+    def conv(layer, x):
+        return ops.conv2d(x, tape.param(layer.w), tape.param(layer.b),
+                          padding=layer.padding, dilation=layer.dilation)
+    dsum = conv(m.dilated[0], c2)
+    for layer in m.dilated[1:]:
+        dsum = ops.add(dsum, conv(layer, c2))
+    multi = ops.concat([conv(m.res, c2), dsum], axis=1)
+    return ops.adaptive_avgpool2d(conv(m.reduce, multi), 2, 2)
+
+
+class TestSpatialTail:
+    @pytest.mark.parametrize("offsets", TAP_OFFSETS, ids=str)
+    def test_tap_matrix_odd_extent(self, offsets):
+        # at 127 the two quadrant bins overlap on row 63
+        n, k, pad = 127, len(offsets), max(offsets)
+        x = rng.standard_normal((2, 3, n, n))
+        r = quadrant_tap_matrix(n, offsets, np.float64)
+        assert r.shape == (n, 2 * k)
+        taps = r.T @ x @ r
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        for i, oi in enumerate(offsets):
+            for j, oj in enumerate(offsets):
+                shifted = xp[:, :, pad + oi:pad + oi + n,
+                             pad + oj:pad + oj + n]
+                ref = ops.adaptive_avgpool2d(Tape().constant(shifted), 2, 2)
+                np.testing.assert_allclose(taps[:, :, i::k, j::k], ref.data,
+                                           rtol=1e-12, atol=1e-14)
+
+    def test_matches_conv_path_full_size(self):
+        m = build_model(ModelConfig(), seed=5, dtype=np.float64)
+        c2 = np.random.default_rng(6).uniform(0, 1, (2, 32, 78, 78))
+        weights = rng.standard_normal((2, 64, 2, 2))
+        layers = [m.res, *m.dilated, m.reduce]
+        got = []
+        for tail in (m.spatial_tail, partial(conv_path_tail, m)):
+            tape = Tape()
+            x = tape.leaf(c2, requires_grad=True)
+            pooled = tail(x)
+            grads = tape.backprop(ops.sum_(ops.mul(pooled,
+                                                   tape.constant(weights))))
+            got.append([pooled.data, grads.wrt(x)]
+                       + [grads.wrt_param(p) for layer in layers
+                          for p in layer.parameters()])
+        assert got[0][0].shape == (2, 64, 2, 2)
+        for new, ref in zip(*got):
+            scale = np.abs(ref).max()
+            assert scale > 0
+            assert np.abs(new - ref).max() <= 1e-10 * scale
 
 
 class TestShapeWalk:
@@ -264,16 +325,16 @@ class TestDeployVariant:
 
     def test_pooling_plan_within_kernel_limit(self):
         cfg = ModelConfig(variant="deploy")
-        for stages in ring_pool_plan(cfg) + [spatial_pool_plan(cfg)]:
+        for stages in ring_pool_plan(cfg):
             for kernel, stride in stages:
                 assert kernel <= 63
 
     def test_forward_pools_through_the_plan(self, monkeypatch):
-        # at 260 the spatial adaptive pool is 65 wide: the tape must use
-        # the planned 5 then 13, as the exported graph does
+        # the rings are the only fixed pools: the spatial quadrant mean is
+        # computed on tap means, with no pool stage even at 260, where an
+        # adaptive 130->2 pool would be 65 wide
         cfg = ModelConfig(image_hw=260, r_center=130, ring_count=3,
                           variant="deploy")
-        assert spatial_pool_plan(cfg) == [(5, 5), (13, 13)]
         pools = []
         fixed = ops.avgpool2d_fixed
 
@@ -286,8 +347,7 @@ class TestDeployVariant:
         r = np.random.default_rng(0)
         m.forward_deploy(Tape(), r.uniform(0, 1, (1, 15)),
                          r.uniform(0, 1, (1, 8, 260, 260)))
-        planned = spatial_pool_plan(cfg) + sum(ring_pool_plan(cfg), [])
-        assert pools == planned
+        assert pools == sum(ring_pool_plan(cfg), [])
 
     def test_deterministic(self):
         cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9,

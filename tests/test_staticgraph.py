@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
 from stormkan.model import (ModelConfig, build_model, decompose_pooling,
-                            fixed_pool_spec)
+                            fixed_pool_spec, ring_pool_plan)
 from stormkan.spline import SplineGrid, precompute_basis_coefficients
 from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MAXPOOL2D, SPLINE_BASIS,
                                   GraphNode, Session, StaticGraph, bench,
@@ -112,6 +112,18 @@ class TestExport:
             if node.op in (AVGPOOL2D, MAXPOOL2D):
                 assert node.attrs[0] <= 63
 
+    def test_spatial_tail_runs_on_tap_grids(self, deploy_graph):
+        # only conv1 and conv2 see maps larger than a 6x6 tap grid, and
+        # the only average pools are the rings' planned stages
+        model, graph = deploy_graph
+        shapes = graph.infer_shapes()
+        convs = [shapes[n.inputs[0]] for n in graph.nodes if n.op == CONV2D]
+        assert len(convs) == 7
+        assert [s[2] > 6 for s in convs] == [True] * 2 + [False] * 5
+        pools = [n.attrs for n in graph.nodes if n.op == AVGPOOL2D]
+        assert pools == [stage for stages in ring_pool_plan(model.cfg)
+                         for stage in stages]
+
     def test_idempotent_serialization(self, deploy_graph):
         model, _ = deploy_graph
         a = save_graph(export(model))
@@ -140,6 +152,21 @@ class TestValidation:
         payload = save_graph(graph)
         with pytest.raises(GraphError):
             load_graph(payload[: len(payload) // 3])
+
+    def test_trailing_bytes_rejected(self, deploy_graph):
+        payload = save_graph(deploy_graph[1])
+        with pytest.raises(GraphError, match="trailing"):
+            load_graph(payload + b"junk")
+
+    def test_overstated_section_length_rejected(self, deploy_graph):
+        # the inputs section claims 4 bytes more than its content, and 4
+        # zero bytes follow the content so every later section still parses
+        payload = save_graph(deploy_graph[1])
+        (n,) = struct.unpack_from("<Q", payload, 8)
+        bad = (payload[:8] + struct.pack("<Q", n + 4) + payload[16:16 + n]
+               + bytes(4) + payload[16 + n:])
+        with pytest.raises(GraphError, match="inputs section"):
+            load_graph(bad)
 
     def test_kernel_limit_enforced_at_load(self, deploy_graph):
         _, graph = deploy_graph
@@ -314,6 +341,20 @@ class TestSession:
             ym, yr = model.forward_deploy(Tape(), xs, xi)
             assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5
             assert abs(out["y_rmw"][0, 0] - yr.data[0, 0]) <= 1e-5
+
+    def test_matches_dynamic_forward_overlapping_quadrants(self):
+        # spatial extent 127: the two quadrant bins overlap on row 63,
+        # which no fixed-stride pool under the kernel limit could express
+        cfg = ModelConfig(image_hw=254, r_center=127, variant="deploy")
+        model = build_model(cfg, seed=6)
+        session = Session(load_graph(save_graph(export(model))))
+        r = np.random.default_rng(9)
+        xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
+        xi = r.uniform(0, 1, (1, 8, 254, 254)).astype(np.float32)
+        out = session.run({"x_seq_flat": xs, "x_img": xi})
+        ym, yr = model.forward_deploy(Tape(), xs, xi)
+        assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5
+        assert abs(out["y_rmw"][0, 0] - yr.data[0, 0]) <= 1e-5
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),

@@ -56,6 +56,37 @@ class TestMatmul:
 
         check_gradients(build, [a, b])
 
+    @pytest.mark.parametrize("const_side", [0, 1], ids=["const_a", "const_b"])
+    def test_constant_operand_gets_no_gradient(self, const_side):
+        # a constant matrix broadcast against a batched parameter, on
+        # either side, as the quadrant tap means use it
+        shapes = [(6, 9), (2, 3, 9, 9)]
+        if const_side:
+            shapes = [(2, 3, 9, 9), (9, 6)]
+        const = rng.standard_normal(shapes[const_side])
+        param = rng.standard_normal(shapes[1 - const_side])
+
+        def product(tape, leaf):
+            operands = [leaf, leaf]
+            operands[const_side] = tape.constant(const)
+            return ops.matmul(*operands)
+
+        g = rng.standard_normal((2, 3, shapes[0][-2], shapes[1][-1]))
+
+        def build(tape, leaves):
+            return ops.sum_(ops.mul(product(tape, leaves[0]),
+                                    tape.constant(g)))
+
+        check_gradients(build, [param])
+        tape = Tape()
+        out = product(tape, tape.leaf(param, requires_grad=True))
+        grads = tape.nodes[out.idx].backward(g)
+        assert grads[const_side] is None
+        expected = (np.matmul(const.T, g) if const_side == 0
+                    else np.matmul(g, const.T))
+        np.testing.assert_allclose(grads[1 - const_side], expected,
+                                   rtol=1e-12)
+
     def test_shape_mismatch(self):
         tape = Tape()
         with pytest.raises(ShapeError):
