@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stormkan import staticgraph
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
 from stormkan.model import (ModelConfig, build_model, decompose_pooling,
                             fixed_pool_spec, ring_pool_plan)
@@ -392,6 +393,26 @@ class TestSession:
                 naive_conv2d(x.astype(np.float64), w.astype(np.float64),
                              stride, padding, dilation),
                 rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_conv_node_row_strips(self, monkeypatch, rows):
+        """A conv packed in strips of `rows` output rows (the last one
+        shorter when rows does not divide 7) matches the naive loop."""
+        bsz, cin, cout, k, stride, padding, dilation = 2, 3, 4, 3, 2, 1, 2
+        h = wid = (7 - 1) * stride + dilation * (k - 1) + 1 - 2 * padding
+        monkeypatch.setattr(staticgraph, "STRIP_BYTES",
+                            4 * cin * k * k * bsz * 7 * rows)
+        r = np.random.default_rng(rows)
+        w = r.standard_normal((cout, cin, k, k)).astype(np.float32)
+        session = Session(one_node_graph(
+            CONV2D, (stride, padding, dilation), (bsz, cin, h, wid), (w,)))
+        assert len(session._scratch[0][2]) == -(-7 // rows)
+        x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
+        np.testing.assert_allclose(
+            session.run({"x": x})["y"],
+            naive_conv2d(x.astype(np.float64), w.astype(np.float64),
+                         stride, padding, dilation),
+            rtol=1e-5, atol=1e-5)
 
     def test_wrong_shape_rejected_before_execution(self, deploy_graph):
         _, graph = deploy_graph
