@@ -1,30 +1,29 @@
 """Lower a deploy-variant model to a static graph and benchmark it.
 
 The deploy variant replaces the LSTM with a flattened-input spline
-stack and every adaptive ring pool with fixed kernel/stride stages
-(split in two when a kernel would exceed the 63 limit), so the whole
-forward pass becomes a branch-free op list with precomputed spline
-coefficients.  The spatial quadrant mean needs no pool: it is computed
-on tap means in front of the convs it follows.
+stack, so the whole forward pass becomes a branch-free op list with
+precomputed spline coefficients.  Neither variant has an average pool:
+the ring means are two matmuls on a constant averaging matrix, and the
+spatial quadrant mean is computed on tap means in front of the convs it
+follows.  The only pool node is the 2x2 max-pool.
 
 Run: python demos/05_static_deployment.py
 """
 
 import numpy as np
 
-from stormkan import (ModelConfig, Session, Tape, bench, build_model,
-                      decompose_pooling, export, load_graph, save_graph)
+from stormkan import (ModelConfig, Session, Tape, bench, build_model, export,
+                      load_graph, save_graph)
+from stormkan.staticgraph import MAXPOOL2D
 
 cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9, variant="deploy")
 model = build_model(cfg, seed=1)
 
-# pools wider than the kernel limit split into two balanced stages
-print("kernel 76 ->", decompose_pooling(76, 76))
-print("kernel 32 ->", decompose_pooling(32, 32))
-
 graph = export(model)
 print(f"graph: {len(graph.nodes)} nodes, "
       f"{graph.parameter_count()} constant values")
+print("max-pool (kernel, stride):",
+      [n.attrs for n in graph.nodes if n.op == MAXPOOL2D])
 
 payload = save_graph(graph)
 print("serialized bytes:", len(payload))

@@ -15,7 +15,7 @@ from .tape import Tape, Var
 from .spline import (KanLinear, SplineGrid, bspline_basis, bspline_basis_values,
                      kan_init, precompute_basis_coefficients)
 from .model import (CycloneNet, ModelConfig, TaskFeatures, build_model,
-                    decompose_pooling, fixed_pool_spec, ring_bounds)
+                    ring_bounds)
 from .training import (EarlyStopper, Metrics, PlateauScheduler, TrainConfig,
                        TrainResult, compute_metrics, denormalize, evaluate,
                        mae, mae_loss, model_from_checkpoint, multitask_loss,

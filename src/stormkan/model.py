@@ -14,12 +14,12 @@ conv runs on the quadrant means of shifted copies of the trunk map
 (``quadrant_tap_matrix``), a tap grid of 2x2 quadrants x kxk kernel
 taps, at stride k.  Both variants compute it this way.
 
-A ``deploy`` variant replaces the LSTM with a flattened-input spline
-stack and the adaptive ring pools with fixed-kernel stages so the
-whole forward pass can be lowered to a static graph.  Those stages are
-planned here, once, under the 63-kernel limit (``ring_pool_plan``): the
-deploy forward pools through exactly the stages ``staticgraph.export``
-emits.
+The ring features are linear in the image as well: in both variants,
+every ring's 2x2 quadrant means are ``M_i X M_i^T`` for a constant
+``[2, n]`` averaging matrix ``M_i`` (``_ring_mean_matrix``), two small
+GEMMs that need no backward of their own.  A ``deploy`` variant
+replaces the LSTM with a flattened-input spline stack, so the whole
+forward pass can be lowered to a static graph.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ class ModelConfig:
             raise ConfigError(f"ring geometry invalid: {err}")
         if self.image_hw % 2 != 0:
             raise ConfigError("image_hw must be even (2x2 max-pool stage)")
-        if self.variant == "deploy":
-            try:
-                ring_pool_plan(self)
-            except ShapeError as exc:
-                raise ConfigError(
-                    f"deploy pooling cannot be exported: {exc}") from exc
 
     def _resolved_fields(self) -> dict:
         if not self.compressed:
@@ -134,53 +128,18 @@ def ring_bounds(cfg: ModelConfig) -> list[tuple[int, int]]:
     return ops.ring_crops(cfg.r_center, cfg.ring_count)
 
 
-# ---------------------------------------------------------------------------
-# fixed pooling plans (the deploy variant's replacement for adaptive pools)
+def _ring_mean_matrix(cfg: ModelConfig, dtype) -> np.ndarray:
+    """[rings, 2, image_hw] averaging matrix M of the ring quadrants.
 
-MAX_POOL_KERNEL = 63
-
-
-def decompose_pooling(kernel: int, stride: int) -> list[tuple[int, int]]:
-    """Split a non-overlapping mean pool into <= 2 stages within the limit.
-
-    Requires stride == kernel.  Balanced factor pairs are preferred;
-    kernels with no two-factor split whose parts both fit (e.g. primes
-    beyond the limit) are an error.
+    Row (i, q) averages the pixels of bin q (``ops._adaptive_bins``) of
+    ring i's crop (``ring_bounds``), so for an image X [.., n, n],
+    M_i X M_i^T holds ring i's 2x2 quadrant means.
     """
-    if kernel < 1:
-        raise ShapeError(f"pool kernel must be >= 1, got {kernel}")
-    if stride != kernel:
-        raise ShapeError("pool decomposition requires stride == kernel")
-    if kernel <= MAX_POOL_KERNEL:
-        return [(kernel, kernel)]
-    for k1 in range(math.isqrt(kernel), 1, -1):
-        if kernel % k1 == 0 and kernel // k1 <= MAX_POOL_KERNEL:
-            return [(k1, k1), (kernel // k1, kernel // k1)]
-    raise ShapeError(
-        f"pool kernel {kernel} has no two-stage factorization with both "
-        f"stages <= {MAX_POOL_KERNEL}")
-
-
-def fixed_pool_spec(extent: int, out: int = 2) -> tuple[int, int]:
-    """(kernel, stride) of the fixed pool equal to adaptive extent->out."""
-    if extent % out == 0:
-        return extent // out, extent // out
-    if out == 2:
-        return -(-extent // 2), extent // 2
-    raise ShapeError(
-        f"adaptive pool {extent}->{out} has no fixed kernel/stride equivalent")
-
-
-def _pool_stages(extent: int, out: int = 2) -> list[tuple[int, int]]:
-    kernel, stride = fixed_pool_spec(extent, out)
-    if kernel <= MAX_POOL_KERNEL:
-        return [(kernel, stride)]
-    return decompose_pooling(kernel, stride)
-
-
-def ring_pool_plan(cfg: ModelConfig) -> list[list[tuple[int, int]]]:
-    """Fixed stages replacing each ring's adaptive 2x2 pool."""
-    return [_pool_stages(hi - lo, 2) for lo, hi in ring_bounds(cfg)]
+    m = np.zeros((cfg.ring_count, 2, cfg.image_hw), dtype=dtype)
+    for i, (lo, hi) in enumerate(ring_bounds(cfg)):
+        for q, (b0, b1) in enumerate(ops._adaptive_bins(hi - lo, 2)):
+            m[i, q, lo + b0:lo + b1] = 1.0 / (b1 - b0)
+    return m
 
 
 def quadrant_tap_matrix(n: int, offsets, dtype) -> np.ndarray:
@@ -499,22 +458,20 @@ class CycloneNet:
         return self.reduce.forward(ops.concat([res, dsum], axis=1))
 
     def ring_features(self, tape: Tape, x_img) -> Var:
-        """[B, rings, 4] ring means of the attention infrared channel."""
+        """[B, rings, 4] ring means of the attention infrared channel:
+        (X M^T) gives each ring's column-bin means of every row, then M
+        averages their row bins (``_ring_mean_matrix``)."""
         cfg = self.cfg
+        n, rings = cfg.image_hw, cfg.ring_count
         xi = tape.constant(np.asarray(x_img, dtype=self.dtype))
         ch7 = ops.slice_(
             xi, (slice(None), slice(ATTN_CHANNEL, ATTN_CHANNEL + 1)))
-        if cfg.variant != "deploy":
-            return ops.ring_pool(ch7, cfg.r_center, cfg.ring_count)
-        pieces = []
-        for (lo, hi), stages in zip(ring_bounds(cfg), ring_pool_plan(cfg)):
-            crop = ops.slice_(ch7, (slice(None), slice(None),
-                                    slice(lo, hi), slice(lo, hi)))
-            for kernel, stride in stages:
-                crop = ops.avgpool2d_fixed(crop, kernel, stride)
-            pieces.append(ops.flatten(crop))
-        return ops.reshape(ops.concat(pieces, axis=1),
-                           (-1, cfg.ring_count, 4))
+        m = _ring_mean_matrix(cfg, self.dtype)
+        cols = ops.matmul(ch7, tape.constant(m.reshape(-1, n).T))
+        cols = ops.transpose(ops.reshape(cols, (-1, n, rings, 2)),
+                             (0, 2, 1, 3))
+        return ops.reshape(ops.matmul(tape.constant(m), cols),
+                           (-1, rings, 4))
 
     def physics_constraint(self, a_msw: Var, a_rmw: Var) -> tuple[Var, Var]:
         """Returns (gamma_rmw2msw, gamma_msw2rmw)."""
@@ -532,7 +489,7 @@ class CycloneNet:
     # -- end-to-end ----------------------------------------------------------
 
     def forward(self, tape: Tape, x_seq, x_img) -> tuple[Var, Var]:
-        """The one forward body; the deploy variant pools at fixed stride."""
+        """The one forward body of both variants."""
         cfg = self.cfg
         if x_img.shape[1:] != (IMG_CHANNELS, cfg.image_hw, cfg.image_hw):
             raise ShapeError(f"image shape {x_img.shape} does not match config")

@@ -6,9 +6,9 @@ Convolutions run as im2col + batched BLAS matmuls that write straight
 into their outputs, with batch chunking to bound scratch memory; the
 input gradient is col2im, a scatter-add of W^T g through the strided
 window offsets.  Max pooling folds np.maximum over the same offset
-slices and routes gradients by equality masks.  The annular pooling op
-uses a summed-area table so the 39-ring geometry costs a few image
-passes.
+slices and routes gradients by equality masks.  Average pools are not
+ops here: the model computes its quadrant and ring means as products
+with constant averaging matrices, through ``matmul``.
 """
 
 from __future__ import annotations
@@ -288,63 +288,14 @@ def maxpool2d(x: Var, kernel: int, stride: int) -> Var:
     return x.tape.record("maxpool2d", (x,), out, backward)
 
 
-def avgpool2d_fixed(x: Var, kernel: int, stride: int) -> Var:
-    """Window mean with exact uniform-spread backward."""
-    xd = x.data
-    _require(xd.ndim == 4, "avgpool2d expects NCHW")
-    bsz, c, h, w = xd.shape
-    _require(kernel <= h and kernel <= w,
-             f"avgpool kernel {kernel} exceeds input extent {h}x{w}")
-    oh = _conv_out_extent(h, kernel, stride, 0, 1)
-    ow = _conv_out_extent(w, kernel, stride, 0, 1)
-    win = _window_view(xd, kernel, kernel, stride, 1)
-    out = win.mean(axis=(2, 3))
-
-    def backward(g):
-        dx = np.zeros_like(xd)
-        gk = g / (kernel * kernel)
-        for key in _offset_keys(kernel, kernel, stride, 1, oh, ow):
-            dx[key] += gk
-        return (dx,)
-
-    return x.tape.record("avgpool2d", (x,), out, backward)
+# ---------------------------------------------------------------------------
+# averaging geometry: quadrant bins and ring crops
 
 
 def _adaptive_bins(n: int, out: int) -> list[tuple[int, int]]:
+    """Half-open [lo, hi) floor/ceil bins splitting extent n into out
+    parts; neighbouring bins share a row when out does not divide n."""
     return [(i * n // out, -(-(i + 1) * n // out)) for i in range(out)]
-
-
-def adaptive_avgpool2d(x: Var, out_h: int, out_w: int) -> Var:
-    """Mean over floor/ceil partitioned bins (identity when out == in)."""
-    xd = x.data
-    _require(xd.ndim == 4, "adaptive_avgpool2d expects NCHW")
-    bsz, c, h, w = xd.shape
-    _require(h > 0 and w > 0, "adaptive_avgpool2d on zero-size input")
-    _require(0 < out_h <= h and 0 < out_w <= w,
-             f"adaptive pool out extents ({out_h},{out_w}) exceed "
-             f"input ({h},{w})")
-
-    if (out_h, out_w) == (h, w):
-        out = xd.copy()
-        return x.tape.record("adaptive_avgpool2d", (x,), out,
-                             lambda g: (g,))
-
-    hb = _adaptive_bins(h, out_h)
-    wb = _adaptive_bins(w, out_w)
-    out = np.empty((bsz, c, out_h, out_w), dtype=xd.dtype)
-    for i, (r0, r1) in enumerate(hb):
-        for j, (c0, c1) in enumerate(wb):
-            out[:, :, i, j] = xd[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
-
-    def backward(g):
-        dx = np.zeros_like(xd)
-        for i, (r0, r1) in enumerate(hb):
-            for j, (c0, c1) in enumerate(wb):
-                area = (r1 - r0) * (c1 - c0)
-                dx[:, :, r0:r1, c0:c1] += g[:, :, i:i + 1, j:j + 1] / area
-        return (dx,)
-
-    return x.tape.record("adaptive_avgpool2d", (x,), out, backward)
 
 
 def ring_crops(r_center: int, ring_count: int) -> list[tuple[int, int]]:
@@ -375,61 +326,6 @@ def ring_geometry_error(r_center: int, ring_count: int,
     if max(hi for _, hi in crops) > size:
         return "outermost crop exceeds image"
     return None
-
-
-def ring_pool(x: Var, r_center: int, ring_count: int) -> Var:
-    """Annular 2x2-mean features over nested centered square crops.
-
-    The crops are ``ring_crops(r_center, ring_count)``: ring 0 is the
-    3x3 crop centred on pixel (r_center, r_center); ring i>=1 is the
-    half-open square [r_center-2i, r_center+2i), centred on the pixel
-    corner at r_center.  Ring 1 shares ring 0's high edge, so the
-    nesting is strict only from ring 2 on.  Each crop is
-    adaptive-average-pooled to 2x2 and flattened, giving [B, rings, 4].
-    Uses a float64 summed-area table; backward is a corner difference
-    array integrated by two cumsums.
-    """
-    xd = x.data
-    _require(xd.ndim == 4 and xd.shape[1] == 1,
-             "ring_pool expects a single-channel NCHW input")
-    bsz, _, h, w = xd.shape
-    err = ring_geometry_error(r_center, ring_count, min(h, w))
-    _require(err is None,
-             f"ring geometry invalid for image {h}x{w} "
-             f"(r_center={r_center}, rings={ring_count}): {err}")
-
-    r0s = np.empty((ring_count, 2), dtype=np.int64)
-    r1s = np.empty((ring_count, 2), dtype=np.int64)
-    for i, (lo, hi) in enumerate(ring_crops(r_center, ring_count)):
-        side = hi - lo
-        r0s[i] = (lo, lo + side // 2)
-        r1s[i] = (lo + (side + 1) // 2, hi)
-    areas = ((r1s - r0s)[:, :, None] * (r1s - r0s)[:, None, :]).astype(np.float64)
-
-    sat = np.zeros((bsz, h + 1, w + 1), dtype=np.float64)
-    np.cumsum(xd[:, 0], axis=1, dtype=np.float64, out=sat[:, 1:, 1:])
-    np.cumsum(sat[:, 1:, 1:], axis=2, out=sat[:, 1:, 1:])
-    ru0, ru1 = r0s[:, :, None], r1s[:, :, None]
-    cv0, cv1 = r0s[:, None, :], r1s[:, None, :]
-    block = (sat[:, ru1, cv1] - sat[:, ru0, cv1]
-             - sat[:, ru1, cv0] + sat[:, ru0, cv0])
-    out = (block / areas).reshape(bsz, ring_count, 4).astype(xd.dtype)
-
-    def backward(g):
-        v = g.reshape(bsz, ring_count, 2, 2).astype(np.float64) / areas
-        diff = np.zeros((bsz, h + 1, w + 1), dtype=np.float64)
-        dflat = diff.reshape(bsz, -1)
-        w1 = w + 1
-        bi = np.arange(bsz)[:, None, None, None]
-        np.add.at(dflat, (bi, ru0 * w1 + cv0), v)
-        np.add.at(dflat, (bi, ru0 * w1 + cv1), -v)
-        np.add.at(dflat, (bi, ru1 * w1 + cv0), -v)
-        np.add.at(dflat, (bi, ru1 * w1 + cv1), v)
-        diff.cumsum(axis=1, out=diff)
-        diff.cumsum(axis=2, out=diff)
-        return (diff[:, :h, :w].astype(xd.dtype)[:, None],)
-
-    return x.tape.record("ring_pool", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +363,6 @@ def softmax(x: Var, axis: int = -1) -> Var:
         return ((g - dot) * out,)
 
     return x.tape.record("softmax", (x,), out, backward)
-
-
-def clamp(x: Var, lo: float, hi: float) -> Var:
-    xd = x.data
-    out = np.clip(xd, lo, hi)
-    mask = (xd > lo) & (xd < hi)
-    return x.tape.record("clamp", (x,), out, lambda g: (g * mask,))
 
 
 def abs_(x: Var) -> Var:

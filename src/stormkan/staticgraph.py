@@ -8,10 +8,10 @@ against precomputed coefficients plus the silu path.  The spatial
 dilated convs and ``reduce`` before it, so it moves in front of them,
 and each of those convs becomes MATMUL, MATMUL (the quadrant tap means
 of ``model.quadrant_tap_matrix``) and a CONV2D at stride k on the tap
-grid.  Each ring's adaptive pool becomes the fixed kernel/stride stages
-that ``model.ring_pool_plan`` gives (pools wider than the 63-kernel
-limit split into two balanced stages).  The serialized form ("KFG1")
-round-trips bit-exactly, and ``load_graph`` validates every shape and
+grid.  The ring means are two MATMULs on one constant averaging matrix,
+as in ``CycloneNet.ring_features``, so the only pool node is the 2x2
+max-pool.  The serialized form ("KFG1", version 2) round-trips
+bit-exactly, and ``load_graph`` validates every shape and
 every constant the interpreter indexes by.  A ``Session`` gives every
 value and every kernel's scratch its own buffer, all allocated when it
 is created; kernels then write into those buffers.  A CONV2D packs its
@@ -34,27 +34,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ExportError, GraphError, ShapeError
-from .model import (ATTN_CHANNEL, IMG_CHANNELS, MAX_POOL_KERNEL,
-                    quadrant_tap_matrix, ring_bounds, ring_pool_plan)
-from .ops import _im2col, _offset_keys, _window_view
+from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
+                    quadrant_tap_matrix)
+from .ops import _im2col, _offset_keys
 from .spline import KanLinear, SplineGrid, precompute_basis_coefficients
 from .tape import Tape
 from .tensor import Tensor
 
 MAGIC = b"KFG1"
-VERSION = 1
+VERSION = 2   # version 1 graphs may hold AVGPOOL2D nodes: re-export them
 MAX_RANK = 32   # numpy 1.x's array rank limit
 # im2col columns packed per conv GEMM call: a strip of output rows whose
 # columns stay in a core's L2 between the packing copy and the GEMM
 STRIP_BYTES = 2**20
+MAX_POOL_KERNEL = 63   # the widest max-pool window a graph may declare
 
-# op ids
+# op ids; AVGPOOL2D is reserved, unused since version 2, so that later
+# ids keep their numbers
 CONV2D, RELU, SILU, TANH, MAXPOOL2D, AVGPOOL2D, SLICE, CONCAT, RESHAPE, \
     TRANSPOSE, MATMUL, MUL, ADD, SOFTMAX, MEAN, SPLINE_BASIS = range(16)
 
 _OP_NAMES = {
     CONV2D: "conv2d", RELU: "relu", SILU: "silu", TANH: "tanh",
-    MAXPOOL2D: "maxpool2d", AVGPOOL2D: "avgpool2d", SLICE: "slice",
+    MAXPOOL2D: "maxpool2d", SLICE: "slice",
     CONCAT: "concat", RESHAPE: "reshape", TRANSPOSE: "transpose",
     MATMUL: "matmul", MUL: "mul", ADD: "add", SOFTMAX: "softmax",
     MEAN: "mean", SPLINE_BASIS: "spline_basis",
@@ -63,7 +65,7 @@ _OP_NAMES = {
 # (input count, attr count) of each op; None: any count
 _ARITY = {
     CONV2D: (2, 3), RELU: (1, 0), SILU: (1, 0), TANH: (1, 0),
-    MAXPOOL2D: (1, 2), AVGPOOL2D: (1, 2), SLICE: (1, None),
+    MAXPOOL2D: (1, 2), SLICE: (1, None),
     CONCAT: (None, 1), RESHAPE: (1, None), TRANSPOSE: (1, None),
     MATMUL: (2, 0), MUL: (2, 0), ADD: (2, 0), SOFTMAX: (1, 1), MEAN: (1, 1),
     SPLINE_BASIS: (3, 0),
@@ -193,7 +195,7 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
         x, axis = in_shapes[0], attrs[0]
         _need(0 <= axis < len(x), f"axis {axis} out of range for {x}")
         return x if op == SOFTMAX else x[:axis] + x[axis + 1:]
-    if op in (MAXPOOL2D, AVGPOOL2D):
+    if op == MAXPOOL2D:
         kernel, stride = attrs
         if kernel > MAX_POOL_KERNEL:
             raise GraphError(
@@ -317,7 +319,9 @@ def load_graph(data: bytes) -> StaticGraph:
         raise GraphError("bad graph magic")
     (version,) = struct.unpack_from("<I", buf, 4)
     if version != VERSION:
-        raise GraphError(f"unsupported graph version {version}")
+        raise GraphError(
+            f"unsupported graph version {version} (this build reads "
+            f"{VERSION}); re-export the graph from its .kfc checkpoint")
     off = 8
 
     def section(off):
@@ -547,18 +551,17 @@ def export(model) -> StaticGraph:
     f_img = _lower_dense(b, model.img_proj, flat, coeff_cache)
     f_shared = b.node(CONCAT, (1,), (f_seq, f_img))
 
-    # ring features (identical for both heads)
-    hw = cfg.image_hw
-    ch7 = b.node(SLICE, (0, 1, ATTN_CHANNEL, ATTN_CHANNEL + 1, 0, hw, 0, hw),
+    # ring features (identical for both heads): M (ch7 M^T), as in
+    # CycloneNet.ring_features
+    n, rings = cfg.image_hw, cfg.ring_count
+    ch7 = b.node(SLICE, (0, 1, ATTN_CHANNEL, ATTN_CHANNEL + 1, 0, n, 0, n),
                  (x_img,))
-    ring_ids = []
-    for (lo, hi), stages in zip(ring_bounds(cfg), ring_pool_plan(cfg)):
-        crop = b.node(SLICE, (0, 1, 0, 1, lo, hi, lo, hi), (ch7,))
-        for kernel, stride in stages:
-            crop = b.node(AVGPOOL2D, (kernel, stride), (crop,))
-        ring_ids.append(b.node(RESHAPE, (1, 4), (crop,)))
-    rings2 = b.node(RESHAPE, (cfg.ring_count, 4),
-                    (b.node(CONCAT, (1,), tuple(ring_ids)),))
+    m = _ring_mean_matrix(cfg, np.float32)
+    cols = b.node(MATMUL, (), (ch7, b.const(m.reshape(-1, n).T)))
+    cols = b.node(TRANSPOSE, (0, 2, 1, 3),
+                  (b.node(RESHAPE, (1, n, rings, 2), (cols,)),))
+    rings2 = b.node(RESHAPE, (rings, 4),
+                    (b.node(MATMUL, (), (b.const(m), cols)),))
 
     def lower_head(head):
         d, heads = cfg.d_attn, cfg.heads
@@ -743,10 +746,6 @@ class Session:
             np.copyto(out, x[scratch[0]])
             for key in scratch[1:]:
                 np.maximum(out, x[key], out=out)
-        elif op == AVGPOOL2D:
-            kernel, stride = attrs
-            win = _window_view(ins[0], kernel, kernel, stride, 1)
-            np.mean(win, axis=(2, 3), out=out)
         elif op == SLICE:
             key = tuple(slice(attrs[2 * a], attrs[2 * a + 1])
                         for a in range(len(attrs) // 2))

@@ -1,7 +1,9 @@
-"""Shared gradient-check utilities (finite differences in float64)."""
+"""Shared gradient-check utilities (finite differences in float64) and
+reference implementations the fast paths are checked against."""
 
 import numpy as np
 
+from stormkan import ops
 from stormkan.staticgraph import GraphNode, StaticGraph
 from stormkan.tape import Tape
 
@@ -112,6 +114,23 @@ def naive_maxpool2d_grad(x, g, kernel, stride):
                     di, dj = divmod(int(np.argmax(win)), kernel)
                     dx[b, ch, r0 + di, c0 + dj] += g[b, ch, i, j]
     return dx
+
+
+def adaptive_avgpool2d(x, out_h, out_w):
+    """Mean of a Var [B, C, H, W] over floor/ceil bins, out_h x out_w of
+    them, from slice_, mean and concat (reference)."""
+    h, w = x.shape[2:]
+    rows = []
+    for i in range(out_h):
+        r0, r1 = i * h // out_h, -(-(i + 1) * h // out_h)
+        cells = []
+        for j in range(out_w):
+            c0, c1 = j * w // out_w, -(-(j + 1) * w // out_w)
+            crop = ops.slice_(x, (slice(None), slice(None), slice(r0, r1),
+                                  slice(c0, c1)))
+            cells.append(ops.mean(crop, axis=(2, 3), keepdims=True))
+        rows.append(ops.concat(cells, axis=3))
+    return ops.concat(rows, axis=2)
 
 
 def one_node_graph(op, attrs, x_shape, constants=()):

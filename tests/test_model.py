@@ -1,5 +1,6 @@
 """Network assembly: extent chain, attention geometry, variants."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 
 from stormkan import ops
 from stormkan.errors import ConfigError
-from stormkan.model import (CycloneNet, ModelConfig, build_model,
-                            quadrant_tap_matrix, ring_bounds, ring_pool_plan)
+from stormkan.model import (ATTN_CHANNEL, VARIANTS, CycloneNet, ModelConfig,
+                            build_model, quadrant_tap_matrix, ring_bounds)
 from stormkan.tape import Tape
 
-from helpers import max_rel_err
+from helpers import adaptive_avgpool2d, max_rel_err
 
 rng = np.random.default_rng(3)
 
@@ -48,14 +49,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(ring_count=0)
 
-    def test_unexportable_deploy_pooling_rejected(self):
-        # ring 67 is 268 wide: its 2x2 pool is kernel 134 = 2 * 67, which
-        # has no two-stage split with both stages <= 63
-        ModelConfig(image_hw=276, r_center=137, ring_count=68)
-        with pytest.raises(ConfigError, match="deploy pooling"):
-            ModelConfig(image_hw=276, r_center=137, ring_count=68,
-                        variant="deploy")
-
     def test_compressed_preset(self):
         cfg = ModelConfig(compressed=True).resolved()
         assert (cfg.task_dim, cfg.d_attn, cfg.lstm_hidden) == (16, 16, 32)
@@ -82,18 +75,32 @@ class TestRingGeometry:
         assert bounds[38] == (1, 153)              # 152x152 outermost
         assert bounds[38][1] <= 156
 
-    def test_fixed_pool_matches_ring_pool_full_size(self):
-        # ring 38 (side 152) needs the two-stage fixed pool 76 = 4*19;
-        # the deploy variant pools at fixed stride, the full one adaptively
-        full = build_model(ModelConfig(), seed=0, dtype=np.float64)
-        dep = build_model(ModelConfig(variant="deploy"), seed=0,
-                          dtype=np.float64)
-        xi = np.random.default_rng(3).standard_normal((2, 8, 156, 156))
-        adaptive = full.ring_features(Tape(), xi)
-        fixed = dep.ring_features(Tape(), xi)
-        assert adaptive.shape == fixed.shape == (2, 39, 4)
-        np.testing.assert_allclose(fixed.data, adaptive.data,
-                                   rtol=0, atol=1e-10)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("cfg", [ModelConfig(), TINY],
+                             ids=["full_size", "tiny"])
+    def test_ring_features_match_crop_means(self, cfg, variant):
+        # ring 0 is 3x3 at every size: its two bins share the middle row
+        # and column
+        cfg = replace(cfg, variant=variant)
+        m = build_model(cfg, seed=0, dtype=np.float64)
+        xi = rng.standard_normal((2, 8, cfg.image_hw, cfg.image_hw))
+        got = m.ring_features(Tape(), xi)
+        ref = naive_ring_means(xi[:, ATTN_CHANNEL], ring_bounds(cfg))
+        assert got.shape == ref.shape == (2, cfg.ring_count, 4)
+        np.testing.assert_allclose(got.data, ref, rtol=1e-12, atol=1e-12)
+
+
+def naive_ring_means(x, bounds):
+    """[B, rings, 4] 2x2 means of each square crop [lo, hi) of x [B, H, W]
+    over floor/ceil bins, by a loop over crops (reference)."""
+    out = np.empty((x.shape[0], len(bounds), 4))
+    for i, (lo, hi) in enumerate(bounds):
+        side = hi - lo
+        bins = [(lo, lo + (side + 1) // 2), (lo + side // 2, hi)]
+        for p, (r0, r1) in enumerate(bins):
+            for q, (c0, c1) in enumerate(bins):
+                out[:, i, 2 * p + q] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
+    return out
 
 
 TAP_OFFSETS = [(0,), (-1, 0, 1), (-2, 0, 2), (-3, 0, 3)]
@@ -111,7 +118,7 @@ def conv_path_tail(m, c2):
     for layer in m.dilated[1:]:
         dsum = ops.add(dsum, conv(layer, c2))
     multi = ops.concat([conv(m.res, c2), dsum], axis=1)
-    return ops.adaptive_avgpool2d(conv(m.reduce, multi), 2, 2)
+    return adaptive_avgpool2d(conv(m.reduce, multi), 2, 2)
 
 
 class TestSpatialTail:
@@ -128,7 +135,7 @@ class TestSpatialTail:
             for j, oj in enumerate(offsets):
                 shifted = xp[:, :, pad + oi:pad + oi + n,
                              pad + oj:pad + oj + n]
-                ref = ops.adaptive_avgpool2d(Tape().constant(shifted), 2, 2)
+                ref = adaptive_avgpool2d(Tape().constant(shifted), 2, 2)
                 np.testing.assert_allclose(taps[:, :, i::k, j::k], ref.data,
                                            rtol=1e-12, atol=1e-14)
 
@@ -322,32 +329,6 @@ class TestDeployVariant:
         y_dep = dep.forward_deploy(t2, xs.reshape(2, 15), xi)
         np.testing.assert_allclose(y_full[0].data, y_dep[0].data, atol=1e-5)
         np.testing.assert_allclose(y_full[1].data, y_dep[1].data, atol=1e-5)
-
-    def test_pooling_plan_within_kernel_limit(self):
-        cfg = ModelConfig(variant="deploy")
-        for stages in ring_pool_plan(cfg):
-            for kernel, stride in stages:
-                assert kernel <= 63
-
-    def test_forward_pools_through_the_plan(self, monkeypatch):
-        # the rings are the only fixed pools: the spatial quadrant mean is
-        # computed on tap means, with no pool stage even at 260, where an
-        # adaptive 130->2 pool would be 65 wide
-        cfg = ModelConfig(image_hw=260, r_center=130, ring_count=3,
-                          variant="deploy")
-        pools = []
-        fixed = ops.avgpool2d_fixed
-
-        def recorded(x, kernel, stride):
-            pools.append((kernel, stride))
-            return fixed(x, kernel, stride)
-
-        monkeypatch.setattr(ops, "avgpool2d_fixed", recorded)
-        m = build_model(cfg, seed=0)
-        r = np.random.default_rng(0)
-        m.forward_deploy(Tape(), r.uniform(0, 1, (1, 15)),
-                         r.uniform(0, 1, (1, 8, 260, 260)))
-        assert pools == sum(ring_pool_plan(cfg), [])
 
     def test_deterministic(self):
         cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9,

@@ -1,4 +1,4 @@
-"""Deployment lowering, serialization, interpreter, pooling decomposition."""
+"""Deployment lowering, serialization, interpreter."""
 
 import math
 import struct
@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from stormkan import staticgraph
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
-from stormkan.model import (ModelConfig, build_model, decompose_pooling,
-                            fixed_pool_spec, ring_pool_plan)
+from stormkan.model import ModelConfig, build_model
 from stormkan.spline import SplineGrid, precompute_basis_coefficients
 from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MAXPOOL2D, SPLINE_BASIS,
                                   GraphNode, Session, StaticGraph, bench,
@@ -40,66 +39,6 @@ def deploy_graph():
     return model, export(model)
 
 
-class TestDecomposePooling:
-    def test_reference_case_76(self):
-        assert decompose_pooling(76, 76) == [(4, 4), (19, 19)]
-
-    def test_under_limit_single_stage(self):
-        assert decompose_pooling(32, 32) == [(32, 32)]
-
-    def test_prime_beyond_limit_rejected(self):
-        with pytest.raises(ShapeError):
-            decompose_pooling(127, 127)
-
-    def test_no_valid_split_rejected(self):
-        # 2 * 2047, 2047 = 23*89: every 2-factor split has a stage > 63
-        with pytest.raises(ShapeError):
-            decompose_pooling(4094, 4094)
-
-    def test_stride_must_equal_kernel(self):
-        with pytest.raises(ShapeError):
-            decompose_pooling(10, 5)
-
-    def test_composition_matches_single_stage(self):
-        from stormkan import ops
-        x = rng.standard_normal((1, 2, 76, 76))
-        tape = Tape()
-        single = ops.avgpool2d_fixed(tape.constant(x), 76, 76)
-        staged = tape.constant(x)
-        for k, s in decompose_pooling(76, 76):
-            staged = ops.avgpool2d_fixed(staged, k, s)
-        np.testing.assert_allclose(single.data, staged.data, atol=1e-6)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 3600))
-    def test_factorization_property(self, kernel):
-        try:
-            stages = decompose_pooling(kernel, kernel)
-        except ShapeError:
-            # correct rejection: no 2-split with both factors in range
-            assert all(kernel % a or kernel // a > 63
-                       for a in range(2, min(kernel, 64)))
-            return
-        assert 1 <= len(stages) <= 2
-        prod = 1
-        for k, s in stages:
-            assert k == s and 1 <= k <= 63
-            prod *= k
-        assert prod == kernel
-
-
-class TestFixedPoolSpec:
-    @pytest.mark.parametrize("extent", [3, 4, 7, 20, 78, 152])
-    def test_matches_adaptive_two_bins(self, extent):
-        from stormkan import ops
-        kernel, stride = fixed_pool_spec(extent, 2)
-        x = rng.standard_normal((1, 1, extent, extent))
-        tape = Tape()
-        adaptive = ops.adaptive_avgpool2d(tape.constant(x), 2, 2)
-        fixed = ops.avgpool2d_fixed(tape.constant(x), kernel, stride)
-        np.testing.assert_allclose(adaptive.data, fixed.data, atol=1e-10)
-
-
 class TestExport:
     def test_full_variant_rejected_naming_lstm(self):
         model = build_model(ModelConfig(image_hw=40, r_center=20,
@@ -110,20 +49,18 @@ class TestExport:
     def test_no_adaptive_pool_nodes_and_kernel_limit(self, deploy_graph):
         _, graph = deploy_graph
         for node in graph.nodes:
-            if node.op in (AVGPOOL2D, MAXPOOL2D):
+            if node.op == MAXPOOL2D:
                 assert node.attrs[0] <= 63
 
     def test_spatial_tail_runs_on_tap_grids(self, deploy_graph):
         # only conv1 and conv2 see maps larger than a 6x6 tap grid, and
-        # the only average pools are the rings' planned stages
-        model, graph = deploy_graph
+        # no average pool is left: quadrants and rings are matmuls
+        _, graph = deploy_graph
         shapes = graph.infer_shapes()
         convs = [shapes[n.inputs[0]] for n in graph.nodes if n.op == CONV2D]
         assert len(convs) == 7
         assert [s[2] > 6 for s in convs] == [True] * 2 + [False] * 5
-        pools = [n.attrs for n in graph.nodes if n.op == AVGPOOL2D]
-        assert pools == [stage for stages in ring_pool_plan(model.cfg)
-                         for stage in stages]
+        assert AVGPOOL2D not in {n.op for n in graph.nodes}
 
     def test_idempotent_serialization(self, deploy_graph):
         model, _ = deploy_graph
@@ -173,12 +110,17 @@ class TestValidation:
         _, graph = deploy_graph
         import copy
         bad = copy.deepcopy(graph)
-        for node in bad.nodes:
-            if node.op == AVGPOOL2D:
-                node.attrs = (100, 100)
-                break
-        with pytest.raises(GraphError):
+        (node,) = [n for n in bad.nodes if n.op == MAXPOOL2D]
+        node.attrs = (64, 64)
+        with pytest.raises(GraphError, match="exceeds limit 63"):
             load_graph(save_graph(bad))
+
+    def test_version_1_graph_rejected(self, deploy_graph):
+        payload = save_graph(deploy_graph[1])
+        assert struct.unpack_from("<I", payload, 4) == (2,)
+        old = payload[:4] + struct.pack("<I", 1) + payload[8:]
+        with pytest.raises(GraphError, match=r"version 1 .*\.kfc"):
+            load_graph(old)
 
 
 GRID_COEFFS = precompute_basis_coefficients(SplineGrid())   # [5, 8, 4]
@@ -352,6 +294,21 @@ class TestSession:
         r = np.random.default_rng(9)
         xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
         xi = r.uniform(0, 1, (1, 8, 254, 254)).astype(np.float32)
+        out = session.run({"x_seq_flat": xs, "x_img": xi})
+        ym, yr = model.forward_deploy(Tape(), xs, xi)
+        assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5
+        assert abs(out["y_rmw"][0, 0] - yr.data[0, 0]) <= 1e-5
+
+    def test_matches_dynamic_forward_wide_rings(self):
+        # ring 67 is 268 wide: its 134-wide quadrant bins have no
+        # average-pool form within the 63-kernel limit
+        cfg = ModelConfig(image_hw=276, r_center=137, ring_count=68,
+                          variant="deploy")
+        model = build_model(cfg, seed=7)
+        session = Session(load_graph(save_graph(export(model))))
+        r = np.random.default_rng(10)
+        xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
+        xi = r.uniform(0, 1, (1, 8, 276, 276)).astype(np.float32)
         out = session.run({"x_seq_flat": xs, "x_img": xi})
         ym, yr = model.forward_deploy(Tape(), xs, xi)
         assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5

@@ -13,8 +13,8 @@ from stormkan.errors import DataError, ShapeError
 from stormkan.tape import Tape
 from stormkan.tensor import Tensor
 
-from helpers import (check_gradients, naive_conv2d, naive_conv2d_grads,
-                     naive_maxpool2d, naive_maxpool2d_grad)
+from helpers import (adaptive_avgpool2d, check_gradients, naive_conv2d,
+                     naive_conv2d_grads, naive_maxpool2d, naive_maxpool2d_grad)
 
 rng = np.random.default_rng(42)
 
@@ -247,67 +247,24 @@ class TestMaxPool:
         check_gradients(build, [x])
 
 
-class TestAvgPool:
-    def test_global_mean(self):
-        x = rng.standard_normal((1, 1, 4, 4))
-        tape = Tape()
-        out = ops.avgpool2d_fixed(tape.constant(x), 4, 4)
-        np.testing.assert_allclose(out.data[0, 0, 0, 0], x.mean())
-
-    def test_quadrant_means(self):
-        x = rng.standard_normal((1, 1, 4, 4))
-        tape = Tape()
-        out = ops.avgpool2d_fixed(tape.constant(x), 2, 2)
-        np.testing.assert_allclose(out.data[0, 0, 0, 0], x[0, 0, :2, :2].mean())
-        np.testing.assert_allclose(out.data[0, 0, 1, 1], x[0, 0, 2:, 2:].mean())
-
-    def test_two_stage_composition(self):
-        x = rng.standard_normal((1, 2, 16, 16))
-        tape = Tape()
-        one = ops.avgpool2d_fixed(tape.constant(x), 8, 8)
-        two = ops.avgpool2d_fixed(
-            ops.avgpool2d_fixed(tape.constant(x), 4, 4), 2, 2)
-        np.testing.assert_allclose(one.data, two.data, atol=1e-6)
-
-    def test_gradients(self):
-        x = rng.standard_normal((2, 2, 6, 6))
-
-        def build(tape, leaves):
-            out = ops.avgpool2d_fixed(leaves[0], 2, 2)
-            r = np.sin(np.arange(out.data.size)).reshape(out.shape)
-            return ops.sum_(ops.mul(out, tape.constant(r)))
-
-        check_gradients(build, [x])
-
-    def test_overlapping_gradients(self):
-        x = rng.standard_normal((1, 1, 5, 5))
-
-        def build(tape, leaves):
-            out = ops.avgpool2d_fixed(leaves[0], 3, 1)
-            r = np.sin(np.arange(out.data.size)).reshape(out.shape)
-            return ops.sum_(ops.mul(out, tape.constant(r)))
-
-        check_gradients(build, [x])
-
-
 class TestAdaptivePool:
+    """Pins of the reference pool, and of its gradient, that the
+    spatial-tail tests compare against."""
+
     def test_identity(self):
         x = rng.standard_normal((1, 2, 5, 7))
-        tape = Tape()
-        out = ops.adaptive_avgpool2d(tape.constant(x), 5, 7)
+        out = adaptive_avgpool2d(Tape().constant(x), 5, 7)
         np.testing.assert_array_equal(out.data, x)
 
     def test_block_means_6_to_2(self):
         x = rng.standard_normal((1, 1, 6, 6))
-        tape = Tape()
-        out = ops.adaptive_avgpool2d(tape.constant(x), 2, 2)
+        out = adaptive_avgpool2d(Tape().constant(x), 2, 2)
         np.testing.assert_allclose(out.data[0, 0, 0, 0], x[0, 0, :3, :3].mean())
         np.testing.assert_allclose(out.data[0, 0, 1, 0], x[0, 0, 3:, :3].mean())
 
     def test_block_means_152_to_2(self):
         x = rng.standard_normal((1, 1, 152, 152)).astype(np.float32)
-        tape = Tape()
-        out = ops.adaptive_avgpool2d(tape.constant(x), 2, 2)
+        out = adaptive_avgpool2d(Tape().constant(x), 2, 2)
         np.testing.assert_allclose(out.data[0, 0, 0, 1],
                                    x[0, 0, :76, 76:].mean(), rtol=1e-5)
 
@@ -315,45 +272,11 @@ class TestAdaptivePool:
         x = rng.standard_normal((1, 2, 5, 5))
 
         def build(tape, leaves):
-            out = ops.adaptive_avgpool2d(leaves[0], 2, 2)
+            out = adaptive_avgpool2d(leaves[0], 2, 2)
             r = np.sin(np.arange(out.data.size)).reshape(out.shape)
             return ops.sum_(ops.mul(out, tape.constant(r)))
 
         check_gradients(build, [x])
-
-
-class TestRingPool:
-    def test_matches_slice_and_adaptive_composition(self):
-        x = rng.standard_normal((2, 1, 44, 44))
-        tape = Tape()
-        xv = tape.constant(x)
-        fused = ops.ring_pool(xv, r_center=21, ring_count=9)
-        for i in range(9):
-            lo, hi = (20, 23) if i == 0 else (21 - 2 * i, 21 + 2 * i)
-            crop = ops.slice_(xv, (slice(None), slice(None),
-                                   slice(lo, hi), slice(lo, hi)))
-            ref = ops.adaptive_avgpool2d(crop, 2, 2)
-            np.testing.assert_allclose(fused.data[:, i],
-                                       ref.data.reshape(2, 4), atol=1e-10)
-
-    def test_gradients(self):
-        x = rng.standard_normal((2, 1, 24, 24))
-
-        def build(tape, leaves):
-            out = ops.ring_pool(leaves[0], r_center=11, ring_count=5)
-            r = np.sin(np.arange(out.data.size)).reshape(out.shape)
-            return ops.sum_(ops.mul(out, tape.constant(r)))
-
-        check_gradients(build, [x])
-
-    def test_geometry_validation(self):
-        tape = Tape()
-        with pytest.raises(ShapeError):
-            ops.ring_pool(tape.constant(np.ones((1, 1, 20, 20))), 10, 9)
-        with pytest.raises(ShapeError):                # ring 0 hi = 21
-            ops.ring_pool(tape.constant(np.ones((1, 1, 20, 20))), 19, 1)
-        with pytest.raises(ShapeError):
-            ops.ring_pool(tape.constant(np.ones((1, 1, 20, 20))), 10, 0)
 
 
 ELEMENTWISE_CASES = {
@@ -373,7 +296,6 @@ ELEMENTWISE_CASES = {
     "flatten": lambda t, v: ops.flatten(v),
     "reshape": lambda t, v: ops.reshape(v, (4, 3)),
     "transpose": lambda t, v: ops.transpose(v, (1, 0)),
-    "clamp": lambda t, v: ops.clamp(v, -0.5, 0.5),
     "sum": lambda t, v: ops.sum_(v, axis=0),
 }
 
@@ -390,7 +312,7 @@ class TestElementwise:
 
     @pytest.mark.parametrize("name", sorted(ELEMENTWISE_CASES))
     def test_gradients(self, name):
-        # keep away from relu/abs/clamp kinks
+        # keep away from relu/abs kinks
         x = rng.uniform(0.05, 0.45, (3, 4)) * np.where(
             rng.uniform(size=(3, 4)) < 0.5, -1, 1)
         build_op = ELEMENTWISE_CASES[name]
