@@ -12,7 +12,8 @@ three dilated convs, their sum, the concat, ``reduce`` and the 2x2
 quadrant mean are all linear, so the mean moves in front of them: each
 conv runs on the quadrant means of shifted copies of the trunk map
 (``quadrant_tap_matrix``), a tap grid of 2x2 quadrants x kxk kernel
-taps, at stride k.  Both variants compute it this way.
+taps, at stride k.  One matmul pair computes all four convs' tap grids
+(``quadrant_tap_grid``), so the backward forms one full-size gradient.
 
 The ring features are linear in the image as well: in both variants,
 every ring's 2x2 quadrant means are ``M_i X M_i^T`` for a constant
@@ -160,6 +161,16 @@ def quadrant_tap_matrix(n: int, offsets, dtype) -> np.ndarray:
     return r
 
 
+def quadrant_tap_grid(n: int, layers, dtype):
+    """Each layer's ``quadrant_tap_matrix`` side by side in one matrix R,
+    and each layer's [lo, hi) block of R's columns: for a map X [.., n, n],
+    R^T X R holds every layer's [2k, 2k] tap grid on a diagonal block."""
+    mats = [quadrant_tap_matrix(n, layer.tap_offsets, dtype)
+            for layer in layers]
+    ends = np.cumsum([m.shape[1] for m in mats]).tolist()
+    return np.concatenate(mats, axis=1), list(zip([0] + ends[:-1], ends))
+
+
 @dataclass
 class TaskFeatures:
     a_msw: Var
@@ -198,21 +209,6 @@ class Conv2dLayer:
         """Row (and column) shift of each kernel tap against the output."""
         return tuple(j * self.dilation - self.padding
                      for j in range(self.w.data.shape[-1]))
-
-    def quadrant_mean(self, x: Var) -> Var:
-        """2x2 quadrant mean of ``forward(x)``, computed on quadrant means.
-
-        The pool is linear, so it moves in front of the conv: square x's
-        [.., 2k, 2k] tap grid (``quadrant_tap_matrix``) convolved with
-        the same kxk kernel at stride k gives the 2x2 map directly.
-        Holds for this layer's size-preserving convs, whose output bins
-        are x's bins.
-        """
-        t = x.tape
-        r = quadrant_tap_matrix(x.shape[-1], self.tap_offsets, x.dtype)
-        taps = ops.matmul(ops.matmul(t.constant(r.T), x), t.constant(r))
-        return ops.conv2d(taps, t.param(self.w), t.param(self.b),
-                          stride=self.w.data.shape[-1])
 
 
 class LinearBlock:
@@ -448,13 +444,26 @@ class CycloneNet:
 
     def spatial_tail(self, c2: Var) -> Var:
         """[B, reduce_channels, 2, 2] quadrant means of reduce(concat(res,
-        dil1 + dil2 + dil3)) on the max-pooled trunk map c2; res and the
-        dilated convs run on c2's quadrant tap means
-        (``Conv2dLayer.quadrant_mean``), reduce on their 2x2 concat."""
-        res = self.res.quadrant_mean(c2)
-        dsum = self.dilated[0].quadrant_mean(c2)
-        for layer in self.dilated[1:]:
-            dsum = ops.add(dsum, layer.quadrant_mean(c2))
+        dil1 + dil2 + dil3)) on the max-pooled trunk map c2.
+
+        The pool is linear, so it moves in front of the convs: each
+        layer's [2k, 2k] block of c2's tap grids (``quadrant_tap_grid``)
+        convolved with its kxk kernel at stride k gives its 2x2 map
+        directly, since its size-preserving conv keeps c2's bins.
+        reduce runs on the 2x2 concat.
+        """
+        t = c2.tape
+        layers = [self.res, *self.dilated]
+        r, blocks = quadrant_tap_grid(c2.shape[-1], layers, c2.dtype)
+        taps = ops.matmul(ops.matmul(t.constant(r.T), c2), t.constant(r))
+        res, dsum, *rest = [
+            ops.conv2d(ops.slice_(taps, (slice(None), slice(None),
+                                         slice(lo, hi), slice(lo, hi))),
+                       t.param(layer.w), t.param(layer.b),
+                       stride=layer.w.data.shape[-1])
+            for layer, (lo, hi) in zip(layers, blocks)]
+        for d in rest:
+            dsum = ops.add(dsum, d)
         return self.reduce.forward(ops.concat([res, dsum], axis=1))
 
     def ring_features(self, tape: Tape, x_img) -> Var:

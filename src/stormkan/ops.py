@@ -3,9 +3,11 @@
 Every public function takes Vars, validates extents, computes the
 forward result with numpy, and registers an exact backward rule.
 Convolutions run as im2col + batched BLAS matmuls that write straight
-into their outputs, with batch chunking to bound scratch memory; the
-input gradient is col2im, a scatter-add of W^T g through the strided
-window offsets.  Max pooling folds np.maximum over the same offset
+into their outputs.  The columns are packed chunk by chunk into one
+buffer of about one full-size sample (``_CHUNK_BYTES``), reused for
+every chunk and never kept: the backward repacks them.  The input
+gradient is col2im, a scatter-add of W^T g through the strided window
+offsets.  Max pooling folds np.maximum over the same offset
 slices and routes gradients by equality masks.  Average pools are not
 ops here: the model computes its quadrant and ring means as products
 with constant averaging matrices, through ``matmul``.
@@ -18,7 +20,9 @@ import numpy as np
 from .errors import ShapeError
 from .tape import Var
 
-_CHUNK_BYTES = 128 * 2**20  # scratch budget for im2col buffers
+# im2col columns packed per GEMM call, about one full-size sample of
+# conv1 or conv2; measured faster than 128 MiB chunks on the B=16 step
+_CHUNK_BYTES = 16 * 2**20
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -138,26 +142,18 @@ def _offset_keys(kh: int, kw: int, stride: int, dilation: int, oh: int,
             for i in range(kh) for j in range(kw)]
 
 
-_COLS_CACHE_BYTES = 256 * 2**20  # per-conv cap on cols kept for backward
-
-
-def _pack_chunks(xp, kh, kw, stride, dilation, oh, ow, keep):
-    """Yield (b0, bc, cols[K, bc*OH*OW]) im2col chunks of xp.
-
-    With keep, every chunk gets its own buffer; otherwise one buffer is
-    reused, so a chunk is only valid until the next one is yielded.
-    """
+def _pack_chunks(xp, kh, kw, stride, dilation, oh, ow):
+    """Yield (b0, bc, cols[K, bc*OH*OW]) im2col chunks of xp, all packed
+    into one reused buffer, so a chunk is only valid until the next one
+    is yielded."""
     bsz, cin = xp.shape[0], xp.shape[1]
     k = cin * kh * kw
     ohw = oh * ow
     chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xp.itemsize, 1)))
-    buf = None if keep else np.empty(k * chunk * ohw, dtype=xp.dtype)
+    buf = np.empty(k * chunk * ohw, dtype=xp.dtype)
     for b0 in range(0, bsz, chunk):
         bc = min(chunk, bsz - b0)
-        if keep:
-            cols = np.empty((k, bc * ohw), dtype=xp.dtype)
-        else:
-            cols = buf[:k * bc * ohw].reshape(k, bc * ohw)
+        cols = buf[:k * bc * ohw].reshape(k, bc * ohw)
         _im2col(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
         yield b0, bc, cols
 
@@ -167,12 +163,13 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     """2-d cross-correlation with optional per-channel bias.
 
     Forward is im2col + one batched GEMM per batch chunk, written
-    straight into the output.  Backward produces input, weight and bias
-    gradients: dw from the same columns (kept from the forward pass when
-    they fit under _COLS_CACHE_BYTES, repacked chunk by chunk
-    otherwise), and dx as dcols = W^T g written over those columns, then
-    scatter-added back through the kh*kw strided window offsets (col2im)
-    into a padded buffer.  Every stride/padding/dilation stays exact.
+    straight into the output.  Between forward and backward only the
+    output and the padded input are held; no columns are kept.  Backward
+    repacks each chunk's columns and produces input, weight and bias
+    gradients: dw from those columns, and dx as dcols = W^T g written
+    over them, then scatter-added back through the kh*kw strided window
+    offsets (col2im) into a padded buffer.  Every stride, padding and
+    dilation stays exact.
     """
     xd, wd = x.data, w.data
     _require(xd.ndim == 4 and wd.ndim == 4, "conv2d expects NCHW and OIHW")
@@ -189,20 +186,15 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     w2 = np.ascontiguousarray(wd.reshape(cout, k))
     out = np.empty((bsz, cout, oh, ow), dtype=np.result_type(xd, wd))
     out3 = out.reshape(bsz, cout, ohw)
-    xp = kept = None
+    xp = None
     if is_1x1:
         np.matmul(w2, xd.reshape(bsz, cin, ohw), out=out3)
     else:
         xp = _padded(xd, padding)
-        keep = (w.requires_grad
-                and k * ohw * bsz * xd.dtype.itemsize <= _COLS_CACHE_BYTES)
-        kept = [] if keep else None
         for b0, bc, cols in _pack_chunks(xp, kh, kw, stride, dilation, oh,
-                                         ow, keep):
+                                         ow):
             np.matmul(w2, cols.reshape(k, bc, ohw).transpose(1, 0, 2),
                       out=out3[b0:b0 + bc])
-            if keep:
-                kept.append((b0, bc, cols))
     if bias is not None:
         _require(bias.data.shape == (cout,), "conv2d bias must be [Cout]")
         out += bias.data.reshape(1, cout, 1, 1)
@@ -223,9 +215,8 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
         dw = np.zeros((k, cout), dtype=g.dtype)
         dxp = np.zeros(xp.shape, dtype=g.dtype) if x_needs_grad else None
         keys = _offset_keys(kh, kw, stride, dilation, oh, ow)
-        chunks = kept if kept is not None else _pack_chunks(
-            xp, kh, kw, stride, dilation, oh, ow, False)
-        for b0, bc, cols in chunks:
+        for b0, bc, cols in _pack_chunks(xp, kh, kw, stride, dilation, oh,
+                                         ow):
             c3 = cols.reshape(k, bc, ohw).transpose(1, 0, 2)
             gc = g3[b0:b0 + bc]
             dw += np.matmul(c3, gc.transpose(0, 2, 1)).sum(axis=0)

@@ -5,12 +5,12 @@ fixed-shape op list that computes what the deploy tape forward does.
 Spline layers become clamp/piecewise-polynomial basis evaluation
 against precomputed coefficients plus the silu path.  The spatial
 2x2 quadrant mean has no pool node: it is linear, like ``res``, the
-dilated convs and ``reduce`` before it, so it moves in front of them,
-and each of those convs becomes MATMUL, MATMUL (the quadrant tap means
-of ``model.quadrant_tap_matrix``) and a CONV2D at stride k on the tap
-grid.  The ring means are two MATMULs on one constant averaging matrix,
-as in ``CycloneNet.ring_features``, so the only pool node is the 2x2
-max-pool.  The serialized form ("KFG1", version 2) round-trips
+dilated convs and ``reduce`` before it, so it moves in front of them.
+One MATMUL pair computes the quadrant tap means of all four convs
+(``model.quadrant_tap_grid``); each conv is a SLICE of its block and a
+CONV2D at stride k.  The ring means are two MATMULs on one constant
+averaging matrix, as in ``CycloneNet.ring_features``, so the only pool
+node is the 2x2 max-pool.  The serialized form ("KFG1", version 2) round-trips
 bit-exactly, and ``load_graph`` validates every shape and
 every constant the interpreter indexes by.  A ``Session`` gives every
 value and every kernel's scratch its own buffer, all allocated when it
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, ExportError, GraphError, ShapeError
 from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
-                    quadrant_tap_matrix)
+                    quadrant_tap_grid)
 from .ops import _im2col, _offset_keys
 from .spline import KanLinear, SplineGrid, precompute_basis_coefficients
 from .tape import Tape
@@ -507,16 +507,6 @@ def _lower_conv(b, layer, x_id, attrs=None):
     return b.node(ADD, (), (y, bias_id))
 
 
-def _lower_quadrant_mean(b, layer, x_id):
-    """``Conv2dLayer.quadrant_mean``: (R^T x) R, then the kxk kernel at
-    stride k on the tap grid."""
-    r = quadrant_tap_matrix(b.shapes[x_id][-1], layer.tap_offsets,
-                            np.float32)
-    rx = b.node(MATMUL, (), (b.const(r.T), x_id))
-    taps = b.node(MATMUL, (), (rx, b.const(r)))
-    return _lower_conv(b, layer, taps, (layer.w.data.shape[-1], 0, 1))
-
-
 def export(model) -> StaticGraph:
     """Lower a deploy-variant model to a validated static graph."""
     cfg = model.cfg
@@ -541,10 +531,18 @@ def export(model) -> StaticGraph:
     h = b.node(RELU, (), (_lower_conv(b, model.conv1, x_img),))
     h = b.node(RELU, (), (_lower_conv(b, model.conv2, h),))
     h = b.node(MAXPOOL2D, (2, 2), (h,))
-    res = _lower_quadrant_mean(b, model.res, h)
-    dsum = _lower_quadrant_mean(b, model.dilated[0], h)
-    for layer in model.dilated[1:]:
-        dsum = b.node(ADD, (), (dsum, _lower_quadrant_mean(b, layer, h)))
+    layers = [model.res, *model.dilated]
+    r, blocks = quadrant_tap_grid(b.shapes[h][-1], layers, np.float32)
+    taps = b.node(MATMUL, (), (b.node(MATMUL, (), (b.const(r.T), h)),
+                               b.const(r)))
+    # as CycloneNet.spatial_tail: each conv on its block of the tap grids
+    res, dsum, *rest = [
+        _lower_conv(b, layer, b.node(SLICE, (0, 1, 0, b.shapes[h][1], lo, hi,
+                                             lo, hi), (taps,)),
+                    (layer.w.data.shape[-1], 0, 1))
+        for layer, (lo, hi) in zip(layers, blocks)]
+    for d in rest:
+        dsum = b.node(ADD, (), (dsum, d))
     multi = b.node(CONCAT, (1,), (res, dsum))
     red = _lower_conv(b, model.reduce, multi)
     flat = b.node(RESHAPE, (1, cfg.flatten_width), (red,))

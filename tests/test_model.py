@@ -11,6 +11,7 @@ from stormkan.errors import ConfigError
 from stormkan.model import (ATTN_CHANNEL, VARIANTS, CycloneNet, ModelConfig,
                             build_model, quadrant_tap_matrix, ring_bounds)
 from stormkan.tape import Tape
+from stormkan.training import multitask_loss
 
 from helpers import adaptive_avgpool2d, max_rel_err
 
@@ -302,6 +303,41 @@ class TestEndToEndGradient:
                 p.data += h * v
             numeric = (fplus - fminus) / (2 * h)
             assert max_rel_err(np.array(analytic), np.array(numeric)) < 1e-4
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_per_tensor_finite_difference(self, variant):
+        # one direction per parameter tensor, so a wrong gradient of one
+        # tensor cannot hide in a direction spread over all of them; the
+        # bound is relative to each tensor's own directional derivative
+        m = build_model(replace(TINY, variant=variant), seed=5,
+                        dtype=np.float64)
+        xs, xi = tiny_inputs(seed=9)
+        r = np.random.default_rng(11)
+        tm, tr = r.uniform(0, 1, (2, 1)), r.uniform(0, 1, (2, 1))
+
+        def loss_value():
+            tape = Tape()
+            ym, yr = m.forward(tape, xs, xi)
+            return tape, multitask_loss(ym, yr, tape.constant(tm),
+                                        tape.constant(tr))
+
+        tape, loss = loss_value()
+        grads = tape.backprop(loss)
+        dirs_rng = np.random.default_rng(23)
+        h = 1e-5
+        for p in m.parameters():
+            v = dirs_rng.standard_normal(p.data.shape)
+            v /= np.linalg.norm(v)
+            analytic = float((grads.wrt_param(p) * v).sum())
+            orig = p.data.copy()
+            p.data = orig + h * v
+            fplus = float(loss_value()[1].data)
+            p.data = orig - h * v
+            fminus = float(loss_value()[1].data)
+            p.data = orig
+            numeric = (fplus - fminus) / (2 * h)
+            assert abs(analytic - numeric) <= 1e-4 * abs(numeric), \
+                (p.name, analytic, numeric)
 
 
 class TestDeployVariant:

@@ -14,9 +14,10 @@ from stormkan import staticgraph
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
 from stormkan.model import ModelConfig, build_model
 from stormkan.spline import SplineGrid, precompute_basis_coefficients
-from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MAXPOOL2D, SPLINE_BASIS,
-                                  GraphNode, Session, StaticGraph, bench,
-                                  export, load_graph, save_graph)
+from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MATMUL, MAXPOOL2D, SLICE,
+                                  SPLINE_BASIS, GraphNode, Session,
+                                  StaticGraph, bench, export, load_graph,
+                                  save_graph)
 from stormkan.tape import Tape
 
 from helpers import naive_conv2d, naive_maxpool2d, one_node_graph
@@ -61,6 +62,18 @@ class TestExport:
         assert len(convs) == 7
         assert [s[2] > 6 for s in convs] == [True] * 2 + [False] * 5
         assert AVGPOOL2D not in {n.op for n in graph.nodes}
+
+    def test_one_tap_grid_reads_the_trunk(self, deploy_graph):
+        # one MATMUL pair computes every tail conv's tap grid; each conv
+        # slices its block of it
+        _, graph = deploy_graph
+        (pool,) = [n.output for n in graph.nodes if n.op == MAXPOOL2D]
+        readers = [n for n in graph.nodes if pool in n.inputs]
+        assert [n.op for n in readers] == [MATMUL]
+        taps = [n for n in graph.nodes if readers[0].output in n.inputs]
+        assert [n.op for n in taps] == [MATMUL]
+        blocks = [n for n in graph.nodes if taps[0].output in n.inputs]
+        assert [n.op for n in blocks] == [SLICE] * 4
 
     def test_idempotent_serialization(self, deploy_graph):
         model, _ = deploy_graph

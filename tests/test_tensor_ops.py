@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +149,8 @@ class TestConv2d:
            st.integers(0, 2), st.integers(1, 3), st.integers(1, 4),
            st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
     def test_matches_naive_loop(self, bsz, cin, cout, kh, kw, stride,
-                                padding, dilation, oh, ow, unkept, seed):
+                                padding, dilation, oh, ow, one_per_chunk,
+                                seed):
         # input extents chosen so the output is exactly oh x ow
         h = (oh - 1) * stride + dilation * (kh - 1) + 1 - 2 * padding
         wid = (ow - 1) * stride + dilation * (kw - 1) + 1 - 2 * padding
@@ -158,10 +160,9 @@ class TestConv2d:
         w = r.standard_normal((cout, cin, kh, kw))
         g = r.standard_normal((bsz, cout, oh, ow))
         with pytest.MonkeyPatch.context() as mp:
-            if unkept:
-                # no columns kept for backward and one sample per chunk:
-                # the backward repacks each chunk into one reused buffer
-                mp.setattr(ops, "_COLS_CACHE_BYTES", 0)
+            if one_per_chunk:
+                # one sample per chunk: dw accumulates over chunks, and
+                # col2im scatters each chunk from the reused buffer
                 mp.setattr(ops, "_CHUNK_BYTES", 1)
             tape = Tape()
             xv, wv = leafy(tape, x), leafy(tape, w)
@@ -174,6 +175,30 @@ class TestConv2d:
         dx, dw = naive_conv2d_grads(x, w, g, stride, padding, dilation)
         np.testing.assert_allclose(grads.wrt(xv), dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads.wrt(wv), dw, rtol=1e-12, atol=1e-12)
+
+    def test_holds_only_output_and_padded_input(self):
+        # between forward and backward no im2col columns are kept: they
+        # are repacked by the backward (here 50x the output's bytes)
+        x = rng.standard_normal((4, 4, 20, 20))
+        w = rng.standard_normal((2, 4, 5, 5))
+        tape = Tape()
+        xv, wv = leafy(tape, x), leafy(tape, w)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(xv, wv, padding=2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        padded = 4 * 4 * 24 * 24 * x.itemsize       # [B, C, 20 + 4, 20 + 4]
+        cols = 4 * 5 * 5 * 4 * 20 * 20 * x.itemsize  # [C*5*5, B*20*20]
+        assert out.data.nbytes + padded <= held
+        assert held < out.data.nbytes + padded + cols // 8
+        grads = tape.backprop(ops.sum_(out))
+        dx, dw = naive_conv2d_grads(x, w, np.ones(out.shape), 1, 2, 1)
+        np.testing.assert_allclose(grads.wrt(wv), dw, rtol=1e-12)
+        np.testing.assert_allclose(grads.wrt(xv), dx, rtol=1e-12,
+                                   atol=1e-12)
 
     def test_non_integral_extent_rejected(self):
         tape = Tape()
