@@ -37,13 +37,12 @@ for i in np.ndindex(*x.shape):
     numeric[i] = (loss_at(bumped) - loss_at(dipped)) / (2 * h_step)
 print("max |analytic - numeric|:", np.abs(grads.wrt(x) - numeric).max())
 
-# --- convolution with an exact backward ----------------------------------
+# --- convolution and its fused 2x2 max-pool, with an exact backward -------
 tape = Tape()
 img = tape.leaf(np.random.default_rng(0).uniform(0, 1, (1, 1, 8, 8)),
                 requires_grad=True)
 kernel = tape.leaf(np.full((1, 1, 3, 3), 1 / 9.0), requires_grad=True)
-blurred = ops.conv2d(img, kernel, padding=1)
-pooled = ops.maxpool2d(blurred, 2, 2)
+pooled = ops.conv2d(img, kernel, padding=1, pool=True)
 grads = tape.backprop(ops.sum_(pooled))
-print("conv output shape:", blurred.shape, "-> pooled:", pooled.shape)
+print("image shape:", img.shape, "-> blurred and pooled:", pooled.shape)
 print("gradient reached the image:", grads.wrt(img).any())

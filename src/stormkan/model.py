@@ -6,6 +6,8 @@ The network composes a shared temporal/spatial extractor, one
 ring-attention head per task, bidirectional residual task coupling,
 and per-task fusion decoders.
 
+The trunk, conv1 and conv2, runs its bias, ReLU and (after conv2) 2x2
+max-pool inside ``ops.conv2d``, so no unpooled map outlives the forward.
 The spatial tail never runs at the resolution of the trunk (78x78 at 156²).
 Between the max-pooled trunk map and the image projection, ``res``, the
 three dilated convs, their sum, the concat, ``reduce`` and the 2x2
@@ -199,10 +201,11 @@ class Conv2dLayer:
     def parameters(self):
         return [self.w, self.b]
 
-    def forward(self, x: Var) -> Var:
+    def forward(self, x: Var, relu: bool = False, pool: bool = False) -> Var:
         t = x.tape
         return ops.conv2d(x, t.param(self.w), t.param(self.b), stride=1,
-                          padding=self.padding, dilation=self.dilation)
+                          padding=self.padding, dilation=self.dilation,
+                          relu=relu, pool=pool)
 
     @property
     def tap_offsets(self) -> tuple[int, ...]:
@@ -434,12 +437,14 @@ class CycloneNet:
         return self.seq_proj.forward(self.lstm.forward(xs))
 
     def spatial_features(self, tape: Tape, x_img: np.ndarray) -> Var:
-        """Only conv1, conv2 and the 2x2 max-pool see full-resolution maps;
-        res, the dilated convs and reduce run on quadrant means, since the
-        pool after them is linear (``spatial_tail``)."""
+        """Only conv1 and conv2 see full-resolution maps: conv1 with its
+        ReLU, conv2 with its ReLU and the 2x2 max-pool, fused into the
+        conv (``ops.conv2d``).  res, the dilated convs and reduce run on
+        quadrant means, since the pool after them is linear
+        (``spatial_tail``)."""
         xi = tape.constant(np.asarray(x_img, dtype=self.dtype))
-        c1 = ops.relu(self.conv1.forward(xi))
-        c2 = ops.maxpool2d(ops.relu(self.conv2.forward(c1)), 2, 2)
+        c1 = self.conv1.forward(xi, relu=True)
+        c2 = self.conv2.forward(c1, relu=True, pool=True)
         return self.img_proj.forward(ops.flatten(self.spatial_tail(c2)))
 
     def spatial_tail(self, c2: Var) -> Var:

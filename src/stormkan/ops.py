@@ -2,15 +2,16 @@
 
 Every public function takes Vars, validates extents, computes the
 forward result with numpy, and registers an exact backward rule.
-Convolutions run as im2col + batched BLAS matmuls that write straight
-into their outputs.  The columns are packed chunk by chunk into one
-buffer of about one full-size sample (``_CHUNK_BYTES``), reused for
-every chunk and never kept: the backward repacks them.  The input
-gradient is col2im, a scatter-add of W^T g through the strided window
-offsets.  Max pooling folds np.maximum over the same offset
-slices and routes gradients by equality masks.  Average pools are not
-ops here: the model computes its quadrant and ring means as products
-with constant averaging matrices, through ``matmul``.
+Convolutions run as im2col + batched BLAS matmuls.  The columns are
+packed chunk by chunk into one buffer of about one full-size sample
+(``_CHUNK_BYTES``), reused for every chunk and never kept: the backward
+repacks them.  The input gradient is col2im, a scatter-add of W^T g
+through the strided window offsets.  The trunk's epilogue is part of
+the conv: bias, ReLU and the 2x2 max-pool run on each chunk's GEMM
+output while it is in cache, and the pool keeps two bool masks to route
+its gradient, so no full-resolution map outlives the forward.  Average
+pools are not ops here: the model computes its quadrant and ring means
+as products with constant averaging matrices, through ``matmul``.
 """
 
 from __future__ import annotations
@@ -142,34 +143,49 @@ def _offset_keys(kh: int, kw: int, stride: int, dilation: int, oh: int,
             for i in range(kh) for j in range(kw)]
 
 
-def _pack_chunks(xp, kh, kw, stride, dilation, oh, ow):
-    """Yield (b0, bc, cols[K, bc*OH*OW]) im2col chunks of xp, all packed
-    into one reused buffer, so a chunk is only valid until the next one
-    is yielded."""
-    bsz, cin = xp.shape[0], xp.shape[1]
-    k = cin * kh * kw
-    ohw = oh * ow
-    chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xp.itemsize, 1)))
-    buf = np.empty(k * chunk * ohw, dtype=xp.dtype)
-    for b0 in range(0, bsz, chunk):
-        bc = min(chunk, bsz - b0)
-        cols = buf[:k * bc * ohw].reshape(k, bc * ohw)
-        _im2col(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
-        yield b0, bc, cols
+def _max2x2(y, half, col_pick, row_pick, out):
+    """2x2, stride-2 max of y [.., H, W] into out [.., H/2, W/2]: first
+    over each row's column pair (col_pick: the right one won), then over
+    each pair of those rows (row_pick: the lower one won).  Both picks
+    are strict, so ties go to the first flat index of the window."""
+    c0, c1 = y[..., 0::2], y[..., 1::2]
+    np.greater(c1, c0, out=col_pick)
+    np.maximum(c0, c1, out=half)
+    r0, r1 = half[..., 0::2, :], half[..., 1::2, :]
+    np.greater(r1, r0, out=row_pick)
+    np.maximum(r0, r1, out=out)
+
+
+def _unpool2x2(gp, col_pick, row_pick, half, g):
+    """Route the pooled gradient gp back through _max2x2's picks into g
+    [.., H, W]: each window's max takes it, the other three get zero."""
+    np.multiply(gp, row_pick, out=half[..., 1::2, :])
+    np.subtract(gp, half[..., 1::2, :], out=half[..., 0::2, :])
+    np.multiply(half, col_pick, out=g[..., 1::2])
+    np.subtract(half, g[..., 1::2], out=g[..., 0::2])
 
 
 def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
-           padding: int = 0, dilation: int = 1) -> Var:
-    """2-d cross-correlation with optional per-channel bias.
+           padding: int = 0, dilation: int = 1, relu: bool = False,
+           pool: bool = False) -> Var:
+    """2-d cross-correlation with optional per-channel bias, then
+    optionally ReLU and the 2x2, stride-2 max-pool.
 
-    Forward is im2col + one batched GEMM per batch chunk, written
-    straight into the output.  Between forward and backward only the
-    output and the padded input are held; no columns are kept.  Backward
-    repacks each chunk's columns and produces input, weight and bias
-    gradients: dw from those columns, and dx as dcols = W^T g written
-    over them, then scatter-added back through the kh*kw strided window
-    offsets (col2im) into a padded buffer.  Every stride, padding and
-    dilation stays exact.
+    Forward is im2col + one batched GEMM per batch chunk.  The epilogue
+    (bias, ReLU, pool) runs on each chunk's GEMM output while it is in
+    cache; with `pool` that output lives in one reused chunk buffer, and
+    the pool records, per window, which column of each row pair and
+    which row won (two bool masks; ties go to the first flat index).
+    An odd conv output extent with `pool` is a ShapeError.  Between
+    forward and backward only the padded input, the output (pooled when
+    `pool`) and the masks are held: no columns, no full-resolution map.
+    Backward works chunk by chunk: the output gradient is routed back
+    through the masks (and through the ReLU's `out > 0`) into a reused
+    full-resolution chunk buffer, the chunk's columns are repacked, and
+    it produces input, weight and bias gradients: dw from those columns,
+    and dx as dcols = W^T g written over them, then scatter-added back
+    through the kh*kw strided window offsets (col2im) into a padded
+    buffer.  Every stride, padding and dilation stays exact.
     """
     xd, wd = x.data, w.data
     _require(xd.ndim == 4 and wd.ndim == 4, "conv2d expects NCHW and OIHW")
@@ -178,52 +194,92 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
              f"kernel {wd.shape[1]}")
     bsz, cin, h, wid = xd.shape
     cout, _, kh, kw = wd.shape
-    is_1x1 = (kh, kw, stride, padding, dilation) == (1, 1, 1, 0, 1)
+    # a 1x1 conv reads its (padded) input as columns, in place
+    is_1x1 = (kh, kw, stride, dilation) == (1, 1, 1, 1)
     k = cin * kh * kw
     oh = _conv_out_extent(h, kh, stride, padding, dilation)
     ow = _conv_out_extent(wid, kw, stride, padding, dilation)
     ohw = oh * ow
+    _require(not pool or (oh % 2 == 0 and ow % 2 == 0),
+             f"2x2 max-pool needs even conv output extents, got {oh}x{ow}")
+    has_bias = bias is not None
+    _require(not has_bias or bias.data.shape == (cout,),
+             "conv2d bias must be [Cout]")
     w2 = np.ascontiguousarray(wd.reshape(cout, k))
-    out = np.empty((bsz, cout, oh, ow), dtype=np.result_type(xd, wd))
-    out3 = out.reshape(bsz, cout, ohw)
-    xp = None
-    if is_1x1:
-        np.matmul(w2, xd.reshape(bsz, cin, ohw), out=out3)
+    dtype = np.result_type(xd, wd)
+    xp = _padded(xd, padding)
+    chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xd.itemsize, 1)))
+
+    def column_chunks():
+        """Yield (b0, bc, c3) per chunk of at most `chunk` samples, c3 the
+        [bc, K, OH*OW] GEMM view of the chunk's im2col columns, packed
+        into one reused buffer: a chunk is only valid until the next one
+        is yielded."""
+        if is_1x1:
+            x3 = xp.reshape(bsz, k, ohw)
+            for b0 in range(0, bsz, chunk):
+                yield b0, min(chunk, bsz - b0), x3[b0:b0 + chunk]
+            return
+        buf = np.empty(k * chunk * ohw, dtype=xp.dtype)
+        for b0 in range(0, bsz, chunk):
+            bc = min(chunk, bsz - b0)
+            cols = buf[:k * bc * ohw].reshape(k, bc * ohw)
+            _im2col(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
+            yield b0, bc, cols.reshape(k, bc, ohw).transpose(1, 0, 2)
+
+    if pool:
+        out = np.empty((bsz, cout, oh // 2, ow // 2), dtype=dtype)
+        col_pick = np.empty((bsz, cout, oh, ow // 2), dtype=bool)
+        row_pick = np.empty(out.shape, dtype=bool)
+        y_buf = np.empty((chunk, cout, oh, ow), dtype=dtype)
+        half_buf = np.empty((chunk, cout, oh, ow // 2), dtype=dtype)
     else:
-        xp = _padded(xd, padding)
-        for b0, bc, cols in _pack_chunks(xp, kh, kw, stride, dilation, oh,
-                                         ow):
-            np.matmul(w2, cols.reshape(k, bc, ohw).transpose(1, 0, 2),
-                      out=out3[b0:b0 + bc])
-    if bias is not None:
-        _require(bias.data.shape == (cout,), "conv2d bias must be [Cout]")
-        out += bias.data.reshape(1, cout, 1, 1)
+        out = np.empty((bsz, cout, oh, ow), dtype=dtype)
+    for b0, bc, c3 in column_chunks():
+        y = y_buf[:bc] if pool else out[b0:b0 + bc]
+        np.matmul(w2, c3, out=y.reshape(bc, cout, ohw))
+        if has_bias:
+            y += bias.data.reshape(1, cout, 1, 1)
+        if relu:
+            np.maximum(y, 0, out=y)
+        if pool:
+            _max2x2(y, half_buf[:bc], col_pick[b0:b0 + bc],
+                    row_pick[b0:b0 + bc], out[b0:b0 + bc])
     # capture plain flags, not Vars: a Var in the closure would create a
     # tape <-> closure cycle and delay freeing whole forward passes
     x_needs_grad = x.requires_grad
-    has_bias = bias is not None
 
     def backward(g):
-        db = g.sum(axis=(0, 2, 3)) if has_bias else None
-        g3 = np.ascontiguousarray(g).reshape(bsz, cout, ohw)
-        if is_1x1:
-            dw = np.matmul(g3, xd.reshape(bsz, cin, ohw).transpose(0, 2, 1)) \
-                .sum(axis=0).reshape(wd.shape)
-            dx = np.matmul(w2.T, g3).reshape(xd.shape) if x_needs_grad \
-                else None
-            return (dx, dw, db) if has_bias else (dx, dw)
         dw = np.zeros((k, cout), dtype=g.dtype)
+        db = np.zeros(cout, dtype=g.dtype) if has_bias else None
         dxp = np.zeros(xp.shape, dtype=g.dtype) if x_needs_grad else None
+        if relu or pool:
+            g_buf = np.empty((chunk, cout, oh, ow), dtype=g.dtype)
+        if pool:
+            half = np.empty((chunk, cout, oh, ow // 2), dtype=g.dtype)
         keys = _offset_keys(kh, kw, stride, dilation, oh, ow)
-        for b0, bc, cols in _pack_chunks(xp, kh, kw, stride, dilation, oh,
-                                         ow):
-            c3 = cols.reshape(k, bc, ohw).transpose(1, 0, 2)
-            gc = g3[b0:b0 + bc]
+        for b0, bc, c3 in column_chunks():
+            gc = g[b0:b0 + bc]
+            if pool:
+                if relu:
+                    gc = gc * (out[b0:b0 + bc] > 0)
+                _unpool2x2(gc, col_pick[b0:b0 + bc], row_pick[b0:b0 + bc],
+                           half[:bc], g_buf[:bc])
+                gc = g_buf[:bc]
+            elif relu:
+                gc = np.multiply(gc, out[b0:b0 + bc] > 0, out=g_buf[:bc])
+            gc = np.ascontiguousarray(gc).reshape(bc, cout, ohw)
+            if has_bias:
+                db += gc.sum(axis=(0, 2))
             dw += np.matmul(c3, gc.transpose(0, 2, 1)).sum(axis=0)
             if dxp is None:
                 continue
+            if is_1x1:
+                np.matmul(w2.T, gc,
+                          out=dxp[b0:b0 + bc].reshape(bc, cin, ohw))
+                continue
             np.matmul(w2.T, gc, out=c3)  # dcols overwrite the columns
-            dcols = cols.reshape(cin, kh * kw, bc, oh, ow)
+            dcols = c3.transpose(1, 0, 2).reshape(cin, kh * kw, bc, oh, ow)
             dxc = dxp[b0:b0 + bc].transpose(1, 0, 2, 3)
             for t, key in enumerate(keys):
                 np.add(dxc[key], dcols[:, t], out=dxc[key])
@@ -235,48 +291,6 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
 
     parents = (x, w) if bias is None else (x, w, bias)
     return x.tape.record("conv2d", parents, out, backward)
-
-
-# ---------------------------------------------------------------------------
-# pooling
-
-
-def maxpool2d(x: Var, kernel: int, stride: int) -> Var:
-    """Window max over strided offset slices.
-
-    Forward folds np.maximum over the kernel*kernel offset slices.
-    Backward walks the offsets in flat window order: an offset whose
-    value equals the max takes the window's gradient unless an earlier
-    offset already did (the `free` mask), so ties route to the first
-    flat index, as argmax would.
-    """
-    xd = x.data
-    _require(xd.ndim == 4, "maxpool2d expects NCHW")
-    bsz, c, h, w = xd.shape
-    _require(kernel <= h and kernel <= w,
-             f"maxpool kernel {kernel} exceeds input extent {h}x{w}")
-    oh = _conv_out_extent(h, kernel, stride, 0, 1)
-    ow = _conv_out_extent(w, kernel, stride, 0, 1)
-    keys = _offset_keys(kernel, kernel, stride, 1, oh, ow)
-    out = xd[keys[0]].copy()
-    for key in keys[1:]:
-        np.maximum(out, xd[key], out=out)
-
-    def backward(g):
-        dx = np.zeros_like(xd)
-        free = np.ones(out.shape, dtype=bool)
-        eq = np.empty(out.shape, dtype=bool)
-        for key in keys:
-            np.equal(xd[key], out, out=eq)
-            eq &= free
-            free ^= eq
-            if stride < kernel:  # overlapping windows accumulate
-                dx[key] += g * eq
-            else:
-                np.multiply(g, eq, out=dx[key])
-        return (dx,)
-
-    return x.tape.record("maxpool2d", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,73 @@ class TestConv2d:
         np.testing.assert_allclose(grads.wrt(xv), dx, rtol=1e-12,
                                    atol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.integers(0, 2), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_epilogue_matches_naive_loop(self, bsz, cin, cout, kh, kw,
+                                         stride, padding, dilation, ph, pw,
+                                         relu, pool, one_per_chunk, seed):
+        # conv -> +b -> max(., 0) -> 2x2 max-pool, each step optional but
+        # the bias; even output extents, and small integer inputs, so
+        # that windows often tie and the ReLU often zeroes a whole window
+        oh, ow = 2 * ph, 2 * pw
+        h = (oh - 1) * stride + dilation * (kh - 1) + 1 - 2 * padding
+        wid = (ow - 1) * stride + dilation * (kw - 1) + 1 - 2 * padding
+        assume(h >= 1 and wid >= 1)
+        r = np.random.default_rng(seed)
+        x = r.integers(-2, 3, (bsz, cin, h, wid)).astype(np.float64)
+        w = r.integers(-1, 2, (cout, cin, kh, kw)).astype(np.float64)
+        b = r.integers(-2, 3, cout).astype(np.float64)
+        y = naive_conv2d(x, w, stride, padding, dilation) \
+            + b.reshape(1, cout, 1, 1)
+        if relu:
+            y = np.maximum(y, 0)
+        expected = naive_maxpool2d(y, 2, 2) if pool else y
+        g = r.standard_normal(expected.shape)
+        gy = naive_maxpool2d_grad(y, g, 2, 2) if pool else g
+        if relu:
+            gy = gy * (y > 0)
+        with pytest.MonkeyPatch.context() as mp:
+            if one_per_chunk:
+                mp.setattr(ops, "_CHUNK_BYTES", 1)
+            tape = Tape()
+            xv, wv, bv = leafy(tape, x), leafy(tape, w), leafy(tape, b)
+            out = ops.conv2d(xv, wv, bv, stride=stride, padding=padding,
+                             dilation=dilation, relu=relu, pool=pool)
+            grads = tape.backprop(ops.sum_(ops.mul(out, tape.constant(g))))
+        np.testing.assert_array_equal(out.data, expected)
+        dx, dw = naive_conv2d_grads(x, w, gy, stride, padding, dilation)
+        np.testing.assert_allclose(grads.wrt(xv), dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads.wrt(wv), dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads.wrt(bv), gy.sum(axis=(0, 2, 3)),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_pool_holds_pooled_output_input_and_masks(self):
+        # with pool=True neither the conv output nor the ReLU output is
+        # kept at full resolution: only the pooled output, the padded
+        # input and the two bool masks of the pool's picks
+        x = rng.standard_normal((4, 4, 40, 40))
+        w = rng.standard_normal((2, 4, 5, 5))
+        b = rng.standard_normal(2)
+        tape = Tape()
+        xv, wv, bv = leafy(tape, x), leafy(tape, w), leafy(tape, b)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(xv, wv, bv, padding=2, relu=True, pool=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 2, 20, 20)
+        padded = 4 * 4 * 44 * 44 * x.itemsize       # [B, C, 40 + 4, 40 + 4]
+        full = 4 * 2 * 40 * 40 * x.itemsize         # [B, Cout, 40, 40]
+        masks = 4 * 2 * 40 * 20 + 4 * 2 * 20 * 20   # column, then row picks
+        assert out.data.nbytes + padded <= held
+        assert held < out.data.nbytes + padded + masks + full // 8
+
     def test_non_integral_extent_rejected(self):
         tape = Tape()
         with pytest.raises(ShapeError):
@@ -213,59 +280,69 @@ class TestConv2d:
                        tape.constant(np.ones((1, 2, 3, 3))))
 
 
+def maxpool2x2(x):
+    """The bare 2x2, stride-2 max-pool: conv2d's pool epilogue after a
+    1x1 identity kernel, which copies x exactly."""
+    c = x.shape[1]
+    return ops.conv2d(x, x.tape.constant(np.eye(c).reshape(c, c, 1, 1)),
+                      pool=True)
+
+
 class TestMaxPool:
     def test_constant_input(self):
         tape = Tape()
-        out = ops.maxpool2d(tape.constant(np.full((1, 2, 6, 6), 3.5)), 2, 2)
+        out = maxpool2x2(tape.constant(np.full((1, 2, 6, 6), 3.5)))
         np.testing.assert_array_equal(out.data, np.full((1, 2, 3, 3), 3.5))
 
     def test_reference_extent(self):
         tape = Tape()
         x = tape.constant(rng.standard_normal((1, 1, 156, 156)).astype(np.float32))
-        assert ops.maxpool2d(x, 2, 2).shape == (1, 1, 78, 78)
+        assert maxpool2x2(x).shape == (1, 1, 78, 78)
 
     def test_tie_breaks_to_first_flat_index(self):
         x = np.zeros((1, 1, 2, 2))  # all equal: 4-way tie
         tape = Tape()
         xv = leafy(tape, x)
-        out = ops.maxpool2d(xv, 2, 2)
+        out = maxpool2x2(xv)
         grads = tape.backprop(ops.sum_(out))
         expected = np.zeros((1, 1, 2, 2))
         expected[0, 0, 0, 0] = 1.0
         np.testing.assert_array_equal(grads.wrt(xv), expected)
 
-    def test_kernel_too_large(self):
+    def test_odd_extent_rejected(self):
         tape = Tape()
-        with pytest.raises(ShapeError):
-            ops.maxpool2d(tape.constant(np.ones((1, 1, 3, 3))), 4, 4)
+        for shape in [(1, 1, 5, 6), (1, 1, 6, 3)]:
+            with pytest.raises(ShapeError):
+                maxpool2x2(tape.constant(np.ones(shape)))
+        with pytest.raises(ShapeError):  # odd after a 3x3 conv: 9 -> 7
+            ops.conv2d(tape.constant(np.ones((1, 1, 8, 9))),
+                       tape.constant(np.ones((1, 1, 3, 3))), pool=True)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 4),
-           st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-           st.integers(0, 2**32 - 1))
-    def test_matches_naive_loop(self, bsz, c, kernel, stride, oh, ow, seed):
-        # few distinct integer values, so most windows hold ties; integer
-        # gradients keep overlapping-window sums exact in any order
+           st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_naive_loop(self, bsz, c, oh, ow, one_per_chunk, seed):
+        # few distinct integer values, so most windows hold ties
         r = np.random.default_rng(seed)
-        h, w = (oh - 1) * stride + kernel, (ow - 1) * stride + kernel
-        x = r.integers(0, 3, (bsz, c, h, w)).astype(np.float64)
+        x = r.integers(0, 3, (bsz, c, 2 * oh, 2 * ow)).astype(np.float64)
         g = r.integers(-4, 5, (bsz, c, oh, ow)).astype(np.float64)
-        tape = Tape()
-        xv = leafy(tape, x)
-        out = ops.maxpool2d(xv, kernel, stride)
-        np.testing.assert_array_equal(out.data,
-                                      naive_maxpool2d(x, kernel, stride))
-        grads = tape.backprop(ops.sum_(ops.mul(out, tape.constant(g))))
-        np.testing.assert_array_equal(
-            grads.wrt(xv), naive_maxpool2d_grad(x, g, kernel, stride))
+        with pytest.MonkeyPatch.context() as mp:
+            if one_per_chunk:
+                mp.setattr(ops, "_CHUNK_BYTES", 1)
+            tape = Tape()
+            xv = leafy(tape, x)
+            out = maxpool2x2(xv)
+            grads = tape.backprop(ops.sum_(ops.mul(out, tape.constant(g))))
+        np.testing.assert_array_equal(out.data, naive_maxpool2d(x, 2, 2))
+        np.testing.assert_array_equal(grads.wrt(xv),
+                                      naive_maxpool2d_grad(x, g, 2, 2))
 
-    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (2, 1)])
-    def test_gradients(self, kernel, stride):
+    def test_gradients(self):
         # keep values distinct so no tie sits near the FD step
         x = rng.permutation(64).astype(np.float64).reshape(1, 1, 8, 8)
 
         def build(tape, leaves):
-            out = ops.maxpool2d(leaves[0], kernel, stride)
+            out = maxpool2x2(leaves[0])
             r = np.cos(np.arange(out.data.size)).reshape(out.shape)
             return ops.sum_(ops.mul(out, tape.constant(r)))
 
