@@ -12,8 +12,8 @@ from .errors import (CheckpointError, ConfigError, DataError, ExportError,
                      TrainingError)
 from .tensor import Parameter, Tensor
 from .tape import Tape, Var
-from .spline import (KanLinear, SplineGrid, bspline_basis, bspline_basis_values,
-                     kan_init, precompute_basis_coefficients)
+from .spline import (KanLinear, SplineGrid, bspline_basis, kan_init,
+                     precompute_basis_coefficients)
 from .model import (CycloneNet, ModelConfig, TaskFeatures, build_model,
                     ring_bounds)
 from .training import (EarlyStopper, Metrics, PlateauScheduler, TrainConfig,

@@ -28,7 +28,7 @@ forward pass can be lowered to a static graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -74,6 +74,13 @@ class ModelConfig:
     spline_order: int = 3
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value).__name__ != f.type:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            low = 0 if f.name == "spline_order" else 1
+            if f.type == "int" and value < low:
+                raise ConfigError(f"{f.name} must be >= {low}, got {value}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.no_seq and self.no_lstm:

@@ -325,10 +325,11 @@ def ring_geometry_error(r_center: int, ring_count: int,
     """
     if ring_count < 1:
         return f"ring_count must be at least 1, got {ring_count}"
-    crops = ring_crops(r_center, ring_count)
-    if min(lo for lo, _ in crops) < 1:
+    # ring 0 spans [r_center - 1, r_center + 2), ring i >= 1 r_center -+ 2i
+    reach = 2 * (ring_count - 1)
+    if r_center - max(1, reach) < 1:
         return "outermost crop starts before row 1"
-    if max(hi for _, hi in crops) > size:
+    if r_center + max(2, reach) > size:
         return "outermost crop exceeds image"
     return None
 
@@ -483,19 +484,6 @@ def mean(x: Var, axis=None, keepdims: bool = False) -> Var:
         return (np.broadcast_to(gb / count, xd.shape),)
 
     return x.tape.record("mean", (x,), out, backward)
-
-
-def sum_(x: Var, axis=None, keepdims: bool = False) -> Var:
-    xd = x.data
-    out = xd.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gb = g
-        if not keepdims and axis is not None:
-            gb = np.expand_dims(g, axis)
-        return (np.broadcast_to(gb, xd.shape),)
-
-    return x.tape.record("sum", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------

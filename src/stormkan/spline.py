@@ -5,44 +5,42 @@ A layer edge (j, i) realizes
     phi(x) = base_weight[j, i] * silu(x) + sum_m spline_weight[j, i, m] * B_m(x)
 
 with the spline argument clamped to the grid domain (the silu path sees
-the raw input, preserving gradient flow outside the grid).  Bases are a
-clamped-uniform knot grid evaluated by the Cox-de Boor recursion.  For
-deployment, ``precompute_basis_coefficients`` turns them into
-per-interval power-basis coefficients, which the static graph's
-``SPLINE_BASIS`` node evaluates by Horner's rule.
+the raw input, preserving gradient flow outside the grid).  Each grid
+holds its bases as per-interval polynomial coefficients in closed form,
+and one Horner kernel evaluates them: the tape op ``bspline_basis``
+(with its derivative, from the same coefficients) and the static
+graph's ``SPLINE_BASIS`` node both call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb, factorial
 
 import numpy as np
 
 from .errors import ShapeError
-from .tape import Tape, Var
+from .tape import Var
 from . import ops
 from .tensor import Parameter
 
 
 @dataclass(frozen=True)
 class SplineGrid:
-    """Uniform knot grid: grid_size intervals of degree spline_order."""
+    """Uniform, extended knot grid: grid_size intervals of degree
+    spline_order, and its ``precompute_basis_coefficients`` table."""
 
     grid_size: int = 5
     spline_order: int = 3
     lo: float = -1.0
     hi: float = 1.0
-    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.grid_size < 1:
-            raise ShapeError(f"degenerate grid: grid_size={self.grid_size}")
-        if not self.hi > self.lo:
-            raise ShapeError(f"degenerate domain [{self.lo}, {self.hi}]")
-        h = (self.hi - self.lo) / self.grid_size
-        n = self.grid_size + 2 * self.spline_order + 1
-        knots = self.lo + h * (np.arange(n) - self.spline_order)
-        object.__setattr__(self, "knots", knots)
+        if self.grid_size < 1 or self.spline_order < 0 or not self.hi > self.lo:
+            raise ShapeError(f"degenerate grid: {self}")
+        object.__setattr__(self, "coefficients",
+                           precompute_basis_coefficients(self))
 
     @property
     def step(self) -> float:
@@ -53,65 +51,73 @@ class SplineGrid:
         return self.grid_size + self.spline_order
 
 
-def bspline_basis_values(x: np.ndarray, grid: SplineGrid,
-                         with_deriv: bool = False):
-    """Cox-de Boor bases for each input value, [..., basis_count].
+def precompute_basis_coefficients(grid: SplineGrid) -> np.ndarray:
+    """[grid_size, basis_count, spline_order + 1] coefficients of every
+    basis on every interval, in ascending powers of u = x - interval_lo.
 
-    Inputs are clamped to the grid domain first; with_deriv additionally
-    returns d(basis)/dx, zero where the clamp is active.
+    Each basis is a shift of the cardinal B-spline of degree p, whose
+    piece q on s = u / step in [0, 1) is (1/p!) sum_{i<=q} (-1)^i
+    C(p+1, i) (s + q - i)^p; interval j runs it for basis j - q + p.
     """
-    x = np.asarray(x)
-    t = grid.knots.astype(x.dtype if x.dtype.kind == "f" else np.float64)
-    order = grid.spline_order
-    xc = np.clip(x, grid.lo, grid.hi)[..., None]
-    b = ((xc >= t[:-1]) & (xc < t[1:])).astype(t.dtype)
-    prev = b
-    for k in range(1, order + 1):
-        prev = b
-        left = (xc - t[:-k - 1]) / (t[k:-1] - t[:-k - 1]) * b[..., :-1]
-        right = (t[k + 1:] - xc) / (t[k + 1:] - t[1:-k]) * b[..., 1:]
-        b = left + right
-    if not with_deriv:
-        return b
-    if order == 0:
-        return b, np.zeros_like(b)
-    den1 = t[order:-1] - t[:-order - 1]
-    den2 = t[order + 1:] - t[1:-order]
-    deriv = order * (prev[..., :-1] / den1 - prev[..., 1:] / den2)
-    inside = ((x > grid.lo) & (x < grid.hi)).astype(b.dtype)[..., None]
-    return b, deriv * inside
+    p, n = grid.spline_order, grid.grid_size
+    piece = np.array([[comb(p, k) * sum((-1) ** i * comb(p + 1, i)
+                                        * (q - i) ** (p - k)
+                                        for i in range(q + 1))
+                       for k in range(p + 1)] for q in range(p + 1)],
+                     dtype=np.float64)
+    piece /= factorial(p) * grid.step ** np.arange(p + 1)
+    table = np.zeros((n, n + p, p + 1))
+    j = np.arange(n)[:, None]
+    table[j, j - np.arange(p + 1) + p] = piece
+    table.flags.writeable = False
+    return table
+
+
+def _horner_basis(x, coeffs, lo, step, out, t, u, idx, cg, deriv=None):
+    """Bases of x [m], clamped to the table's domain, into out [m, nb].
+
+    coeffs is a [intervals, nb, order + 1] coefficient table; t, u [m],
+    idx [m] (int64) and cg [m, nb, order + 1] are scratch.  deriv
+    [m, nb], if given, receives d(basis)/dx, zero where the clamp acts.
+    """
+    n_int, order = coeffs.shape[0], coeffs.shape[-1] - 1
+    np.subtract(x, lo, out=t)
+    t /= step
+    inside = None if deriv is None else (t > 0) & (t < n_int)
+    np.clip(t, 0.0, float(n_int), out=t)
+    np.floor(t, out=u)
+    np.clip(u, 0.0, float(n_int - 1), out=u)
+    np.subtract(t, u, out=t)       # fractional part in [0, 1]
+    t *= step
+    np.copyto(idx, u, casting="unsafe")
+    # clip: a NaN input must not become an out-of-range row
+    np.take(coeffs, idx, axis=0, out=cg, mode="clip")
+    tc = t[:, None]
+    np.copyto(out, cg[..., order])
+    for k in range(order - 1, -1, -1):
+        out *= tc
+        out += cg[..., k]
+    if deriv is not None:
+        np.multiply(cg[..., order], order, out=deriv)
+        for k in range(order - 1, 0, -1):
+            deriv *= tc
+            deriv += k * cg[..., k]
+        deriv *= inside[:, None]
 
 
 def bspline_basis(x: Var, grid: SplineGrid) -> Var:
     """Tape op: [..., in] -> [..., in, basis_count]; differentiable in x."""
-    values, deriv = bspline_basis_values(x.data, grid, with_deriv=True)
-
-    def backward(g):
-        return ((g * deriv).sum(axis=-1),)
-
-    return x.tape.record("bspline_basis", (x,), values, backward)
-
-
-def precompute_basis_coefficients(grid: SplineGrid) -> np.ndarray:
-    """Per-interval power-basis coefficients for every basis function.
-
-    Returns [grid_size, basis_count, spline_order + 1] with ascending
-    powers of the local coordinate u = x - interval_lo, so that Horner
-    evaluation reproduces the Cox-de Boor values across the domain.
-    """
-    order = grid.spline_order
-    h = grid.step
-    # order+1 interior sample points interpolate a degree-order
-    # polynomial exactly
-    u = (np.arange(order + 1, dtype=np.float64) + 0.5) / (order + 1) * h
-    coeffs = np.empty((grid.grid_size, grid.basis_count, order + 1))
-    vander = np.vander(u, order + 1, increasing=True)
-    inv = np.linalg.inv(vander)
-    for j in range(grid.grid_size):
-        xs = grid.lo + j * h + u
-        values = bspline_basis_values(xs, grid)       # [order+1, nb]
-        coeffs[j] = (inv @ values).T
-    return coeffs
+    xf = np.ravel(x.data)
+    coeffs = grid.coefficients.astype(np.result_type(xf, np.float32))
+    m, (nb, k), dt = xf.size, coeffs.shape[1:], coeffs.dtype
+    values, deriv = np.empty((2, m, nb), dt)
+    _horner_basis(xf, coeffs, grid.lo, grid.step, values, np.empty(m, dt),
+                  np.empty(m, dt), np.empty(m, np.int64),
+                  np.empty((m, nb, k), dt), deriv)
+    shape = x.data.shape + (nb,)
+    deriv = deriv.reshape(shape)
+    return x.tape.record("bspline_basis", (x,), values.reshape(shape),
+                         lambda g: ((g * deriv).sum(axis=-1),))
 
 
 class KanLinear:

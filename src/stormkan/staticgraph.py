@@ -2,8 +2,9 @@
 
 ``export`` lowers a deploy-variant model to a topologically ordered,
 fixed-shape op list that computes what the deploy tape forward does.
-Spline layers become clamp/piecewise-polynomial basis evaluation
-against precomputed coefficients plus the silu path.  The spatial
+Spline layers become a SPLINE_BASIS node, which carries the grid's
+piecewise-polynomial coefficients as a constant and runs the tape op's
+own Horner kernel, plus the silu path.  The spatial
 2x2 quadrant mean has no pool node: it is linear, like ``res``, the
 dilated convs and ``reduce`` before it, so it moves in front of them.
 One MATMUL pair computes the quadrant tap means of all four convs
@@ -37,7 +38,7 @@ from .errors import DataError, ExportError, GraphError, ShapeError
 from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
                     quadrant_tap_grid)
 from .ops import _im2col, _offset_keys
-from .spline import KanLinear, SplineGrid, precompute_basis_coefficients
+from .spline import KanLinear, _horner_basis
 from .tape import Tape
 from .tensor import Tensor
 
@@ -474,7 +475,7 @@ def _lower_dense(b: _Builder, layer, x_id, coeff_cache):
         grid = layer.grid
         key = (grid.grid_size, grid.spline_order, grid.lo, grid.hi)
         if key not in coeff_cache:
-            coeffs = precompute_basis_coefficients(grid).astype(np.float32)
+            coeffs = grid.coefficients.astype(np.float32)
             meta = np.array([grid.lo, grid.step, grid.grid_size],
                             dtype=np.float32)
             coeff_cache[key] = (b.const(coeffs), b.const(meta))
@@ -667,13 +668,11 @@ class Session:
             red = list(shapes[node.inputs[0]])
             red[axis] = 1
             return (self._alloc(tuple(red)),)
-        if node.op == SPLINE_BASIS:
-            x = shapes[node.inputs[0]]
-            m = int(np.prod(x))
-            coeffs = shapes[node.inputs[1]]
+        if node.op == SPLINE_BASIS:   # the scratch of spline._horner_basis
+            m = math.prod(shapes[node.inputs[0]])
             return (self._alloc((m,)), self._alloc((m,)),
                     self._alloc((m,), dtype=np.int64),
-                    self._alloc((m,) + tuple(coeffs[1:])))
+                    self._alloc((m,) + shapes[node.inputs[1]][1:]))
         if node.op == SILU:
             return (self._alloc(shapes[node.inputs[0]]),)
         return ()
@@ -778,24 +777,9 @@ class Session:
             np.mean(ins[0], axis=attrs[0], out=out)
         elif op == SPLINE_BASIS:
             x, coeffs, meta = ins
-            t, u, idx, cg = scratch
-            lo, step, n_int = float(meta[0]), float(meta[1]), int(meta[2])
-            xf = x.reshape(-1)
-            np.subtract(xf, lo, out=t)
-            t /= step
-            np.clip(t, 0.0, float(n_int), out=t)
-            np.floor(t, out=u)
-            np.clip(u, 0.0, float(n_int - 1), out=u)
-            np.subtract(t, u, out=t)       # fractional part in [0, 1]
-            t *= step
-            np.copyto(idx, u, casting="unsafe")
-            # clip: a NaN input must not become an out-of-range row
-            np.take(coeffs, idx, axis=0, out=cg, mode="clip")
-            acc = out.reshape(cg.shape[:-1])
-            np.copyto(acc, cg[..., -1])
-            for p in range(cg.shape[-1] - 2, -1, -1):
-                acc *= t[:, None]
-                acc += cg[..., p]
+            _horner_basis(x.reshape(-1), coeffs, float(meta[0]),
+                          float(meta[1]), out.reshape(-1, coeffs.shape[1]),
+                          *scratch)
         else:
             raise GraphError(f"unknown op id {op}")
 

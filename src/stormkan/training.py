@@ -224,6 +224,8 @@ def load_checkpoint(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             (name_len,) = struct.unpack("<H", fp.read(2))
             name = fp.read(name_len).decode("utf-8")
             state[name] = Tensor.read(fp).data
+        if fp.read(1):
+            raise CheckpointError("trailing bytes after the last tensor")
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
             DataError) as exc:
         raise CheckpointError(f"truncated or corrupt checkpoint: {exc}") from exc
@@ -243,8 +245,20 @@ def model_from_checkpoint(data_or_path) -> tuple[CycloneNet, dict]:
     try:
         cfg = ModelConfig(**config["model"])
         dtype = np.dtype(config.get("dtype", "float32"))
+        if dtype.kind != "f":
+            raise ConfigError(f"dtype {dtype} is not a float type")
     except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint/config mismatch: {exc}") from exc
+    # a corrupt size must not make build_model allocate far past the
+    # file: in checkpoints this package writes none exceeds the widest
+    # stored extent (seq_len and an all-MLP model's grid size no tensor)
+    widest = max((max(a.shape, default=1) for a in state.values()), default=0)
+    sizes = cfg.resolved()
+    for name in ("d_attn", "lstm_hidden", "shared_dim", "task_dim",
+                 "reduce_channels", "seq_len", "seq_feat", "grid_size",
+                 "spline_order"):
+        if getattr(sizes, name) > widest:
+            raise CheckpointError(f"{name} exceeds every stored extent")
     model = build_model(cfg, seed=0, dtype=dtype)
     try:
         model.load_state(state)

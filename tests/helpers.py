@@ -8,6 +8,13 @@ from stormkan.staticgraph import GraphNode, StaticGraph
 from stormkan.tape import Tape
 
 
+def total(x):
+    """Scalar sum of a Var: its flattening times a ones column."""
+    flat = ops.reshape(x, (1, -1))
+    ones = x.tape.constant(np.ones((flat.shape[1], 1), dtype=x.data.dtype))
+    return ops.reshape(ops.matmul(flat, ones), ())
+
+
 def numerical_grad(f, x, h=1e-5):
     """Central finite differences of a scalar function wrt array x."""
     g = np.zeros_like(x)
@@ -141,3 +148,40 @@ def one_node_graph(op, attrs, x_shape, constants=()):
     return StaticGraph([("x", tuple(x_shape))], consts,
                        [GraphNode(op, tuple(attrs), tuple(range(out)), out)],
                        [("y", out)])
+
+
+def knots(grid):
+    """The uniform knots of a grid, extended spline_order steps past
+    each end of its domain."""
+    order = grid.spline_order
+    n = grid.grid_size + 2 * order + 1
+    return grid.lo + grid.step * (np.arange(n) - order)
+
+
+def cox_de_boor(x: np.ndarray, grid, with_deriv: bool = False):
+    """Cox-de Boor bases for each input value, [..., basis_count]
+    (reference for the Horner kernel of ``stormkan.spline``).
+
+    Inputs are clamped to the grid domain first; with_deriv additionally
+    returns d(basis)/dx, zero where the clamp is active.
+    """
+    x = np.asarray(x)
+    t = knots(grid).astype(x.dtype if x.dtype.kind == "f" else np.float64)
+    order = grid.spline_order
+    xc = np.clip(x, grid.lo, grid.hi)[..., None]
+    b = ((xc >= t[:-1]) & (xc < t[1:])).astype(t.dtype)
+    prev = b
+    for k in range(1, order + 1):
+        prev = b
+        left = (xc - t[:-k - 1]) / (t[k:-1] - t[:-k - 1]) * b[..., :-1]
+        right = (t[k + 1:] - xc) / (t[k + 1:] - t[1:-k]) * b[..., 1:]
+        b = left + right
+    if not with_deriv:
+        return b
+    if order == 0:
+        return b, np.zeros_like(b)
+    den1 = t[order:-1] - t[:-order - 1]
+    den2 = t[order + 1:] - t[1:-order]
+    deriv = order * (prev[..., :-1] / den1 - prev[..., 1:] / den2)
+    inside = ((x > grid.lo) & (x < grid.hi)).astype(b.dtype)[..., None]
+    return b, deriv * inside

@@ -13,7 +13,7 @@ from stormkan.model import (ATTN_CHANNEL, VARIANTS, CycloneNet, ModelConfig,
 from stormkan.tape import Tape
 from stormkan.training import multitask_loss
 
-from helpers import adaptive_avgpool2d, max_rel_err
+from helpers import adaptive_avgpool2d, max_rel_err, total
 
 rng = np.random.default_rng(3)
 
@@ -150,7 +150,7 @@ class TestSpatialTail:
             tape = Tape()
             x = tape.leaf(c2, requires_grad=True)
             pooled = tail(x)
-            grads = tape.backprop(ops.sum_(ops.mul(pooled,
+            grads = tape.backprop(total(ops.mul(pooled,
                                                    tape.constant(weights))))
             got.append([pooled.data, grads.wrt(x)]
                        + [grads.wrt_param(p) for layer in layers
@@ -238,7 +238,7 @@ class TestPhysicsConstraint:
         a_msw = tape.leaf(rng.standard_normal((2, 32)), requires_grad=True)
         a_rmw = tape.leaf(rng.standard_normal((2, 32)), requires_grad=True)
         gamma_r2m, _ = tiny_model.physics_constraint(a_msw, a_rmw)
-        grads = tape.backprop(ops.sum_(gamma_r2m))
+        grads = tape.backprop(total(gamma_r2m))
         assert np.abs(grads.wrt(a_msw)).sum() > 0
         assert np.abs(grads.wrt(a_rmw)).sum() > 0
 

@@ -7,15 +7,29 @@ from hypothesis import strategies as st
 
 from stormkan import ops
 from stormkan.errors import ShapeError
-from stormkan.spline import (SplineGrid, bspline_basis, bspline_basis_values,
-                             kan_init, precompute_basis_coefficients)
+from stormkan.spline import (SplineGrid, bspline_basis, kan_init,
+                             precompute_basis_coefficients)
 from stormkan.staticgraph import SPLINE_BASIS, Session
 from stormkan.tape import Tape
 
-from helpers import check_gradients, one_node_graph
+from helpers import (check_gradients, cox_de_boor, knots, one_node_graph,
+                     total)
 
 rng = np.random.default_rng(7)
 GRID = SplineGrid()  # 5 intervals, cubic, [-1, 1]
+
+
+def basis(x, grid=GRID):
+    """Bases of x by the tape op, the package's one evaluator."""
+    return bspline_basis(Tape().constant(np.asarray(x)), grid).data
+
+
+def session_basis(x, grid):
+    """Bases of float32 x by a one-node graph, as ``export`` lowers it."""
+    meta = [grid.lo, grid.step, grid.grid_size]
+    graph = one_node_graph(SPLINE_BASIS, (), x.shape,
+                           (precompute_basis_coefficients(grid), meta))
+    return Session(graph).run({"x": x})["y"]
 
 
 def textbook_de_boor(x, k, i, t):
@@ -34,32 +48,44 @@ def textbook_de_boor(x, k, i, t):
 class TestBasis:
     def test_partition_of_unity_10k(self):
         xs = rng.uniform(-1 + 1e-9, 1 - 1e-9, 10_000)
-        total = bspline_basis_values(xs, GRID).sum(axis=-1)
-        assert np.abs(total - 1.0).max() < 1e-6
+        sums = basis(xs).sum(axis=-1)
+        assert np.abs(sums - 1.0).max() < 1e-6
 
     def test_local_support(self):
         xs = rng.uniform(-1, 1, 2_000)
-        values = bspline_basis_values(xs, GRID)
+        values = basis(xs)
         active = (values > 1e-12).sum(axis=-1)
         assert active.max() <= GRID.spline_order + 1
 
     def test_against_textbook_de_boor(self):
         for x in (-0.97, -0.5, 0.0, 0.31, 0.99):
-            mine = bspline_basis_values(np.array([x]), GRID)[0]
-            ref = [textbook_de_boor(x, 3, i, GRID.knots)
+            mine = basis(np.array([x]))[0]
+            ref = [textbook_de_boor(x, 3, i, knots(GRID))
                    for i in range(GRID.basis_count)]
             np.testing.assert_allclose(mine, ref, atol=1e-12)
 
     def test_order_zero_is_interval_indicator(self):
         grid = SplineGrid(grid_size=4, spline_order=0)
-        values = bspline_basis_values(np.array([-0.3]), grid)[0]
+        values = basis(np.array([-0.3]), grid)[0]
         # -0.3 sits in interval [-0.5, 0), index 1 of 4
         np.testing.assert_array_equal(values, [0, 1, 0, 0])
 
     def test_clamping_outside_domain(self):
-        inside = bspline_basis_values(np.array([1.0]), GRID)
-        outside = bspline_basis_values(np.array([3.7]), GRID)
+        inside = basis(np.array([1.0]))
+        outside = basis(np.array([3.7]))
         np.testing.assert_array_equal(inside, outside)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_tape_equals_session_at_domain_edges(self, order):
+        # lo, inside, hi and beyond: the tape op and the graph node run
+        # one kernel, so float32 bases agree exactly, and the last
+        # interval covers hi for every order
+        grid = SplineGrid(grid_size=4, spline_order=order)
+        x = np.array([[-1.0, -0.3, 0.55, 1.0, 1.7, -2.0]], dtype=np.float32)
+        tape_out = basis(x, grid)
+        assert tape_out.dtype == np.float32
+        assert np.array_equal(tape_out, session_basis(x, grid))
+        np.testing.assert_allclose(tape_out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ShapeError):
@@ -68,19 +94,19 @@ class TestBasis:
     def test_cubic_continuity_at_interior_knots(self):
         eps = 1e-6
         for knot in np.linspace(-1, 1, GRID.grid_size + 1)[1:-1]:
-            left = bspline_basis_values(np.array([knot - eps]), GRID)
-            right = bspline_basis_values(np.array([knot + eps]), GRID)
+            left = basis(np.array([knot - eps]))
+            right = basis(np.array([knot + eps]))
             assert np.abs(left - right).max() < 1e-4
-            dleft = (bspline_basis_values(np.array([knot - eps]), GRID)
-                     - bspline_basis_values(np.array([knot - 2 * eps]), GRID)) / eps
-            dright = (bspline_basis_values(np.array([knot + 2 * eps]), GRID)
-                      - bspline_basis_values(np.array([knot + eps]), GRID)) / eps
+            dleft = (basis(np.array([knot - eps]))
+                     - basis(np.array([knot - 2 * eps]))) / eps
+            dright = (basis(np.array([knot + 2 * eps]))
+                      - basis(np.array([knot + eps]))) / eps
             assert np.abs(dleft - dright).max() < 1e-4
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-0.999, 0.999))
     def test_partition_of_unity_property(self, x):
-        values = bspline_basis_values(np.array([x]), GRID)
+        values = basis(np.array([x]))
         assert abs(values.sum() - 1.0) < 1e-6
 
     def test_gradient_wrt_input(self):
@@ -89,22 +115,44 @@ class TestBasis:
         def build(tape, leaves):
             out = bspline_basis(leaves[0], GRID)
             r = np.sin(np.arange(out.data.size)).reshape(out.shape)
-            return ops.sum_(ops.mul(out, tape.constant(r)))
+            return total(ops.mul(out, tape.constant(r)))
 
         check_gradients(build, [x])
 
 
 class TestPrecomputedCoefficients:
     def test_horner_matches_cox_de_boor(self):
-        # the deployment evaluator: the static graph's SPLINE_BASIS node
-        coeffs = precompute_basis_coefficients(GRID)
-        meta = [GRID.lo, GRID.step, GRID.grid_size]
         xs = rng.uniform(-1, 1, 10_000)
-        session = Session(one_node_graph(SPLINE_BASIS, (), xs.shape,
-                                         (coeffs, meta)))
-        horner = session.run({"x": xs.astype(np.float32)})["y"]
-        direct = bspline_basis_values(xs, GRID)
-        assert np.abs(direct - horner).max() < 1e-6
+        values, deriv = cox_de_boor(xs, GRID, with_deriv=True)
+        # the deployment path: the static graph's SPLINE_BASIS node
+        horner = session_basis(xs.astype(np.float32), GRID)
+        assert np.abs(values - horner).max() < 1e-6
+        # the training path: the tape op and its derivative
+        w = rng.standard_normal(values.shape)
+        tape = Tape()
+        xv = tape.leaf(xs, requires_grad=True)
+        out = bspline_basis(xv, GRID)
+        grads = tape.backprop(total(ops.mul(out, tape.constant(w))))
+        assert np.abs(values - out.data).max() < 1e-6
+        assert np.abs((deriv * w).sum(axis=-1) - grads.wrt(xv)).max() < 1e-6
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_closed_form_equals_interpolated_table(self, order):
+        # the table .kfg files carry was once built by interpolating the
+        # Cox-de Boor bases at order + 1 interior points of each
+        # interval; the closed form must give the same table, so that
+        # graphs exported that way evaluate the same
+        grid = SplineGrid(grid_size=5, spline_order=order)
+        h = grid.step
+        u = (np.arange(order + 1) + 0.5) / (order + 1) * h
+        inv = np.linalg.inv(np.vander(u, order + 1, increasing=True))
+        interpolated = np.stack([(inv @ cox_de_boor(grid.lo + j * h + u,
+                                                    grid)).T
+                                 for j in range(grid.grid_size)])
+        table = precompute_basis_coefficients(grid)
+        assert table.shape == interpolated.shape
+        scale = np.abs(table).max()
+        assert np.abs(table - interpolated).max() <= 1e-12 * scale
 
     def test_order_one_hat_functions(self):
         grid = SplineGrid(grid_size=4, spline_order=1)
@@ -148,12 +196,12 @@ class TestKanLinear:
             tape = Tape()
             xv = tape.leaf(x, requires_grad=True)
             out = layer.forward(xv)
-            return tape, xv, ops.sum_(ops.mul(out, tape.constant(r)))
+            return tape, xv, out, total(ops.mul(out, tape.constant(r)))
 
-        tape, xv, loss = run()
-        assert tape.nodes[loss.idx - 1].output.shape == (3, 4)
+        tape, xv, out, loss = run()
+        assert out.shape == (3, 4)
         grads = tape.backprop(loss)
-        scalar = lambda: float(run()[2].data)
+        scalar = lambda: float(run()[3].data)
         assert max_rel_err(grads.wrt(xv), numerical_grad(scalar, x)) < 1e-6
         for param in layer.parameters():
             numeric = numerical_grad(scalar, param.data)
@@ -173,7 +221,7 @@ class TestKanLinear:
         out = layer.forward(tape.constant(x_out))
         silu = x_out / (1 + np.exp(-x_out))
         base = silu @ layer.base_weight.data.T
-        bases = bspline_basis_values(np.clip(x_out, -1, 1), GRID)
+        bases = cox_de_boor(np.clip(x_out, -1, 1), GRID)
         spline = np.einsum("bim,oim->bo", bases, layer.spline_weight.data)
         np.testing.assert_allclose(out.data, base + spline, atol=1e-12)
 

@@ -1,21 +1,28 @@
 """Losses, optimizer, schedulers, metrics, checkpoints, train loop."""
 
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormkan.data import SyntheticDataset
-from stormkan.errors import CheckpointError, ConfigError, ShapeError, TrainingError
+from stormkan.errors import (CheckpointError, ConfigError, ShapeError,
+                             StormkanError, TrainingError)
 from stormkan.model import ModelConfig, build_model
 from stormkan.tape import Tape
+from stormkan.tensor import Tensor
 from stormkan.training import (EarlyStopper, PlateauScheduler, TrainConfig,
                                compute_metrics, denormalize, evaluate,
                                load_checkpoint, mae, mae_loss,
                                model_from_checkpoint, multitask_loss,
                                normalize, rmse, save_checkpoint, sgd_step,
                                train)
+
+from helpers import total
 
 rng = np.random.default_rng(11)
 
@@ -112,7 +119,7 @@ class TestSgd:
         def loss_val():
             tape = Tape()
             pv = tape.param(p)
-            return tape, tape.backprop(ops.sum_(ops.mul(pv, pv)))
+            return tape, tape.backprop(total(ops.mul(pv, pv)))
 
         before = float((p.data ** 2).sum())
         _, grads = loss_val()
@@ -292,7 +299,14 @@ class TestCheckpoints:
         lambda c: c["model"].update(ring_count=0),
         lambda c: c.update(dtype="not-a-dtype"),
         lambda c: c.pop("model"),
-    ], ids=["ring_count_0", "bad_dtype", "no_model"])
+        lambda c: c.update(dtype="int32"),
+        lambda c: c["model"].update(d_attn=32.0),
+        lambda c: c["model"].update(seq_feat=0),
+        lambda c: c["model"].update(lstm_hidden=10**6),
+        lambda c: c["model"].update(ring_count=10**12),
+    ], ids=["ring_count_0", "bad_dtype", "no_model", "int_dtype",
+            "float_width", "zero_width", "oversized_width",
+            "huge_ring_count"])
     def test_invalid_stored_config_rejected(self, edit):
         payload = save_checkpoint(build_model(TINY, seed=9))
         (blob_len,) = struct.unpack("<I", payload[8:12])
@@ -313,6 +327,68 @@ class TestCheckpoints:
         model2 = bm(ModelConfig(**config["model"]))
         with pytest.raises(ConfigError):
             model2.load_state(state)
+
+
+def checkpoint_sections(blob):
+    """(start, end) of the magic/version header, the config, the tensor
+    count and each named tensor of a .kfc checkpoint."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    spans = [(0, 8), (8, 12 + n), (12 + n, 16 + n)]
+    fp = io.BytesIO(blob)
+    fp.seek(16 + n)
+    while fp.tell() < len(blob):
+        start = fp.tell()
+        (name_len,) = struct.unpack("<H", fp.read(2))
+        fp.seek(name_len, io.SEEK_CUR)
+        Tensor.read(fp)
+        spans.append((start, fp.tell()))
+    return spans
+
+
+# every width small, so that each of the fuzz examples builds quickly
+FUZZ_CFG = ModelConfig(d_attn=8, heads=2, lstm_hidden=8, shared_dim=8,
+                       task_dim=4, reduce_channels=4, ring_count=3,
+                       r_center=8, image_hw=16, grid_size=3, spline_order=2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint():
+    return save_checkpoint(build_model(FUZZ_CFG, seed=12))
+
+
+class TestFuzzCheckpoint:
+    """Byte mutations of a tiny checkpoint: model_from_checkpoint raises
+    only StormkanError subclasses."""
+
+    def test_trailing_bytes_rejected(self, fuzz_checkpoint):
+        model_from_checkpoint(fuzz_checkpoint)
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(fuzz_checkpoint + b"\x00")
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_mutations_fail_typed(self, fuzz_checkpoint, data):
+        blob = bytearray(fuzz_checkpoint)
+        start, end = data.draw(st.sampled_from(
+            checkpoint_sections(fuzz_checkpoint)))
+        pos = data.draw(st.integers(start, end - 1))
+        kind = data.draw(st.sampled_from(
+            ["overwrite", "insert", "delete", "truncate", "append"]))
+        chunk = data.draw(st.binary(min_size=1, max_size=8))
+        if kind == "overwrite":
+            blob[pos:pos + len(chunk)] = chunk
+        elif kind == "insert":
+            blob[pos:pos] = chunk
+        elif kind == "delete":
+            del blob[pos:pos + len(chunk)]
+        elif kind == "truncate":
+            del blob[pos:]
+        else:
+            blob += chunk
+        try:
+            model_from_checkpoint(bytes(blob))
+        except StormkanError:
+            pass
 
 
 class TestTrainConfigValidation:
