@@ -2,10 +2,11 @@
 
 The deploy variant replaces the LSTM with a flattened-input spline
 stack, so the whole forward pass becomes a branch-free op list with
-precomputed spline coefficients.  Neither variant has an average pool:
-the ring means are two matmuls on a constant averaging matrix, and the
-spatial quadrant mean is computed on tap means in front of the convs it
-follows.  The only pool node is the 2x2 max-pool.
+precomputed spline coefficients.  The graph has no pool node: the ring
+means are two matmuls on a constant averaging matrix, the spatial
+quadrant mean is computed on tap means in front of the convs it follows,
+and the 2x2 max-pool, like each conv's bias and ReLU, runs inside its
+CONV2D node.
 
 Run: python demos/05_static_deployment.py
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from stormkan import (ModelConfig, Session, Tape, bench, build_model, export,
                       load_graph, save_graph)
-from stormkan.staticgraph import MAXPOOL2D
+from stormkan.staticgraph import CONV2D
 
 cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9, variant="deploy")
 model = build_model(cfg, seed=1)
@@ -22,8 +23,8 @@ model = build_model(cfg, seed=1)
 graph = export(model)
 print(f"graph: {len(graph.nodes)} nodes, "
       f"{graph.parameter_count()} constant values")
-print("max-pool (kernel, stride):",
-      [n.attrs for n in graph.nodes if n.op == MAXPOOL2D])
+print("conv (relu, pool) attributes:",
+      [n.attrs[3:] for n in graph.nodes if n.op == CONV2D])
 
 payload = save_graph(graph)
 print("serialized bytes:", len(payload))

@@ -9,9 +9,12 @@ repacks them.  The input gradient is col2im, a scatter-add of W^T g
 through the strided window offsets.  The trunk's epilogue is part of
 the conv: bias, ReLU and the 2x2 max-pool run on each chunk's GEMM
 output while it is in cache, and the pool keeps two bool masks to route
-its gradient, so no full-resolution map outlives the forward.  Average
-pools are not ops here: the model computes its quadrant and ring means
-as products with constant averaging matrices, through ``matmul``.
+its gradient, so no full-resolution map outlives the forward.  That
+forward, packing, GEMM and epilogue, is one kernel, ``_conv_block``:
+``conv2d`` runs it per batch chunk and ``staticgraph.Session``'s CONV2D
+node per strip of output rows.  Average pools are not ops here: the
+model computes its quadrant and ring means as products with constant
+averaging matrices, through ``matmul``.
 """
 
 from __future__ import annotations
@@ -101,34 +104,25 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int,
     return span // stride + 1
 
 
-def _window_view(xp: np.ndarray, kh: int, kw: int, stride: int,
-                 dilation: int) -> np.ndarray:
-    b, c, hp, wp = xp.shape
-    oh = (hp - dilation * (kh - 1) - 1) // stride + 1
-    ow = (wp - dilation * (kw - 1) - 1) // stride + 1
-    sb, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        (b, c, kh, kw, oh, ow),
-        (sb, sc, sh * dilation, sw * dilation, sh * stride, sw * stride),
-        writeable=False,
-    )
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-            cols: np.ndarray) -> None:
-    """Pack the conv windows of xp [B, C, H, W] into the contiguous
-    cols [C*kh*kw, B*OH*OW] with one strided copy and no temporary."""
-    win = _window_view(xp, kh, kw, stride, dilation)
-    b, c, _, _, oh, ow = win.shape
-    np.copyto(cols.reshape(c, kh, kw, b, oh, ow),
-              win.transpose(1, 2, 3, 0, 4, 5))
-
-
-def _padded(x: np.ndarray, padding: int) -> np.ndarray:
-    if not padding:
-        return np.ascontiguousarray(x)
-    return np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+def _columns(xw: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+             buf: np.ndarray) -> np.ndarray:
+    """The [B, C*kh*kw, OH*OW] GEMM view of the conv windows of xw
+    [B, C, H, W].  A 1x1, stride-1 kernel reads xw itself as its columns;
+    any other is packed (im2col) into the front of the flat buffer buf as
+    [C*kh*kw, B*OH*OW], with one strided copy and no temporary."""
+    b, c, h, w = xw.shape
+    if (kh, kw, stride, dilation) == (1, 1, 1, 1):
+        return xw.reshape(b, c, h * w)
+    oh = (h - dilation * (kh - 1) - 1) // stride + 1
+    ow = (w - dilation * (kw - 1) - 1) // stride + 1
+    sb, sc, sh, sw = xw.strides
+    win = np.lib.stride_tricks.as_strided(   # [C, kh, kw, B, OH, OW]
+        xw, (c, kh, kw, b, oh, ow),
+        (sc, sh * dilation, sw * dilation, sb, sh * stride, sw * stride),
+        writeable=False)
+    cols = buf[:c * kh * kw * b * oh * ow]
+    np.copyto(cols.reshape(win.shape), win)
+    return cols.reshape(c * kh * kw, b, oh * ow).transpose(1, 0, 2)
 
 
 def _offset_keys(kh: int, kw: int, stride: int, dilation: int, oh: int,
@@ -165,17 +159,36 @@ def _unpool2x2(gp, col_pick, row_pick, half, g):
     np.subtract(half, g[..., 1::2], out=g[..., 0::2])
 
 
+def _conv_block(xw, w2, kh, kw, stride, dilation, bias, relu, buf, y,
+                pool=None):
+    """The conv forward of one block of output: the windows of xw
+    (_columns, packed into buf) times w2 [Cout, K] into y [B, Cout, OH,
+    OW], then + bias [Cout] unless it is None, the ReLU if `relu`, and,
+    given pool = (half, col_pick, row_pick, out), _max2x2 of y into out.
+    ``conv2d`` runs it per batch chunk, ``staticgraph.Session`` per strip
+    of output rows (an even number of them with a pool)."""
+    c3 = _columns(xw, kh, kw, stride, dilation, buf)
+    np.matmul(w2, c3, out=y.reshape(c3.shape[0], w2.shape[0], -1))
+    if bias is not None:
+        y += bias.reshape(-1, 1, 1)
+    if relu:
+        np.maximum(y, 0, out=y)
+    if pool is not None:
+        _max2x2(y, *pool)
+
+
 def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1, relu: bool = False,
            pool: bool = False) -> Var:
     """2-d cross-correlation with optional per-channel bias, then
     optionally ReLU and the 2x2, stride-2 max-pool.
 
-    Forward is im2col + one batched GEMM per batch chunk.  The epilogue
-    (bias, ReLU, pool) runs on each chunk's GEMM output while it is in
-    cache; with `pool` that output lives in one reused chunk buffer, and
-    the pool records, per window, which column of each row pair and
-    which row won (two bool masks; ties go to the first flat index).
+    Forward is one ``_conv_block`` per batch chunk: im2col + one batched
+    GEMM, then the epilogue (bias, ReLU, pool) on the chunk's GEMM output
+    while it is in cache; with `pool` that output lives in one reused
+    chunk buffer, and the pool records, per window, which column of each
+    row pair and which row won (two bool masks; ties go to the first
+    flat index).
     An odd conv output extent with `pool` is a ShapeError.  Between
     forward and backward only the padded input, the output (pooled when
     `pool`) and the masks are held: no columns, no full-resolution map.
@@ -207,25 +220,11 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
              "conv2d bias must be [Cout]")
     w2 = np.ascontiguousarray(wd.reshape(cout, k))
     dtype = np.result_type(xd, wd)
-    xp = _padded(xd, padding)
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) \
+        if padding else np.ascontiguousarray(xd)
     chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xd.itemsize, 1)))
-
-    def column_chunks():
-        """Yield (b0, bc, c3) per chunk of at most `chunk` samples, c3 the
-        [bc, K, OH*OW] GEMM view of the chunk's im2col columns, packed
-        into one reused buffer: a chunk is only valid until the next one
-        is yielded."""
-        if is_1x1:
-            x3 = xp.reshape(bsz, k, ohw)
-            for b0 in range(0, bsz, chunk):
-                yield b0, min(chunk, bsz - b0), x3[b0:b0 + chunk]
-            return
-        buf = np.empty(k * chunk * ohw, dtype=xp.dtype)
-        for b0 in range(0, bsz, chunk):
-            bc = min(chunk, bsz - b0)
-            cols = buf[:k * bc * ohw].reshape(k, bc * ohw)
-            _im2col(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
-            yield b0, bc, cols.reshape(k, bc, ohw).transpose(1, 0, 2)
+    # the column buffer: one per pass, reused by every chunk, never kept
+    n_cols = 0 if is_1x1 else k * chunk * ohw
 
     if pool:
         out = np.empty((bsz, cout, oh // 2, ow // 2), dtype=dtype)
@@ -235,16 +234,14 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
         half_buf = np.empty((chunk, cout, oh, ow // 2), dtype=dtype)
     else:
         out = np.empty((bsz, cout, oh, ow), dtype=dtype)
-    for b0, bc, c3 in column_chunks():
-        y = y_buf[:bc] if pool else out[b0:b0 + bc]
-        np.matmul(w2, c3, out=y.reshape(bc, cout, ohw))
-        if has_bias:
-            y += bias.data.reshape(1, cout, 1, 1)
-        if relu:
-            np.maximum(y, 0, out=y)
-        if pool:
-            _max2x2(y, half_buf[:bc], col_pick[b0:b0 + bc],
-                    row_pick[b0:b0 + bc], out[b0:b0 + bc])
+    buf = np.empty(n_cols, dtype=xp.dtype)
+    for b0 in range(0, bsz, chunk):
+        c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
+        _conv_block(xp[c], w2, kh, kw, stride, dilation,
+                    bias.data if has_bias else None, relu, buf,
+                    y_buf[:bc] if pool else out[c],
+                    (half_buf[:bc], col_pick[c], row_pick[c], out[c])
+                    if pool else None)
     # capture plain flags, not Vars: a Var in the closure would create a
     # tape <-> closure cycle and delay freeing whole forward passes
     x_needs_grad = x.requires_grad
@@ -258,7 +255,10 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
         if pool:
             half = np.empty((chunk, cout, oh, ow // 2), dtype=g.dtype)
         keys = _offset_keys(kh, kw, stride, dilation, oh, ow)
-        for b0, bc, c3 in column_chunks():
+        cols = np.empty(n_cols, dtype=xp.dtype)
+        for b0 in range(0, bsz, chunk):
+            bc = min(chunk, bsz - b0)
+            c3 = _columns(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
             gc = g[b0:b0 + bc]
             if pool:
                 if relu:

@@ -89,7 +89,8 @@ def _horner_basis(x, coeffs, lo, step, out, t, u, idx, cg, deriv=None):
     np.clip(u, 0.0, float(n_int - 1), out=u)
     np.subtract(t, u, out=t)       # fractional part in [0, 1]
     t *= step
-    np.copyto(idx, u, casting="unsafe")
+    with np.errstate(invalid="ignore"):   # a NaN row index casts quietly
+        np.copyto(idx, u, casting="unsafe")
     # clip: a NaN input must not become an out-of-range row
     np.take(coeffs, idx, axis=0, out=cg, mode="clip")
     tc = t[:, None]

@@ -4,24 +4,27 @@
 fixed-shape op list that computes what the deploy tape forward does.
 Spline layers become a SPLINE_BASIS node, which carries the grid's
 piecewise-polynomial coefficients as a constant and runs the tape op's
-own Horner kernel, plus the silu path.  The spatial
-2x2 quadrant mean has no pool node: it is linear, like ``res``, the
-dilated convs and ``reduce`` before it, so it moves in front of them.
-One MATMUL pair computes the quadrant tap means of all four convs
-(``model.quadrant_tap_grid``); each conv is a SLICE of its block and a
-CONV2D at stride k.  The ring means are two MATMULs on one constant
-averaging matrix, as in ``CycloneNet.ring_features``, so the only pool
-node is the 2x2 max-pool.  The serialized form ("KFG1", version 2) round-trips
-bit-exactly, and ``load_graph`` validates every shape and
+own Horner kernel, plus the silu path.  Every conv is one CONV2D node,
+as it is one ``ops.conv2d`` call: its bias is its third input, and its
+``relu`` and ``pool`` attributes fuse the ReLU and the 2x2 max-pool, so
+the trunk is two nodes and no graph has a pool node.  The spatial 2x2
+quadrant mean is linear, like ``res``, the dilated convs and ``reduce``
+before it, so it moves in front of them.  One MATMUL pair computes the
+quadrant tap means of all four convs (``model.quadrant_tap_grid``);
+each conv is a SLICE of its block and a CONV2D at stride k.  The ring
+means are two MATMULs on one constant averaging matrix, as in
+``CycloneNet.ring_features``.  The serialized form ("KFG1", version 3)
+round-trips bit-exactly, and ``load_graph`` validates every shape and
 every constant the interpreter indexes by.  A ``Session`` gives every
 value and every kernel's scratch its own buffer, all allocated when it
-is created; kernels then write into those buffers.  A CONV2D packs its
-im2col columns one strip of output rows at a time (``STRIP_BYTES``), so
-the columns stay in a core's L2 from the packing copy to the GEMM that
-reads them, instead of a full-map buffer round-tripping through memory
-that other processes on the host also use.  That a warm ``run``
-allocates nothing beyond its small output copies is measured with
-tracemalloc (``bench`` reports the figure), not self-counted.
+is created; kernels then write into those buffers.  A CONV2D runs the
+tape's own conv kernel, ``ops._conv_block``, one strip of output rows
+at a time (``STRIP_BYTES`` of im2col columns), so its columns, and with
+a pool its raw output, are strip-sized scratch rather than full maps,
+and the bias, ReLU and pool run on each strip while it is in cache.
+That a warm ``run`` allocates nothing beyond its small output copies is
+measured with tracemalloc (``bench`` reports the figure), not
+self-counted.
 """
 
 from __future__ import annotations
@@ -37,27 +40,29 @@ import numpy as np
 from .errors import DataError, ExportError, GraphError, ShapeError
 from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
                     quadrant_tap_grid)
-from .ops import _im2col, _offset_keys
+from .ops import _conv_block
 from .spline import KanLinear, _horner_basis
 from .tape import Tape
 from .tensor import Tensor
 
 MAGIC = b"KFG1"
-VERSION = 2   # version 1 graphs may hold AVGPOOL2D nodes: re-export them
+# version 1 graphs may hold AVGPOOL2D nodes, version 2 ones MAXPOOL2D
+# nodes and a conv bias as an ADD: re-export them
+VERSION = 3
 MAX_RANK = 32   # numpy 1.x's array rank limit
-# im2col columns packed per conv GEMM call: a strip of output rows whose
-# columns stay in a core's L2 between the packing copy and the GEMM
-STRIP_BYTES = 2**20
-MAX_POOL_KERNEL = 63   # the widest max-pool window a graph may declare
+# im2col columns packed per conv GEMM call, one strip of output rows.
+# Swept on the full-size graph at B=1: 3 to 5 MiB run equally fast, 1 MiB
+# (a dispatch per 8 rows) about 25% slower; each MiB costs 2.4 MiB of
+# conv scratch
+STRIP_BYTES = 4 * 2**20
 
-# op ids; AVGPOOL2D is reserved, unused since version 2, so that later
-# ids keep their numbers
+# op ids; AVGPOOL2D (unused since version 2) and MAXPOOL2D (since
+# version 3) are reserved, so that later ids keep their numbers
 CONV2D, RELU, SILU, TANH, MAXPOOL2D, AVGPOOL2D, SLICE, CONCAT, RESHAPE, \
     TRANSPOSE, MATMUL, MUL, ADD, SOFTMAX, MEAN, SPLINE_BASIS = range(16)
 
 _OP_NAMES = {
-    CONV2D: "conv2d", RELU: "relu", SILU: "silu", TANH: "tanh",
-    MAXPOOL2D: "maxpool2d", SLICE: "slice",
+    CONV2D: "conv2d", RELU: "relu", SILU: "silu", TANH: "tanh", SLICE: "slice",
     CONCAT: "concat", RESHAPE: "reshape", TRANSPOSE: "transpose",
     MATMUL: "matmul", MUL: "mul", ADD: "add", SOFTMAX: "softmax",
     MEAN: "mean", SPLINE_BASIS: "spline_basis",
@@ -65,8 +70,7 @@ _OP_NAMES = {
 
 # (input count, attr count) of each op; None: any count
 _ARITY = {
-    CONV2D: (2, 3), RELU: (1, 0), SILU: (1, 0), TANH: (1, 0),
-    MAXPOOL2D: (1, 2), SLICE: (1, None),
+    CONV2D: (3, 5), RELU: (1, 0), SILU: (1, 0), TANH: (1, 0), SLICE: (1, None),
     CONCAT: (None, 1), RESHAPE: (1, None), TRANSPOSE: (1, None),
     MATMUL: (2, 0), MUL: (2, 0), ADD: (2, 0), SOFTMAX: (1, 1), MEAN: (1, 1),
     SPLINE_BASIS: (3, 0),
@@ -179,35 +183,29 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     _need(n_attrs is None or len(attrs) == n_attrs,
           f"takes {n_attrs} attrs, got {len(attrs)}")
     if op == CONV2D:
-        stride, padding, dilation = attrs
-        x, w = in_shapes
+        stride, padding, dilation, relu, pool = attrs
+        x, w, bias = in_shapes
         _need(len(x) == 4 and len(w) == 4 and x[1] == w[1],
               f"conv shapes {x} x {w}")
+        _need(bias == w[:1], f"conv bias {bias} must be [{w[0]}]")
         _need(stride >= 1 and padding >= 0 and dilation >= 1,
-              f"conv stride, padding, dilation {attrs}")
+              f"conv stride, padding, dilation {attrs[:3]}")
+        _need(relu in (0, 1) and pool in (0, 1),
+              f"conv relu and pool flags {attrs[3:]} must be 0 or 1")
         oh = (x[2] + 2 * padding - dilation * (w[2] - 1) - 1)
         ow = (x[3] + 2 * padding - dilation * (w[3] - 1) - 1)
         if oh % stride or ow % stride or oh < 0 or ow < 0:
             raise ShapeError("non-integral conv output extent")
-        return (x[0], w[0], oh // stride + 1, ow // stride + 1)
+        oh, ow = oh // stride + 1, ow // stride + 1
+        _need(not pool or (oh % 2 == 0 and ow % 2 == 0),
+              f"2x2 max-pool needs even conv output extents, got {oh}x{ow}")
+        return (x[0], w[0], oh >> pool, ow >> pool)
     if op in (RELU, SILU, TANH):
         return in_shapes[0]
     if op in (SOFTMAX, MEAN):
         x, axis = in_shapes[0], attrs[0]
         _need(0 <= axis < len(x), f"axis {axis} out of range for {x}")
         return x if op == SOFTMAX else x[:axis] + x[axis + 1:]
-    if op == MAXPOOL2D:
-        kernel, stride = attrs
-        if kernel > MAX_POOL_KERNEL:
-            raise GraphError(
-                f"pool kernel {kernel} exceeds limit {MAX_POOL_KERNEL}")
-        x = in_shapes[0]
-        _need(len(x) == 4 and kernel >= 1 and stride >= 1,
-              f"pool {kernel}/{stride} on {x}")
-        span_h, span_w = x[2] - kernel, x[3] - kernel
-        if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
-            raise ShapeError(f"pool {kernel}/{stride} does not tile {x}")
-        return (x[0], x[1], span_h // stride + 1, span_w // stride + 1)
     if op == SLICE:
         x = in_shapes[0]
         if len(attrs) != 2 * len(x):
@@ -500,12 +498,12 @@ def _lower_dense(b: _Builder, layer, x_id, coeff_cache):
     return y
 
 
-def _lower_conv(b, layer, x_id, attrs=None):
-    attrs = attrs or (1, layer.padding, layer.dilation)
-    w_id = b.const(layer.w.data)
-    bias_id = b.const(layer.b.data.reshape(1, -1, 1, 1))
-    y = b.node(CONV2D, attrs, (x_id, w_id))
-    return b.node(ADD, (), (y, bias_id))
+def _lower_conv(b, layer, x_id, relu=0, pool=0, attrs=None):
+    """One CONV2D node: the layer's bias is its third input, and its
+    epilogue flags are attributes.  attrs overrides all five."""
+    attrs = attrs or (1, layer.padding, layer.dilation, relu, pool)
+    return b.node(CONV2D, attrs,
+                  (x_id, b.const(layer.w.data), b.const(layer.b.data)))
 
 
 def export(model) -> StaticGraph:
@@ -529,9 +527,8 @@ def export(model) -> StaticGraph:
     f_seq = _lower_dense(b, model.deploy_seq2, f_seq, coeff_cache)
 
     # spatial trunk
-    h = b.node(RELU, (), (_lower_conv(b, model.conv1, x_img),))
-    h = b.node(RELU, (), (_lower_conv(b, model.conv2, h),))
-    h = b.node(MAXPOOL2D, (2, 2), (h,))
+    h = _lower_conv(b, model.conv1, x_img, relu=1)
+    h = _lower_conv(b, model.conv2, h, relu=1, pool=1)
     layers = [model.res, *model.dilated]
     r, blocks = quadrant_tap_grid(b.shapes[h][-1], layers, np.float32)
     taps = b.node(MATMUL, (), (b.node(MATMUL, (), (b.const(r.T), h)),
@@ -540,7 +537,7 @@ def export(model) -> StaticGraph:
     res, dsum, *rest = [
         _lower_conv(b, layer, b.node(SLICE, (0, 1, 0, b.shapes[h][1], lo, hi,
                                              lo, hi), (taps,)),
-                    (layer.w.data.shape[-1], 0, 1))
+                    attrs=(layer.w.data.shape[-1], 0, 1, 0, 0))
         for layer, (lo, hi) in zip(layers, blocks)]
     for d in rest:
         dsum = b.node(ADD, (), (dsum, d))
@@ -642,27 +639,7 @@ class Session:
     def _make_scratch(self, node: GraphNode):
         shapes = self.shapes
         if node.op == CONV2D:
-            stride, padding, _ = node.attrs
-            x = shapes[node.inputs[0]]
-            w = shapes[node.inputs[1]]
-            if (w[2], w[3], stride, padding) == (1, 1, 1, 0):
-                return None   # pointwise: a matmul straight on the input
-            xp = None
-            if padding:
-                xp = self._alloc((x[0], x[1], x[2] + 2 * padding,
-                                  x[3] + 2 * padding))
-            # columns for one strip of output rows, reused strip by strip
-            out = shapes[node.output]
-            k = w[1] * w[2] * w[3]
-            rows = max(1, min(out[2], STRIP_BYTES // (4 * k * x[0] * out[3])))
-            strips = [(r, min(r + rows, out[2]))
-                      for r in range(0, out[2], rows)]
-            return xp, self._alloc((k * x[0] * rows * out[3],)), strips
-        if node.op == MAXPOOL2D:
-            # one strided slice of the input per window offset
-            kernel, stride = node.attrs
-            _, _, oh, ow = shapes[node.output]
-            return _offset_keys(kernel, kernel, stride, 1, oh, ow)
+            return self._conv_scratch(node)
         if node.op == SOFTMAX:
             axis = node.attrs[0]
             red = list(shapes[node.inputs[0]])
@@ -676,6 +653,36 @@ class Session:
         if node.op == SILU:
             return (self._alloc(shapes[node.inputs[0]]),)
         return ()
+
+    def _conv_scratch(self, node: GraphNode):
+        """(padded input or None, column buffer, strips): each strip is
+        (r0, r1, y, pool), the arguments ops._conv_block takes for conv
+        output rows [r0, r1).  Without a pool, y is those rows of the
+        node's output; with one, y, the half-pooled rows and the pick
+        masks are strip-sized buffers that every strip reuses."""
+        _, padding, _, _, pool = node.attrs
+        (bsz, cin, h, wid), (cout, _, kh, kw) = (
+            self.shapes[j] for j in node.inputs[:2])
+        out = self._values[node.output]
+        oh, ow = out.shape[2] << pool, out.shape[3] << pool
+        xp = None
+        if padding:
+            xp = self._alloc((bsz, cin, h + 2 * padding, wid + 2 * padding))
+        rows = max(1, min(oh, STRIP_BYTES // (4 * cin * kh * kw * bsz * ow)))
+        if pool:   # a strip pools whole row pairs
+            rows = max(2, rows - rows % 2)
+            y, half = (self._alloc((bsz, cout, rows, n)) for n in (ow, ow // 2))
+            col_pick = self._alloc(half.shape, dtype=bool)
+            row_pick = self._alloc((bsz, cout, rows // 2, ow // 2), dtype=bool)
+        strips = []
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            n = r1 - r0
+            strips.append((r0, r1, out[:, :, r0:r1], None) if not pool else (
+                r0, r1, y[:, :, :n], (half[:, :, :n], col_pick[:, :, :n],
+                                      row_pick[:, :, :n // 2],
+                                      out[:, :, r0 // 2:r1 // 2])))
+        return xp, self._alloc((cin * kh * kw * bsz * rows * ow,)), strips
 
     def run(self, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         graph = self.graph
@@ -706,28 +713,19 @@ class Session:
         ins = [vals[j] for j in node.inputs]
         op, attrs = node.op, node.attrs
         if op == CONV2D:
-            stride, padding, dilation = attrs
-            x, w = ins
-            bsz, cout = out.shape[0], out.shape[1]
-            w2 = w.reshape(cout, -1)
-            if scratch is None:
-                np.matmul(w2, x.reshape(bsz, x.shape[1], -1),
-                          out=out.reshape(bsz, cout, -1))
-                return
+            stride, padding, dilation, relu, _ = attrs
+            x, w, bias = ins
             xp, buf, strips = scratch
             if xp is not None:
                 xp[:, :, padding:-padding, padding:-padding] = x
                 x = xp
-            k, kh, kw, ow = w2.shape[1], w.shape[2], w.shape[3], out.shape[3]
+            kh, kw = w.shape[2:]
+            w2 = w.reshape(w.shape[0], -1)
             span = (kh - 1) * dilation + 1
-            out_flat = out.reshape(bsz, cout, -1)
-            for r0, r1 in strips:
-                cols = buf[:k * bsz * (r1 - r0) * ow].reshape(k, -1)
-                _im2col(x[:, :, r0 * stride:(r1 - 1) * stride + span],
-                        kh, kw, stride, dilation, cols)
-                # the batched GEMM view of ops.conv2d: [B, K, rows*OW]
-                np.matmul(w2, cols.reshape(k, bsz, -1).transpose(1, 0, 2),
-                          out=out_flat[:, :, r0 * ow:r1 * ow])
+            for r0, r1, y, pool in strips:
+                _conv_block(x[:, :, r0 * stride:(r1 - 1) * stride + span],
+                            w2, kh, kw, stride, dilation, bias, relu, buf, y,
+                            pool)
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)
         elif op == SILU:
@@ -738,11 +736,6 @@ class Session:
             np.divide(ins[0], t, out=out)
         elif op == TANH:
             np.tanh(ins[0], out=out)
-        elif op == MAXPOOL2D:
-            x = ins[0]
-            np.copyto(out, x[scratch[0]])
-            for key in scratch[1:]:
-                np.maximum(out, x[key], out=out)
         elif op == SLICE:
             key = tuple(slice(attrs[2 * a], attrs[2 * a + 1])
                         for a in range(len(attrs) // 2))

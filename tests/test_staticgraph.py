@@ -4,6 +4,7 @@ import math
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 from stormkan import staticgraph
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
 from stormkan.model import ModelConfig, build_model
-from stormkan.spline import SplineGrid, precompute_basis_coefficients
-from stormkan.staticgraph import (AVGPOOL2D, CONV2D, MATMUL, MAXPOOL2D, SLICE,
-                                  SPLINE_BASIS, GraphNode, Session,
-                                  StaticGraph, bench, export, load_graph,
-                                  save_graph)
+from stormkan.spline import (SplineGrid, bspline_basis,
+                             precompute_basis_coefficients)
+from stormkan.staticgraph import (ADD, AVGPOOL2D, CONV2D, MATMUL, MAXPOOL2D,
+                                  RELU, SLICE, SPLINE_BASIS, GraphNode,
+                                  Session, StaticGraph, bench, export,
+                                  load_graph, save_graph)
 from stormkan.tape import Tape
 
 from helpers import naive_conv2d, naive_maxpool2d, one_node_graph
@@ -40,6 +42,29 @@ def deploy_graph():
     return model, export(model)
 
 
+@pytest.fixture(scope="module")
+def full_size_graph():
+    cfg = ModelConfig(variant="deploy")
+    assert (cfg.image_hw, cfg.ring_count) == (156, 39)
+    model = build_model(cfg, seed=4)
+    return model, export(model)
+
+
+def conv_graph(x_shape, w, b, stride, padding, dilation, relu=0, pool=0):
+    return one_node_graph(CONV2D, (stride, padding, dilation, relu, pool),
+                          x_shape, (w, b))
+
+
+def conv_reference(x, w, b, stride, padding, dilation, relu, pool):
+    """naive conv -> + b -> ReLU -> 2x2 max-pool, each after the conv
+    optional but the bias (float64)."""
+    y = naive_conv2d(x.astype(np.float64), w.astype(np.float64), stride,
+                     padding, dilation) + b.reshape(1, -1, 1, 1)
+    if relu:
+        y = np.maximum(y, 0)
+    return naive_maxpool2d(y, 2, 2) if pool else y
+
+
 class TestExport:
     def test_full_variant_rejected_naming_lstm(self):
         model = build_model(ModelConfig(image_hw=40, r_center=20,
@@ -47,28 +72,43 @@ class TestExport:
         with pytest.raises(ExportError, match="lstm"):
             export(model)
 
-    def test_no_adaptive_pool_nodes_and_kernel_limit(self, deploy_graph):
-        _, graph = deploy_graph
-        for node in graph.nodes:
-            if node.op == MAXPOOL2D:
-                assert node.attrs[0] <= 63
-
     def test_spatial_tail_runs_on_tap_grids(self, deploy_graph):
         # only conv1 and conv2 see maps larger than a 6x6 tap grid, and
-        # no average pool is left: quadrants and rings are matmuls
+        # no pool node is left: quadrants and rings are matmuls, and the
+        # max-pool is conv2's attribute
         _, graph = deploy_graph
         shapes = graph.infer_shapes()
         convs = [shapes[n.inputs[0]] for n in graph.nodes if n.op == CONV2D]
         assert len(convs) == 7
         assert [s[2] > 6 for s in convs] == [True] * 2 + [False] * 5
-        assert AVGPOOL2D not in {n.op for n in graph.nodes}
+        assert not {AVGPOOL2D, MAXPOOL2D} & {n.op for n in graph.nodes}
+
+    def test_full_size_graph_fuses_the_conv_epilogue(self, full_size_graph):
+        # every bias, the trunk's ReLUs and its max-pool are CONV2D
+        # inputs and attributes, so no full-resolution map but conv1's
+        # output is a value.  The only ADDs that read a conv are the sums
+        # of the dilated branches, which read no constant.
+        _, graph = full_size_graph
+        assert len(graph.nodes) == 124
+        convs = {n.output for n in graph.nodes if n.op == CONV2D}
+        assert len(convs) == 7
+        for n in graph.nodes:
+            if convs & set(n.inputs):
+                assert n.op not in (RELU, MAXPOOL2D)
+                assert n.op != ADD or not graph.constants.keys() & set(n.inputs)
+        assert [n.attrs[3:] for n in graph.nodes if n.op == CONV2D] == [
+            (1, 0), (1, 1)] + [(0, 0)] * 5
+        shapes = [v.shape for v in Session(graph)._values if v is not None]
+        assert (1, 16, 156, 156) in shapes
+        assert (1, 32, 156, 156) not in shapes
 
     def test_one_tap_grid_reads_the_trunk(self, deploy_graph):
-        # one MATMUL pair computes every tail conv's tap grid; each conv
-        # slices its block of it
+        # one MATMUL, the first of a pair that computes every tail conv's
+        # tap grid, reads conv2's pooled output; each conv slices its
+        # block of the grids
         _, graph = deploy_graph
-        (pool,) = [n.output for n in graph.nodes if n.op == MAXPOOL2D]
-        readers = [n for n in graph.nodes if pool in n.inputs]
+        conv2 = [n.output for n in graph.nodes if n.op == CONV2D][1]
+        readers = [n for n in graph.nodes if conv2 in n.inputs]
         assert [n.op for n in readers] == [MATMUL]
         taps = [n for n in graph.nodes if readers[0].output in n.inputs]
         assert [n.op for n in taps] == [MATMUL]
@@ -119,21 +159,34 @@ class TestValidation:
         with pytest.raises(GraphError, match="inputs section"):
             load_graph(bad)
 
-    def test_kernel_limit_enforced_at_load(self, deploy_graph):
-        _, graph = deploy_graph
-        import copy
-        bad = copy.deepcopy(graph)
-        (node,) = [n for n in bad.nodes if n.op == MAXPOOL2D]
-        node.attrs = (64, 64)
-        with pytest.raises(GraphError, match="exceeds limit 63"):
-            load_graph(save_graph(bad))
+    def test_maxpool_op_rejected_at_load(self):
+        # op 4 stays reserved: the pool is a CONV2D attribute
+        graph = one_node_graph(MAXPOOL2D, (2, 2), (1, 1, 4, 4))
+        with pytest.raises(GraphError, match="unknown op id 4"):
+            load_graph(save_graph(graph))
 
     def test_version_1_graph_rejected(self, deploy_graph):
+        # version 1 held average pools, version 2 max-pool and bias nodes
         payload = save_graph(deploy_graph[1])
-        assert struct.unpack_from("<I", payload, 4) == (2,)
-        old = payload[:4] + struct.pack("<I", 1) + payload[8:]
-        with pytest.raises(GraphError, match=r"version 1 .*\.kfc"):
-            load_graph(old)
+        assert struct.unpack_from("<I", payload, 4) == (3,)
+        for version in (1, 2):
+            old = payload[:4] + struct.pack("<I", version) + payload[8:]
+            with pytest.raises(GraphError, match=rf"version {version} .*\.kfc"):
+                load_graph(old)
+
+    @pytest.mark.parametrize("attrs,bias,x_shape,match", [
+        ((1, 1, 1, 2, 0), 3, (1, 2, 6, 6), "0 or 1"),
+        ((1, 1, 1, 0, -1), 3, (1, 2, 6, 6), "0 or 1"),
+        ((1, 1, 1, 0, 0), 2, (1, 2, 6, 6), r"bias \(2,\) must be \[3\]"),
+        ((1, 1, 1, 1, 1), 3, (1, 2, 7, 6), "even conv output extents"),
+        ((1, 1, 1, 0, 1), 3, (1, 2, 6, 5), "even conv output extents"),
+    ], ids=["relu_2", "pool_-1", "bias_2_of_3", "pool_odd_rows",
+            "pool_odd_cols"])
+    def test_bad_conv_rejected(self, attrs, bias, x_shape, match):
+        graph = one_node_graph(CONV2D, attrs, x_shape,
+                               (np.ones((3, 2, 3, 3)), np.ones(bias)))
+        with pytest.raises(GraphError, match=match):
+            load_graph(save_graph(graph))
 
 
 GRID_COEFFS = precompute_basis_coefficients(SplineGrid())   # [5, 8, 4]
@@ -147,11 +200,15 @@ class TestSplineValidation:
     """load_graph checks what the SPLINE_BASIS kernel indexes by."""
 
     def test_nan_input_gives_nan_bases(self):
+        # quietly: the tape op and the node share the Horner kernel
         x = np.zeros((4, 3), np.float32)
         x[0] = np.nan
-        with np.errstate(invalid="ignore"):
-            out = Session(spline_graph()).run({"x": x})["y"]
-        assert np.isnan(out[0]).all() and np.isfinite(out[1:]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = [Session(spline_graph()).run({"x": x})["y"],
+                    bspline_basis(Tape().constant(x), SplineGrid()).data]
+        for out in outs:
+            assert np.isnan(out[0]).all() and np.isfinite(out[1:]).all()
 
     @pytest.mark.parametrize("meta", [
         (math.nan, 0.4, 5.0),    # lo not finite
@@ -258,11 +315,17 @@ class TestFuzzLoad:
         nodes = []
         for n in range(data.draw(st.integers(1, 3))):
             vid = len(inputs) + len(consts) + n
+            # half the nodes are convs, half of those of the right arity
+            op = data.draw(st.one_of(st.just(CONV2D), st.integers(0, 16)))
+            arity = (3, 5) if op == CONV2D and data.draw(st.booleans()) \
+                else (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 5)))
             nodes.append(GraphNode(
-                data.draw(st.integers(0, 16)),
-                tuple(data.draw(st.lists(st.integers(-1, 4), max_size=4))),
+                op,
+                tuple(data.draw(st.lists(st.integers(-1, 4), min_size=arity[1],
+                                         max_size=arity[1]))),
                 tuple(data.draw(st.lists(st.integers(0, vid - 1),
-                                         max_size=3))), vid))
+                                         min_size=arity[0],
+                                         max_size=arity[0]))), vid))
         blob = save_graph(StaticGraph(inputs, consts, nodes, [("y", vid)]))
         try:
             graph = load_graph(blob)
@@ -284,11 +347,10 @@ class TestSession:
             assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5
             assert abs(out["y_rmw"][0, 0] - yr.data[0, 0]) <= 1e-5
 
-    def test_matches_dynamic_forward_full_size(self):
-        cfg = ModelConfig(variant="deploy")
-        assert (cfg.image_hw, cfg.ring_count) == (156, 39)
-        model = build_model(cfg, seed=4)
-        session = Session(export(model))
+    def test_matches_dynamic_forward_full_size(self, full_size_graph):
+        model, graph = full_size_graph
+        cfg = model.cfg
+        session = Session(graph)
         r = np.random.default_rng(8)
         for _ in range(2):
             xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
@@ -327,19 +389,35 @@ class TestSession:
         assert abs(out["y_msw"][0, 0] - ym.data[0, 0]) <= 1e-5
         assert abs(out["y_rmw"][0, 0] - yr.data[0, 0]) <= 1e-5
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
-           st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
-           st.integers(0, 2**32 - 1))
-    def test_maxpool_node_matches_naive_loop(self, bsz, c, kernel, stride,
-                                             oh, ow, seed):
-        shape = (bsz, c, (oh - 1) * stride + kernel, (ow - 1) * stride + kernel)
-        session = Session(one_node_graph(MAXPOOL2D, (kernel, stride), shape))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.integers(0, 2), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_conv_epilogue_node_matches_naive_loop(self, bsz, cin, cout, kh,
+                                                   kw, stride, padding,
+                                                   dilation, ph, pw, seed):
+        # every relu x pool combination of one CONV2D node; even output
+        # extents, and small integers, so float32 sums are exact and the
+        # pool's windows and the ReLU's zeros often tie
+        oh, ow = 2 * ph, 2 * pw
+        h = (oh - 1) * stride + dilation * (kh - 1) + 1 - 2 * padding
+        wid = (ow - 1) * stride + dilation * (kw - 1) + 1 - 2 * padding
+        assume(h >= 1 and wid >= 1)
         r = np.random.default_rng(seed)
-        for _ in range(2):   # the second run must not see the first
-            x = r.standard_normal(shape).astype(np.float32)
-            np.testing.assert_array_equal(session.run({"x": x})["y"],
-                                          naive_maxpool2d(x, kernel, stride))
+        w = r.integers(-1, 2, (cout, cin, kh, kw)).astype(np.float32)
+        b = r.integers(-2, 3, cout).astype(np.float32)
+        for relu in (0, 1):
+            for pool in (0, 1):
+                session = Session(conv_graph((bsz, cin, h, wid), w, b, stride,
+                                             padding, dilation, relu, pool))
+                for _ in range(2):   # the second run must not see the first
+                    x = r.integers(-2, 3, (bsz, cin, h, wid)).astype(
+                        np.float32)
+                    np.testing.assert_array_equal(
+                        session.run({"x": x})["y"],
+                        conv_reference(x, w, b, stride, padding, dilation,
+                                       relu, pool))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
@@ -354,35 +432,40 @@ class TestSession:
         assume(h >= 1 and wid >= 1)
         r = np.random.default_rng(seed)
         w = r.standard_normal((cout, cin, kh, kw)).astype(np.float32)
-        session = Session(one_node_graph(
-            CONV2D, (stride, padding, dilation), (bsz, cin, h, wid), (w,)))
+        b = r.standard_normal(cout).astype(np.float32)
+        session = Session(conv_graph((bsz, cin, h, wid), w, b, stride,
+                                     padding, dilation))
         for _ in range(2):
             x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
             np.testing.assert_allclose(
                 session.run({"x": x})["y"],
-                naive_conv2d(x.astype(np.float64), w.astype(np.float64),
-                             stride, padding, dilation),
+                conv_reference(x, w, b, stride, padding, dilation, 0, 0),
                 rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
     def test_conv_node_row_strips(self, monkeypatch, rows):
-        """A conv packed in strips of `rows` output rows (the last one
-        shorter when rows does not divide 7) matches the naive loop."""
+        """A conv packed in strips of `rows` of its 8 output rows (the
+        last one shorter when rows does not divide 8) matches the naive
+        loop.  With the pool, an odd budget rounds down to an even strip
+        (1 up to 2), so every strip pools whole row pairs."""
         bsz, cin, cout, k, stride, padding, dilation = 2, 3, 4, 3, 2, 1, 2
-        h = wid = (7 - 1) * stride + dilation * (k - 1) + 1 - 2 * padding
+        h = wid = (8 - 1) * stride + dilation * (k - 1) + 1 - 2 * padding
         monkeypatch.setattr(staticgraph, "STRIP_BYTES",
-                            4 * cin * k * k * bsz * 7 * rows)
+                            4 * cin * k * k * bsz * 8 * rows)
         r = np.random.default_rng(rows)
         w = r.standard_normal((cout, cin, k, k)).astype(np.float32)
-        session = Session(one_node_graph(
-            CONV2D, (stride, padding, dilation), (bsz, cin, h, wid), (w,)))
-        assert len(session._scratch[0][2]) == -(-7 // rows)
-        x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
-        np.testing.assert_allclose(
-            session.run({"x": x})["y"],
-            naive_conv2d(x.astype(np.float64), w.astype(np.float64),
-                         stride, padding, dilation),
-            rtol=1e-5, atol=1e-5)
+        b = r.standard_normal(cout).astype(np.float32)
+        for pool in (0, 1):
+            session = Session(conv_graph((bsz, cin, h, wid), w, b, stride,
+                                         padding, dilation, 1, pool))
+            step = max(2, rows - rows % 2) if pool else rows
+            assert [r1 - r0 for r0, r1, *_ in session._scratch[0][2]] == [
+                min(step, 8 - r0) for r0 in range(0, 8, step)]
+            x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
+            np.testing.assert_allclose(
+                session.run({"x": x})["y"],
+                conv_reference(x, w, b, stride, padding, dilation, 1, pool),
+                rtol=1e-5, atol=1e-5)
 
     def test_wrong_shape_rejected_before_execution(self, deploy_graph):
         _, graph = deploy_graph
