@@ -72,16 +72,21 @@ class TestExport:
         with pytest.raises(ExportError, match="lstm"):
             export(model)
 
-    def test_spatial_tail_runs_on_tap_grids(self, deploy_graph):
-        # only conv1 and conv2 see maps larger than a 6x6 tap grid, and
+    def test_no_adaptive_pool_nodes_and_kernel_limit(self, deploy_graph):
         # no pool node is left: quadrants and rings are matmuls, and the
-        # max-pool is conv2's attribute
+        # only max-pool is conv2's fixed 2x2 pool flag
+        _, graph = deploy_graph
+        assert not {AVGPOOL2D, MAXPOOL2D} & {n.op for n in graph.nodes}
+        pools = [n.attrs[4] for n in graph.nodes if n.op == CONV2D]
+        assert pools == [0, 1] + [0] * 5
+
+    def test_spatial_tail_runs_on_tap_grids(self, deploy_graph):
+        # only conv1 and conv2 see maps larger than a 6x6 tap grid
         _, graph = deploy_graph
         shapes = graph.infer_shapes()
         convs = [shapes[n.inputs[0]] for n in graph.nodes if n.op == CONV2D]
         assert len(convs) == 7
         assert [s[2] > 6 for s in convs] == [True] * 2 + [False] * 5
-        assert not {AVGPOOL2D, MAXPOOL2D} & {n.op for n in graph.nodes}
 
     def test_full_size_graph_fuses_the_conv_epilogue(self, full_size_graph):
         # every bias, the trunk's ReLUs and its max-pool are CONV2D
