@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -30,38 +31,50 @@ from .training import (TrainConfig, compute_metrics, denormalize, evaluate,
 
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_DATA_FIELDS = {"train_frac": float}
+_DATA_FIELDS = {"train_frac": "float"}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"not a bool: {text!r}")
+    return text.lower() == "true"
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
 
 
 def _coerce(key: str, raw: str):
+    """Parse a config value by its field's declared type."""
+    kind = (_MODEL_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
+            or _DATA_FIELDS.get(key))
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
     text = raw.strip()
-    if key in _MODEL_FIELDS or key in _TRAIN_FIELDS or key in _DATA_FIELDS:
-        lowered = text.lower()
-        if lowered in ("true", "false"):
-            return lowered == "true"
-        try:
-            return int(text)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            return text
-    raise ConfigError(f"unknown config key {key!r}")
+    try:
+        value = _PARSERS[kind](text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {kind}, got {text!r}") from exc
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 def parse_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fp:
-        for lineno, line in enumerate(fp, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value', got {body!r}")
-            key, raw = body.split("=", 1)
-            values[key.strip()] = _coerce(key.strip(), raw)
+    with open(path, encoding="utf-8") as fp:
+        try:
+            lines = fp.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value', got {body!r}")
+        key, raw = body.split("=", 1)
+        values[key.strip()] = _coerce(key.strip(), raw)
     return values
 
 

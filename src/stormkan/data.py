@@ -282,30 +282,41 @@ def load_dataset(path) -> list[TcSample]:
     index_path = os.path.join(path, "index.csv")
     if not os.path.exists(index_path):
         raise DataError(f"missing dataset index: {index_path}")
-    samples = []
-    with open(index_path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        if reader.fieldnames != INDEX_COLUMNS:
-            raise DataError(f"unexpected index columns: {reader.fieldnames}")
-        for row in reader:
-            fpath = os.path.join(path, row["file"])
-            try:
-                with open(fpath, "rb") as sfp:
-                    x_seq = Tensor.read(sfp).data
-                    x_img = Tensor.read(sfp).data
-            except FileNotFoundError as exc:
-                raise DataError(f"missing sample file {row['file']}") from exc
-            except DataError as exc:
-                raise DataError(f"corrupt sample file {row['file']}: {exc}") from exc
-            try:
-                samples.append(TcSample(
-                    x_seq, x_img, float(row["y_msw_norm"]),
-                    float(row["y_rmw_norm"]), int(row["storm_id"]),
-                    row["rotation"], int(row["t_index"])))
-            except ValueError as exc:
+    with open(index_path, newline="", encoding="utf-8") as fp:
+        try:
+            reader = csv.DictReader(fp)
+            if reader.fieldnames != INDEX_COLUMNS:
                 raise DataError(
-                    f"malformed index row for {row['file']}: {exc}") from exc
-    return samples
+                    f"unexpected index columns: {reader.fieldnames}")
+            return [_load_row(path, row) for row in reader]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"malformed dataset index: {exc}") from exc
+
+
+def _load_row(path, row: dict) -> TcSample:
+    """One index row and the sample file it names."""
+    if len(row) != len(INDEX_COLUMNS) or None in row.values():
+        raise DataError(f"index row {row} does not have "
+                        f"{len(INDEX_COLUMNS)} fields")
+    name = row["file"]
+    # a plain file name: no directory part, so nothing outside path
+    if (os.path.basename(name) != name or name in ("", ".", "..")
+            or "\0" in name):
+        raise DataError(f"sample file {name!r} is not a plain name")
+    try:
+        with open(os.path.join(path, name), "rb") as sfp:
+            x_seq = Tensor.read(sfp).data
+            x_img = Tensor.read(sfp).data
+    except OSError as exc:
+        raise DataError(f"cannot read sample file {name!r}: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"corrupt sample file {name}: {exc}") from exc
+    try:
+        return TcSample(x_seq, x_img, float(row["y_msw_norm"]),
+                        float(row["y_rmw_norm"]), int(row["storm_id"]),
+                        row["rotation"], int(row["t_index"]))
+    except ValueError as exc:
+        raise DataError(f"malformed index row for {name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

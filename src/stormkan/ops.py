@@ -345,7 +345,8 @@ def relu(x: Var) -> Var:
 
 def silu(x: Var) -> Var:
     xd = x.data
-    sig = 1.0 / (1.0 + np.exp(-xd))
+    with np.errstate(over="ignore"):   # exp(-x) = inf gives sig = 0
+        sig = 1.0 / (1.0 + np.exp(-xd))
     out = xd * sig
     return x.tape.record(
         "silu", (x,), out, lambda g: (g * (sig * (1.0 + xd * (1.0 - sig))),))

@@ -10,27 +10,31 @@ as it is one ``ops.conv2d`` call: its bias is its third input, and its
 the trunk is two nodes and no graph has a pool node.  The spatial 2x2
 quadrant mean is linear, like ``res``, the dilated convs and ``reduce``
 before it, so it moves in front of them.  One MATMUL pair computes the
-quadrant tap means of all four convs (``model.quadrant_tap_grid``);
-each conv is a SLICE of its block and a CONV2D at stride k.  The ring
-means are two MATMULs on one constant averaging matrix, as in
-``CycloneNet.ring_features``.  The serialized form ("KFG1", version 3)
-round-trips bit-exactly, and ``load_graph`` validates every shape and
-every constant the interpreter indexes by.  A ``Session`` gives every
-value and every kernel's scratch its own buffer, all allocated when it
-is created; kernels then write into those buffers.  A CONV2D runs the
-tape's own conv kernel, ``ops._conv_block``, one strip of output rows
-at a time (``STRIP_BYTES`` of im2col columns), so its columns, and with
-a pool its raw output, are strip-sized scratch rather than full maps,
-and the bias, ReLU and pool run on each strip while it is in cache.
-That a warm ``run`` allocates nothing beyond its small output copies is
-measured with tracemalloc (``bench`` reports the figure), not
-self-counted.
+quadrant tap means of all four convs (``model.quadrant_tap_grid``); each
+conv is a SLICE of its block and a CONV2D at stride k.  The ring means
+are two MATMULs on one constant averaging matrix, as in
+``CycloneNet.ring_features``.  The serialized form ("KFG1", version 4)
+is the container ``.kfc`` checkpoints use (``tensor.write_container``):
+a JSON header of inputs ``[[name, shape]]``, nodes ``[[op, attrs,
+inputs]]`` and outputs ``[[name, value id]]``, then the constants as
+tensors named by their value ids, which follow the inputs'.  Node
+outputs take the ids after the constants in order, so the file stores
+none.  It round-trips bit-exactly, and ``load_graph`` validates every
+shape and every constant the interpreter indexes by.  A ``Session``
+gives every value and every kernel's scratch its own buffer, all
+allocated when it is created; kernels then write into those buffers.  A
+CONV2D runs the tape's own conv kernel, ``ops._conv_block``, one strip
+of output rows at a time (``STRIP_BYTES`` of im2col columns), so its
+columns, and with a pool its raw output, are strip-sized scratch rather
+than full maps, and the bias, ReLU and pool run on each strip while it
+is in cache.  That a warm ``run`` allocates nothing beyond its small
+output copies is measured with tracemalloc (``bench`` reports the
+figure), not self-counted.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -43,12 +47,13 @@ from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
 from .ops import _conv_block
 from .spline import KanLinear, _horner_basis
 from .tape import Tape
-from .tensor import Tensor
+from .tensor import read_container, write_container
 
 MAGIC = b"KFG1"
 # version 1 graphs may hold AVGPOOL2D nodes, version 2 ones MAXPOOL2D
-# nodes and a conv bias as an ADD: re-export them
-VERSION = 3
+# nodes and a conv bias as an ADD, and version 3 has its own binary
+# layout, not the container's: re-export them
+VERSION = 4
 MAX_RANK = 32   # numpy 1.x's array rank limit
 # im2col columns packed per conv GEMM call, one strip of output rows.
 # Swept on the full-size graph at B=1: 3 to 5 MiB run equally fast, 1 MiB
@@ -258,153 +263,79 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
 # serialization
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def _read_str(buf: memoryview, off: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    return bytes(buf[off:off + n]).decode("utf-8"), off + n
-
-
 def save_graph(graph: StaticGraph) -> bytes:
-    parts = [MAGIC, struct.pack("<I", graph.version)]
-
-    sec = [struct.pack("<I", len(graph.inputs))]
-    for name, shape in graph.inputs:
-        sec.append(_pack_str(name))
-        sec.append(struct.pack("<BB", 0, len(shape)))
-        sec.append(struct.pack(f"<{len(shape)}I", *shape))
-    parts.append(_section(b"".join(sec)))
-
-    sec = [struct.pack("<I", len(graph.constants))]
-    for vid in sorted(graph.constants):
-        blob = Tensor(graph.constants[vid]).tobytes()
-        sec.append(struct.pack("<IQ", vid, len(blob)))
-        sec.append(blob)
-    parts.append(_section(b"".join(sec)))
-
-    sec = [struct.pack("<I", len(graph.nodes))]
-    for node in graph.nodes:
-        sec.append(struct.pack("<BH", node.op, len(node.attrs)))
-        sec.append(struct.pack(f"<{len(node.attrs)}q", *node.attrs))
-        sec.append(struct.pack("<H", len(node.inputs)))
-        sec.append(struct.pack(f"<{len(node.inputs)}I", *node.inputs))
-        sec.append(struct.pack("<I", node.output))
-    parts.append(_section(b"".join(sec)))
-
-    sec = [struct.pack("<I", len(graph.outputs))]
-    for name, vid in graph.outputs:
-        sec.append(_pack_str(name))
-        sec.append(struct.pack("<I", vid))
-    parts.append(_section(b"".join(sec)))
-    return b"".join(parts)
+    base = len(graph.inputs) + len(graph.constants)
+    if any(n.output != base + i for i, n in enumerate(graph.nodes)):
+        raise GraphError("node outputs must be contiguous and ordered")
+    header = {
+        "inputs": [[name, [int(d) for d in shape]]
+                   for name, shape in graph.inputs],
+        "nodes": [[int(n.op), [int(a) for a in n.attrs],
+                   [int(j) for j in n.inputs]] for n in graph.nodes],
+        "outputs": [[name, int(vid)] for name, vid in graph.outputs],
+    }
+    return write_container(MAGIC, graph.version, header, {
+        str(vid): graph.constants[vid] for vid in sorted(graph.constants)})
 
 
-def _section(payload: bytes) -> bytes:
-    return struct.pack("<Q", len(payload)) + payload
+def _int(value, lo: int, hi: int) -> int:
+    if type(value) is not int or not lo <= value < hi:
+        raise GraphError(f"{value!r} is not an int in [{lo}, {hi})")
+    return value
+
+
+def _ints(values, lo: int, hi: int) -> tuple[int, ...]:
+    """A JSON list of ints in [lo, hi), as a tuple."""
+    if type(values) is not list:
+        raise GraphError(f"expected a list of ints, got {values!r}")
+    for v in values:
+        if type(v) is not int or not lo <= v < hi:
+            raise GraphError(f"{v!r} is not an int in [{lo}, {hi})")
+    return tuple(values)
+
+
+def _name(value) -> str:
+    if type(value) is not str:
+        raise GraphError(f"expected a name, got {value!r}")
+    return value
 
 
 def load_graph(data: bytes) -> StaticGraph:
     """Parse and fully validate a serialized graph.
 
-    Each section's content must end exactly where its length prefix
-    says, and the outputs section must end the payload.
+    The header must hold exactly the inputs, nodes and outputs, with the
+    value ranges their binary fields had in version 3; the constants
+    must be float32 tensors named by consecutive value ids after the
+    inputs, and node outputs follow them in order.
     """
-    buf = memoryview(data)
-    if len(buf) < 8 or bytes(buf[:4]) != MAGIC:
-        raise GraphError("bad graph magic")
-    (version,) = struct.unpack_from("<I", buf, 4)
-    if version != VERSION:
-        raise GraphError(
-            f"unsupported graph version {version} (this build reads "
-            f"{VERSION}); re-export the graph from its .kfc checkpoint")
-    off = 8
-
-    def section(off):
-        if off + 8 > len(buf):
-            raise GraphError("truncated graph payload")
-        (n,) = struct.unpack_from("<Q", buf, off)
-        end = off + 8 + n
-        if end > len(buf):
-            raise GraphError("truncated graph section")
-        return off + 8, end
-
-    def check_end(p, end, name):
-        if p != end:
-            raise GraphError(f"{name} section content ends {p - end:+d} "
-                             f"bytes from where its length prefix says")
-
     try:
-        start, end = section(off)
-        (n_in,) = struct.unpack_from("<I", buf, start)
-        p = start + 4
-        inputs = []
-        for _ in range(n_in):
-            name, p = _read_str(buf, p)
-            dtype_code, rank = struct.unpack_from("<BB", buf, p)
-            p += 2
-            if dtype_code != 0:
-                raise GraphError("interpreter precision is fixed to float32")
-            shape = struct.unpack_from(f"<{rank}I", buf, p)
-            p += 4 * rank
-            inputs.append((name, tuple(shape)))
-        check_end(p, end, "inputs")
-        off = end
-
-        start, end = section(off)
-        (n_const,) = struct.unpack_from("<I", buf, start)
-        p = start + 4
-        constants = {}
-        for _ in range(n_const):
-            vid, blob_len = struct.unpack_from("<IQ", buf, p)
-            p += 12
-            arr = Tensor.frombytes(bytes(buf[p:p + blob_len])).data
-            if arr.dtype != np.float32:
-                raise GraphError("graph constants must be float32")
-            constants[vid] = arr
-            p += blob_len
-        check_end(p, end, "constants")
-        off = end
-
-        start, end = section(off)
-        (n_nodes,) = struct.unpack_from("<I", buf, start)
-        p = start + 4
-        nodes = []
-        for _ in range(n_nodes):
-            op, n_attrs = struct.unpack_from("<BH", buf, p)
-            p += 3
-            attrs = struct.unpack_from(f"<{n_attrs}q", buf, p)
-            p += 8 * n_attrs
-            (n_inputs,) = struct.unpack_from("<H", buf, p)
-            p += 2
-            node_in = struct.unpack_from(f"<{n_inputs}I", buf, p)
-            p += 4 * n_inputs
-            (out_id,) = struct.unpack_from("<I", buf, p)
-            p += 4
-            nodes.append(GraphNode(op, tuple(attrs), tuple(node_in), out_id))
-        check_end(p, end, "nodes")
-        off = end
-
-        start, end = section(off)
-        (n_out,) = struct.unpack_from("<I", buf, start)
-        p = start + 4
-        outputs = []
-        for _ in range(n_out):
-            name, p = _read_str(buf, p)
-            (vid,) = struct.unpack_from("<I", buf, p)
-            p += 4
-            outputs.append((name, vid))
-        check_end(p, end, "outputs")
-    except (struct.error, UnicodeDecodeError, DataError) as exc:
-        raise GraphError(f"truncated or corrupt graph payload: {exc}") from exc
-    if end != len(buf):
-        raise GraphError(
-            f"{len(buf) - end} trailing bytes after the outputs section")
-
-    graph = StaticGraph(inputs, constants, nodes, outputs, version)
+        header, tensors = read_container(
+            data, MAGIC, VERSION,
+            "; re-export the graph from its .kfc checkpoint")
+    except DataError as exc:
+        raise GraphError(f"invalid graph payload: {exc}") from exc
+    if type(header) is not dict or header.keys() != {"inputs", "nodes",
+                                                      "outputs"}:
+        raise GraphError("graph header must hold exactly inputs, nodes and "
+                         "outputs")
+    try:
+        inputs = [(_name(name), _ints(shape, 0, 2**32))
+                  for name, shape in header["inputs"]]
+        base = len(inputs) + len(tensors)
+        nodes = [GraphNode(_int(op, 0, 256), _ints(attrs, -2**63, 2**63),
+                           _ints(ins, 0, 2**32), base + i)
+                 for i, (op, attrs, ins) in enumerate(header["nodes"])]
+        outputs = [(_name(name), _int(vid, 0, 2**32))
+                   for name, vid in header["outputs"]]
+    except (TypeError, ValueError) as exc:   # entries of the wrong form
+        raise GraphError(f"malformed graph header: {exc}") from exc
+    if list(tensors) != [str(len(inputs) + i) for i in range(len(tensors))]:
+        raise GraphError("constants must be named by consecutive value ids "
+                         f"from {len(inputs)}")
+    constants = dict(enumerate(tensors.values(), len(inputs)))
+    if any(arr.dtype != np.float32 for arr in constants.values()):
+        raise GraphError("graph constants must be float32")
+    graph = StaticGraph(inputs, constants, nodes, outputs)
     graph.infer_shapes()  # validation is total at load time
     return graph
 
@@ -731,7 +662,8 @@ class Session:
         elif op == SILU:
             (t,) = scratch
             np.negative(ins[0], out=t)
-            np.exp(t, out=t)
+            with np.errstate(over="ignore"):   # exp(-x) = inf gives x / inf
+                np.exp(t, out=t)
             t += 1.0
             np.divide(ins[0], t, out=out)
         elif op == TANH:

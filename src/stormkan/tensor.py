@@ -1,13 +1,22 @@
-"""Dense tensor value type and its binary serialization.
+"""Dense tensor value type, its binary serialization, and the container
+that checkpoints and static graphs share.
 
 A Tensor is a shape + flat row-major buffer in one of two scalar
 precisions (float32 / float64).  The on-disk format ("KFT1") is
 little-endian: 4-byte magic, dtype code (u8: 0=f32, 1=f64), rank (u8),
 one u32 per extent, then the raw row-major data.
+
+A container (``.kfc`` checkpoint, ``.kfg`` static graph) is a 4-byte
+magic, a u32 version, a u32-length UTF-8 JSON header, a u32 tensor
+count, then per tensor a u16-length UTF-8 name and its KFT1 record.
+``read_container`` checks the magic and the version before it parses
+anything else, and raises only ``DataError``.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import struct
 from typing import BinaryIO
@@ -72,8 +81,9 @@ class Tensor:
 
     @classmethod
     def frombytes(cls, payload: bytes) -> "Tensor":
-        tensor, used = cls._parse(payload, 0)
-        if used != len(payload):
+        fp = io.BytesIO(payload)
+        tensor = cls.read(fp)
+        if fp.read(1):
             raise DataError("trailing bytes after tensor payload")
         return tensor
 
@@ -103,13 +113,54 @@ class Tensor:
             raise DataError(f"unsupported tensor shape: {exc}") from exc
         return cls(data)
 
-    @classmethod
-    def _parse(cls, payload: bytes, offset: int) -> tuple["Tensor", int]:
-        import io
 
-        fp = io.BytesIO(payload[offset:])
-        tensor = cls.read(fp)
-        return tensor, offset + fp.tell()
+def write_container(magic: bytes, version: int, header,
+                    tensors: dict[str, np.ndarray]) -> bytes:
+    """Serialize a JSON header and named tensors (in the dict's order)."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    parts = [magic, struct.pack("<II", version, len(blob)), blob,
+             struct.pack("<I", len(tensors))]
+    for name, arr in tensors.items():
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<H", len(raw)), raw, Tensor(arr).tobytes()]
+    return b"".join(parts)
+
+
+def read_container(data: bytes, magic: bytes, version: int,
+                   stale: str = "") -> tuple[object, dict[str, np.ndarray]]:
+    """(header, {name: array}) of a container; ``stale`` is appended to
+    the message for a version other than ``version``."""
+    fp = io.BytesIO(data)
+
+    def take(n: int) -> bytes:
+        raw = fp.read(n)
+        if len(raw) < n:
+            raise DataError(f"truncated {magic.decode()} payload")
+        return raw
+
+    if fp.read(4) != magic:
+        raise DataError(f"bad magic: not a {magic.decode()} payload")
+    (found,) = struct.unpack("<I", take(4))
+    if found != version:
+        raise DataError(f"unsupported {magic.decode()} version {found} (this "
+                        f"build reads {version}){stale}")
+    (n,) = struct.unpack("<I", take(4))
+    try:
+        header = json.loads(take(n).decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise DataError(f"corrupt JSON header: {exc!r}") from exc
+    tensors = {}
+    for _ in range(struct.unpack("<I", take(4))[0]):
+        try:
+            name = take(struct.unpack("<H", take(2))[0]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"corrupt tensor name: {exc}") from exc
+        if name in tensors:
+            raise DataError(f"duplicate tensor name {name!r}")
+        tensors[name] = Tensor.read(fp).data
+    if fp.read(1):
+        raise DataError("trailing bytes after the last tensor")
+    return header, tensors
 
 
 class Parameter:

@@ -1,6 +1,11 @@
 """Multitask training: MAE losses, plain SGD, plateau scheduling,
 early stopping, denormalized metrics, and checkpoint round-trips.
 
+A ``.kfc`` checkpoint is a ``tensor.write_container`` payload (magic
+"KFC1", version 1): the JSON header holds the model config, the dtype
+and any run record, and each parameter is a tensor named by its state
+key, in sorted order.
+
 Targets are normalized to [0, 1]; reported errors are denormalized to
 knots (peak wind, range [19, 170]) and nautical miles (radius of peak
 wind, range [5, 200]).
@@ -8,10 +13,8 @@ wind, range [5, 200]).
 
 from __future__ import annotations
 
-import io
-import json
-import struct
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .errors import (CheckpointError, ConfigError, DataError, ShapeError,
                      TrainingError)
 from .model import CycloneNet, ModelConfig, build_model
 from .tape import Tape, Var
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, read_container, write_container
 
 CKPT_MAGIC = b"KFC1"
 CKPT_VERSION = 1
@@ -44,6 +47,10 @@ class TrainConfig:
     improvement_threshold: float = 1e-6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if not 0 < self.plateau_factor < 1:
@@ -186,20 +193,9 @@ def save_checkpoint(model: CycloneNet, extra: dict | None = None) -> bytes:
     }
     if extra:
         config["run"] = extra
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    out = io.BytesIO()
-    out.write(CKPT_MAGIC)
-    out.write(struct.pack("<I", CKPT_VERSION))
-    out.write(struct.pack("<I", len(blob)))
-    out.write(blob)
     state = model.state()
-    out.write(struct.pack("<I", len(state)))
-    for name in sorted(state):
-        raw = name.encode("utf-8")
-        out.write(struct.pack("<H", len(raw)))
-        out.write(raw)
-        Tensor(state[name]).write(out)
-    return out.getvalue()
+    return write_container(CKPT_MAGIC, CKPT_VERSION, config,
+                           {name: state[name] for name in sorted(state)})
 
 
 def write_checkpoint(path, model: CycloneNet, extra: dict | None = None):
@@ -208,28 +204,10 @@ def write_checkpoint(path, model: CycloneNet, extra: dict | None = None):
 
 
 def load_checkpoint(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    fp = io.BytesIO(data)
-    magic = fp.read(4)
-    if magic != CKPT_MAGIC:
-        raise CheckpointError("bad checkpoint magic")
     try:
-        (version,) = struct.unpack("<I", fp.read(4))
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<I", fp.read(4))
-        config = json.loads(fp.read(blob_len).decode("utf-8"))
-        (n_params,) = struct.unpack("<I", fp.read(4))
-        state = {}
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", fp.read(2))
-            name = fp.read(name_len).decode("utf-8")
-            state[name] = Tensor.read(fp).data
-        if fp.read(1):
-            raise CheckpointError("trailing bytes after the last tensor")
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
-            DataError) as exc:
-        raise CheckpointError(f"truncated or corrupt checkpoint: {exc}") from exc
-    return config, state
+        return read_container(data, CKPT_MAGIC, CKPT_VERSION)
+    except DataError as exc:
+        raise CheckpointError(f"invalid checkpoint: {exc}") from exc
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

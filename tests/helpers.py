@@ -1,11 +1,17 @@
 """Shared gradient-check utilities (finite differences in float64) and
 reference implementations the fast paths are checked against."""
 
+import io
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 
 from stormkan import ops
 from stormkan.staticgraph import GraphNode, StaticGraph
 from stormkan.tape import Tape
+from stormkan.tensor import Tensor
 
 
 def total(x):
@@ -185,3 +191,38 @@ def cox_de_boor(x: np.ndarray, grid, with_deriv: bool = False):
     deriv = order * (prev[..., :-1] / den1 - prev[..., 1:] / den2)
     inside = ((x > grid.lo) & (x < grid.hi)).astype(b.dtype)[..., None]
     return b, deriv * inside
+
+
+def container_sections(blob):
+    """(start, end) of the magic/version, the JSON header with its
+    length, the tensor count and each named tensor of a container
+    (.kfc or .kfg)."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    spans = [(0, 8), (8, 12 + n), (12 + n, 16 + n)]
+    fp = io.BytesIO(blob)
+    fp.seek(16 + n)
+    while fp.tell() < len(blob):
+        start = fp.tell()
+        (name_len,) = struct.unpack("<H", fp.read(2))
+        fp.seek(name_len, io.SEEK_CUR)
+        Tensor.read(fp)
+        spans.append((start, fp.tell()))
+    return spans
+
+
+def reference_checkpoint(model, extra=None) -> bytes:
+    """A version 1 .kfc checkpoint packed field by field, as the
+    checkpoint writer did before the container was shared (reference)."""
+    config = {"model": asdict(model.cfg), "dtype": model.dtype.name}
+    if extra:
+        config["run"] = extra
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    out = io.BytesIO()
+    out.write(b"KFC1" + struct.pack("<II", 1, len(blob)) + blob)
+    state = model.state()
+    out.write(struct.pack("<I", len(state)))
+    for name in sorted(state):
+        raw = name.encode("utf-8")
+        out.write(struct.pack("<H", len(raw)) + raw)
+        Tensor(state[name]).write(out)
+    return out.getvalue()

@@ -1,13 +1,18 @@
 """CLI: dataset generation, training, eval, export, infer, bench."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormkan.cli import main, parse_config_file, resolve_run_config
 from stormkan.errors import ConfigError
+from stormkan.model import ModelConfig
+from stormkan.training import TrainConfig
 
 TINY_CFG = """
 # desk-scale configuration
@@ -47,6 +52,64 @@ class TestConfigFile:
         bad.write_text("not_a_key = 3\n")
         with pytest.raises(ConfigError):
             parse_config_file(str(bad))
+
+
+CONFIG_KEYS = sorted({f.name for cls in (ModelConfig, TrainConfig)
+                     for f in dataclasses.fields(cls)}
+                    | {"train_frac", "nope"})
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "3", "40", "-1", "0.5", "1e400", "inf",
+                     "nan", "true", "False", "abc", "deploy", "", "1e-3"]),
+    st.integers(-2**70, 2**70).map(str), st.floats().map(repr), st.text())
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cfg") / "fuzz.cfg")
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text", [
+        "lr = abc\n", "batch = 1e400\n", "lr = inf\n", "lr = nan\n",
+        "batch = 2.5\n", "no_lstm = 1\n", "image_hw = true\n"],
+        ids=["lr_abc", "batch_1e400", "lr_inf", "lr_nan", "batch_2.5",
+             "bool_1", "int_true"])
+    def test_values_parsed_by_field_type(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            resolve_run_config(str(path), {})
+
+    def test_int_literal_for_float_field(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text("lr = 1\ntrain_frac = 0\n")
+        run = resolve_run_config(str(path), {})
+        assert run.train.lr == 1.0 and type(run.train.lr) is float
+        assert type(run.train_frac) is float
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"lr = 0.1\nseed = \xff\n")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            resolve_run_config(str(path), {})
+
+    def test_non_finite_train_config_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(alpha=float("inf"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES).map(
+            lambda kv: f"{kv[0]} = {kv[1]}".encode("utf-8", "surrogatepass")),
+        st.text().map(lambda t: t.encode("utf-8", "surrogatepass")),
+        st.binary(max_size=16)), max_size=6))
+    def test_random_files_fail_typed(self, config_path, lines):
+        with open(config_path, "wb") as fp:
+            fp.write(b"\n".join(lines))
+        try:
+            resolve_run_config(config_path, {})
+        except ConfigError:
+            pass
 
 
 class TestGen:

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormkan.data import (CH_AFFINE, PIXEL_SCALE, SyntheticDataset, TcSample,
                            VortexParams, augment_rotations, estimate_latents,
@@ -186,6 +188,59 @@ class TestDiskFormat:
     def test_missing_index(self, tmp_path):
         with pytest.raises(DataError, match="index"):
             load_dataset(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A saved 3-sample dataset and the text of its index.csv."""
+    path = str(tmp_path_factory.mktemp("tiny_ds"))
+    save_dataset(path, SyntheticDataset(range(3), 1, seed=7, image_hw=16))
+    with open(os.path.join(path, "index.csv"), newline="") as fp:
+        return path, fp.read()
+
+
+def write_index(path, text) -> None:
+    """Overwrite the index.csv of the dataset at path with text (str or
+    bytes)."""
+    raw = text.encode() if isinstance(text, str) else text
+    with open(os.path.join(path, "index.csv"), "wb") as fp:
+        fp.write(raw)
+
+
+class TestIndexErrors:
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../../etc/passwd",
+                                      "sub/000000.kft", "/etc/passwd",
+                                      "nul\0.kft"])
+    def test_file_must_be_a_plain_name(self, tiny_dataset, name):
+        path, text = tiny_dataset
+        lines = text.splitlines(keepends=True)
+        lines[1] = name + lines[1][lines[1].index(","):]
+        write_index(path, "".join(lines))
+        try:
+            with pytest.raises(DataError, match="plain name"):
+                load_dataset(path)
+        finally:
+            write_index(path, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_index_mutations_fail_typed(self, tiny_dataset, data):
+        path, text = tiny_dataset
+        blob = bytearray(text.encode())
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(blob)))
+            chunk = data.draw(st.sampled_from(
+                [b",", b"\n", b'"', b"/", b"..", b"\x00", b"\xff", b""])
+                | st.binary(max_size=6))
+            cut = data.draw(st.integers(0, 6))
+            blob[pos:pos + cut] = chunk
+        write_index(path, bytes(blob))
+        try:
+            load_dataset(path)
+        except DataError:
+            pass
+        finally:
+            write_index(path, text)
 
 
 class TestRecoverability:

@@ -11,18 +11,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stormkan import staticgraph
+from stormkan import ops, staticgraph
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
 from stormkan.model import ModelConfig, build_model
 from stormkan.spline import (SplineGrid, bspline_basis,
                              precompute_basis_coefficients)
 from stormkan.staticgraph import (ADD, AVGPOOL2D, CONV2D, MATMUL, MAXPOOL2D,
-                                  RELU, SLICE, SPLINE_BASIS, GraphNode,
+                                  RELU, SILU, SLICE, SPLINE_BASIS, GraphNode,
                                   Session, StaticGraph, bench, export,
                                   load_graph, save_graph)
 from stormkan.tape import Tape
+from stormkan.tensor import read_container, write_container
 
-from helpers import naive_conv2d, naive_maxpool2d, one_node_graph
+from helpers import (container_sections, naive_conv2d, naive_maxpool2d,
+                     one_node_graph)
 
 rng = np.random.default_rng(31)
 
@@ -155,14 +157,33 @@ class TestValidation:
             load_graph(payload + b"junk")
 
     def test_overstated_section_length_rejected(self, deploy_graph):
-        # the inputs section claims 4 bytes more than its content, and 4
-        # zero bytes follow the content so every later section still parses
+        # the JSON header claims 4 bytes more than its content, and 4 zero
+        # bytes follow the content so the tensors after it still parse
         payload = save_graph(deploy_graph[1])
-        (n,) = struct.unpack_from("<Q", payload, 8)
-        bad = (payload[:8] + struct.pack("<Q", n + 4) + payload[16:16 + n]
-               + bytes(4) + payload[16 + n:])
-        with pytest.raises(GraphError, match="inputs section"):
+        (n,) = struct.unpack_from("<I", payload, 8)
+        assert payload[12:12 + n].endswith(b"}")
+        bad = (payload[:8] + struct.pack("<I", n + 4) + payload[12:12 + n]
+               + bytes(4) + payload[12 + n:])
+        with pytest.raises(GraphError, match="JSON header"):
             load_graph(bad)
+
+    def test_deeply_nested_header_rejected(self, deploy_graph):
+        # json.loads raises RecursionError on this, not a JSON error
+        payload = save_graph(deploy_graph[1])
+        (n,) = struct.unpack_from("<I", payload, 8)
+        deep = b"[" * 100_000
+        bad = (payload[:8] + struct.pack("<I", len(deep)) + deep
+               + payload[12 + n:])
+        with pytest.raises(GraphError, match="JSON header"):
+            load_graph(bad)
+
+    def test_misnumbered_node_output_not_saved(self):
+        # the file stores no output id, so save_graph refuses a node whose
+        # output is not the next value id rather than renumbering it
+        graph = one_node_graph(RELU, (), (2, 2))
+        graph.nodes[0].output = 2
+        with pytest.raises(GraphError, match="contiguous"):
+            save_graph(graph)
 
     def test_maxpool_op_rejected_at_load(self):
         # op 4 stays reserved: the pool is a CONV2D attribute
@@ -171,10 +192,12 @@ class TestValidation:
             load_graph(save_graph(graph))
 
     def test_version_1_graph_rejected(self, deploy_graph):
-        # version 1 held average pools, version 2 max-pool and bias nodes
+        # version 1 held average pools, version 2 max-pool and bias nodes,
+        # version 3 had its own section layout
         payload = save_graph(deploy_graph[1])
-        assert struct.unpack_from("<I", payload, 4) == (3,)
-        for version in (1, 2):
+        assert struct.unpack_from("<I", payload, 4) == (4,)
+        load_graph(payload)
+        for version in (1, 2, 3):
             old = payload[:4] + struct.pack("<I", version) + payload[8:]
             with pytest.raises(GraphError, match=rf"version {version} .*\.kfc"):
                 load_graph(old)
@@ -243,9 +266,29 @@ class TestSplineValidation:
 class TestCorruptBytes:
     def test_invalid_utf8_input_name(self):
         blob = save_graph(spline_graph())
-        assert blob[20:23] == b"\x01\x00x"    # the first input's name
-        with pytest.raises(GraphError):
-            load_graph(blob[:22] + b"\xff" + blob[23:])
+        assert blob.count(b'[["x", ') == 1    # the first input's name
+        pos = blob.index(b'[["x", ') + 3
+        with pytest.raises(GraphError, match="JSON header"):
+            load_graph(blob[:pos] + b"\xff" + blob[pos + 1:])
+
+    @pytest.mark.parametrize("names", [("2", "1"), ("1", "3"), ("01", "2")],
+                             ids=["swapped", "gap", "leading_zero"])
+    def test_constants_named_by_consecutive_value_ids(self, names):
+        header, tensors = read_container(
+            save_graph(spline_graph()), staticgraph.MAGIC, staticgraph.VERSION)
+        assert list(tensors) == ["1", "2"]
+        renamed = dict(zip(names, tensors.values()))
+        with pytest.raises(GraphError, match="consecutive value ids"):
+            load_graph(write_container(staticgraph.MAGIC, staticgraph.VERSION,
+                                       header, renamed))
+
+    def test_float64_constant_rejected(self):
+        header, tensors = read_container(
+            save_graph(spline_graph()), staticgraph.MAGIC, staticgraph.VERSION)
+        tensors["2"] = tensors["2"].astype(np.float64)
+        with pytest.raises(GraphError, match="float32"):
+            load_graph(write_container(staticgraph.MAGIC, staticgraph.VERSION,
+                                       header, tensors))
 
     def test_bad_constant_blob(self):
         blob = save_graph(spline_graph())
@@ -254,17 +297,25 @@ class TestCorruptBytes:
             load_graph(blob[:pos] + b"XXXX" + blob[pos + 4:])
 
 
-def sections(blob):
-    """(start, end) of the magic/version header and of every section."""
-    spans, off = [(0, 8)], 8
-    while off < len(blob):
-        (n,) = struct.unpack_from("<Q", blob, off)
-        spans.append((off, min(off + 8 + n, len(blob))))
-        off += 8 + n
-    return spans
-
-
 FUZZ_RUN_BYTES = 64 * 2**20   # declared buffers beyond this: load only
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300)
+    | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=8)
+
+
+def json_paths(tree, path=()):
+    """The key path of every subtree of a parsed JSON value, the root's
+    included."""
+    yield path
+    if isinstance(tree, (list, dict)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, value in items:
+            yield from json_paths(value, path + (key,))
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +331,8 @@ class TestFuzzLoad:
     @given(st.data())
     def test_mutations_fail_typed(self, deploy_blob, data):
         blob = bytearray(deploy_blob)
-        start, end = data.draw(st.sampled_from(sections(deploy_blob)))
+        start, end = data.draw(
+            st.sampled_from(container_sections(deploy_blob)))
         pos = data.draw(st.integers(start, end - 1))
         kind = data.draw(st.sampled_from(
             ["overwrite", "insert", "delete", "truncate"]))
@@ -305,6 +357,38 @@ class TestFuzzLoad:
                   for name, shape in graph.inputs}
         try:
             Session(graph).run(inputs)
+        except StormkanError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_header_mutations_fail_typed(self, deploy_blob, data):
+        # 1-3 leaves or subtrees of the JSON header replaced by random JSON
+        # values, the constants kept: load_graph raises only GraphError
+        header, tensors = read_container(deploy_blob, staticgraph.MAGIC,
+                                         staticgraph.VERSION)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(json_paths(header))))
+            value = data.draw(JSON_VALUES)
+            if not path:
+                header = value
+                continue
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        blob = write_container(staticgraph.MAGIC, staticgraph.VERSION, header,
+                               tensors)
+        try:
+            graph = load_graph(blob)
+        except GraphError:
+            return
+        declared = sum(math.prod(s) for s in graph.infer_shapes()) * 4
+        if declared > FUZZ_RUN_BYTES:
+            return
+        try:
+            Session(graph).run({name: np.ones(s, np.float32)
+                                for name, s in graph.inputs})
         except StormkanError:
             pass
 
@@ -471,6 +555,20 @@ class TestSession:
                 session.run({"x": x})["y"],
                 conv_reference(x, w, b, stride, padding, dilation, 1, pool),
                 rtol=1e-5, atol=1e-5)
+
+    def test_silu_saturates_quietly(self):
+        # exp(100) overflows float32: the tape op and the node give x / inf
+        # = -0 at -100, with no RuntimeWarning
+        x = np.array([-100.0, 0.5, 100.0], np.float32)
+        ref = x.astype(np.float64) / (1.0 + np.exp(-x.astype(np.float64)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = [ops.silu(Tape().constant(x)).data,
+                    Session(one_node_graph(SILU, (), (3,))).run({"x": x})["y"]]
+        for out in outs:
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-38)
+            assert out[0] == 0.0 and np.signbit(out[0])
 
     def test_wrong_shape_rejected_before_execution(self, deploy_graph):
         _, graph = deploy_graph

@@ -587,3 +587,28 @@ class TestTensorSerialization:
         payload = b"KFT1" + bytes([0, 2]) + struct.pack("<2I", 2**31, 2**30)
         with pytest.raises(DataError):
             Tensor.frombytes(payload + b"\x00" * 16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutations_fail_typed(self, data):
+        # byte edits of one record, its header most often: only DataError
+        blob = bytearray(Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
+                         .tobytes())
+        pos = data.draw(st.integers(0, 13) | st.integers(0, len(blob) - 1))
+        kind = data.draw(st.sampled_from(
+            ["overwrite", "insert", "delete", "truncate", "append"]))
+        chunk = data.draw(st.binary(min_size=1, max_size=8))
+        if kind == "overwrite":
+            blob[pos:pos + len(chunk)] = chunk
+        elif kind == "insert":
+            blob[pos:pos] = chunk
+        elif kind == "delete":
+            del blob[pos:pos + len(chunk)]
+        elif kind == "truncate":
+            del blob[pos:]
+        else:
+            blob += chunk
+        try:
+            Tensor.frombytes(bytes(blob))
+        except DataError:
+            pass

@@ -1,6 +1,5 @@
 """Losses, optimizer, schedulers, metrics, checkpoints, train loop."""
 
-import io
 import json
 import struct
 
@@ -14,7 +13,6 @@ from stormkan.errors import (CheckpointError, ConfigError, ShapeError,
                              StormkanError, TrainingError)
 from stormkan.model import ModelConfig, build_model
 from stormkan.tape import Tape
-from stormkan.tensor import Tensor
 from stormkan.training import (EarlyStopper, PlateauScheduler, TrainConfig,
                                compute_metrics, denormalize, evaluate,
                                load_checkpoint, mae, mae_loss,
@@ -22,7 +20,7 @@ from stormkan.training import (EarlyStopper, PlateauScheduler, TrainConfig,
                                normalize, rmse, save_checkpoint, sgd_step,
                                train)
 
-from helpers import total
+from helpers import container_sections, reference_checkpoint, total
 
 rng = np.random.default_rng(11)
 
@@ -276,6 +274,34 @@ class TestCheckpoints:
         model = build_model(TINY, seed=8)
         assert save_checkpoint(model) == save_checkpoint(model)
 
+    @pytest.mark.parametrize("cfg", [
+        TINY, ModelConfig(image_hw=40, r_center=20, ring_count=9,
+                          variant="deploy"),
+        ModelConfig(image_hw=40, r_center=20, ring_count=9, compressed=True),
+    ], ids=["full", "deploy", "compressed"])
+    def test_bytes_equal_the_version_1_layout(self, cfg):
+        # the shared container writer keeps .kfc bytes as they were
+        model = build_model(cfg, seed=13)
+        assert save_checkpoint(model) == reference_checkpoint(model)
+        assert (save_checkpoint(model, extra={"note": 1})
+                == reference_checkpoint(model, extra={"note": 1}))
+
+    def test_other_version_rejected(self):
+        payload = save_checkpoint(build_model(TINY, seed=9))
+        bad = payload[:4] + struct.pack("<I", 2) + payload[8:]
+        with pytest.raises(CheckpointError, match="version 2"):
+            load_checkpoint(bad)
+
+    def test_deeply_nested_config_rejected(self):
+        # json.loads raises RecursionError on this, not a JSON error
+        payload = save_checkpoint(build_model(TINY, seed=9))
+        (n,) = struct.unpack_from("<I", payload, 8)
+        deep = b"[" * 100_000
+        bad = (payload[:8] + struct.pack("<I", len(deep)) + deep
+               + payload[12 + n:])
+        with pytest.raises(CheckpointError, match="JSON header"):
+            model_from_checkpoint(bad)
+
     def test_corrupt_magic(self):
         with pytest.raises(CheckpointError):
             load_checkpoint(b"XXXX" + b"\x00" * 32)
@@ -329,22 +355,6 @@ class TestCheckpoints:
             model2.load_state(state)
 
 
-def checkpoint_sections(blob):
-    """(start, end) of the magic/version header, the config, the tensor
-    count and each named tensor of a .kfc checkpoint."""
-    (n,) = struct.unpack_from("<I", blob, 8)
-    spans = [(0, 8), (8, 12 + n), (12 + n, 16 + n)]
-    fp = io.BytesIO(blob)
-    fp.seek(16 + n)
-    while fp.tell() < len(blob):
-        start = fp.tell()
-        (name_len,) = struct.unpack("<H", fp.read(2))
-        fp.seek(name_len, io.SEEK_CUR)
-        Tensor.read(fp)
-        spans.append((start, fp.tell()))
-    return spans
-
-
 # every width small, so that each of the fuzz examples builds quickly
 FUZZ_CFG = ModelConfig(d_attn=8, heads=2, lstm_hidden=8, shared_dim=8,
                        task_dim=4, reduce_channels=4, ring_count=3,
@@ -370,7 +380,7 @@ class TestFuzzCheckpoint:
     def test_mutations_fail_typed(self, fuzz_checkpoint, data):
         blob = bytearray(fuzz_checkpoint)
         start, end = data.draw(st.sampled_from(
-            checkpoint_sections(fuzz_checkpoint)))
+            container_sections(fuzz_checkpoint)))
         pos = data.draw(st.integers(start, end - 1))
         kind = data.draw(st.sampled_from(
             ["overwrite", "insert", "delete", "truncate", "append"]))
