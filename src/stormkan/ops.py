@@ -5,16 +5,20 @@ forward result with numpy, and registers an exact backward rule.
 Convolutions run as im2col + batched BLAS matmuls.  The columns are
 packed chunk by chunk into one buffer of about one full-size sample
 (``_CHUNK_BYTES``), reused for every chunk and never kept: the backward
-repacks them.  The input gradient is col2im, a scatter-add of W^T g
-through the strided window offsets.  The trunk's epilogue is part of
-the conv: bias, ReLU and the 2x2 max-pool run on each chunk's GEMM
-output while it is in cache, and the pool keeps two bool masks to route
-its gradient, so no full-resolution map outlives the forward.  That
-forward, packing, GEMM and epilogue, is one kernel, ``_conv_block``:
-``conv2d`` runs it per batch chunk and ``staticgraph.Session``'s CONV2D
-node per strip of output rows.  Average pools are not ops here: the
-model computes its quadrant and ring means as products with constant
-averaging matrices, through ``matmul``.
+repacks them.  Zero padding is per chunk too: each chunk of the input
+is copied into one reused padded buffer just before its packing, so no
+padded copy of the whole input is made or kept.  The input gradient is
+col2im, a scatter-add of W^T g through the strided window offsets, per
+chunk into a zeroed padded buffer whose interior is the chunk's dx.
+The trunk's epilogue is part of the conv: bias, ReLU and the 2x2
+max-pool run on each chunk's GEMM output while it is in cache, and the
+pool keeps two bool masks to route its gradient, so no full-resolution
+map outlives the forward.  That forward, packing, GEMM and epilogue,
+is one kernel, ``_conv_block``: ``conv2d`` runs it per batch chunk and
+``staticgraph.Session``'s CONV2D node per strip of output rows.
+Average pools are not ops here: the model computes its quadrant and
+ring means as products with constant averaging matrices, through
+``matmul``.
 """
 
 from __future__ import annotations
@@ -159,6 +163,17 @@ def _unpool2x2(gp, col_pick, row_pick, half, g):
     np.subtract(half, g[..., 1::2], out=g[..., 0::2])
 
 
+def _padded(xc, padding, buf):
+    """The chunk xc [b, C, H, W] zero-padded by `padding` on each side of
+    H and W: xc itself, or its copy into the interior of the front of
+    buf, a reused chunk buffer whose border is zero and stays so."""
+    if not padding:
+        return xc
+    xp = buf[:len(xc)]
+    xp[:, :, padding:-padding, padding:-padding] = xc
+    return xp
+
+
 def _conv_block(xw, w2, kh, kw, stride, dilation, bias, relu, buf, y,
                 pool=None):
     """The conv forward of one block of output: the windows of xw
@@ -189,16 +204,20 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     chunk buffer, and the pool records, per window, which column of each
     row pair and which row won (two bool masks; ties go to the first
     flat index).
-    An odd conv output extent with `pool` is a ShapeError.  Between
-    forward and backward only the padded input, the output (pooled when
-    `pool`) and the masks are held: no columns, no full-resolution map.
-    Backward works chunk by chunk: the output gradient is routed back
-    through the masks (and through the ReLU's `out > 0`) into a reused
-    full-resolution chunk buffer, the chunk's columns are repacked, and
-    it produces input, weight and bias gradients: dw from those columns,
-    and dx as dcols = W^T g written over them, then scatter-added back
-    through the kh*kw strided window offsets (col2im) into a padded
-    buffer.  Every stride, padding and dilation stays exact.
+    An odd conv output extent with `pool` is a ShapeError.  With
+    `padding`, each chunk is padded into one reused chunk buffer (_padded)
+    just before its columns are packed.  Between forward and backward
+    only the output (pooled when `pool`), the masks and a reference to
+    the input itself are held: no columns, no padded copy, no
+    full-resolution map.
+    Backward works chunk by chunk: the chunk is padded again, the output
+    gradient is routed back through the masks (and through the ReLU's
+    `out > 0`) into a reused full-resolution chunk buffer, the chunk's
+    columns are repacked, and it produces input, weight and bias
+    gradients: dw from those columns, and dx as dcols = W^T g written
+    over them, then scatter-added back through the kh*kw strided window
+    offsets (col2im) into a zeroed padded chunk buffer whose interior is
+    copied into dx.  Every stride, padding and dilation stays exact.
     """
     xd, wd = x.data, w.data
     _require(xd.ndim == 4 and wd.ndim == 4, "conv2d expects NCHW and OIHW")
@@ -220,11 +239,10 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
              "conv2d bias must be [Cout]")
     w2 = np.ascontiguousarray(wd.reshape(cout, k))
     dtype = np.result_type(xd, wd)
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)) \
-        if padding else np.ascontiguousarray(xd)
     chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xd.itemsize, 1)))
     # the column buffer: one per pass, reused by every chunk, never kept
     n_cols = 0 if is_1x1 else k * chunk * ohw
+    pad_shape = (chunk, cin, h + 2 * padding, wid + 2 * padding)
 
     if pool:
         out = np.empty((bsz, cout, oh // 2, ow // 2), dtype=dtype)
@@ -234,11 +252,12 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
         half_buf = np.empty((chunk, cout, oh, ow // 2), dtype=dtype)
     else:
         out = np.empty((bsz, cout, oh, ow), dtype=dtype)
-    buf = np.empty(n_cols, dtype=xp.dtype)
+    buf = np.empty(n_cols, dtype=xd.dtype)
+    xp = np.zeros(pad_shape, dtype=xd.dtype) if padding else None
     for b0 in range(0, bsz, chunk):
         c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
-        _conv_block(xp[c], w2, kh, kw, stride, dilation,
-                    bias.data if has_bias else None, relu, buf,
+        _conv_block(_padded(xd[c], padding, xp), w2, kh, kw, stride,
+                    dilation, bias.data if has_bias else None, relu, buf,
                     y_buf[:bc] if pool else out[c],
                     (half_buf[:bc], col_pick[c], row_pick[c], out[c])
                     if pool else None)
@@ -249,43 +268,52 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     def backward(g):
         dw = np.zeros((k, cout), dtype=g.dtype)
         db = np.zeros(cout, dtype=g.dtype) if has_bias else None
-        dxp = np.zeros(xp.shape, dtype=g.dtype) if x_needs_grad else None
+        dx = np.zeros(xd.shape, dtype=g.dtype) if x_needs_grad else None
         if relu or pool:
             g_buf = np.empty((chunk, cout, oh, ow), dtype=g.dtype)
         if pool:
             half = np.empty((chunk, cout, oh, ow // 2), dtype=g.dtype)
         keys = _offset_keys(kh, kw, stride, dilation, oh, ow)
-        cols = np.empty(n_cols, dtype=xp.dtype)
+        cols = np.empty(n_cols, dtype=xd.dtype)
+        xp = np.zeros(pad_shape, dtype=xd.dtype) if padding else None
+        dxp = np.empty(pad_shape, dtype=g.dtype) \
+            if padding and x_needs_grad else None
         for b0 in range(0, bsz, chunk):
-            bc = min(chunk, bsz - b0)
-            c3 = _columns(xp[b0:b0 + bc], kh, kw, stride, dilation, cols)
-            gc = g[b0:b0 + bc]
+            c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
+            c3 = _columns(_padded(xd[c], padding, xp), kh, kw, stride,
+                          dilation, cols)
+            gc = g[c]
             if pool:
                 if relu:
-                    gc = gc * (out[b0:b0 + bc] > 0)
-                _unpool2x2(gc, col_pick[b0:b0 + bc], row_pick[b0:b0 + bc],
-                           half[:bc], g_buf[:bc])
+                    gc = gc * (out[c] > 0)
+                _unpool2x2(gc, col_pick[c], row_pick[c], half[:bc],
+                           g_buf[:bc])
                 gc = g_buf[:bc]
             elif relu:
-                gc = np.multiply(gc, out[b0:b0 + bc] > 0, out=g_buf[:bc])
+                gc = np.multiply(gc, out[c] > 0, out=g_buf[:bc])
             gc = np.ascontiguousarray(gc).reshape(bc, cout, ohw)
             if has_bias:
                 db += gc.sum(axis=(0, 2))
             dw += np.matmul(c3, gc.transpose(0, 2, 1)).sum(axis=0)
-            if dxp is None:
+            if dx is None:
                 continue
+            # the gradient w.r.t. the chunk as padded: with padding, a
+            # zeroed padded buffer whose interior is then the chunk's dx
+            dxc = dx[c]
+            if padding:
+                dxc = dxp[:bc]
+                dxc.fill(0)
             if is_1x1:
-                np.matmul(w2.T, gc,
-                          out=dxp[b0:b0 + bc].reshape(bc, cin, ohw))
-                continue
-            np.matmul(w2.T, gc, out=c3)  # dcols overwrite the columns
-            dcols = c3.transpose(1, 0, 2).reshape(cin, kh * kw, bc, oh, ow)
-            dxc = dxp[b0:b0 + bc].transpose(1, 0, 2, 3)
-            for t, key in enumerate(keys):
-                np.add(dxc[key], dcols[:, t], out=dxc[key])
-        dx = dxp
-        if padding and dxp is not None:
-            dx = dxp[:, :, padding:padding + h, padding:padding + wid]
+                np.matmul(w2.T, gc, out=dxc.reshape(bc, cin, ohw))
+            else:
+                np.matmul(w2.T, gc, out=c3)  # dcols overwrite the columns
+                dcols = c3.transpose(1, 0, 2).reshape(cin, kh * kw, bc, oh,
+                                                      ow)
+                dxt = dxc.transpose(1, 0, 2, 3)
+                for t, key in enumerate(keys):
+                    np.add(dxt[key], dcols[:, t], out=dxt[key])
+            if padding:
+                dx[c] = dxc[:, :, padding:padding + h, padding:padding + wid]
         dw = np.ascontiguousarray(dw.T).reshape(wd.shape)
         return (dx, dw, db) if has_bias else (dx, dw)
 

@@ -91,11 +91,16 @@ class Tape:
     checked=True validates that every op output is finite, raising
     NumericsError otherwise (off by default; gradient/acceptance tests
     turn it on, benchmarks leave it off).
+
+    grad=False makes a forward-only tape: every leaf, parameters
+    included, is a constant, so ``record`` keeps no backward closure nor
+    anything it captured, and ``backprop`` finds no gradient.
     """
 
-    def __init__(self, checked: bool = False):
+    def __init__(self, checked: bool = False, grad: bool = True):
         self.nodes: list[TapeNode] = []
         self.checked = checked
+        self.grad = grad
         self._param_idx: dict[int, int] = {}
 
     # -- node creation -----------------------------------------------------
@@ -110,13 +115,14 @@ class Tape:
         if isinstance(array, Tensor):
             array = array.data
         arr = np.asarray(array)
-        return self._append("leaf", (), arr, None, requires_grad)
+        return self._append("leaf", (), arr, None, requires_grad and self.grad)
 
     def constant(self, array) -> Var:
         return self.leaf(array, requires_grad=False)
 
     def param(self, parameter: Parameter) -> Var:
-        """Bind a Parameter as a differentiable leaf (cached per tape)."""
+        """Bind a Parameter as a differentiable leaf (a constant on a
+        grad=False tape), cached per tape."""
         idx = self._param_idx.get(id(parameter))
         if idx is not None:
             return Var(self, idx)

@@ -104,6 +104,13 @@ class Tensor:
         shape = struct.unpack(f"<{rank}I", raw_shape)
         dtype = _CODE_DTYPES[code]
         nbytes = math.prod(shape) * dtype.itemsize   # exact, never wraps
+        if fp.seekable():
+            # a corrupt shape must not ask a file for more than it holds:
+            # the buffer for 2**53 bytes fails with MemoryError
+            here = fp.tell()
+            if nbytes > fp.seek(0, io.SEEK_END) - here:
+                raise DataError("truncated tensor data block")
+            fp.seek(here)
         raw = fp.read(nbytes) if nbytes < 2**63 else b""
         if len(raw) < nbytes:
             raise DataError("truncated tensor data block")

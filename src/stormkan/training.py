@@ -273,13 +273,13 @@ def collate(dataset, indices, dtype=np.float32):
 
 
 def predict(model: CycloneNet, dataset, batch: int = 64):
-    """Normalized predictions over a dataset, [N] per task."""
+    """Normalized predictions over a dataset, [N] per task, on
+    forward-only tapes: no op keeps its backward context."""
     preds_m, preds_r = [], []
     for start in range(0, len(dataset), batch):
         idxs = range(start, min(start + batch, len(dataset)))
         xs, xi, _, _ = collate(dataset, idxs, dtype=model.dtype)
-        tape = Tape()
-        ym, yr = model.forward(tape, xs, xi)
+        ym, yr = model.forward(Tape(grad=False), xs, xi)
         preds_m.append(ym.data[:, 0].copy())
         preds_r.append(yr.data[:, 0].copy())
     return np.concatenate(preds_m), np.concatenate(preds_r)

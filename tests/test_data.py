@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -182,6 +183,17 @@ class TestDiskFormat:
         raw = open(victim, "rb").read()
         with open(victim, "wb") as fp:
             fp.write(raw[: len(raw) // 2])
+        with pytest.raises(DataError, match="corrupt"):
+            load_dataset(path)
+
+    def test_huge_declared_shape_explicit_error(self, tmp_path):
+        # a sample file whose first record declares 2**53 bytes
+        ds = SyntheticDataset(range(2), 1, seed=7, image_hw=40)
+        path = str(tmp_path / "ds")
+        save_dataset(path, ds)
+        with open(os.path.join(path, "000001.kft"), "r+b") as fp:
+            fp.write(b"KFT1" + bytes([0, 2])
+                     + struct.pack("<2I", 2**31, 2**20))
         with pytest.raises(DataError, match="corrupt"):
             load_dataset(path)
 

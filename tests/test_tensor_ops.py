@@ -177,9 +177,57 @@ class TestConv2d:
         np.testing.assert_allclose(grads.wrt(xv), dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads.wrt(wv), dw, rtol=1e-12, atol=1e-12)
 
-    def test_holds_only_output_and_padded_input(self):
-        # between forward and backward no im2col columns are kept: they
-        # are repacked by the backward (here 50x the output's bytes)
+    @pytest.mark.parametrize("cin,cout,k,padding,dilation,x_grad", [
+        (3, 2, 1, 1, 1, True),
+        (2, 3, 5, 2, 1, True),
+        (2, 2, 3, 3, 3, True),
+        (2, 3, 5, 2, 1, False),
+    ], ids=["padded_1x1", "5x5_pad2", "3x3_dil3_pad3", "constant_input"])
+    def test_one_sample_per_chunk(self, monkeypatch, cin, cout, k, padding,
+                                  dilation, x_grad):
+        # three chunks, so a first, a middle and a last one, each padded
+        # into the reused buffer in forward and again in backward, whose
+        # input gradient goes through a padded chunk buffer; an input that
+        # needs no gradient (conv1's image) gets none computed
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
+        r = np.random.default_rng(11)
+        x = r.standard_normal((3, cin, 7, 7))
+        w = r.standard_normal((cout, cin, k, k))
+        b = r.standard_normal(cout)
+        o = 7 + 2 * padding - dilation * (k - 1)   # 9 for the 1x1, else 7
+        g = r.standard_normal((3, cout, o, o))
+
+        def conv(xv, wv, bv):
+            return ops.conv2d(xv, wv, bv, padding=padding, dilation=dilation)
+
+        def build(tape, leaves):
+            xv = leaves[0] if x_grad else tape.constant(x)
+            out = conv(xv, *leaves[-2:])
+            return total(ops.mul(out, tape.constant(g)))
+
+        check_gradients(build, [x, w, b] if x_grad else [w, b])
+        tape = Tape()
+        xv = tape.leaf(x, requires_grad=x_grad)
+        out = conv(xv, leafy(tape, w), leafy(tape, b))
+        dx, dw, db = tape.nodes[out.idx].backward(g)
+        np.testing.assert_allclose(
+            out.data, naive_conv2d(x, w, 1, padding, dilation)
+            + b.reshape(1, cout, 1, 1), rtol=1e-12, atol=1e-12)
+        ndx, ndw = naive_conv2d_grads(x, w, g, 1, padding, dilation)
+        if x_grad:
+            np.testing.assert_allclose(dx, ndx, rtol=1e-12, atol=1e-12)
+        else:
+            assert dx is None
+        np.testing.assert_allclose(dw, ndw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db, g.sum(axis=(0, 2, 3)), rtol=1e-12,
+                                   atol=1e-12)
+
+    def test_holds_only_its_output(self, monkeypatch):
+        # between forward and backward neither the im2col columns (50x
+        # the output's bytes, repacked by the backward) nor a padded copy
+        # of the input are kept: each chunk is padded into a reused
+        # buffer, here one sample of the four, and padded again later
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
         r = np.random.default_rng(5)
         x = r.standard_normal((4, 4, 20, 20))
         w = r.standard_normal((2, 4, 5, 5))
@@ -193,9 +241,8 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         padded = 4 * 4 * 24 * 24 * x.itemsize       # [B, C, 20 + 4, 20 + 4]
-        cols = 4 * 5 * 5 * 4 * 20 * 20 * x.itemsize  # [C*5*5, B*20*20]
-        assert out.data.nbytes + padded <= held
-        assert held < out.data.nbytes + padded + cols // 8
+        assert out.data.nbytes <= held
+        assert held < out.data.nbytes + padded // 4
         grads = tape.backprop(total(out))
         dx, dw = naive_conv2d_grads(x, w, np.ones(out.shape), 1, 2, 1)
         np.testing.assert_allclose(grads.wrt(wv), dw, rtol=1e-12)
@@ -246,10 +293,11 @@ class TestConv2d:
         np.testing.assert_allclose(grads.wrt(bv), gy.sum(axis=(0, 2, 3)),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_pool_holds_pooled_output_input_and_masks(self):
+    def test_pool_holds_pooled_output_input_and_masks(self, monkeypatch):
         # with pool=True neither the conv output nor the ReLU output is
-        # kept at full resolution: only the pooled output, the padded
-        # input and the two bool masks of the pool's picks
+        # kept at full resolution, nor a padded copy of the input: only
+        # the pooled output and the two bool masks of the pool's picks
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)   # one sample a chunk
         x = rng.standard_normal((4, 4, 40, 40))
         w = rng.standard_normal((2, 4, 5, 5))
         b = rng.standard_normal(2)
@@ -264,10 +312,9 @@ class TestConv2d:
             tracemalloc.stop()
         assert out.shape == (4, 2, 20, 20)
         padded = 4 * 4 * 44 * 44 * x.itemsize       # [B, C, 40 + 4, 40 + 4]
-        full = 4 * 2 * 40 * 40 * x.itemsize         # [B, Cout, 40, 40]
         masks = 4 * 2 * 40 * 20 + 4 * 2 * 20 * 20   # column, then row picks
-        assert out.data.nbytes + padded <= held
-        assert held < out.data.nbytes + padded + masks + full // 8
+        assert out.data.nbytes + masks <= held
+        assert held < out.data.nbytes + masks + padded // 4
 
     def test_non_integral_extent_rejected(self):
         tape = Tape()
@@ -587,6 +634,15 @@ class TestTensorSerialization:
         payload = b"KFT1" + bytes([0, 2]) + struct.pack("<2I", 2**31, 2**30)
         with pytest.raises(DataError):
             Tensor.frombytes(payload + b"\x00" * 16)
+
+    def test_size_beyond_file(self, tmp_path):
+        # 2**51 float32 elements from a real file: a DataError from the
+        # bytes left in it, not a MemoryError from the 2**53-byte read
+        path = tmp_path / "huge.kft"
+        path.write_bytes(b"KFT1" + bytes([0, 2])
+                         + struct.pack("<2I", 2**31, 2**20) + b"\x00" * 16)
+        with open(path, "rb") as fp, pytest.raises(DataError):
+            Tensor.read(fp)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

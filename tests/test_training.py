@@ -256,6 +256,28 @@ class TestTrainLoop:
                   TrainConfig(lr=1e6, batch=8, max_epochs=2, seed=0))
 
 
+class TestPredict:
+    def test_forward_only_tape_matches_grad_tape(self, tiny_sets):
+        # predict runs forward-only tapes: the same bits as a forward on
+        # a tape that keeps backward rules, with no rule kept
+        from stormkan.training import collate, predict
+        train_ds, _ = tiny_sets
+        n = len(train_ds)
+        model = build_model(TINY, seed=8)
+        xs, xi, _, _ = collate(train_ds, range(n), dtype=model.dtype)
+        grad_tape = Tape()
+        ym, yr = model.forward(grad_tape, xs, xi)
+        pm, pr = predict(model, train_ds, batch=n)
+        assert pm.tobytes() == ym.data[:, 0].tobytes()
+        assert pr.tobytes() == yr.data[:, 0].tobytes()
+        tape = Tape(grad=False)
+        model.forward(tape, xs, xi)
+        assert len(tape.nodes) == len(grad_tape.nodes)
+        assert any(node.backward for node in grad_tape.nodes)
+        assert not any(node.backward or node.requires_grad
+                       for node in tape.nodes)
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_identical_forward(self, tiny_sets):
         train_ds, _ = tiny_sets
