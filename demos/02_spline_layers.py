@@ -29,7 +29,7 @@ coeffs = precompute_basis_coefficients(grid).astype(np.float32)
 meta = np.array([grid.lo, grid.step, grid.grid_size], dtype=np.float32)
 sample = np.random.default_rng(1).uniform(-1.2, 1.2, 10_000)
 sample = sample.astype(np.float32)
-graph = StaticGraph([("x", sample.shape)], {1: coeffs, 2: meta},
+graph = StaticGraph([("x", sample.shape)], (coeffs, meta),
                     [GraphNode(SPLINE_BASIS, (), (0, 1, 2), 3)],
                     [("bases", 3)])
 deployed = Session(graph).run({"x": sample})["bases"]

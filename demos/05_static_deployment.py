@@ -28,7 +28,7 @@ print("conv (relu, pool) attributes:",
 
 payload = save_graph(graph)
 print("serialized bytes:", len(payload))
-graph2 = load_graph(payload)  # load fully re-validates the graph
+graph2 = load_graph(payload)  # constructing the loaded graph validates it
 
 rng = np.random.default_rng(0)
 inputs = {

@@ -202,15 +202,6 @@ class SyntheticDataset:
             self._cache[i] = sample
         return sample
 
-    def targets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized targets without generating any images."""
-        msw, rmw = [], []
-        for sid, t, _ in self.index:
-            m, r = latents_at(VortexParams.for_storm(sid, self.seed), t)
-            msw.append(m)
-            rmw.append(r)
-        return np.array(msw), np.array(rmw)
-
 
 # ---------------------------------------------------------------------------
 # splitting

@@ -19,12 +19,15 @@ a JSON header of inputs ``[[name, shape]]``, nodes ``[[op, attrs,
 inputs]]`` and outputs ``[[name, value id]]``, then the constants as
 tensors named by their value ids, which follow the inputs'.  Node
 outputs take the ids after the constants in order, so the file stores
-none.  It round-trips bit-exactly, and ``load_graph`` validates every
-shape and every constant the interpreter indexes by.  A ``Session``
-gives every value and every kernel's scratch its own buffer, all
-allocated when it is created; kernels then write into those buffers.  A
-CONV2D runs the tape's own conv kernel, ``ops._conv_block``, one strip
-of output rows at a time (``STRIP_BYTES`` of im2col columns), so its
+none.  It round-trips bit-exactly.  A ``StaticGraph`` is frozen and
+holds what the file holds, its constants as read-only copies in value-id
+order.  Its constructor validates every shape and every constant the
+interpreter indexes by, once, and keeps the shapes, so no invalid graph
+exists and nothing downstream checks one again.  A ``Session`` gives
+every value and every kernel's scratch its own buffer, all allocated
+when it is created; kernels then write into those buffers.  A CONV2D
+runs the tape's own conv kernel, ``ops._conv_block``, one strip of
+output rows at a time (``STRIP_BYTES`` of im2col columns), so its
 columns, and with a pool its raw output, are strip-sized scratch rather
 than full maps, and the bias, ReLU and pool run on each strip while it
 is in cache.  That a warm ``run`` allocates nothing beyond its small
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import DataError, ExportError, GraphError, ShapeError
 from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
                     quadrant_tap_grid)
-from .ops import _conv_block
+from .ops import _conv_block, _conv_out_extent, _require
 from .spline import KanLinear, _horner_basis
 from .tape import Tape
 from .tensor import read_container, write_container
@@ -86,7 +89,7 @@ _ARITY = {
 # graph structure
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphNode:
     op: int
     attrs: tuple[int, ...]
@@ -94,55 +97,66 @@ class GraphNode:
     output: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StaticGraph:
-    inputs: list[tuple[str, tuple[int, ...]]]
-    constants: dict[int, np.ndarray]
-    nodes: list[GraphNode]
-    outputs: list[tuple[str, int]]
-    version: int = VERSION
+    """A graph that is valid by construction: the constructor checks
+    every shape and every constant the interpreter indexes by, raising
+    GraphError, and keeps each value's shape in ``shapes``.  Constant i,
+    a read-only float32 copy, is value id len(inputs) + i."""
 
-    @property
-    def n_values(self) -> int:
-        return len(self.inputs) + len(self.constants) + len(self.nodes)
+    inputs: tuple[tuple[str, tuple[int, ...]], ...]
+    constants: tuple[np.ndarray, ...]
+    nodes: tuple[GraphNode, ...]
+    outputs: tuple[tuple[str, int], ...]
+    shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
-    def parameter_count(self) -> int:
-        return int(sum(c.size for c in self.constants.values()))
+    def __post_init__(self):
+        constants = tuple(np.array(arr, order="C") for arr in self.constants)
+        if any(arr.dtype != np.float32 for arr in constants):
+            raise GraphError("graph constants must be float32")
+        for arr in constants:
+            arr.flags.writeable = False
+        inputs = tuple((name, tuple(shape)) for name, shape in self.inputs)
+        for name, value in (("inputs", inputs), ("constants", constants),
+                            ("nodes", tuple(self.nodes)),
+                            ("outputs", tuple(self.outputs))):
+            object.__setattr__(self, name, value)
 
-    def infer_shapes(self) -> list[tuple[int, ...]]:
-        """Shape-check every node; raises GraphError on any violation."""
-        shapes: list[tuple[int, ...] | None] = [None] * self.n_values
-        names = [name for name, _ in self.inputs]
+        names = [name for name, _ in inputs]
         if len(set(names)) != len(names):
             raise GraphError(f"duplicate input names {names}")
-        for i, (_, shape) in enumerate(self.inputs):
-            shapes[i] = _checked_shape(tuple(shape), f"input {i}")
-        for vid, arr in self.constants.items():
-            if not (len(self.inputs) <= vid < len(self.inputs) + len(self.constants)):
-                raise GraphError(f"constant id {vid} out of range")
-            shapes[vid] = _checked_shape(arr.shape, f"constant {vid}")
-        base = len(self.inputs) + len(self.constants)
+        shapes = [_checked_shape(shape, f"input {i}")
+                  for i, (_, shape) in enumerate(inputs)]
+        shapes += [_checked_shape(arr.shape, f"constant {vid}")
+                   for vid, arr in enumerate(constants, len(inputs))]
         for n, node in enumerate(self.nodes):
-            if node.output != base + n:
+            if node.output != len(shapes):
                 raise GraphError("node outputs must be contiguous and ordered")
             for j in node.inputs:
-                if not (0 <= j < node.output) or shapes[j] is None:
+                if not 0 <= j < node.output:
                     raise GraphError(
                         f"node {n} ({_OP_NAMES.get(node.op)}) reads undefined "
                         f"value {j}")
             try:
                 shape = _infer_shape(node, [shapes[j] for j in node.inputs])
                 if node.op == SPLINE_BASIS:
-                    _check_spline_constants(node, self.constants)
+                    _check_spline_constants(node, self)
             except (ShapeError, GraphError) as exc:
                 raise GraphError(
                     f"node {n} ({_OP_NAMES.get(node.op, node.op)}): {exc}"
                 ) from exc
-            shapes[node.output] = _checked_shape(shape, f"node {n} output")
+            shapes.append(_checked_shape(shape, f"node {n} output"))
         for _, vid in self.outputs:
-            if not 0 <= vid < self.n_values or shapes[vid] is None:
+            if not 0 <= vid < len(shapes):
                 raise GraphError(f"output value {vid} undefined")
-        return [s if s is not None else () for s in shapes]
+        object.__setattr__(self, "shapes", tuple(shapes))
+
+    @property
+    def n_values(self) -> int:
+        return len(self.inputs) + len(self.constants) + len(self.nodes)
+
+    def parameter_count(self) -> int:
+        return int(sum(c.size for c in self.constants))
 
 
 def _checked_shape(shape: tuple[int, ...], what: str) -> tuple[int, ...]:
@@ -151,24 +165,20 @@ def _checked_shape(shape: tuple[int, ...], what: str) -> tuple[int, ...]:
     return shape
 
 
-def _check_spline_constants(node: GraphNode, constants) -> None:
+def _check_spline_constants(node: GraphNode, graph: StaticGraph) -> None:
     """The interpreter indexes the coefficient rows by the meta constant:
     both must be constants, the meta finite, with step > 0 and
     n_intervals equal to the number of coefficient rows."""
-    if not all(j in constants for j in node.inputs[1:]):
+    ids = [j - len(graph.inputs) for j in node.inputs[1:]]
+    if not all(0 <= i < len(graph.constants) for i in ids):
         raise GraphError("spline coefficients and meta must be constants")
-    n_rows = constants[node.inputs[1]].shape[0]
-    lo, step, n_int = (float(v) for v in constants[node.inputs[2]])
+    coeffs, meta = (graph.constants[i] for i in ids)
+    lo, step, n_int = (float(v) for v in meta)
     if not (math.isfinite(lo) and math.isfinite(step) and step > 0
-            and n_int == n_rows):
+            and n_int == coeffs.shape[0]):
         raise GraphError(
             f"spline meta [lo={lo}, step={step}, n_intervals={n_int}] "
-            f"invalid for {n_rows} coefficient rows")
-
-
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ShapeError(msg)
+            f"invalid for {coeffs.shape[0]} coefficient rows")
 
 
 def _broadcast(*shapes) -> tuple[int, ...]:
@@ -183,33 +193,30 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     if op not in _ARITY:
         raise GraphError(f"unknown op id {op}")
     n_in, n_attrs = _ARITY[op]
-    _need(len(in_shapes) == n_in if n_in else len(in_shapes) >= 1,
+    _require(len(in_shapes) == n_in if n_in else len(in_shapes) >= 1,
           f"takes {n_in or 'at least 1'} inputs, got {len(in_shapes)}")
-    _need(n_attrs is None or len(attrs) == n_attrs,
+    _require(n_attrs is None or len(attrs) == n_attrs,
           f"takes {n_attrs} attrs, got {len(attrs)}")
     if op == CONV2D:
         stride, padding, dilation, relu, pool = attrs
         x, w, bias = in_shapes
-        _need(len(x) == 4 and len(w) == 4 and x[1] == w[1],
+        _require(len(x) == 4 and len(w) == 4 and x[1] == w[1],
               f"conv shapes {x} x {w}")
-        _need(bias == w[:1], f"conv bias {bias} must be [{w[0]}]")
-        _need(stride >= 1 and padding >= 0 and dilation >= 1,
+        _require(bias == w[:1], f"conv bias {bias} must be [{w[0]}]")
+        _require(stride >= 1 and padding >= 0 and dilation >= 1,
               f"conv stride, padding, dilation {attrs[:3]}")
-        _need(relu in (0, 1) and pool in (0, 1),
+        _require(relu in (0, 1) and pool in (0, 1),
               f"conv relu and pool flags {attrs[3:]} must be 0 or 1")
-        oh = (x[2] + 2 * padding - dilation * (w[2] - 1) - 1)
-        ow = (x[3] + 2 * padding - dilation * (w[3] - 1) - 1)
-        if oh % stride or ow % stride or oh < 0 or ow < 0:
-            raise ShapeError("non-integral conv output extent")
-        oh, ow = oh // stride + 1, ow // stride + 1
-        _need(not pool or (oh % 2 == 0 and ow % 2 == 0),
+        oh, ow = (_conv_out_extent(n, k, stride, padding, dilation)
+                  for n, k in zip(x[2:], w[2:]))
+        _require(not pool or (oh % 2 == 0 and ow % 2 == 0),
               f"2x2 max-pool needs even conv output extents, got {oh}x{ow}")
         return (x[0], w[0], oh >> pool, ow >> pool)
     if op in (RELU, SILU, TANH):
         return in_shapes[0]
     if op in (SOFTMAX, MEAN):
         x, axis = in_shapes[0], attrs[0]
-        _need(0 <= axis < len(x), f"axis {axis} out of range for {x}")
+        _require(0 <= axis < len(x), f"axis {axis} out of range for {x}")
         return x if op == SOFTMAX else x[:axis] + x[axis + 1:]
     if op == SLICE:
         x = in_shapes[0]
@@ -225,7 +232,7 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     if op == CONCAT:
         axis = attrs[0]
         ref = list(in_shapes[0])
-        _need(0 <= axis < len(ref), f"concat axis {axis} out of range")
+        _require(0 <= axis < len(ref), f"concat axis {axis} out of range")
         total = 0
         for s in in_shapes:
             if (len(s) != len(ref)
@@ -253,9 +260,10 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
         return _broadcast(*in_shapes)
     # SPLINE_BASIS
     x, coeffs, meta = in_shapes
-    _need(len(coeffs) == 3,
+    _require(len(coeffs) == 3,
           "spline coefficients must be [intervals, bases, order + 1]")
-    _need(meta == (3,), "spline meta constant must be [lo, step, n_intervals]")
+    _require(meta == (3,),
+             "spline meta constant must be [lo, step, n_intervals]")
     return tuple(x) + (coeffs[1],)
 
 
@@ -264,9 +272,6 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
 
 
 def save_graph(graph: StaticGraph) -> bytes:
-    base = len(graph.inputs) + len(graph.constants)
-    if any(n.output != base + i for i, n in enumerate(graph.nodes)):
-        raise GraphError("node outputs must be contiguous and ordered")
     header = {
         "inputs": [[name, [int(d) for d in shape]]
                    for name, shape in graph.inputs],
@@ -274,8 +279,9 @@ def save_graph(graph: StaticGraph) -> bytes:
                    [int(j) for j in n.inputs]] for n in graph.nodes],
         "outputs": [[name, int(vid)] for name, vid in graph.outputs],
     }
-    return write_container(MAGIC, graph.version, header, {
-        str(vid): graph.constants[vid] for vid in sorted(graph.constants)})
+    return write_container(MAGIC, VERSION, header, {
+        str(vid): arr
+        for vid, arr in enumerate(graph.constants, len(graph.inputs))})
 
 
 def _int(value, lo: int, hi: int) -> int:
@@ -301,7 +307,7 @@ def _name(value) -> str:
 
 
 def load_graph(data: bytes) -> StaticGraph:
-    """Parse and fully validate a serialized graph.
+    """Parse a serialized graph; constructing it validates it.
 
     The header must hold exactly the inputs, nodes and outputs, with the
     value ranges their binary fields had in version 3; the constants
@@ -332,12 +338,7 @@ def load_graph(data: bytes) -> StaticGraph:
     if list(tensors) != [str(len(inputs) + i) for i in range(len(tensors))]:
         raise GraphError("constants must be named by consecutive value ids "
                          f"from {len(inputs)}")
-    constants = dict(enumerate(tensors.values(), len(inputs)))
-    if any(arr.dtype != np.float32 for arr in constants.values()):
-        raise GraphError("graph constants must be float32")
-    graph = StaticGraph(inputs, constants, nodes, outputs)
-    graph.infer_shapes()  # validation is total at load time
-    return graph
+    return StaticGraph(inputs, tuple(tensors.values()), nodes, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,61 +346,48 @@ def load_graph(data: bytes) -> StaticGraph:
 
 
 class _Builder:
+    """Collects inputs, constants and nodes under provisional ids in the
+    order they are made; ``finish`` renumbers them into a graph."""
+
     def __init__(self):
         self.inputs: list[tuple[str, tuple[int, ...]]] = []
-        self.constants: dict[int, np.ndarray] = {}
+        self.constants: list[tuple[int, np.ndarray]] = []
         self.nodes: list[GraphNode] = []
-        self._const_cache: dict[int, int] = {}
-        self._pending_consts: list[np.ndarray] = []
-        self.shapes: dict[int, tuple[int, ...]] = {}
         self._next = 0
 
-    def input(self, name, shape):
-        vid = self._next
+    def _id(self) -> int:
         self._next += 1
-        self.inputs.append((name, tuple(shape)))
-        self.shapes[vid] = tuple(shape)
-        return vid
+        return self._next - 1
+
+    def input(self, name, shape):
+        self.inputs.append((name, shape))
+        return self._id()
 
     def const(self, arr):
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
-        key = id(arr)
-        if key in self._const_cache:
-            return self._const_cache[key]
-        vid = self._next
-        self._next += 1
-        self.constants[vid] = arr
-        self.shapes[vid] = arr.shape
-        self._const_cache[key] = vid
-        return vid
+        self.constants.append((self._next, np.asarray(arr, dtype=np.float32)))
+        return self._id()
 
     def node(self, op, attrs, inputs):
-        vid = self._next
-        self._next += 1
-        node = GraphNode(op, tuple(int(a) for a in attrs),
-                         tuple(inputs), vid)
-        self.nodes.append(node)
-        self.shapes[vid] = _infer_shape(node,
-                                        [self.shapes[j] for j in inputs])
+        vid = self._id()
+        self.nodes.append(GraphNode(op, tuple(int(a) for a in attrs),
+                                    tuple(inputs), vid))
         return vid
 
     def finish(self, outputs) -> StaticGraph:
         # renumber so constants sit between inputs and nodes
-        order = (list(range(len(self.inputs)))
-                 + sorted(self.constants)
-                 + [n.output for n in self.nodes])
+        order = [*range(len(self.inputs)),
+                 *(vid for vid, _ in self.constants),
+                 *(n.output for n in self.nodes)]
         remap = {old: new for new, old in enumerate(order)}
-        constants = {remap[k]: v for k, v in self.constants.items()}
-        nodes = [GraphNode(n.op, n.attrs,
-                           tuple(remap[j] for j in n.inputs),
+        nodes = [GraphNode(n.op, n.attrs, tuple(remap[j] for j in n.inputs),
                            remap[n.output]) for n in self.nodes]
         outs = [(name, remap[vid]) for name, vid in outputs]
-        return StaticGraph(self.inputs, constants, nodes, outs)
+        return StaticGraph(self.inputs, [arr for _, arr in self.constants],
+                           nodes, outs)
 
 
-def _lower_dense(b: _Builder, layer, x_id, coeff_cache):
-    """Lower a KanLinear or LinearBlock applied to a 2-d value."""
-    n = b.shapes[x_id][0]
+def _lower_dense(b: _Builder, layer, x_id, coeff_cache, n=1):
+    """Lower a KanLinear or LinearBlock applied to a 2-d value of n rows."""
     if isinstance(layer, KanLinear):
         grid = layer.grid
         key = (grid.grid_size, grid.spline_order, grid.lo, grid.hi)
@@ -412,15 +400,14 @@ def _lower_dense(b: _Builder, layer, x_id, coeff_cache):
         bases = b.node(SPLINE_BASIS, (), (x_id, coeff_id, meta_id))
         in_dim, nb = layer.in_dim, grid.basis_count
         bases2 = b.node(RESHAPE, (n, in_dim * nb), (bases,))
-        sw2t = layer.spline_weight.data.reshape(
-            layer.out_dim, in_dim * nb).T.copy()
+        sw2t = layer.spline_weight.data.reshape(layer.out_dim, in_dim * nb).T
         spline_out = b.node(MATMUL, (), (bases2, b.const(sw2t)))
         sil = b.node(SILU, (), (x_id,))
         base_out = b.node(MATMUL, (),
-                          (sil, b.const(layer.base_weight.data.T.copy())))
+                          (sil, b.const(layer.base_weight.data.T)))
         return b.node(ADD, (), (base_out, spline_out))
     # LinearBlock
-    y = b.node(MATMUL, (), (x_id, b.const(layer.w.data.T.copy())))
+    y = b.node(MATMUL, (), (x_id, b.const(layer.w.data.T)))
     y = b.node(ADD, (), (y, b.const(layer.b.data)))
     if layer.activation == "relu":
         y = b.node(RELU, (), (y,))
@@ -461,13 +448,14 @@ def export(model) -> StaticGraph:
     h = _lower_conv(b, model.conv1, x_img, relu=1)
     h = _lower_conv(b, model.conv2, h, relu=1, pool=1)
     layers = [model.res, *model.dilated]
-    r, blocks = quadrant_tap_grid(b.shapes[h][-1], layers, np.float32)
+    channels = model.conv2.w.data.shape[0]
+    r, blocks = quadrant_tap_grid(cfg.image_hw // 2, layers, np.float32)
     taps = b.node(MATMUL, (), (b.node(MATMUL, (), (b.const(r.T), h)),
                                b.const(r)))
     # as CycloneNet.spatial_tail: each conv on its block of the tap grids
     res, dsum, *rest = [
-        _lower_conv(b, layer, b.node(SLICE, (0, 1, 0, b.shapes[h][1], lo, hi,
-                                             lo, hi), (taps,)),
+        _lower_conv(b, layer, b.node(SLICE, (0, 1, 0, channels, lo, hi, lo,
+                                             hi), (taps,)),
                     attrs=(layer.w.data.shape[-1], 0, 1, 0, 0))
         for layer, (lo, hi) in zip(layers, blocks)]
     for d in rest:
@@ -494,7 +482,7 @@ def export(model) -> StaticGraph:
         d, heads = cfg.d_attn, cfg.heads
         dh = d // heads
         rings = cfg.ring_count
-        qv = _lower_dense(b, head.content, rings2, coeff_cache)
+        qv = _lower_dense(b, head.content, rings2, coeff_cache, n=rings)
         q = b.node(SLICE, (0, rings, 0, d), (qv,))
         v = b.node(SLICE, (0, rings, d, 2 * d), (qv,))
         qh = b.node(TRANSPOSE, (1, 0, 2),
@@ -506,8 +494,7 @@ def export(model) -> StaticGraph:
         g = tape.constant(np.linspace(0.0, 1.0, rings,
                                       dtype=np.float32)[:, None])
         k_vals = head.dist.forward(g).data                 # [rings, d]
-        kh_t = np.ascontiguousarray(
-            k_vals.reshape(rings, heads, dh).transpose(1, 2, 0))
+        kh_t = k_vals.reshape(rings, heads, dh).transpose(1, 2, 0)
         scores = b.node(MATMUL, (), (qh, b.const(kh_t)))   # [h, rings, rings]
         scal = b.const(np.array([1.0 / math.sqrt(dh)], dtype=np.float32))
         attn = b.node(SOFTMAX, (2,), (b.node(MUL, (), (scores, scal)),))
@@ -531,9 +518,7 @@ def export(model) -> StaticGraph:
         b, model.dec_rmw,
         b.node(CONCAT, (1,), (a_rmw, gamma_m2r, f_shared)), coeff_cache)
 
-    graph = b.finish([("y_msw", y_msw), ("y_rmw", y_rmw)])
-    graph.infer_shapes()
-    return graph
+    return b.finish([("y_msw", y_msw), ("y_rmw", y_rmw)])
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +530,17 @@ class Session:
 
     All value and scratch buffers are allocated when the session is
     created (``alloc_count`` counts them); ``run`` only writes into
-    them.  A loaded graph is immutable, so independent sessions may run
-    concurrently.
+    them.  The graph is frozen and its constants read-only, so sessions
+    may share one graph and run concurrently; its ``shapes`` size the
+    buffers, and it needs no checking, as only a valid graph exists.
     """
 
     def __init__(self, graph: StaticGraph):
         self.graph = graph
         self.alloc_count = 0
-        self.shapes = graph.infer_shapes()
+        self.shapes = graph.shapes
         self._values: list[np.ndarray | None] = [None] * graph.n_values
-        for vid, arr in graph.constants.items():
+        for vid, arr in enumerate(graph.constants, len(graph.inputs)):
             self._values[vid] = arr
         for node in graph.nodes:
             self._values[node.output] = self._alloc(self.shapes[node.output])

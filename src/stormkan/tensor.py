@@ -79,14 +79,6 @@ class Tensor:
         ) + struct.pack(f"<{arr.ndim}I", *arr.shape)
         return header + np.ascontiguousarray(arr, dtype=dtype_le).tobytes()
 
-    @classmethod
-    def frombytes(cls, payload: bytes) -> "Tensor":
-        fp = io.BytesIO(payload)
-        tensor = cls.read(fp)
-        if fp.read(1):
-            raise DataError("trailing bytes after tensor payload")
-        return tensor
-
     def write(self, fp: BinaryIO) -> None:
         fp.write(self.tobytes())
 

@@ -9,9 +9,9 @@ from dataclasses import asdict
 import numpy as np
 
 from stormkan import ops
-from stormkan.staticgraph import GraphNode, StaticGraph
+from stormkan.staticgraph import MAGIC, VERSION, GraphNode, StaticGraph
 from stormkan.tape import Tape
-from stormkan.tensor import Tensor
+from stormkan.tensor import Tensor, write_container
 
 
 def total(x):
@@ -146,14 +146,29 @@ def adaptive_avgpool2d(x, out_h, out_w):
     return ops.concat(rows, axis=2)
 
 
+def one_node_parts(op, attrs, x_shape, constants=()):
+    """(inputs, constants, nodes, outputs) of a graph of one node reading
+    input "x" and the given constants."""
+    consts = [np.asarray(c, dtype=np.float32) for c in constants]
+    out = 1 + len(consts)
+    return ([("x", tuple(x_shape))], consts,
+            [GraphNode(op, tuple(attrs), tuple(range(out)), out)],
+            [("y", out)])
+
+
 def one_node_graph(op, attrs, x_shape, constants=()):
     """A graph of one node reading input "x" and the given constants."""
-    consts = {1 + i: np.asarray(c, dtype=np.float32)
-              for i, c in enumerate(constants)}
-    out = 1 + len(consts)
-    return StaticGraph([("x", tuple(x_shape))], consts,
-                       [GraphNode(op, tuple(attrs), tuple(range(out)), out)],
-                       [("y", out)])
+    return StaticGraph(*one_node_parts(op, attrs, x_shape, constants))
+
+
+def graph_bytes(inputs, constants, nodes, outputs):
+    """The .kfg bytes save_graph would write for these graph parts, made
+    without constructing the graph, so an invalid one reaches load_graph."""
+    header = {"inputs": [[name, list(shape)] for name, shape in inputs],
+              "nodes": [[n.op, list(n.attrs), list(n.inputs)] for n in nodes],
+              "outputs": [[name, vid] for name, vid in outputs]}
+    return write_container(MAGIC, VERSION, header, {
+        str(vid): arr for vid, arr in enumerate(constants, len(inputs))})
 
 
 def knots(grid):

@@ -282,13 +282,6 @@ class TestLazyDataset:
         aug = SyntheticDataset(range(5), 3, seed=1, image_hw=40, augment=True)
         assert len(aug) == 4 * len(base)
 
-    def test_targets_match_samples(self):
-        ds = SyntheticDataset(range(4), 3, seed=2, image_hw=40)
-        msw, rmw = ds.targets()
-        for i in range(len(ds)):
-            assert msw[i] == ds[i].y_msw_norm
-            assert rmw[i] == ds[i].y_rmw_norm
-
     def test_latents_deterministic_per_storm(self):
         p1 = VortexParams.for_storm(12, seed=5)
         p2 = VortexParams.for_storm(12, seed=5)

@@ -1,5 +1,6 @@
 """Deployment lowering, serialization, interpreter."""
 
+import dataclasses
 import math
 import struct
 import threading
@@ -22,9 +23,10 @@ from stormkan.staticgraph import (ADD, AVGPOOL2D, CONV2D, MATMUL, MAXPOOL2D,
                                   load_graph, save_graph)
 from stormkan.tape import Tape
 from stormkan.tensor import read_container, write_container
+from stormkan.training import multitask_loss, sgd_step
 
-from helpers import (container_sections, naive_conv2d, naive_maxpool2d,
-                     one_node_graph)
+from helpers import (container_sections, graph_bytes, naive_conv2d,
+                     naive_maxpool2d, one_node_graph, one_node_parts)
 
 rng = np.random.default_rng(31)
 
@@ -57,6 +59,15 @@ def conv_graph(x_shape, w, b, stride, padding, dilation, relu=0, pool=0):
                           x_shape, (w, b))
 
 
+def assert_invalid(parts, match):
+    """Graph parts that are invalid raise GraphError when constructed,
+    and when their bytes are loaded."""
+    with pytest.raises(GraphError, match=match):
+        StaticGraph(*parts)
+    with pytest.raises(GraphError, match=match):
+        load_graph(graph_bytes(*parts))
+
+
 def conv_reference(x, w, b, stride, padding, dilation, relu, pool):
     """naive conv -> + b -> ReLU -> 2x2 max-pool, each after the conv
     optional but the bias (float64)."""
@@ -85,8 +96,8 @@ class TestExport:
     def test_spatial_tail_runs_on_tap_grids(self, deploy_graph):
         # only conv1 and conv2 see maps larger than a 6x6 tap grid
         _, graph = deploy_graph
-        shapes = graph.infer_shapes()
-        convs = [shapes[n.inputs[0]] for n in graph.nodes if n.op == CONV2D]
+        convs = [graph.shapes[n.inputs[0]]
+                 for n in graph.nodes if n.op == CONV2D]
         assert len(convs) == 7
         assert [s[2] > 6 for s in convs] == [True] * 2 + [False] * 5
 
@@ -99,10 +110,12 @@ class TestExport:
         assert len(graph.nodes) == 124
         convs = {n.output for n in graph.nodes if n.op == CONV2D}
         assert len(convs) == 7
+        first = len(graph.inputs)
+        consts = set(range(first, first + len(graph.constants)))
         for n in graph.nodes:
             if convs & set(n.inputs):
                 assert n.op not in (RELU, MAXPOOL2D)
-                assert n.op != ADD or not graph.constants.keys() & set(n.inputs)
+                assert n.op != ADD or not consts & set(n.inputs)
         assert [n.attrs[3:] for n in graph.nodes if n.op == CONV2D] == [
             (1, 0), (1, 1)] + [(0, 0)] * 5
         shapes = [v.shape for v in Session(graph)._values if v is not None]
@@ -139,8 +152,53 @@ class TestExport:
         assert np.array_equal(out1["y_msw"], out2["y_msw"])
         assert np.array_equal(out1["y_rmw"], out2["y_rmw"])
 
+    def test_graph_owns_its_constants(self):
+        # an in-place SGD step on the model after export changes neither
+        # the graph's bytes nor its outputs
+        model = build_model(DEPLOY_TINY, seed=3)
+        graph = export(model)
+        blob = save_graph(graph)
+        xs, xi = tiny_io(4)
+        inputs = {"x_seq_flat": xs, "x_img": xi}
+        before = Session(graph).run(inputs)
+        tape = Tape()
+        ym, yr = model.forward_deploy(tape, xs, xi)
+        target = tape.constant(np.zeros((1, 1), np.float32))
+        sgd_step(model.parameters(),
+                 tape.backprop(multitask_loss(ym, yr, target, target)), 0.1)
+        assert save_graph(export(model)) != blob   # the step moved weights
+        assert save_graph(graph) == blob
+        after = Session(graph).run(inputs)
+        for name in ("y_msw", "y_rmw"):
+            assert np.array_equal(before[name], after[name])
+
+    def test_shapes_inferred_once_per_graph(self, deploy_graph, monkeypatch):
+        # export and load_graph each construct a graph, which runs the
+        # shape rule once per node; save_graph and Session run it never
+        calls = []
+        rule = staticgraph._infer_shape
+        monkeypatch.setattr(staticgraph, "_infer_shape",
+                            lambda *args: calls.append(1) or rule(*args))
+        graph = export(deploy_graph[0])
+        Session(load_graph(save_graph(graph)))
+        assert len(calls) == 2 * len(graph.nodes)
+
 
 class TestValidation:
+    def test_graph_is_frozen(self, deploy_graph):
+        _, graph = deploy_graph
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.nodes = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.nodes[0].op = RELU
+        with pytest.raises(ValueError, match="read-only"):
+            graph.constants[0][...] = 0.0
+        assert isinstance(graph.nodes, tuple)
+        # an edited copy is validated like any other graph
+        bad = dataclasses.replace(graph.nodes[-1], inputs=(graph.n_values,))
+        with pytest.raises(GraphError, match="undefined"):
+            dataclasses.replace(graph, nodes=graph.nodes[:-1] + (bad,))
+
     def test_bad_magic(self):
         with pytest.raises(GraphError):
             load_graph(b"NOPE" + b"\x00" * 64)
@@ -178,18 +236,17 @@ class TestValidation:
             load_graph(bad)
 
     def test_misnumbered_node_output_not_saved(self):
-        # the file stores no output id, so save_graph refuses a node whose
-        # output is not the next value id rather than renumbering it
-        graph = one_node_graph(RELU, (), (2, 2))
-        graph.nodes[0].output = 2
+        # the file stores no output id, so no graph holds a node whose
+        # output is not the next value id: there is none to save
+        inputs, consts, (node,), outputs = one_node_parts(RELU, (), (2, 2))
         with pytest.raises(GraphError, match="contiguous"):
-            save_graph(graph)
+            StaticGraph(inputs, consts,
+                        [dataclasses.replace(node, output=2)], outputs)
 
     def test_maxpool_op_rejected_at_load(self):
         # op 4 stays reserved: the pool is a CONV2D attribute
-        graph = one_node_graph(MAXPOOL2D, (2, 2), (1, 1, 4, 4))
-        with pytest.raises(GraphError, match="unknown op id 4"):
-            load_graph(save_graph(graph))
+        assert_invalid(one_node_parts(MAXPOOL2D, (2, 2), (1, 1, 4, 4)),
+                       "unknown op id 4")
 
     def test_version_1_graph_rejected(self, deploy_graph):
         # version 1 held average pools, version 2 max-pool and bias nodes,
@@ -211,17 +268,20 @@ class TestValidation:
     ], ids=["relu_2", "pool_-1", "bias_2_of_3", "pool_odd_rows",
             "pool_odd_cols"])
     def test_bad_conv_rejected(self, attrs, bias, x_shape, match):
-        graph = one_node_graph(CONV2D, attrs, x_shape,
-                               (np.ones((3, 2, 3, 3)), np.ones(bias)))
-        with pytest.raises(GraphError, match=match):
-            load_graph(save_graph(graph))
+        assert_invalid(one_node_parts(CONV2D, attrs, x_shape,
+                                      (np.ones((3, 2, 3, 3)), np.ones(bias))),
+                       match)
 
 
 GRID_COEFFS = precompute_basis_coefficients(SplineGrid())   # [5, 8, 4]
 
 
-def spline_graph(coeffs=GRID_COEFFS, meta=(-1.0, 0.4, 5.0)):
-    return one_node_graph(SPLINE_BASIS, (), (4, 3), (coeffs, meta))
+def spline_parts(coeffs=GRID_COEFFS, meta=(-1.0, 0.4, 5.0)):
+    return one_node_parts(SPLINE_BASIS, (), (4, 3), (coeffs, meta))
+
+
+def spline_graph():
+    return StaticGraph(*spline_parts())
 
 
 class TestSplineValidation:
@@ -247,20 +307,16 @@ class TestSplineValidation:
     ], ids=["nan_lo", "nan_intervals", "intervals_7_rows_5", "step_0",
             "intervals_2.5"])
     def test_bad_meta_rejected(self, meta):
-        with pytest.raises(GraphError, match="spline meta"):
-            load_graph(save_graph(spline_graph(meta=meta)))
+        assert_invalid(spline_parts(meta=meta), "spline meta")
 
     def test_rank_1_coefficients_rejected(self):
-        with pytest.raises(GraphError, match="coefficients"):
-            load_graph(save_graph(spline_graph(coeffs=np.ones(5))))
+        assert_invalid(spline_parts(coeffs=np.ones(5)), "coefficients")
 
     def test_coefficients_and_meta_must_be_constants(self):
-        graph = StaticGraph(
-            [("x", (4, 3)), ("meta", (3,))],
-            {2: GRID_COEFFS.astype(np.float32)},
-            [GraphNode(SPLINE_BASIS, (), (0, 2, 1), 3)], [("y", 3)])
-        with pytest.raises(GraphError, match="constants"):
-            load_graph(save_graph(graph))
+        assert_invalid(([("x", (4, 3)), ("meta", (3,))],
+                        [GRID_COEFFS.astype(np.float32)],
+                        [GraphNode(SPLINE_BASIS, (), (0, 2, 1), 3)],
+                        [("y", 3)]), "constants")
 
 
 class TestCorruptBytes:
@@ -349,7 +405,7 @@ class TestFuzzLoad:
             graph = load_graph(bytes(blob))
         except StormkanError:
             return
-        declared = sum(math.prod(s) for s in graph.infer_shapes()) * 4
+        declared = sum(math.prod(s) for s in graph.shapes) * 4
         if declared > FUZZ_RUN_BYTES:
             return
         r = np.random.default_rng(0)
@@ -383,7 +439,7 @@ class TestFuzzLoad:
             graph = load_graph(blob)
         except GraphError:
             return
-        declared = sum(math.prod(s) for s in graph.infer_shapes()) * 4
+        declared = sum(math.prod(s) for s in graph.shapes) * 4
         if declared > FUZZ_RUN_BYTES:
             return
         try:
@@ -399,8 +455,8 @@ class TestFuzzLoad:
         shape = st.lists(st.integers(1, 4), max_size=4).map(tuple)
         inputs = [(f"x{i}", s) for i, s in enumerate(
             data.draw(st.lists(shape, min_size=1, max_size=2)))]
-        consts = {len(inputs) + i: np.ones(s, np.float32) for i, s in
-                  enumerate(data.draw(st.lists(shape, max_size=2)))}
+        consts = [np.ones(s, np.float32)
+                  for s in data.draw(st.lists(shape, max_size=2))]
         nodes = []
         for n in range(data.draw(st.integers(1, 3))):
             vid = len(inputs) + len(consts) + n
@@ -415,9 +471,16 @@ class TestFuzzLoad:
                 tuple(data.draw(st.lists(st.integers(0, vid - 1),
                                          min_size=arity[0],
                                          max_size=arity[0]))), vid))
-        blob = save_graph(StaticGraph(inputs, consts, nodes, [("y", vid)]))
+        parts = (inputs, consts, nodes, [("y", vid)])
         try:
-            graph = load_graph(blob)
+            StaticGraph(*parts)
+        except GraphError:
+            # the same graph as bytes fails to load too
+            with pytest.raises(GraphError):
+                load_graph(graph_bytes(*parts))
+            return
+        graph = load_graph(graph_bytes(*parts))
+        try:
             Session(graph).run({name: np.ones(s, np.float32)
                                 for name, s in graph.inputs})
         except StormkanError:

@@ -599,7 +599,7 @@ class TestBackprop:
 class TestTensorSerialization:
     def test_roundtrip(self):
         t = Tensor(rng.standard_normal((3, 4, 5)).astype(np.float32))
-        back = Tensor.frombytes(t.tobytes())
+        back = Tensor.read(io.BytesIO(t.tobytes()))
         assert back.dtype == np.float32
         np.testing.assert_array_equal(back.data, t.data)
 
@@ -615,25 +615,25 @@ class TestTensorSerialization:
 
     def test_magic_mismatch(self):
         with pytest.raises(DataError):
-            Tensor.frombytes(b"JUNK" + b"\x00" * 16)
+            Tensor.read(io.BytesIO(b"JUNK" + b"\x00" * 16))
 
     def test_truncation(self):
         payload = Tensor(np.ones((4, 4), dtype=np.float32)).tobytes()
         with pytest.raises(DataError):
-            Tensor.frombytes(payload[:-8])
+            Tensor.read(io.BytesIO(payload[:-8]))
 
     def test_rank_beyond_numpy_limit(self):
         # 65 unit extents: one element, but more axes than numpy allows
         payload = (b"KFT1" + bytes([0, 65]) + struct.pack("<65I", *[1] * 65)
                    + b"\x00" * 4)
         with pytest.raises(DataError):
-            Tensor.frombytes(payload)
+            Tensor.read(io.BytesIO(payload))
 
     def test_size_beyond_int64(self):
         # 2**61 float32 elements: 2**63 bytes, beyond any read size
         payload = b"KFT1" + bytes([0, 2]) + struct.pack("<2I", 2**31, 2**30)
         with pytest.raises(DataError):
-            Tensor.frombytes(payload + b"\x00" * 16)
+            Tensor.read(io.BytesIO(payload + b"\x00" * 16))
 
     def test_size_beyond_file(self, tmp_path):
         # 2**51 float32 elements from a real file: a DataError from the
@@ -665,6 +665,6 @@ class TestTensorSerialization:
         else:
             blob += chunk
         try:
-            Tensor.frombytes(bytes(blob))
+            Tensor.read(io.BytesIO(bytes(blob)))
         except DataError:
             pass
