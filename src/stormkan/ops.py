@@ -1,24 +1,17 @@
 """Differentiable tensor ops recorded on a Tape.
 
-Every public function takes Vars, validates extents, computes the
-forward result with numpy, and registers an exact backward rule.
-Convolutions run as im2col + batched BLAS matmuls.  The columns are
-packed chunk by chunk into one buffer of about one full-size sample
-(``_CHUNK_BYTES``), reused for every chunk and never kept: the backward
-repacks them.  Zero padding is per chunk too: each chunk of the input
-is copied into one reused padded buffer just before its packing, so no
-padded copy of the whole input is made or kept.  The input gradient is
-col2im, a scatter-add of W^T g through the strided window offsets, per
-chunk into a zeroed padded buffer whose interior is the chunk's dx.
-The trunk's epilogue is part of the conv: bias, ReLU and the 2x2
-max-pool run on each chunk's GEMM output while it is in cache, and the
-pool keeps two bool masks to route its gradient, so no full-resolution
-map outlives the forward.  That forward, packing, GEMM and epilogue,
-is one kernel, ``_conv_block``: ``conv2d`` runs it per batch chunk and
-``staticgraph.Session``'s CONV2D node per strip of output rows.
-Average pools are not ops here: the model computes its quadrant and
-ring means as products with constant averaging matrices, through
-``matmul``.
+Every public op takes Vars, computes its forward with numpy and records
+an exact backward rule.  ``conv2d``, ``matmul``, ``concat``, ``softmax``
+and ``mean`` check their operands with a private shape rule that raises
+ShapeError; ``staticgraph``'s shape inference calls the same rules.
+``conv2d``, ``silu`` and ``softmax`` compute their forward with a
+private ``out=`` kernel, called with fresh buffers here and with
+preallocated ones by ``staticgraph.Session``.  ``conv2d`` is im2col +
+one batched GEMM per batch chunk (``_conv_block``), with the bias, ReLU
+and 2x2 max-pool run on each chunk while it is in cache; its columns and
+zero padding are per chunk, in reused buffers, and never kept: backward
+repacks them.  Average pools are products with constant averaging
+matrices, through ``matmul``.
 """
 
 from __future__ import annotations
@@ -52,15 +45,88 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# shape rules, shared with staticgraph's shape inference: each takes
+# operand shapes (tuples) and returns the output shape or raises ShapeError.
+# They run on every op call, so each formats its message only to raise it.
+
+
+def _broadcast(*shapes) -> tuple[int, ...]:
+    try:
+        return tuple(np.broadcast_shapes(*shapes))
+    except ValueError as exc:
+        raise ShapeError(f"shapes {shapes} do not broadcast") from exc
+
+
+def _axis(axis: int, ndim: int) -> int:
+    """axis in [-ndim, ndim), as an index in [0, ndim)."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis} out of range for rank {ndim}")
+    return axis % ndim
+
+
+def _matmul_shape(a, b) -> tuple[int, ...]:
+    if len(a) < 2 or len(b) < 2 or a[-1] != b[-2]:
+        raise ShapeError(f"matmul needs >= 2-d operands with equal inner "
+                         f"extents, got {a} x {b}")
+    batch = a[:-2] if a[:-2] == b[:-2] else _broadcast(a[:-2], b[:-2])
+    return batch + (a[-2], b[-1])
+
+
+def _concat_shape(shapes, axis: int) -> tuple[int, ...]:
+    _require(len(shapes) >= 1, "concat needs at least one input")
+    ref = shapes[0]
+    ax = _axis(axis, len(ref))
+    for s in shapes[1:]:
+        if len(s) != len(ref) or s[:ax] + s[ax + 1:] != ref[:ax] + ref[ax + 1:]:
+            raise ShapeError(
+                f"concat extent mismatch off axis {ax}: {ref} vs {s}")
+    return ref[:ax] + (sum(s[ax] for s in shapes),) + ref[ax + 1:]
+
+
+def _conv2d_shape(x, w, bias, stride, padding, dilation, pool):
+    """Output shape of conv2d, pooled with `pool`; bias is a shape or None."""
+    if len(x) != 4 or len(w) != 4 or x[1] != w[1]:
+        raise ShapeError(f"conv2d needs an NCHW input and an OIHW kernel of "
+                         f"its channel count, got {x} and {w}")
+    if bias is not None and tuple(bias) != w[:1]:
+        raise ShapeError(f"conv2d bias {bias} must be [{w[0]}]")
+    if not (stride >= 1 and padding >= 0 and dilation >= 1):
+        raise ShapeError(f"conv2d needs stride >= 1, padding >= 0 and "
+                         f"dilation >= 1, got {stride}, {padding}, {dilation}")
+    out = [x[0], w[0]]
+    for n, k in zip(x[2:], w[2:]):
+        span = n + 2 * padding - dilation * (k - 1) - 1
+        if span < 0 or span % stride:
+            raise ShapeError(
+                f"non-integral or non-positive conv output extent (in={n}, "
+                f"k={k}, stride={stride}, pad={padding}, dil={dilation})")
+        out.append(span // stride + 1)
+    if pool and (out[2] % 2 or out[3] % 2):
+        raise ShapeError(f"2x2 max-pool needs even conv output extents, got "
+                         f"{out[2]}x{out[3]}")
+    return (*out[:2], out[2] >> pool, out[3] >> pool)
+
+
+def _mean_shape(x, axis, keepdims: bool = False) -> tuple[int, ...]:
+    """Shape of a reduction over axis: None (all), an int or a tuple."""
+    if axis is None:
+        axis = tuple(range(len(x)))
+    axes = [_axis(a, len(x)) for a in (axis if isinstance(axis, tuple)
+                                        else (axis,))]
+    if len(set(axes)) != len(axes):
+        raise ShapeError(f"repeated axis in {axis}")
+    return tuple(1 if i in axes else n for i, n in enumerate(x)
+                 if keepdims or i not in axes)
+
+
+# ---------------------------------------------------------------------------
 # dense products
 
 
 def matmul(a: Var, b: Var) -> Var:
     """Matrix product with numpy-style leading-dim broadcasting."""
     ad, bd = a.data, b.data
-    _require(ad.ndim >= 2 and bd.ndim >= 2, "matmul operands must be >= 2-d")
-    _require(ad.shape[-1] == bd.shape[-2],
-             f"matmul inner extents differ: {ad.shape} x {bd.shape}")
+    _matmul_shape(ad.shape, bd.shape)
     out = np.matmul(ad, bd)
     # plain flags, as in conv2d: an operand that needs no gradient (a
     # constant averaging matrix, say) gets none computed
@@ -97,15 +163,6 @@ def linear(x: Var, w: Var) -> Var:
 
 # ---------------------------------------------------------------------------
 # convolution
-
-
-def _conv_out_extent(n: int, k: int, stride: int, padding: int,
-                     dilation: int) -> int:
-    span = n + 2 * padding - dilation * (k - 1) - 1
-    _require(span >= 0 and span % stride == 0,
-             f"non-integral or non-positive conv output extent "
-             f"(in={n}, k={k}, stride={stride}, pad={padding}, dil={dilation})")
-    return span // stride + 1
 
 
 def _columns(xw: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
@@ -196,47 +253,31 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1, relu: bool = False,
            pool: bool = False) -> Var:
     """2-d cross-correlation with optional per-channel bias, then
-    optionally ReLU and the 2x2, stride-2 max-pool.
+    optionally ReLU and the 2x2, stride-2 max-pool (``_conv2d_shape``
+    gives the extents it accepts).
 
-    Forward is one ``_conv_block`` per batch chunk: im2col + one batched
-    GEMM, then the epilogue (bias, ReLU, pool) on the chunk's GEMM output
-    while it is in cache; with `pool` that output lives in one reused
-    chunk buffer, and the pool records, per window, which column of each
-    row pair and which row won (two bool masks; ties go to the first
-    flat index).
-    An odd conv output extent with `pool` is a ShapeError.  With
-    `padding`, each chunk is padded into one reused chunk buffer (_padded)
-    just before its columns are packed.  Between forward and backward
-    only the output (pooled when `pool`), the masks and a reference to
-    the input itself are held: no columns, no padded copy, no
-    full-resolution map.
-    Backward works chunk by chunk: the chunk is padded again, the output
-    gradient is routed back through the masks (and through the ReLU's
-    `out > 0`) into a reused full-resolution chunk buffer, the chunk's
-    columns are repacked, and it produces input, weight and bias
-    gradients: dw from those columns, and dx as dcols = W^T g written
-    over them, then scatter-added back through the kh*kw strided window
-    offsets (col2im) into a zeroed padded chunk buffer whose interior is
-    copied into dx.  Every stride, padding and dilation stays exact.
+    Forward runs ``_conv_block`` per batch chunk, on the chunk padded
+    into one reused buffer (``_padded``).  The pool records, per window,
+    which column of each row pair and which row won (two bool masks; ties
+    go to the first flat index).  Only the output, the masks and the
+    input itself are kept for backward, which works chunk by chunk: it
+    routes the output gradient back through the masks and the ReLU,
+    repacks the chunk's columns for dw, and scatter-adds dcols = W^T g
+    through the kh*kw strided window offsets (col2im) into a zeroed
+    padded chunk whose interior is the chunk's dx.
     """
     xd, wd = x.data, w.data
-    _require(xd.ndim == 4 and wd.ndim == 4, "conv2d expects NCHW and OIHW")
-    _require(xd.shape[1] == wd.shape[1],
-             f"conv2d channel mismatch: input {xd.shape[1]} vs "
-             f"kernel {wd.shape[1]}")
+    has_bias = bias is not None
+    out_shape = _conv2d_shape(xd.shape, wd.shape,
+                              bias.data.shape if has_bias else None, stride,
+                              padding, dilation, pool)
     bsz, cin, h, wid = xd.shape
     cout, _, kh, kw = wd.shape
+    oh, ow = out_shape[2] << pool, out_shape[3] << pool
     # a 1x1 conv reads its (padded) input as columns, in place
     is_1x1 = (kh, kw, stride, dilation) == (1, 1, 1, 1)
     k = cin * kh * kw
-    oh = _conv_out_extent(h, kh, stride, padding, dilation)
-    ow = _conv_out_extent(wid, kw, stride, padding, dilation)
     ohw = oh * ow
-    _require(not pool or (oh % 2 == 0 and ow % 2 == 0),
-             f"2x2 max-pool needs even conv output extents, got {oh}x{ow}")
-    has_bias = bias is not None
-    _require(not has_bias or bias.data.shape == (cout,),
-             "conv2d bias must be [Cout]")
     w2 = np.ascontiguousarray(wd.reshape(cout, k))
     dtype = np.result_type(xd, wd)
     chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xd.itemsize, 1)))
@@ -244,14 +285,12 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     n_cols = 0 if is_1x1 else k * chunk * ohw
     pad_shape = (chunk, cin, h + 2 * padding, wid + 2 * padding)
 
+    out = np.empty(out_shape, dtype=dtype)
     if pool:
-        out = np.empty((bsz, cout, oh // 2, ow // 2), dtype=dtype)
         col_pick = np.empty((bsz, cout, oh, ow // 2), dtype=bool)
         row_pick = np.empty(out.shape, dtype=bool)
         y_buf = np.empty((chunk, cout, oh, ow), dtype=dtype)
         half_buf = np.empty((chunk, cout, oh, ow // 2), dtype=dtype)
-    else:
-        out = np.empty((bsz, cout, oh, ow), dtype=dtype)
     buf = np.empty(n_cols, dtype=xd.dtype)
     xp = np.zeros(pad_shape, dtype=xd.dtype) if padding else None
     for b0 in range(0, bsz, chunk):
@@ -371,13 +410,25 @@ def relu(x: Var) -> Var:
     return x.tape.record("relu", (x,), out, lambda g: (g * (out > 0),))
 
 
+def _silu(x, out, t):
+    """x / (1 + exp(-x)) into out; t, of x's shape, keeps 1 + exp(-x)."""
+    np.negative(x, out=t)
+    with np.errstate(over="ignore"):   # exp(-x) = inf gives x / inf
+        np.exp(t, out=t)
+    t += 1.0
+    np.divide(x, t, out=out)
+
+
 def silu(x: Var) -> Var:
     xd = x.data
-    with np.errstate(over="ignore"):   # exp(-x) = inf gives sig = 0
-        sig = 1.0 / (1.0 + np.exp(-xd))
-    out = xd * sig
-    return x.tape.record(
-        "silu", (x,), out, lambda g: (g * (sig * (1.0 + xd * (1.0 - sig))),))
+    out, t = np.empty_like(xd), np.empty_like(xd)
+    _silu(xd, out, t)
+
+    def backward(g):
+        sig = 1.0 / t
+        return (g * (sig * (1.0 + xd * (1.0 - sig))),)
+
+    return x.tape.record("silu", (x,), out, backward)
 
 
 def tanh(x: Var) -> Var:
@@ -386,12 +437,21 @@ def tanh(x: Var) -> Var:
                          lambda g: (g * (1.0 - out * out),))
 
 
+def _softmax(x, axis, out, red):
+    """Softmax of x along axis into out; red, x's shape reduced over axis
+    with keepdims, is scratch."""
+    np.max(x, axis=axis, keepdims=True, out=red)
+    np.subtract(x, red, out=out)
+    np.exp(out, out=out)
+    np.sum(out, axis=axis, keepdims=True, out=red)
+    out /= red
+
+
 def softmax(x: Var, axis: int = -1) -> Var:
     xd = x.data
-    _require(-xd.ndim <= axis < xd.ndim, f"softmax axis {axis} out of range")
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = np.empty_like(xd)
+    _softmax(xd, axis, out,
+             np.empty(_mean_shape(xd.shape, axis, keepdims=True), xd.dtype))
 
     def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -437,18 +497,10 @@ def scale(x: Var, c: float) -> Var:
 
 
 def concat(vars_: list[Var], axis: int) -> Var:
-    _require(len(vars_) >= 1, "concat needs at least one input")
     arrays = [v.data for v in vars_]
+    _concat_shape([arr.shape for arr in arrays], axis)
     nd = arrays[0].ndim
-    _require(-nd <= axis < nd, f"concat axis {axis} out of range")
     ax = axis % nd
-    ref = list(arrays[0].shape)
-    for arr in arrays[1:]:
-        got = list(arr.shape)
-        if got[:ax] + got[ax + 1:] != ref[:ax] + ref[ax + 1:]:
-            raise ShapeError(
-                f"concat extent mismatch off axis {ax}: "
-                f"{arrays[0].shape} vs {arr.shape}")
     out = np.concatenate(arrays, axis=ax)
     sizes = [arr.shape[ax] for arr in arrays]
     bounds = np.cumsum([0] + sizes)
@@ -502,9 +554,9 @@ def transpose(x: Var, axes) -> Var:
 
 def mean(x: Var, axis=None, keepdims: bool = False) -> Var:
     xd = x.data
+    _mean_shape(xd.shape, axis, keepdims)
     out = xd.mean(axis=axis, keepdims=keepdims)
-    count = xd.size if axis is None else int(
-        np.prod([xd.shape[a] for a in np.atleast_1d(axis)]))
+    count = xd.size // max(out.size, 1)
 
     def backward(g):
         gb = g

@@ -106,15 +106,21 @@ def _horner_basis(x, coeffs, lo, step, out, t, u, idx, cg, deriv=None):
         deriv *= inside[:, None]
 
 
+def _horner_scratch(m: int, coeffs) -> tuple[np.ndarray, ...]:
+    """The scratch (t, u, idx, cg) of _horner_basis for m inputs."""
+    dt = coeffs.dtype
+    return (np.empty(m, dt), np.empty(m, dt), np.empty(m, np.int64),
+            np.empty((m,) + coeffs.shape[1:], dt))
+
+
 def bspline_basis(x: Var, grid: SplineGrid) -> Var:
     """Tape op: [..., in] -> [..., in, basis_count]; differentiable in x."""
     xf = np.ravel(x.data)
     coeffs = grid.coefficients.astype(np.result_type(xf, np.float32))
-    m, (nb, k), dt = xf.size, coeffs.shape[1:], coeffs.dtype
-    values, deriv = np.empty((2, m, nb), dt)
-    _horner_basis(xf, coeffs, grid.lo, grid.step, values, np.empty(m, dt),
-                  np.empty(m, dt), np.empty(m, np.int64),
-                  np.empty((m, nb, k), dt), deriv)
+    m, nb = xf.size, coeffs.shape[1]
+    values, deriv = np.empty((2, m, nb), coeffs.dtype)
+    _horner_basis(xf, coeffs, grid.lo, grid.step, values,
+                  *_horner_scratch(m, coeffs), deriv)
     shape = x.data.shape + (nb,)
     deriv = deriv.reshape(shape)
     return x.tape.record("bspline_basis", (x,), values.reshape(shape),

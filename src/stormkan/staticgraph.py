@@ -2,37 +2,30 @@
 
 ``export`` lowers a deploy-variant model to a topologically ordered,
 fixed-shape op list that computes what the deploy tape forward does.
-Spline layers become a SPLINE_BASIS node, which carries the grid's
-piecewise-polynomial coefficients as a constant and runs the tape op's
-own Horner kernel, plus the silu path.  Every conv is one CONV2D node,
-as it is one ``ops.conv2d`` call: its bias is its third input, and its
-``relu`` and ``pool`` attributes fuse the ReLU and the 2x2 max-pool, so
-the trunk is two nodes and no graph has a pool node.  The spatial 2x2
-quadrant mean is linear, like ``res``, the dilated convs and ``reduce``
-before it, so it moves in front of them.  One MATMUL pair computes the
-quadrant tap means of all four convs (``model.quadrant_tap_grid``); each
-conv is a SLICE of its block and a CONV2D at stride k.  The ring means
-are two MATMULs on one constant averaging matrix, as in
-``CycloneNet.ring_features``.  The serialized form ("KFG1", version 4)
-is the container ``.kfc`` checkpoints use (``tensor.write_container``):
-a JSON header of inputs ``[[name, shape]]``, nodes ``[[op, attrs,
-inputs]]`` and outputs ``[[name, value id]]``, then the constants as
-tensors named by their value ids, which follow the inputs'.  Node
-outputs take the ids after the constants in order, so the file stores
-none.  It round-trips bit-exactly.  A ``StaticGraph`` is frozen and
-holds what the file holds, its constants as read-only copies in value-id
-order.  Its constructor validates every shape and every constant the
-interpreter indexes by, once, and keeps the shapes, so no invalid graph
-exists and nothing downstream checks one again.  A ``Session`` gives
-every value and every kernel's scratch its own buffer, all allocated
-when it is created; kernels then write into those buffers.  A CONV2D
-runs the tape's own conv kernel, ``ops._conv_block``, one strip of
-output rows at a time (``STRIP_BYTES`` of im2col columns), so its
-columns, and with a pool its raw output, are strip-sized scratch rather
-than full maps, and the bias, ReLU and pool run on each strip while it
-is in cache.  That a warm ``run`` allocates nothing beyond its small
-output copies is measured with tracemalloc (``bench`` reports the
-figure), not self-counted.
+Each node kind that has a tape op shares that op's private shape rule
+and forward kernel in ``ops`` (or ``spline``): ``_infer_shape`` calls
+the rule and ``Session`` the kernel, into its own buffers.  Every conv
+is one CONV2D node, its bias a third input and its ReLU and 2x2
+max-pool attributes.  A spline layer is a SPLINE_BASIS node, holding the
+grid's coefficient table as a constant, plus the silu path.  The
+quadrant mean moves in front of the linear ``res``, dilated and
+``reduce`` convs: one MATMUL pair computes the tap means of all four
+(``model.quadrant_tap_grid``), and each is a SLICE and a CONV2D at
+stride k.  The ring means are two MATMULs on one averaging matrix.
+
+The ``.kfg`` file ("KFG1", version 4) is the ``.kfc`` container
+(``tensor.write_container``): a JSON header of inputs ``[[name,
+shape]]``, nodes ``[[op, attrs, inputs]]`` and outputs ``[[name, value
+id]]``, then the constants as tensors named by their value ids, which
+follow the inputs'; node outputs take the ids after them.  It
+round-trips bit-exactly.  A ``StaticGraph`` is frozen, owns read-only
+copies of its constants, and validates every shape and every constant
+the interpreter indexes by once, in its constructor.  A ``Session``
+allocates every value and scratch buffer when it is created; a CONV2D
+runs ``ops._conv_block`` one strip of output rows at a time
+(``STRIP_BYTES`` of columns), so its scratch is strip-sized.  A warm
+``run`` allocates only its output copies, as ``bench`` measures with
+tracemalloc.
 """
 
 from __future__ import annotations
@@ -47,8 +40,10 @@ import numpy as np
 from .errors import DataError, ExportError, GraphError, ShapeError
 from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
                     quadrant_tap_grid)
-from .ops import _conv_block, _conv_out_extent, _require
-from .spline import KanLinear, _horner_basis
+from .ops import (_axis, _broadcast, _concat_shape, _conv2d_shape,
+                  _conv_block, _matmul_shape, _mean_shape, _padded, _require,
+                  _silu, _softmax)
+from .spline import KanLinear, _horner_basis, _horner_scratch
 from .tape import Tape
 from .tensor import read_container, write_container
 
@@ -181,13 +176,6 @@ def _check_spline_constants(node: GraphNode, graph: StaticGraph) -> None:
             f"invalid for {coeffs.shape[0]} coefficient rows")
 
 
-def _broadcast(*shapes) -> tuple[int, ...]:
-    try:
-        return tuple(np.broadcast_shapes(*shapes))
-    except ValueError as exc:
-        raise ShapeError(f"shapes {shapes} do not broadcast") from exc
-
-
 def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     op, attrs = node.op, node.attrs
     if op not in _ARITY:
@@ -198,26 +186,15 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     _require(n_attrs is None or len(attrs) == n_attrs,
           f"takes {n_attrs} attrs, got {len(attrs)}")
     if op == CONV2D:
-        stride, padding, dilation, relu, pool = attrs
-        x, w, bias = in_shapes
-        _require(len(x) == 4 and len(w) == 4 and x[1] == w[1],
-              f"conv shapes {x} x {w}")
-        _require(bias == w[:1], f"conv bias {bias} must be [{w[0]}]")
-        _require(stride >= 1 and padding >= 0 and dilation >= 1,
-              f"conv stride, padding, dilation {attrs[:3]}")
-        _require(relu in (0, 1) and pool in (0, 1),
-              f"conv relu and pool flags {attrs[3:]} must be 0 or 1")
-        oh, ow = (_conv_out_extent(n, k, stride, padding, dilation)
-                  for n, k in zip(x[2:], w[2:]))
-        _require(not pool or (oh % 2 == 0 and ow % 2 == 0),
-              f"2x2 max-pool needs even conv output extents, got {oh}x{ow}")
-        return (x[0], w[0], oh >> pool, ow >> pool)
-    if op in (RELU, SILU, TANH):
+        _require(attrs[3] in (0, 1) and attrs[4] in (0, 1),
+                 f"conv relu and pool flags {attrs[3:]} must be 0 or 1")
+        return _conv2d_shape(*in_shapes, *attrs[:3], attrs[4])
+    if op == SOFTMAX:
+        _axis(attrs[0], len(in_shapes[0]))
+    if op in (RELU, SILU, TANH, SOFTMAX):
         return in_shapes[0]
-    if op in (SOFTMAX, MEAN):
-        x, axis = in_shapes[0], attrs[0]
-        _require(0 <= axis < len(x), f"axis {axis} out of range for {x}")
-        return x if op == SOFTMAX else x[:axis] + x[axis + 1:]
+    if op == MEAN:
+        return _mean_shape(in_shapes[0], attrs[0])
     if op == SLICE:
         x = in_shapes[0]
         if len(attrs) != 2 * len(x):
@@ -230,18 +207,7 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
             out.append(e - b)
         return tuple(out)
     if op == CONCAT:
-        axis = attrs[0]
-        ref = list(in_shapes[0])
-        _require(0 <= axis < len(ref), f"concat axis {axis} out of range")
-        total = 0
-        for s in in_shapes:
-            if (len(s) != len(ref)
-                    or list(s[:axis]) + list(s[axis + 1:])
-                    != ref[:axis] + ref[axis + 1:]):
-                raise ShapeError("concat extent mismatch")
-            total += s[axis]
-        ref[axis] = total
-        return tuple(ref)
+        return _concat_shape(in_shapes, attrs[0])
     if op == RESHAPE:
         if math.prod(attrs) != math.prod(in_shapes[0]):
             raise ShapeError(f"reshape {in_shapes[0]} -> {attrs}")
@@ -252,10 +218,7 @@ def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
             raise ShapeError("transpose perm invalid")
         return tuple(x[a] for a in attrs)
     if op == MATMUL:
-        a, b = in_shapes
-        if len(a) < 2 or len(b) < 2 or a[-1] != b[-2]:
-            raise ShapeError(f"matmul inner extents {a} x {b}")
-        return _broadcast(a[:-2], b[:-2]) + (a[-2], b[-1])
+        return _matmul_shape(*in_shapes)
     if op in (MUL, ADD):
         return _broadcast(*in_shapes)
     # SPLINE_BASIS
@@ -558,15 +521,13 @@ class Session:
         if node.op == CONV2D:
             return self._conv_scratch(node)
         if node.op == SOFTMAX:
-            axis = node.attrs[0]
-            red = list(shapes[node.inputs[0]])
-            red[axis] = 1
-            return (self._alloc(tuple(red)),)
-        if node.op == SPLINE_BASIS:   # the scratch of spline._horner_basis
-            m = math.prod(shapes[node.inputs[0]])
-            return (self._alloc((m,)), self._alloc((m,)),
-                    self._alloc((m,), dtype=np.int64),
-                    self._alloc((m,) + shapes[node.inputs[1]][1:]))
+            return (self._alloc(_mean_shape(shapes[node.inputs[0]],
+                                            node.attrs[0], keepdims=True)),)
+        if node.op == SPLINE_BASIS:
+            scratch = _horner_scratch(math.prod(shapes[node.inputs[0]]),
+                                      self._values[node.inputs[1]])
+            self.alloc_count += len(scratch)
+            return scratch
         if node.op == SILU:
             return (self._alloc(shapes[node.inputs[0]]),)
         return ()
@@ -633,9 +594,7 @@ class Session:
             stride, padding, dilation, relu, _ = attrs
             x, w, bias = ins
             xp, buf, strips = scratch
-            if xp is not None:
-                xp[:, :, padding:-padding, padding:-padding] = x
-                x = xp
+            x = _padded(x, padding, xp)
             kh, kw = w.shape[2:]
             w2 = w.reshape(w.shape[0], -1)
             span = (kh - 1) * dilation + 1
@@ -646,12 +605,7 @@ class Session:
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)
         elif op == SILU:
-            (t,) = scratch
-            np.negative(ins[0], out=t)
-            with np.errstate(over="ignore"):   # exp(-x) = inf gives x / inf
-                np.exp(t, out=t)
-            t += 1.0
-            np.divide(ins[0], t, out=out)
+            _silu(ins[0], out, *scratch)
         elif op == TANH:
             np.tanh(ins[0], out=out)
         elif op == SLICE:
@@ -677,13 +631,7 @@ class Session:
         elif op == ADD:
             np.add(ins[0], ins[1], out=out)
         elif op == SOFTMAX:
-            axis = attrs[0]
-            (red,) = scratch
-            np.max(ins[0], axis=axis, keepdims=True, out=red)
-            np.subtract(ins[0], red, out=out)
-            np.exp(out, out=out)
-            np.sum(out, axis=axis, keepdims=True, out=red)
-            out /= red
+            _softmax(ins[0], attrs[0], out, *scratch)
         elif op == MEAN:
             np.mean(ins[0], axis=attrs[0], out=out)
         elif op == SPLINE_BASIS:

@@ -54,16 +54,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 

@@ -275,6 +275,8 @@ def collate(dataset, indices, dtype=np.float32):
 def predict(model: CycloneNet, dataset, batch: int = 64):
     """Normalized predictions over a dataset, [N] per task, on
     forward-only tapes: no op keeps its backward context."""
+    if len(dataset) == 0:
+        raise ShapeError("predict on an empty dataset")
     preds_m, preds_r = [], []
     for start in range(0, len(dataset), batch):
         idxs = range(start, min(start + batch, len(dataset)))
@@ -298,8 +300,8 @@ def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
 
 
 def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
-          log_path=None, checkpoint_path=None, quiet: bool = True,
-          checked: bool = False) -> TrainResult:
+          log_path=None, checkpoint_path=None,
+          quiet: bool = True) -> TrainResult:
     """SGD epochs with shuffled batches, plateau scheduling + early stop.
 
     The best-validation parameter state is restored into the model at
@@ -326,7 +328,7 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
         for bstart in range(0, len(order), cfg.batch):
             idxs = order[bstart:bstart + cfg.batch]
             xs, xi, tm, tr = collate(train_set, idxs, dtype=model.dtype)
-            tape = Tape(checked=checked)
+            tape = Tape()
             ym, yr = model.forward(tape, xs, xi)
             loss = multitask_loss(ym, yr, tape.constant(tm),
                                   tape.constant(tr), cfg.alpha, cfg.beta)

@@ -17,10 +17,11 @@ from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
 from stormkan.model import ModelConfig, build_model
 from stormkan.spline import (SplineGrid, bspline_basis,
                              precompute_basis_coefficients)
-from stormkan.staticgraph import (ADD, AVGPOOL2D, CONV2D, MATMUL, MAXPOOL2D,
-                                  RELU, SILU, SLICE, SPLINE_BASIS, GraphNode,
-                                  Session, StaticGraph, bench, export,
-                                  load_graph, save_graph)
+from stormkan.staticgraph import (ADD, AVGPOOL2D, CONCAT, CONV2D, MATMUL,
+                                  MAXPOOL2D, MEAN, MUL, RELU, RESHAPE, SILU,
+                                  SLICE, SOFTMAX, SPLINE_BASIS, TANH,
+                                  TRANSPOSE, GraphNode, Session, StaticGraph,
+                                  bench, export, load_graph, save_graph)
 from stormkan.tape import Tape
 from stormkan.tensor import read_container, write_container
 from stormkan.training import multitask_loss, sgd_step
@@ -632,6 +633,7 @@ class TestSession:
             assert out.dtype == np.float32
             np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-38)
             assert out[0] == 0.0 and np.signbit(out[0])
+        assert outs[0].tobytes() == outs[1].tobytes()
 
     def test_wrong_shape_rejected_before_execution(self, deploy_graph):
         _, graph = deploy_graph
@@ -683,6 +685,63 @@ class TestSession:
             t.join()
         assert np.array_equal(results[0]["y_msw"], results[1]["y_msw"])
         assert np.array_equal(results[0]["y_rmw"], results[1]["y_rmw"])
+
+
+def _conv_case(attrs, x_shape=(2, 3, 10, 10)):
+    stride, padding, dilation, relu, pool = attrs
+    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    return (CONV2D, attrs, x_shape, (w, b),
+            lambda x, w, b: ops.conv2d(x, w, b, stride, padding, dilation,
+                                       bool(relu), bool(pool)))
+
+
+# id -> (op, attrs, x shape, constants, the tape op on (x, *constants))
+NODE_CASES = {
+    "conv2d": _conv_case((1, 1, 1, 0, 0)),
+    "conv2d_relu": _conv_case((1, 1, 1, 1, 0)),
+    "conv2d_pool": _conv_case((1, 1, 1, 0, 1)),
+    "conv2d_relu_pool": _conv_case((1, 1, 1, 1, 1)),
+    "conv2d_strided_dilated": _conv_case((2, 2, 2, 1, 0),
+                                         (2, 3, 11, 11)),
+    "spline_basis": (SPLINE_BASIS, (), (64, 32),
+                     (GRID_COEFFS, (-1.0, 0.4, 5.0)),
+                     lambda x, *_: bspline_basis(x, SplineGrid())),
+    "relu": (RELU, (), (64, 32), (), ops.relu),
+    "silu": (SILU, (), (64, 32), (), ops.silu),
+    "tanh": (TANH, (), (64, 32), (), ops.tanh),
+    "softmax": (SOFTMAX, (1,), (64, 32), (), lambda x: ops.softmax(x, 1)),
+    "mean": (MEAN, (0,), (64, 32), (), lambda x: ops.mean(x, 0)),
+    "matmul": (MATMUL, (), (2, 64, 32),
+               (rng.standard_normal((32, 16)),), ops.matmul),
+    "add": (ADD, (), (64, 32), (rng.standard_normal(32),), ops.add),
+    "mul": (MUL, (), (64, 32), (rng.standard_normal((64, 1)),), ops.mul),
+    "concat": (CONCAT, (1,), (64, 32), (rng.standard_normal((64, 5)),),
+               lambda x, c: ops.concat([x, c], 1)),
+    "slice": (SLICE, (3, 40, 1, 32), (64, 32), (),
+              lambda x: ops.slice_(x, (slice(3, 40), slice(1, 32)))),
+    "reshape": (RESHAPE, (32, 2, 32), (64, 32), (),
+                lambda x: ops.reshape(x, (32, 2, 32))),
+    "transpose": (TRANSPOSE, (1, 0), (64, 32), (),
+                  lambda x: ops.transpose(x, (1, 0))),
+}
+
+
+class TestTapeParity:
+    @pytest.mark.parametrize("case", sorted(NODE_CASES))
+    def test_node_matches_tape_op_bitwise(self, case):
+        # each node runs the tape op's own shape rule and kernel
+        op, attrs, x_shape, consts, tape_op = NODE_CASES[case]
+        x = (3 * rng.standard_normal(x_shape)).astype(np.float32)
+        graph = one_node_graph(op, attrs, x_shape, consts)
+        out = Session(graph).run({"x": x})["y"]
+        tape = Tape()
+        ref = tape_op(tape.constant(x), *map(tape.constant,
+                                             graph.constants)).data
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        differ = np.ascontiguousarray(out).view(np.uint32) \
+            != np.ascontiguousarray(ref).view(np.uint32)
+        assert not differ.any(), f"{differ.sum()} of {out.size} differ"
 
 
 class TestBench:

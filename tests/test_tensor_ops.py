@@ -486,6 +486,44 @@ class TestElementwise:
             ops.softmax(tape.constant(np.ones((2, 3))), axis=5)
 
 
+def _ones(*shapes):
+    """float32 ones of each shape, as constants on one tape."""
+    tape = Tape()
+    return [tape.constant(np.ones(shape, np.float32)) for shape in shapes]
+
+
+class TestShapeRules:
+    """A bad call raises ShapeError from the op's shape rule, the one
+    staticgraph's shape inference calls, before numpy sees it."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"stride": 0}, {"dilation": 0}, {"padding": -1}, {"stride": -1}],
+        ids=["stride_0", "dilation_0", "padding_-1", "stride_-1"])
+    def test_bad_conv_geometry(self, kwargs):
+        with pytest.raises(ShapeError, match="stride >= 1"):
+            ops.conv2d(*_ones((1, 2, 6, 6), (3, 2, 3, 3)), **kwargs)
+
+    def test_conv_bias_extent(self):
+        with pytest.raises(ShapeError, match=r"bias \(2,\) must be \[3\]"):
+            ops.conv2d(*_ones((1, 2, 6, 6), (3, 2, 3, 3), (2,)))
+
+    def test_matmul_batch_extents_must_broadcast(self):
+        with pytest.raises(ShapeError, match="broadcast"):
+            ops.matmul(*_ones((2, 3, 4), (5, 4, 6)))
+
+    def test_mean_axis_out_of_range(self):
+        with pytest.raises(ShapeError, match="out of range"):
+            ops.mean(*_ones((2, 3)), axis=3)
+
+    def test_mean_repeated_axis(self):
+        with pytest.raises(ShapeError, match="repeated"):
+            ops.mean(*_ones((2, 3)), axis=(1, -1))
+
+    def test_concat_rank_mismatch(self):
+        with pytest.raises(ShapeError, match="concat extent mismatch"):
+            ops.concat(_ones((2, 3), (2,)), axis=1)
+
+
 class TestLstm:
     def _params(self, feat, hid, scale=0.3):
         wx = rng.standard_normal((4 * hid, feat)) * scale

@@ -257,6 +257,13 @@ class TestTrainLoop:
 
 
 class TestPredict:
+    def test_empty_dataset_rejected(self):
+        from stormkan.training import predict
+        model = build_model(TINY, seed=0)
+        for call in (predict, evaluate):
+            with pytest.raises(ShapeError, match="empty"):
+                call(model, [])
+
     def test_forward_only_tape_matches_grad_tape(self, tiny_sets):
         # predict runs forward-only tapes: the same bits as a forward on
         # a tape that keeps backward rules, with no rule kept
