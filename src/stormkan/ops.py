@@ -3,15 +3,16 @@
 Every public op takes Vars, computes its forward with numpy and records
 an exact backward rule.  ``conv2d``, ``matmul``, ``concat``, ``softmax``
 and ``mean`` check their operands with a private shape rule that raises
-ShapeError; ``staticgraph``'s shape inference calls the same rules.
-``conv2d``, ``silu`` and ``softmax`` compute their forward with a
-private ``out=`` kernel, called with fresh buffers here and with
-preallocated ones by ``staticgraph.Session``.  ``conv2d`` is im2col +
-one batched GEMM per batch chunk (``_conv_block``), with the bias, ReLU
-and 2x2 max-pool run on each chunk while it is in cache; its columns and
-zero padding are per chunk, in reused buffers, and never kept: backward
-repacks them.  Average pools are products with constant averaging
-matrices, through ``matmul``.
+ShapeError, and ``add``, ``sub`` and ``mul`` with ``_broadcast``;
+``staticgraph``'s shape inference calls the same rules.  ``conv2d``,
+``silu`` and ``softmax`` compute their forward with a private ``out=``
+kernel, called with fresh buffers here and with preallocated ones by
+``staticgraph.Session``.  ``conv2d`` packs the taps of each batch
+chunk's flat padded grid (``_taps``) and runs one batched GEMM per
+chunk (``_conv_block``), then the 2x2 max-pool, bias and ReLU while the
+chunk is in cache; its columns and padding are per chunk, in reused
+buffers, and never kept: backward repacks them.  Average pools are
+products with constant averaging matrices, through ``matmul``.
 """
 
 from __future__ import annotations
@@ -162,52 +163,75 @@ def linear(x: Var, w: Var) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution, on the flat padded grid
+#
+# A chunk [b, C, H, W] padded by p is laid out flat, as [b, C, Hp*Wp] with
+# Hp = H + 2p and Wp = W + 2p.  Output (r, s) of tap (i, j) reads flat
+# element i*d*Wp + j*d + stride*(r*Wp + s), so each tap's window over the
+# whole output is one slice of the flat grid, strided by the conv stride.
+# The GEMM runs over n = (OH - 1)*Wp + OW grid columns: OH rows of Wp, the
+# last one cut to OW, so no read leaves the grid; the Wp - OW extra
+# columns of each row are dropped by the epilogue.
 
 
-def _columns(xw: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-             buf: np.ndarray) -> np.ndarray:
-    """The [B, C*kh*kw, OH*OW] GEMM view of the conv windows of xw
-    [B, C, H, W].  A 1x1, stride-1 kernel reads xw itself as its columns;
-    any other is packed (im2col) into the front of the flat buffer buf as
-    [C*kh*kw, B*OH*OW], with one strided copy and no temporary."""
-    b, c, h, w = xw.shape
+def _taps(xf, geom, n, writeable=False):
+    """The [b, C, kh, kw, n] view of the flat grid xf [b, C, L] whose
+    (i, j) slice is tap (i, j) over n grid columns; geom is (kh, kw,
+    stride, dilation, Wp).  It is the packer of the forward and backward
+    columns, and col2im adds into it."""
+    kh, kw, stride, dilation, wp = geom
+    sb, sc, se = xf.strides
+    return np.lib.stride_tricks.as_strided(
+        xf, xf.shape[:2] + (kh, kw, n),
+        (sb, sc, dilation * wp * se, dilation * se, stride * se),
+        writeable=writeable)
+
+
+def _pack(xf, geom, n, buf):
+    """The [b, C*kh*kw, n] GEMM columns of the flat grid xf: xf itself
+    for a 1x1, stride-1 kernel, else its taps copied into the front of
+    the flat buffer buf, a contiguous run of n per tap and channel."""
+    kh, kw, stride, dilation, _ = geom
+    b, c = xf.shape[:2]
     if (kh, kw, stride, dilation) == (1, 1, 1, 1):
-        return xw.reshape(b, c, h * w)
-    oh = (h - dilation * (kh - 1) - 1) // stride + 1
-    ow = (w - dilation * (kw - 1) - 1) // stride + 1
-    sb, sc, sh, sw = xw.strides
-    win = np.lib.stride_tricks.as_strided(   # [C, kh, kw, B, OH, OW]
-        xw, (c, kh, kw, b, oh, ow),
-        (sc, sh * dilation, sw * dilation, sb, sh * stride, sw * stride),
-        writeable=False)
-    cols = buf[:c * kh * kw * b * oh * ow]
-    np.copyto(cols.reshape(win.shape), win)
-    return cols.reshape(c * kh * kw, b, oh * ow).transpose(1, 0, 2)
+        return xf[:, :, :n]
+    cols = buf[:b * c * kh * kw * n].reshape(b, c * kh * kw, n)
+    np.copyto(cols.reshape(b, c, kh, kw, n), _taps(xf, geom, n))
+    return cols
 
 
-def _offset_keys(kh: int, kw: int, stride: int, dilation: int, oh: int,
-                ow: int) -> list[tuple[slice, ...]]:
-    """NCHW index keys of the kh*kw window offsets, in flat (row-major)
-    window order: key (i, j) selects the [.., OH, OW] strided slice of
-    the input that window element (i, j) reads at every output position."""
-    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-    return [(slice(None), slice(None),
-             slice(i * dilation, i * dilation + span_h, stride),
-             slice(j * dilation, j * dilation + span_w, stride))
-            for i in range(kh) for j in range(kw)]
+def _padded(xc, padding, buf):
+    """The chunk xc [b, C, H, W] zero-padded by `padding` on each side of
+    H and W, as its flat grid [b, C, Hp*Wp]: a view of xc, or its copy
+    into the front of the flat buffer buf, border included, so nothing
+    an earlier call left in buf is read."""
+    b, c, h, w = xc.shape
+    if not padding:
+        return xc.reshape(b, c, h * w)
+    p = padding
+    xp = buf[:b * c * (h + 2 * p) * (w + 2 * p)].reshape(b, c, h + 2 * p,
+                                                          w + 2 * p)
+    xp[:, :, :p] = 0
+    xp[:, :, -p:] = 0
+    xp[:, :, p:-p, :p] = 0
+    xp[:, :, p:-p, -p:] = 0
+    xp[:, :, p:-p, p:-p] = xc
+    return xp.reshape(b, c, -1)
 
 
-def _max2x2(y, half, col_pick, row_pick, out):
+def _max2x2(y, half, out, picks=None):
     """2x2, stride-2 max of y [.., H, W] into out [.., H/2, W/2]: first
-    over each row's column pair (col_pick: the right one won), then over
-    each pair of those rows (row_pick: the lower one won).  Both picks
-    are strict, so ties go to the first flat index of the window."""
+    over each row's column pair into half, then over each pair of those
+    rows.  Given picks = (col_pick, row_pick), it records whether the
+    right column and then the lower row won; both picks are strict, so
+    ties go to the first flat index of the window."""
     c0, c1 = y[..., 0::2], y[..., 1::2]
-    np.greater(c1, c0, out=col_pick)
+    if picks is not None:
+        np.greater(c1, c0, out=picks[0])
     np.maximum(c0, c1, out=half)
     r0, r1 = half[..., 0::2, :], half[..., 1::2, :]
-    np.greater(r1, r0, out=row_pick)
+    if picks is not None:
+        np.greater(r1, r0, out=picks[1])
     np.maximum(r0, r1, out=out)
 
 
@@ -220,33 +244,37 @@ def _unpool2x2(gp, col_pick, row_pick, half, g):
     np.subtract(half, g[..., 1::2], out=g[..., 0::2])
 
 
-def _padded(xc, padding, buf):
-    """The chunk xc [b, C, H, W] zero-padded by `padding` on each side of
-    H and W: xc itself, or its copy into the interior of the front of
-    buf, a reused chunk buffer whose border is zero and stays so."""
-    if not padding:
-        return xc
-    xp = buf[:len(xc)]
-    xp[:, :, padding:-padding, padding:-padding] = xc
-    return xp
-
-
-def _conv_block(xw, w2, kh, kw, stride, dilation, bias, relu, buf, y,
-                pool=None):
-    """The conv forward of one block of output: the windows of xw
-    (_columns, packed into buf) times w2 [Cout, K] into y [B, Cout, OH,
-    OW], then + bias [Cout] unless it is None, the ReLU if `relu`, and,
-    given pool = (half, col_pick, row_pick, out), _max2x2 of y into out.
-    ``conv2d`` runs it per batch chunk, ``staticgraph.Session`` per strip
-    of output rows (an even number of them with a pool)."""
-    c3 = _columns(xw, kh, kw, stride, dilation, buf)
-    np.matmul(w2, c3, out=y.reshape(c3.shape[0], w2.shape[0], -1))
-    if bias is not None:
-        y += bias.reshape(-1, 1, 1)
+def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
+                picks=None):
+    """The conv of one block of output rows into out [b, Cout, rows, OW]:
+    the taps of the flat grid xf [b, C, L], whose row 0 is the block's
+    first input row, packed into cols (_pack), times w2 [Cout, K] into
+    the front of y over the block's grid, then + bias [Cout] unless it is
+    None, and the ReLU if `relu`.  Given the flat buffer half, out is the
+    pooled block [b, Cout, rows/2, OW/2]: the 2x2 max (_max2x2, recording
+    picks if given) runs on the GEMM's output, before the bias and the
+    ReLU, which commute with it.  ``conv2d`` runs it per batch chunk,
+    ``staticgraph.Session`` per strip of output rows."""
+    wp = geom[-1]
+    b, cout = out.shape[:2]
+    pool = half is not None
+    rows, ow = out.shape[2] << pool, out.shape[3] << pool
+    n = (rows - 1) * wp + ow
+    grid = y[:b * cout * rows * wp].reshape(b, cout, rows * wp)
+    np.matmul(w2, _pack(xf, geom, n, cols), out=grid[:, :, :n])
+    yv = grid.reshape(b, cout, rows, wp)[..., :ow]
+    bias = None if bias is None else bias.reshape(-1, 1, 1)
+    if pool:
+        _max2x2(yv, half[:b * cout * rows * (ow // 2)].reshape(
+            b, cout, rows, ow // 2), out, picks)
+        if bias is not None:
+            out += bias
+    elif bias is None:
+        np.copyto(out, yv)
+    else:
+        np.add(yv, bias, out=out)
     if relu:
-        np.maximum(y, 0, out=y)
-    if pool is not None:
-        _max2x2(y, *pool)
+        np.maximum(out, 0, out=out)
 
 
 def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
@@ -256,15 +284,16 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     optionally ReLU and the 2x2, stride-2 max-pool (``_conv2d_shape``
     gives the extents it accepts).
 
-    Forward runs ``_conv_block`` per batch chunk, on the chunk padded
-    into one reused buffer (``_padded``).  The pool records, per window,
-    which column of each row pair and which row won (two bool masks; ties
-    go to the first flat index).  Only the output, the masks and the
+    Forward runs ``_conv_block`` per batch chunk, on the chunk's flat
+    padded grid in one reused buffer (``_padded``).  When a gradient is
+    needed, the pool records, per window, which column of each row pair
+    and which row won (two bool masks; ties go to the first flat index);
+    otherwise it records nothing.  Only the output, the masks and the
     input itself are kept for backward, which works chunk by chunk: it
-    routes the output gradient back through the masks and the ReLU,
-    repacks the chunk's columns for dw, and scatter-adds dcols = W^T g
-    through the kh*kw strided window offsets (col2im) into a zeroed
-    padded chunk whose interior is the chunk's dx.
+    routes the output gradient through the masks and the ReLU onto the
+    GEMM grid, whose extra columns are zero, repacks the chunk's columns
+    for dw, and adds each tap of dcols = W^T g into the chunk's flat
+    padded dx (col2im), whose interior is the chunk's dx.
     """
     xd, wd = x.data, w.data
     has_bias = bias is not None
@@ -274,85 +303,83 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     bsz, cin, h, wid = xd.shape
     cout, _, kh, kw = wd.shape
     oh, ow = out_shape[2] << pool, out_shape[3] << pool
-    # a 1x1 conv reads its (padded) input as columns, in place
+    hp, wp = h + 2 * padding, wid + 2 * padding
+    geom = (kh, kw, stride, dilation, wp)
     is_1x1 = (kh, kw, stride, dilation) == (1, 1, 1, 1)
     k = cin * kh * kw
-    ohw = oh * ow
+    n = (oh - 1) * wp + ow
     w2 = np.ascontiguousarray(wd.reshape(cout, k))
     dtype = np.result_type(xd, wd)
-    chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * ohw * xd.itemsize, 1)))
-    # the column buffer: one per pass, reused by every chunk, never kept
-    n_cols = 0 if is_1x1 else k * chunk * ohw
-    pad_shape = (chunk, cin, h + 2 * padding, wid + 2 * padding)
-
-    out = np.empty(out_shape, dtype=dtype)
-    if pool:
-        col_pick = np.empty((bsz, cout, oh, ow // 2), dtype=bool)
-        row_pick = np.empty(out.shape, dtype=bool)
-        y_buf = np.empty((chunk, cout, oh, ow), dtype=dtype)
-        half_buf = np.empty((chunk, cout, oh, ow // 2), dtype=dtype)
-    buf = np.empty(n_cols, dtype=xd.dtype)
-    xp = np.zeros(pad_shape, dtype=xd.dtype) if padding else None
-    for b0 in range(0, bsz, chunk):
-        c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
-        _conv_block(_padded(xd[c], padding, xp), w2, kh, kw, stride,
-                    dilation, bias.data if has_bias else None, relu, buf,
-                    y_buf[:bc] if pool else out[c],
-                    (half_buf[:bc], col_pick[c], row_pick[c], out[c])
-                    if pool else None)
+    chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * n * xd.itemsize, 1)))
+    # the chunk buffers: one per pass, reused by every chunk, never kept
+    n_cols = 0 if is_1x1 else chunk * k * n
+    n_pad = chunk * cin * hp * wp if padding else 0
     # capture plain flags, not Vars: a Var in the closure would create a
     # tape <-> closure cycle and delay freeing whole forward passes
     x_needs_grad = x.requires_grad
+    needs_grad = x_needs_grad or w.requires_grad or (
+        has_bias and bias.requires_grad)
+
+    out = np.empty(out_shape, dtype=dtype)
+    if pool and needs_grad:   # a forward-only pool records no picks
+        col_pick = np.empty((bsz, cout, oh, ow // 2), dtype=bool)
+        row_pick = np.empty(out_shape, dtype=bool)
+    cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
+    y = np.empty(chunk * cout * oh * wp, dtype)
+    half = np.empty(chunk * cout * oh * (ow // 2), dtype) if pool else None
+    for b0 in range(0, bsz, chunk):
+        c = slice(b0, b0 + chunk)
+        _conv_block(_padded(xd[c], padding, xp), w2, geom,
+                    bias.data if has_bias else None, relu, cols, y, out[c],
+                    half, (col_pick[c], row_pick[c])
+                    if pool and needs_grad else None)
 
     def backward(g):
         dw = np.zeros((k, cout), dtype=g.dtype)
         db = np.zeros(cout, dtype=g.dtype) if has_bias else None
         dx = np.zeros(xd.shape, dtype=g.dtype) if x_needs_grad else None
-        if relu or pool:
-            g_buf = np.empty((chunk, cout, oh, ow), dtype=g.dtype)
-        if pool:
-            half = np.empty((chunk, cout, oh, ow // 2), dtype=g.dtype)
-        keys = _offset_keys(kh, kw, stride, dilation, oh, ow)
-        cols = np.empty(n_cols, dtype=xd.dtype)
-        xp = np.zeros(pad_shape, dtype=xd.dtype) if padding else None
-        dxp = np.empty(pad_shape, dtype=g.dtype) \
-            if padding and x_needs_grad else None
+        # the output gradient on the GEMM grid: its extra columns stay 0
+        gg = np.zeros((chunk, cout, oh, wp), dtype=g.dtype)
+        half = np.empty((chunk, cout, oh, ow // 2), g.dtype) if pool else None
+        cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
+        dxp = np.empty(n_pad, g.dtype) if x_needs_grad else None
         for b0 in range(0, bsz, chunk):
             c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
-            c3 = _columns(_padded(xd[c], padding, xp), kh, kw, stride,
-                          dilation, cols)
-            gc = g[c]
+            c3 = _pack(_padded(xd[c], padding, xp), geom, n, cols)
+            gc, gv = g[c], gg[:bc, :, :, :ow]
             if pool:
                 if relu:
                     gc = gc * (out[c] > 0)
-                _unpool2x2(gc, col_pick[c], row_pick[c], half[:bc],
-                           g_buf[:bc])
-                gc = g_buf[:bc]
+                _unpool2x2(gc, col_pick[c], row_pick[c], half[:bc], gv)
             elif relu:
-                gc = np.multiply(gc, out[c] > 0, out=g_buf[:bc])
-            gc = np.ascontiguousarray(gc).reshape(bc, cout, ohw)
+                np.multiply(gc, out[c] > 0, out=gv)
+            else:
+                np.copyto(gv, gc)
+            gn = gg[:bc].reshape(bc, cout, oh * wp)[:, :, :n]
             if has_bias:
-                db += gc.sum(axis=(0, 2))
-            dw += np.matmul(c3, gc.transpose(0, 2, 1)).sum(axis=0)
+                db += gn.sum(axis=(0, 2))
+            dw += np.matmul(c3, gn.transpose(0, 2, 1)).sum(axis=0)
             if dx is None:
                 continue
-            # the gradient w.r.t. the chunk as padded: with padding, a
+            # the gradient w.r.t. the chunk's flat grid: dx itself, or a
             # zeroed padded buffer whose interior is then the chunk's dx
-            dxc = dx[c]
             if padding:
-                dxc = dxp[:bc]
-                dxc.fill(0)
-            if is_1x1:
-                np.matmul(w2.T, gc, out=dxc.reshape(bc, cin, ohw))
+                dxf = dxp[:bc * cin * hp * wp].reshape(bc, cin, hp * wp)
+                dxf.fill(0)
             else:
-                np.matmul(w2.T, gc, out=c3)  # dcols overwrite the columns
-                dcols = c3.transpose(1, 0, 2).reshape(cin, kh * kw, bc, oh,
-                                                      ow)
-                dxt = dxc.transpose(1, 0, 2, 3)
-                for t, key in enumerate(keys):
-                    np.add(dxt[key], dcols[:, t], out=dxt[key])
+                dxf = dx[c].reshape(bc, cin, h * wid)
+            if is_1x1:
+                np.matmul(w2.T, gn, out=dxf)
+            else:
+                np.matmul(w2.T, gn, out=c3)  # dcols overwrite the columns
+                dcols = c3.reshape(bc, cin, kh, kw, n)
+                taps = _taps(dxf, geom, n, writeable=True)
+                for i, j in np.ndindex(kh, kw):
+                    tap = taps[:, :, i, j]
+                    np.add(tap, dcols[:, :, i, j], out=tap)
             if padding:
-                dx[c] = dxc[:, :, padding:padding + h, padding:padding + wid]
+                dx[c] = dxf.reshape(bc, cin, hp, wp)[
+                    :, :, padding:padding + h, padding:padding + wid]
         dw = np.ascontiguousarray(dw.T).reshape(wd.shape)
         return (dx, dw, db) if has_bias else (dx, dw)
 
@@ -466,24 +493,34 @@ def abs_(x: Var) -> Var:
     return x.tape.record("abs", (x,), out, lambda g: (g * np.sign(xd),))
 
 
+def _operands(a: Var, b: Var) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of a and b, whose shapes must broadcast."""
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        _broadcast(ad.shape, bd.shape)
+    return ad, bd
+
+
 def add(a: Var, b: Var) -> Var:
-    out = a.data + b.data
-    ash, bsh = a.data.shape, b.data.shape
+    ad, bd = _operands(a, b)
+    out = ad + bd
+    ash, bsh = ad.shape, bd.shape
     return a.tape.record(
         "add", (a, b), out,
         lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
 
 
 def sub(a: Var, b: Var) -> Var:
-    out = a.data - b.data
-    ash, bsh = a.data.shape, b.data.shape
+    ad, bd = _operands(a, b)
+    out = ad - bd
+    ash, bsh = ad.shape, bd.shape
     return a.tape.record(
         "sub", (a, b), out,
         lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
 
 
 def mul(a: Var, b: Var) -> Var:
-    ad, bd = a.data, b.data
+    ad, bd = _operands(a, b)
     out = ad * bd
     return a.tape.record(
         "mul", (a, b), out,

@@ -106,23 +106,27 @@ def _horner_basis(x, coeffs, lo, step, out, t, u, idx, cg, deriv=None):
         deriv *= inside[:, None]
 
 
-def _horner_scratch(m: int, coeffs) -> tuple[np.ndarray, ...]:
-    """The scratch (t, u, idx, cg) of _horner_basis for m inputs."""
+def _horner_scratch(m: int, coeffs, alloc=np.empty) -> tuple:
+    """The scratch (t, u, idx, cg) of _horner_basis for m inputs, each
+    from alloc(shape, dtype)."""
     dt = coeffs.dtype
-    return (np.empty(m, dt), np.empty(m, dt), np.empty(m, np.int64),
-            np.empty((m,) + coeffs.shape[1:], dt))
+    return (alloc(m, dt), alloc(m, dt), alloc(m, np.int64),
+            alloc((m,) + coeffs.shape[1:], dt))
 
 
 def bspline_basis(x: Var, grid: SplineGrid) -> Var:
-    """Tape op: [..., in] -> [..., in, basis_count]; differentiable in x."""
+    """Tape op: [..., in] -> [..., in, basis_count]; differentiable in x.
+    The derivative is computed and kept only if x needs a gradient."""
     xf = np.ravel(x.data)
     coeffs = grid.coefficients.astype(np.result_type(xf, np.float32))
     m, nb = xf.size, coeffs.shape[1]
-    values, deriv = np.empty((2, m, nb), coeffs.dtype)
+    shape = x.data.shape + (nb,)
+    values = np.empty((m, nb), coeffs.dtype)
+    deriv = np.empty((m, nb), coeffs.dtype) if x.requires_grad else None
     _horner_basis(xf, coeffs, grid.lo, grid.step, values,
                   *_horner_scratch(m, coeffs), deriv)
-    shape = x.data.shape + (nb,)
-    deriv = deriv.reshape(shape)
+    if deriv is not None:
+        deriv = deriv.reshape(shape)
     return x.tape.record("bspline_basis", (x,), values.reshape(shape),
                          lambda g: ((g * deriv).sum(axis=-1),))
 

@@ -19,13 +19,15 @@ shape]]``, nodes ``[[op, attrs, inputs]]`` and outputs ``[[name, value
 id]]``, then the constants as tensors named by their value ids, which
 follow the inputs'; node outputs take the ids after them.  It
 round-trips bit-exactly.  A ``StaticGraph`` is frozen, owns read-only
-copies of its constants, and validates every shape and every constant
-the interpreter indexes by once, in its constructor.  A ``Session``
-allocates every value and scratch buffer when it is created; a CONV2D
-runs ``ops._conv_block`` one strip of output rows at a time
-(``STRIP_BYTES`` of columns), so its scratch is strip-sized.  A warm
-``run`` allocates only its output copies, as ``bench`` measures with
-tracemalloc.
+copies of its constants (``load_graph`` makes them from views of the
+file's bytes, so each constant is copied once), and validates every
+shape and every constant the interpreter indexes by once, in its
+constructor.  A ``Session`` allocates two buffers when it is created:
+one block of node outputs, and one scratch buffer that every node uses
+in turn, sized by the largest need, conv2's at full size.  A CONV2D runs
+``ops._conv_block`` one strip of output rows at a time (``STRIP_BYTES``
+of columns).  A warm ``run`` allocates only its output copies, as
+``bench`` measures with tracemalloc.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ VERSION = 4
 MAX_RANK = 32   # numpy 1.x's array rank limit
 # im2col columns packed per conv GEMM call, one strip of output rows.
 # Swept on the full-size graph at B=1: 3 to 5 MiB run equally fast, 1 MiB
-# (a dispatch per 8 rows) about 25% slower; each MiB costs 2.4 MiB of
-# conv scratch
+# (a dispatch per 8 rows) about 25% slower; each MiB costs about 1.35 MiB
+# of the session's scratch buffer (conv2's columns, GEMM output and
+# half-pooled rows), on top of conv2's 1.5 MiB padded input
 STRIP_BYTES = 4 * 2**20
+_ALIGN = 64   # byte alignment of every view of a Session's two buffers
 
 # op ids; AVGPOOL2D (unused since version 2) and MAXPOOL2D (since
 # version 3) are reserved, so that later ids keep their numbers
@@ -488,79 +492,112 @@ def export(model) -> StaticGraph:
 # interpreter
 
 
-class Session:
-    """Executes a loaded graph against pre-allocated buffers.
+class _Arena:
+    """Hands out views of one flat byte buffer, front to back, each at a
+    64-byte-aligned offset; with no buffer it only counts the bytes they
+    span (``end``), which sizes the buffer."""
 
-    All value and scratch buffers are allocated when the session is
-    created (``alloc_count`` counts them); ``run`` only writes into
-    them.  The graph is frozen and its constants read-only, so sessions
-    may share one graph and run concurrently; its ``shapes`` size the
-    buffers, and it needs no checking, as only a valid graph exists.
+    def __init__(self, buf=None):
+        self.buf, self.end = buf, 0
+
+    def take(self, shape, dtype=np.float32):
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        start = self.end
+        self.end += -(-nbytes // _ALIGN) * _ALIGN
+        if self.buf is None:
+            return None
+        return self.buf[start:start + nbytes].view(dtype).reshape(shape)
+
+
+def _aligned_empty(nbytes: int) -> np.ndarray:
+    """An uninitialized, 64-byte-aligned byte buffer."""
+    raw = np.empty(nbytes + _ALIGN, np.uint8)
+    skip = -raw.ctypes.data % _ALIGN
+    return raw[skip:skip + nbytes]
+
+
+class Session:
+    """Executes a loaded graph against two buffers, allocated when the
+    session is created (``alloc_count``); ``run`` only writes into them.
+
+    One block holds every node output.  One scratch buffer, as large as
+    the largest node's need, holds every node's scratch in turn, since
+    ``run`` executes the nodes in order: no node reads what another, or
+    an earlier run, left there.  A CONV2D runs ``ops._conv_block`` one
+    strip of output rows at a time (``STRIP_BYTES`` of columns), so its
+    scratch is the padded input plus strip-sized buffers.  The graph is
+    frozen and its constants read-only, so sessions may share one graph
+    and run concurrently; its ``shapes`` size the buffers, and it needs
+    no checking, as only a valid graph exists.
     """
 
     def __init__(self, graph: StaticGraph):
         self.graph = graph
-        self.alloc_count = 0
         self.shapes = graph.shapes
         self._values: list[np.ndarray | None] = [None] * graph.n_values
         for vid, arr in enumerate(graph.constants, len(graph.inputs)):
             self._values[vid] = arr
+        outputs = [self.shapes[node.output] for node in graph.nodes]
+        sizer = _Arena()
+        for shape in outputs:
+            sizer.take(shape)
+        self._value_block = _aligned_empty(sizer.end)
+        values = _Arena(self._value_block)
+        for node, shape in zip(graph.nodes, outputs):
+            self._values[node.output] = values.take(shape)
+        need = 0
         for node in graph.nodes:
-            self._values[node.output] = self._alloc(self.shapes[node.output])
-        self._scratch: dict[int, tuple] = {}
-        for i, node in enumerate(graph.nodes):
-            self._scratch[i] = self._make_scratch(node)
+            sizer = _Arena()
+            self._node_scratch(node, sizer.take)
+            need = max(need, sizer.end)
+        self._scratch_block = _aligned_empty(need)
+        self._scratch = [self._node_scratch(node,
+                                            _Arena(self._scratch_block).take)
+                         for node in graph.nodes]
+        self.alloc_count = 2
         self._input_ids = {name: i for i, (name, _) in enumerate(graph.inputs)}
 
-    def _alloc(self, shape, dtype=np.float32) -> np.ndarray:
-        self.alloc_count += 1
-        return np.zeros(shape, dtype=dtype)
-
-    def _make_scratch(self, node: GraphNode):
+    def _node_scratch(self, node: GraphNode, take):
+        """The node's scratch views, each from take(shape, dtype)."""
         shapes = self.shapes
         if node.op == CONV2D:
-            return self._conv_scratch(node)
+            return self._conv_scratch(node, take)
         if node.op == SOFTMAX:
-            return (self._alloc(_mean_shape(shapes[node.inputs[0]],
-                                            node.attrs[0], keepdims=True)),)
+            return (take(_mean_shape(shapes[node.inputs[0]], node.attrs[0],
+                                     keepdims=True)),)
         if node.op == SPLINE_BASIS:
-            scratch = _horner_scratch(math.prod(shapes[node.inputs[0]]),
-                                      self._values[node.inputs[1]])
-            self.alloc_count += len(scratch)
-            return scratch
+            return _horner_scratch(math.prod(shapes[node.inputs[0]]),
+                                   self._values[node.inputs[1]], take)
         if node.op == SILU:
-            return (self._alloc(shapes[node.inputs[0]]),)
+            return (take(shapes[node.inputs[0]]),)
         return ()
 
-    def _conv_scratch(self, node: GraphNode):
-        """(padded input or None, column buffer, strips): each strip is
-        (r0, r1, y, pool), the arguments ops._conv_block takes for conv
-        output rows [r0, r1).  Without a pool, y is those rows of the
-        node's output; with one, y, the half-pooled rows and the pick
-        masks are strip-sized buffers that every strip reuses."""
-        _, padding, _, _, pool = node.attrs
+    def _conv_scratch(self, node: GraphNode, take):
+        """(geometry, padded input, columns, GEMM output, half-pooled
+        rows, strips): the four are flat buffers, each None if unused,
+        that every strip of at most `rows` output rows reuses.  Each
+        strip is (offset, out): the offset of its first input row in the
+        flat padded input, and its rows of the node's output, pooled
+        with the pool."""
+        stride, padding, dilation, _, pool = node.attrs
         (bsz, cin, h, wid), (cout, _, kh, kw) = (
             self.shapes[j] for j in node.inputs[:2])
         out = self._values[node.output]
         oh, ow = out.shape[2] << pool, out.shape[3] << pool
-        xp = None
-        if padding:
-            xp = self._alloc((bsz, cin, h + 2 * padding, wid + 2 * padding))
+        wp = wid + 2 * padding
         rows = max(1, min(oh, STRIP_BYTES // (4 * cin * kh * kw * bsz * ow)))
         if pool:   # a strip pools whole row pairs
             rows = max(2, rows - rows % 2)
-            y, half = (self._alloc((bsz, cout, rows, n)) for n in (ow, ow // 2))
-            col_pick = self._alloc(half.shape, dtype=bool)
-            row_pick = self._alloc((bsz, cout, rows // 2, ow // 2), dtype=bool)
-        strips = []
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            n = r1 - r0
-            strips.append((r0, r1, out[:, :, r0:r1], None) if not pool else (
-                r0, r1, y[:, :, :n], (half[:, :, :n], col_pick[:, :, :n],
-                                      row_pick[:, :, :n // 2],
-                                      out[:, :, r0 // 2:r1 // 2])))
-        return xp, self._alloc((cin * kh * kw * bsz * rows * ow,)), strips
+        n = (rows - 1) * wp + ow
+        xp = take(bsz * cin * (h + 2 * padding) * wp) if padding else None
+        is_1x1 = (kh, kw, stride, dilation) == (1, 1, 1, 1)
+        cols = None if is_1x1 else take(bsz * cin * kh * kw * n)
+        y = take(bsz * cout * rows * wp)
+        half = take(bsz * cout * rows * (ow // 2)) if pool else None
+        strips = [(r0 * stride * wp, out[:, :, r0 >> pool:(r0 + rows) >> pool])
+                  for r0 in range(0, oh, rows)]
+        return (kh, kw, stride, dilation, wp), xp, cols, y, half, strips
 
     def run(self, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         graph = self.graph
@@ -591,17 +628,14 @@ class Session:
         ins = [vals[j] for j in node.inputs]
         op, attrs = node.op, node.attrs
         if op == CONV2D:
-            stride, padding, dilation, relu, _ = attrs
+            relu = attrs[3]
             x, w, bias = ins
-            xp, buf, strips = scratch
-            x = _padded(x, padding, xp)
-            kh, kw = w.shape[2:]
+            geom, xp, cols, y, half, strips = scratch
+            xf = _padded(x, attrs[1], xp)
             w2 = w.reshape(w.shape[0], -1)
-            span = (kh - 1) * dilation + 1
-            for r0, r1, y, pool in strips:
-                _conv_block(x[:, :, r0 * stride:(r1 - 1) * stride + span],
-                            w2, kh, kw, stride, dilation, bias, relu, buf, y,
-                            pool)
+            for start, out_rows in strips:
+                _conv_block(xf[:, :, start:], w2, geom, bias, relu, cols, y,
+                            out_rows, half)
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)
         elif op == SILU:

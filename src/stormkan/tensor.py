@@ -74,33 +74,43 @@ class Tensor:
 
     @classmethod
     def read(cls, fp: BinaryIO) -> "Tensor":
-        head = fp.read(6)
-        if len(head) < 6 or head[:4] != MAGIC:
-            raise DataError("bad tensor header (magic mismatch or truncated)")
-        code, rank = head[4], head[5]
-        if code not in _CODE_DTYPES:
-            raise DataError(f"unknown dtype code {code}")
-        raw_shape = fp.read(4 * rank)
-        if len(raw_shape) < 4 * rank:
-            raise DataError("truncated tensor shape block")
-        shape = struct.unpack(f"<{rank}I", raw_shape)
-        dtype = _CODE_DTYPES[code]
-        nbytes = math.prod(shape) * dtype.itemsize   # exact, never wraps
-        if fp.seekable():
-            # a corrupt shape must not ask a file for more than it holds:
-            # the buffer for 2**53 bytes fails with MemoryError
-            here = fp.tell()
-            if nbytes > fp.seek(0, io.SEEK_END) - here:
-                raise DataError("truncated tensor data block")
-            fp.seek(here)
+        dtype, shape, nbytes = _record_header(fp)
         raw = fp.read(nbytes) if nbytes < 2**63 else b""
         if len(raw) < nbytes:
             raise DataError("truncated tensor data block")
-        try:
-            data = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        except ValueError as exc:  # e.g. a rank beyond numpy's limit
-            raise DataError(f"unsupported tensor shape: {exc}") from exc
-        return cls(data)
+        return cls(_array(raw, dtype, shape).copy())
+
+
+def _record_header(fp: BinaryIO) -> tuple[np.dtype, tuple[int, ...], int]:
+    """The dtype, shape and data bytes of the KFT1 record at fp."""
+    head = fp.read(6)
+    if len(head) < 6 or head[:4] != MAGIC:
+        raise DataError("bad tensor header (magic mismatch or truncated)")
+    code, rank = head[4], head[5]
+    if code not in _CODE_DTYPES:
+        raise DataError(f"unknown dtype code {code}")
+    raw_shape = fp.read(4 * rank)
+    if len(raw_shape) < 4 * rank:
+        raise DataError("truncated tensor shape block")
+    shape = struct.unpack(f"<{rank}I", raw_shape)
+    dtype = _CODE_DTYPES[code]
+    nbytes = math.prod(shape) * dtype.itemsize   # exact, never wraps
+    if fp.seekable():
+        # a corrupt shape must not ask a file for more than it holds:
+        # the buffer for 2**53 bytes fails with MemoryError
+        here = fp.tell()
+        if nbytes > fp.seek(0, io.SEEK_END) - here:
+            raise DataError("truncated tensor data block")
+        fp.seek(here)
+    return dtype, shape, nbytes
+
+
+def _array(raw, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """The record data raw as an array, without a copy."""
+    try:
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # e.g. a rank beyond numpy's limit
+        raise DataError(f"unsupported tensor shape: {exc}") from exc
 
 
 def write_container(magic: bytes, version: int, header,
@@ -118,8 +128,10 @@ def write_container(magic: bytes, version: int, header,
 def read_container(data: bytes, magic: bytes, version: int,
                    stale: str = "") -> tuple[object, dict[str, np.ndarray]]:
     """(header, {name: array}) of a container; ``stale`` is appended to
-    the message for a version other than ``version``."""
+    the message for a version other than ``version``.  The arrays are
+    read-only views of data, not copies."""
     fp = io.BytesIO(data)
+    view = memoryview(data)
 
     def take(n: int) -> bytes:
         raw = fp.read(n)
@@ -146,7 +158,12 @@ def read_container(data: bytes, magic: bytes, version: int,
             raise DataError(f"corrupt tensor name: {exc}") from exc
         if name in tensors:
             raise DataError(f"duplicate tensor name {name!r}")
-        tensors[name] = Tensor.read(fp).data
+        dtype, shape, nbytes = _record_header(fp)
+        start = fp.tell()
+        arr = _array(view[start:start + nbytes], dtype, shape)
+        arr.flags.writeable = False
+        tensors[name] = arr
+        fp.seek(start + nbytes)
     if fp.read(1):
         raise DataError("trailing bytes after the last tensor")
     return header, tensors

@@ -70,6 +70,17 @@ class TestBasis:
         # -0.3 sits in interval [-0.5, 0), index 1 of 4
         np.testing.assert_array_equal(values, [0, 1, 0, 0])
 
+    def test_forward_only_keeps_no_derivative(self):
+        # on a forward-only tape the output owns only the bases; with a
+        # gradient the derivative it also computes is held apart
+        x = np.linspace(-1.2, 1.2, 64 * 32, dtype=np.float32).reshape(64, 32)
+        for grad in (False, True):
+            tape = Tape(grad=grad)
+            out = bspline_basis(tape.leaf(x, requires_grad=True), GRID)
+            data = out.data
+            assert (data if data.base is None else data.base).nbytes == 65_536
+            assert (tape.nodes[out.idx].backward is None) == (not grad)
+
     def test_clamping_outside_domain(self):
         inside = basis(np.array([1.0]))
         outside = basis(np.array([3.7]))

@@ -173,6 +173,23 @@ class TestExport:
         for name in ("y_msw", "y_rmw"):
             assert np.array_equal(before[name], after[name])
 
+    def test_load_graph_copies_constants_once(self, full_size_graph):
+        # the container's arrays are views of the blob, so the graph's
+        # own copies are the only ones load_graph makes
+        blob = save_graph(full_size_graph[1])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = load_graph(blob)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        constants = sum(arr.nbytes for arr in graph.constants)
+        assert constants > 900_000
+        assert peak < 1.3 * constants
+        raw = np.frombuffer(blob, np.uint8)
+        assert not any(np.shares_memory(arr, raw) for arr in graph.constants)
+
     def test_shapes_inferred_once_per_graph(self, deploy_graph, monkeypatch):
         # export and load_graph each construct a graph, which runs the
         # shape rule once per node; save_graph and Session run it never
@@ -612,7 +629,9 @@ class TestSession:
             session = Session(conv_graph((bsz, cin, h, wid), w, b, stride,
                                          padding, dilation, 1, pool))
             step = max(2, rows - rows % 2) if pool else rows
-            assert [r1 - r0 for r0, r1, *_ in session._scratch[0][2]] == [
+            # each strip is (offset, its rows of the node's output)
+            assert [out.shape[2] << pool
+                    for _, out in session._scratch[0][-1]] == [
                 min(step, 8 - r0) for r0 in range(0, 8, step)]
             x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
             np.testing.assert_allclose(
@@ -665,6 +684,45 @@ class TestSession:
         finally:
             tracemalloc.stop()
         assert transient < 2**20
+
+    def test_two_buffers(self, full_size_graph):
+        # one block of node outputs, and one scratch buffer as large as
+        # the largest node's need (conv2's), every view 64-byte aligned
+        _, graph = full_size_graph
+        session = Session(graph)
+        assert session.alloc_count == 2
+        values, scratch = session._value_block, session._scratch_block
+        outs = [session._values[node.output] for node in graph.nodes]
+        assert all(np.shares_memory(out, values) for out in outs)
+        out_bytes = sum(out.nbytes for out in outs)
+        assert out_bytes <= values.nbytes < out_bytes + 64 * len(outs)
+        start = scratch.ctypes.data
+        needs = []
+        for views in session._scratch:
+            views = [v for v in views if isinstance(v, np.ndarray)]
+            assert all(v.ctypes.data % 64 == 0 for v in views)
+            needs.append(max((v.ctypes.data + v.nbytes - start
+                              for v in views), default=0))
+        assert all(out.ctypes.data % 64 == 0 for out in outs)
+        assert scratch.nbytes - 64 < max(needs) <= scratch.nbytes
+        conv2 = graph.nodes[int(np.argmax(needs))]
+        assert (conv2.op, conv2.attrs[3:]) == (CONV2D, (1, 1))
+        assert 6.5 * 2**20 < scratch.nbytes < 7 * 2**20
+
+    def test_buffers_hold_no_state(self, full_size_graph):
+        # whatever the buffers hold before a run, it gives the bits of a
+        # fresh session
+        _, graph = full_size_graph
+        r = np.random.default_rng(12)
+        inputs = {name: r.uniform(0, 1, shape).astype(np.float32)
+                  for name, shape in graph.inputs}
+        fresh = Session(graph).run(inputs)
+        session = Session(graph)
+        session._value_block.view(np.float32).fill(np.nan)
+        session._scratch_block.view(np.float32).fill(np.nan)
+        out = session.run(inputs)
+        for name in fresh:
+            assert out[name].tobytes() == fresh[name].tobytes()
 
     def test_concurrent_sessions_identical(self, deploy_graph):
         _, graph = deploy_graph

@@ -316,6 +316,32 @@ class TestConv2d:
         assert out.data.nbytes + masks <= held
         assert held < out.data.nbytes + masks + padded // 4
 
+    def test_forward_only_pool_records_no_masks(self, monkeypatch):
+        # with nothing to differentiate, the pool allocates no pick masks
+        # and the op holds only its output, which is bitwise the same
+        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)   # one sample a chunk
+        x = rng.standard_normal((4, 4, 40, 40))
+        w = rng.standard_normal((2, 4, 5, 5))
+        b = rng.standard_normal(2)
+        masks = 4 * 2 * 40 * 20 + 4 * 2 * 20 * 20   # column, then row picks
+        runs = {}
+        for grad in (True, False):
+            tape = Tape(grad=grad)
+            xv, wv, bv = leafy(tape, x), leafy(tape, w), leafy(tape, b)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = ops.conv2d(xv, wv, bv, padding=2, relu=True, pool=True)
+                held, peak = (m - before
+                              for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            runs[grad] = out.data, held, peak
+        (ref, held_grad, peak_grad), (out, held, peak) = runs[True], runs[False]
+        assert out.tobytes() == ref.tobytes()
+        assert held_grad - held >= masks and peak_grad - peak >= masks
+        assert out.nbytes <= held < out.nbytes + masks // 4
+
     def test_non_integral_extent_rejected(self):
         tape = Tape()
         with pytest.raises(ShapeError):
@@ -518,6 +544,13 @@ class TestShapeRules:
     def test_mean_repeated_axis(self):
         with pytest.raises(ShapeError, match="repeated"):
             ops.mean(*_ones((2, 3)), axis=(1, -1))
+
+    @pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul],
+                             ids=["add", "sub", "mul"])
+    def test_elementwise_operands_must_broadcast(self, op):
+        with pytest.raises(ShapeError, match="do not broadcast"):
+            op(*_ones((2, 3), (4,)))
+        assert op(*_ones((2, 3), (3,))).shape == (2, 3)
 
     def test_concat_rank_mismatch(self):
         with pytest.raises(ShapeError, match="concat extent mismatch"):
