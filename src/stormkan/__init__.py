@@ -10,12 +10,11 @@ deployment lowering and interpreter (`staticgraph`), and a CLI (`cli`).
 from .errors import (CheckpointError, ConfigError, DataError, ExportError,
                      GraphError, NumericsError, ShapeError, StormkanError,
                      TrainingError)
-from .tensor import Parameter, Tensor
+from .tensor import Parameter
 from .tape import Tape, Var
 from .spline import (KanLinear, SplineGrid, bspline_basis, kan_init,
                      precompute_basis_coefficients)
-from .model import (CycloneNet, ModelConfig, TaskFeatures, build_model,
-                    ring_bounds)
+from .model import CycloneNet, ModelConfig, build_model
 from .training import (EarlyStopper, Metrics, PlateauScheduler, TrainConfig,
                        TrainResult, compute_metrics, denormalize, evaluate,
                        mae, mae_loss, model_from_checkpoint, multitask_loss,

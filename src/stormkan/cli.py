@@ -24,7 +24,7 @@ from .errors import ConfigError, StormkanError
 from .model import ABLATION_FLAGS, ModelConfig, build_model
 from .staticgraph import Session, bench, export, load_graph, save_graph
 from .tape import Tape
-from .tensor import Tensor
+from .tensor import read_tensor
 from .training import (TrainConfig, compute_metrics, denormalize, evaluate,
                        mae, model_from_checkpoint, rmse, train,
                        write_checkpoint)
@@ -234,15 +234,15 @@ def cmd_export(args) -> int:
     with open(args.out, "wb") as fp:
         fp.write(payload)
     print(f"exported static graph: {len(graph.nodes)} nodes, "
-          f"{graph.parameter_count()} constants values, "
+          f"{graph.parameter_count()} constant values, "
           f"{len(payload)} bytes -> {args.out}")
     return 0
 
 
 def _read_sample_file(path):
     with open(path, "rb") as fp:
-        x_seq = Tensor.read(fp).data
-        x_img = Tensor.read(fp).data
+        x_seq = read_tensor(fp)
+        x_img = read_tensor(fp)
     return x_seq, x_img
 
 

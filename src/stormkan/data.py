@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .tensor import Tensor
+from .tensor import read_tensor, write_tensor
 
 PIXEL_SCALE = 0.35          # image pixels per nautical mile
 BACKGROUND = 0.9
@@ -257,8 +257,8 @@ def save_dataset(path, samples) -> int:
         s = samples[i]
         fname = f"{i:06d}.kft"
         with open(os.path.join(path, fname), "wb") as fp:
-            Tensor(s.x_seq).write(fp)
-            Tensor(s.x_img).write(fp)
+            write_tensor(fp, s.x_seq)
+            write_tensor(fp, s.x_img)
         rows.append((fname, s.storm_id, s.rotation, s.t_index,
                      repr(float(s.y_msw_norm)), repr(float(s.y_rmw_norm))))
         count += 1
@@ -296,8 +296,8 @@ def _load_row(path, row: dict) -> TcSample:
         raise DataError(f"sample file {name!r} is not a plain name")
     try:
         with open(os.path.join(path, name), "rb") as sfp:
-            x_seq = Tensor.read(sfp).data
-            x_img = Tensor.read(sfp).data
+            x_seq = read_tensor(sfp)
+            x_img = read_tensor(sfp)
     except OSError as exc:
         raise DataError(f"cannot read sample file {name!r}: {exc}") from exc
     except DataError as exc:

@@ -128,25 +128,16 @@ class ModelConfig:
         return 2 * self.task_dim + self.shared_dim
 
 
-def ring_bounds(cfg: ModelConfig) -> list[tuple[int, int]]:
-    """Half-open [L, R) crop bounds per ring, as ``ops.ring_crops``.
-
-    Ring 0 is the 3x3 crop centred on pixel r_center; ring i>=1 has side
-    4i and is centred on the pixel corner at r_center.  Ring 1 shares
-    ring 0's high edge, so the nesting is strict only from ring 2 on.
-    """
-    return ops.ring_crops(cfg.r_center, cfg.ring_count)
-
-
 def _ring_mean_matrix(cfg: ModelConfig, dtype) -> np.ndarray:
     """[rings, 2, image_hw] averaging matrix M of the ring quadrants.
 
     Row (i, q) averages the pixels of bin q (``ops._adaptive_bins``) of
-    ring i's crop (``ring_bounds``), so for an image X [.., n, n],
+    ring i's crop (``ops.ring_crops``), so for an image X [.., n, n],
     M_i X M_i^T holds ring i's 2x2 quadrant means.
     """
     m = np.zeros((cfg.ring_count, 2, cfg.image_hw), dtype=dtype)
-    for i, (lo, hi) in enumerate(ring_bounds(cfg)):
+    for i, (lo, hi) in enumerate(ops.ring_crops(cfg.r_center,
+                                                cfg.ring_count)):
         for q, (b0, b1) in enumerate(ops._adaptive_bins(hi - lo, 2)):
             m[i, q, lo + b0:lo + b1] = 1.0 / (b1 - b0)
     return m
@@ -178,15 +169,6 @@ def quadrant_tap_grid(n: int, layers, dtype):
             for layer in layers]
     ends = np.cumsum([m.shape[1] for m in mats]).tolist()
     return np.concatenate(mats, axis=1), list(zip([0] + ends[:-1], ends))
-
-
-@dataclass
-class TaskFeatures:
-    a_msw: Var
-    a_rmw: Var
-    gamma_msw2rmw: Var
-    gamma_rmw2msw: Var
-    f_shared: Var
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +434,9 @@ class CycloneNet:
         xi = tape.constant(np.asarray(x_img, dtype=self.dtype))
         c1 = self.conv1.forward(xi, relu=True)
         c2 = self.conv2.forward(c1, relu=True, pool=True)
-        return self.img_proj.forward(ops.flatten(self.spatial_tail(c2)))
+        flat = ops.reshape(self.spatial_tail(c2),
+                           (c2.shape[0], self.cfg.flatten_width))
+        return self.img_proj.forward(flat)
 
     def spatial_tail(self, c2: Var) -> Var:
         """[B, reduce_channels, 2, 2] quadrant means of reduce(concat(res,
@@ -500,11 +484,12 @@ class CycloneNet:
         gamma_r2m = ops.add(a_msw, self.k_rmw2msw.forward(a_rmw))
         return gamma_r2m, gamma_m2r
 
-    def fuse_decode(self, tf: TaskFeatures) -> tuple[Var, Var]:
+    def fuse_decode(self, a_msw: Var, a_rmw: Var, gamma_r2m: Var,
+                    gamma_m2r: Var, f_shared: Var) -> tuple[Var, Var]:
         y_msw = self.dec_msw.forward(
-            ops.concat([tf.a_msw, tf.gamma_rmw2msw, tf.f_shared], axis=1))
+            ops.concat([a_msw, gamma_r2m, f_shared], axis=1))
         y_rmw = self.dec_rmw.forward(
-            ops.concat([tf.a_rmw, tf.gamma_msw2rmw, tf.f_shared], axis=1))
+            ops.concat([a_rmw, gamma_m2r, f_shared], axis=1))
         return y_msw, y_rmw
 
     # -- end-to-end ----------------------------------------------------------
@@ -523,8 +508,7 @@ class CycloneNet:
         a_msw = self.head_msw.forward(rings, f_seq)
         a_rmw = self.head_rmw.forward(rings, f_seq)
         gamma_r2m, gamma_m2r = self.physics_constraint(a_msw, a_rmw)
-        return self.fuse_decode(
-            TaskFeatures(a_msw, a_rmw, gamma_m2r, gamma_r2m, f_shared))
+        return self.fuse_decode(a_msw, a_rmw, gamma_r2m, gamma_m2r, f_shared)
 
     def forward_deploy(self, tape: Tape, x_seq_flat, x_img) -> tuple[Var, Var]:
         """``forward`` of a deploy-variant model on the flat [B, seq_len *

@@ -576,11 +576,6 @@ def reshape(x: Var, shape) -> Var:
                          lambda g: (g.reshape(in_shape),))
 
 
-def flatten(x: Var) -> Var:
-    """Collapse all but the first axis."""
-    return reshape(x, (x.data.shape[0], -1))
-
-
 def transpose(x: Var, axes) -> Var:
     xd = x.data
     out = np.transpose(xd, axes)

@@ -159,19 +159,13 @@ class KanLinear:
                 f"{self.name}: input extent {x.data.shape[-1]} != "
                 f"{self.in_dim}")
         tape = x.tape
-        lead = x.data.shape[:-1]
-        x2 = x if len(lead) == 1 else ops.reshape(x, (-1, self.in_dim))
-        bw = tape.param(self.base_weight)
-        sw = tape.param(self.spline_weight)
-        base = ops.linear(ops.silu(x2), bw)
-        bases = bspline_basis(x2, self.grid)
-        nb = self.grid.basis_count
-        bases2 = ops.reshape(bases, (-1, self.in_dim * nb))
-        sw2 = ops.reshape(sw, (self.out_dim, self.in_dim * nb))
-        out = ops.add(base, ops.matmul(bases2, ops.transpose(sw2, (1, 0))))
-        if len(lead) != 1:
-            out = ops.reshape(out, lead + (self.out_dim,))
-        return out
+        width = self.in_dim * self.grid.basis_count
+        base = ops.linear(ops.silu(x), tape.param(self.base_weight))
+        bases = ops.reshape(bspline_basis(x, self.grid),
+                            x.data.shape[:-1] + (width,))
+        sw2 = ops.reshape(tape.param(self.spline_weight),
+                          (self.out_dim, width))
+        return ops.add(base, ops.matmul(bases, ops.transpose(sw2, (1, 0))))
 
 
 def kan_init(name: str, in_dim: int, out_dim: int, grid: SplineGrid,

@@ -2,22 +2,22 @@
 
 ``export`` lowers a deploy-variant model to a topologically ordered,
 fixed-shape op list that computes what the deploy tape forward does.
-Each node kind that has a tape op shares that op's private shape rule
-and forward kernel in ``ops`` (or ``spline``): ``_infer_shape`` calls
-the rule and ``Session`` the kernel, into its own buffers.  Every conv
-is one CONV2D node, its bias a third input and its ReLU and 2x2
-max-pool attributes.  A spline layer is a SPLINE_BASIS node, holding the
-grid's coefficient table as a constant, plus the silu path.  The
-quadrant mean moves in front of the linear ``res``, dilated and
-``reduce`` convs: one MATMUL pair computes the tap means of all four
+Each node is named by the tape op whose private shape rule and forward
+kernel in ``ops`` (or ``spline``) it shares: ``_infer_shape`` calls the
+rule and ``Session`` the kernel, into its own buffers.  Every conv is
+one CONV2D node, its bias a third input and its ReLU and 2x2 max-pool
+attributes.  A spline layer is a SPLINE_BASIS node, holding the grid's
+coefficient table as a constant, plus the silu path.  The quadrant mean
+moves in front of the linear ``res``, dilated and ``reduce`` convs: one
+MATMUL pair computes the tap means of all four
 (``model.quadrant_tap_grid``), and each is a SLICE and a CONV2D at
 stride k.  The ring means are two MATMULs on one averaging matrix.
 
-The ``.kfg`` file ("KFG1", version 4) is the ``.kfc`` container
+The ``.kfg`` file ("KFG1", version 5) is the ``.kfc`` container
 (``tensor.write_container``): a JSON header of inputs ``[[name,
-shape]]``, nodes ``[[op, attrs, inputs]]`` and outputs ``[[name, value
-id]]``, then the constants as tensors named by their value ids, which
-follow the inputs'; node outputs take the ids after them.  It
+shape]]``, nodes ``[[op name, attrs, inputs]]`` and outputs ``[[name,
+value id]]``, then the constants as tensors named by their value ids,
+which follow the inputs'; node outputs take the ids after them.  It
 round-trips bit-exactly.  A ``StaticGraph`` is frozen, owns read-only
 copies of its constants (``load_graph`` makes them from views of the
 file's bytes, so each constant is copied once), and validates every
@@ -50,10 +50,7 @@ from .tape import Tape
 from .tensor import read_container, write_container
 
 MAGIC = b"KFG1"
-# version 1 graphs may hold AVGPOOL2D nodes, version 2 ones MAXPOOL2D
-# nodes and a conv bias as an ADD, and version 3 has its own binary
-# layout, not the container's: re-export them
-VERSION = 4
+VERSION = 5   # older files need a re-export from their .kfc checkpoint
 MAX_RANK = 32   # numpy 1.x's array rank limit
 # im2col columns packed per conv GEMM call, one strip of output rows.
 # Swept on the full-size graph at B=1: 3 to 5 MiB run equally fast, 1 MiB
@@ -63,17 +60,16 @@ MAX_RANK = 32   # numpy 1.x's array rank limit
 STRIP_BYTES = 4 * 2**20
 _ALIGN = 64   # byte alignment of every view of a Session's two buffers
 
-# op ids; AVGPOOL2D (unused since version 2) and MAXPOOL2D (since
-# version 3) are reserved, so that later ids keep their numbers
-CONV2D, RELU, SILU, TANH, MAXPOOL2D, AVGPOOL2D, SLICE, CONCAT, RESHAPE, \
-    TRANSPOSE, MATMUL, MUL, ADD, SOFTMAX, MEAN, SPLINE_BASIS = range(16)
-
-_OP_NAMES = {
-    CONV2D: "conv2d", RELU: "relu", SILU: "silu", TANH: "tanh", SLICE: "slice",
-    CONCAT: "concat", RESHAPE: "reshape", TRANSPOSE: "transpose",
-    MATMUL: "matmul", MUL: "mul", ADD: "add", SOFTMAX: "softmax",
-    MEAN: "mean", SPLINE_BASIS: "spline_basis",
-}
+# node ops, each named by the tape op whose shape rule and kernel it
+# shares
+CONV2D, RELU, SILU, TANH, SLICE, CONCAT, RESHAPE, TRANSPOSE, MATMUL, MUL, \
+    ADD, SOFTMAX, MEAN, SPLINE_BASIS = (
+        "conv2d", "relu", "silu", "tanh", "slice", "concat", "reshape",
+        "transpose", "matmul", "mul", "add", "softmax", "mean",
+        "bspline_basis")
+# pools are no node op (the 2x2 max-pool is a CONV2D attribute), so
+# loading a node of either is an unknown op; bench/layers.py names both
+MAXPOOL2D, AVGPOOL2D = "maxpool2d", "avgpool2d"
 
 # (input count, attr count) of each op; None: any count
 _ARITY = {
@@ -90,7 +86,7 @@ _ARITY = {
 
 @dataclass(frozen=True)
 class GraphNode:
-    op: int
+    op: str
     attrs: tuple[int, ...]
     inputs: tuple[int, ...]
     output: int
@@ -134,16 +130,13 @@ class StaticGraph:
             for j in node.inputs:
                 if not 0 <= j < node.output:
                     raise GraphError(
-                        f"node {n} ({_OP_NAMES.get(node.op)}) reads undefined "
-                        f"value {j}")
+                        f"node {n} ({node.op}) reads undefined value {j}")
             try:
                 shape = _infer_shape(node, [shapes[j] for j in node.inputs])
                 if node.op == SPLINE_BASIS:
                     _check_spline_constants(node, self)
             except (ShapeError, GraphError) as exc:
-                raise GraphError(
-                    f"node {n} ({_OP_NAMES.get(node.op, node.op)}): {exc}"
-                ) from exc
+                raise GraphError(f"node {n} ({node.op}): {exc}") from exc
             shapes.append(_checked_shape(shape, f"node {n} output"))
         for _, vid in self.outputs:
             if not 0 <= vid < len(shapes):
@@ -183,7 +176,7 @@ def _check_spline_constants(node: GraphNode, graph: StaticGraph) -> None:
 def _infer_shape(node: GraphNode, in_shapes) -> tuple[int, ...]:
     op, attrs = node.op, node.attrs
     if op not in _ARITY:
-        raise GraphError(f"unknown op id {op}")
+        raise GraphError(f"unknown op {op!r}")
     n_in, n_attrs = _ARITY[op]
     _require(len(in_shapes) == n_in if n_in else len(in_shapes) >= 1,
           f"takes {n_in or 'at least 1'} inputs, got {len(in_shapes)}")
@@ -242,7 +235,7 @@ def save_graph(graph: StaticGraph) -> bytes:
     header = {
         "inputs": [[name, [int(d) for d in shape]]
                    for name, shape in graph.inputs],
-        "nodes": [[int(n.op), [int(a) for a in n.attrs],
+        "nodes": [[n.op, [int(a) for a in n.attrs],
                    [int(j) for j in n.inputs]] for n in graph.nodes],
         "outputs": [[name, int(vid)] for name, vid in graph.outputs],
     }
@@ -276,10 +269,10 @@ def _name(value) -> str:
 def load_graph(data: bytes) -> StaticGraph:
     """Parse a serialized graph; constructing it validates it.
 
-    The header must hold exactly the inputs, nodes and outputs, with the
-    value ranges their binary fields had in version 3; the constants
-    must be float32 tensors named by consecutive value ids after the
-    inputs, and node outputs follow them in order.
+    The header must hold exactly the inputs, nodes and outputs: names
+    and op names are strings, extents and value ids u32s and attrs
+    int64s; the constants must be float32 tensors named by consecutive
+    value ids after the inputs, and node outputs follow them in order.
     """
     try:
         header, tensors = read_container(
@@ -295,7 +288,7 @@ def load_graph(data: bytes) -> StaticGraph:
         inputs = [(_name(name), _ints(shape, 0, 2**32))
                   for name, shape in header["inputs"]]
         base = len(inputs) + len(tensors)
-        nodes = [GraphNode(_int(op, 0, 256), _ints(attrs, -2**63, 2**63),
+        nodes = [GraphNode(_name(op), _ints(attrs, -2**63, 2**63),
                            _ints(ins, 0, 2**32), base + i)
                  for i, (op, attrs, ins) in enumerate(header["nodes"])]
         outputs = [(_name(name), _int(vid, 0, 2**32))
@@ -674,7 +667,7 @@ class Session:
                           float(meta[1]), out.reshape(-1, coeffs.shape[1]),
                           *scratch)
         else:
-            raise GraphError(f"unknown op id {op}")
+            raise GraphError(f"unknown op {op!r}")
 
 
 def bench(graph: StaticGraph, n_warmup: int = 5, n_runs: int = 50,

@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
-Every forward op appends a TapeNode holding the op id, the indices of
+Every forward op appends a TapeNode holding the op name, the indices of
 its parent nodes, the output array, and a backward rule (a closure over
 whatever forward context the rule needs).  ``Tape.backprop`` walks the
 nodes in reverse, accumulating output-gradients and handing each node's
@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import NumericsError, ShapeError
-from .tensor import Parameter, Tensor
+from .tensor import Parameter
 
 
 class TapeNode:
@@ -112,8 +112,6 @@ class Tape:
         return Var(self, len(self.nodes) - 1)
 
     def leaf(self, array, requires_grad: bool = False) -> Var:
-        if isinstance(array, Tensor):
-            array = array.data
         arr = np.asarray(array)
         return self._append("leaf", (), arr, None, requires_grad and self.grad)
 

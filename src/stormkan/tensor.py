@@ -1,10 +1,12 @@
-"""Dense tensor value type, its binary serialization, and the container
-that checkpoints and static graphs share.
+"""KFT1 records of plain arrays, and the container that checkpoints and
+static graphs share.
 
-A Tensor is a shape + flat row-major buffer in one of two scalar
-precisions (float32 / float64).  The on-disk format ("KFT1") is
-little-endian: 4-byte magic, dtype code (u8: 0=f32, 1=f64), rank (u8),
-one u32 per extent, then the raw row-major data.
+A record holds one float32 or float64 array ("KFT1", little-endian):
+4-byte magic, dtype code (u8: 0=f32, 1=f64), rank (u8), one u32 per
+extent, then the raw row-major data.  ``write_tensor`` writes the
+header and then the array's own buffer; ``read_tensor`` checks the
+header against what the stream holds, then reads the data straight
+into a fresh array.
 
 A container (``.kfc`` checkpoint, ``.kfg`` static graph) is a 4-byte
 magic, a u32 version, a u32-length UTF-8 JSON header, a u32 tensor
@@ -38,47 +40,35 @@ def _as_supported(array, dtype=None) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-class Tensor:
-    """N-dimensional real array with an explicit precision."""
+def _record(array) -> tuple[bytes, np.ndarray]:
+    """The KFT1 header of array and its data as a contiguous little-endian
+    array: array itself when it is one, so writing it copies nothing."""
+    arr = _as_supported(array)
+    if arr.ndim > 255:
+        raise ShapeError("rank exceeds serializable limit (255)")
+    dtype_le = arr.dtype.newbyteorder("<")
+    header = MAGIC + struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODES[dtype_le],
+                                 arr.ndim, *arr.shape)
+    return header, np.ascontiguousarray(arr, dtype=dtype_le)
 
-    __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        self.data = _as_supported(data, dtype)
+def write_tensor(fp: BinaryIO, array) -> None:
+    """Write array as a KFT1 record: its header, then its buffer."""
+    header, arr = _record(array)
+    fp.write(header)
+    fp.write(arr)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
-
-    # -- serialization ----------------------------------------------------
-
-    def tobytes(self) -> bytes:
-        arr = self.data
-        if arr.ndim > 255:
-            raise ShapeError("rank exceeds serializable limit (255)")
-        dtype_le = arr.dtype.newbyteorder("<")
-        header = MAGIC + struct.pack(
-            "<BB", _DTYPE_CODES[dtype_le], arr.ndim
-        ) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-        return header + np.ascontiguousarray(arr, dtype=dtype_le).tobytes()
-
-    def write(self, fp: BinaryIO) -> None:
-        fp.write(self.tobytes())
-
-    @classmethod
-    def read(cls, fp: BinaryIO) -> "Tensor":
-        dtype, shape, nbytes = _record_header(fp)
-        raw = fp.read(nbytes) if nbytes < 2**63 else b""
-        if len(raw) < nbytes:
-            raise DataError("truncated tensor data block")
-        return cls(_array(raw, dtype, shape).copy())
+def read_tensor(fp: BinaryIO) -> np.ndarray:
+    """The array of the KFT1 record at fp, read into a fresh array."""
+    dtype, shape, nbytes = _record_header(fp)
+    try:
+        arr = np.empty(shape, dtype)
+    except ValueError as exc:  # e.g. a rank beyond numpy's limit
+        raise DataError(f"unsupported tensor shape: {exc}") from exc
+    if fp.readinto(arr.reshape(-1).view(np.uint8)) < nbytes:
+        raise DataError("truncated tensor data block")
+    return arr
 
 
 def _record_header(fp: BinaryIO) -> tuple[np.dtype, tuple[int, ...], int]:
@@ -95,13 +85,16 @@ def _record_header(fp: BinaryIO) -> tuple[np.dtype, tuple[int, ...], int]:
     shape = struct.unpack(f"<{rank}I", raw_shape)
     dtype = _CODE_DTYPES[code]
     nbytes = math.prod(shape) * dtype.itemsize   # exact, never wraps
+    # a corrupt shape must not ask a stream for 2**63 bytes or more, nor
+    # a file for more than it holds: the buffer for 2**53 bytes fails
+    # with MemoryError
+    left = 2**63 - 1
     if fp.seekable():
-        # a corrupt shape must not ask a file for more than it holds:
-        # the buffer for 2**53 bytes fails with MemoryError
         here = fp.tell()
-        if nbytes > fp.seek(0, io.SEEK_END) - here:
-            raise DataError("truncated tensor data block")
+        left = fp.seek(0, io.SEEK_END) - here
         fp.seek(here)
+    if nbytes > left:
+        raise DataError("truncated tensor data block")
     return dtype, shape, nbytes
 
 
@@ -121,7 +114,7 @@ def write_container(magic: bytes, version: int, header,
              struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         raw = name.encode("utf-8")
-        parts += [struct.pack("<H", len(raw)), raw, Tensor(arr).tobytes()]
+        parts += [struct.pack("<H", len(raw)), raw, *_record(arr)]
     return b"".join(parts)
 
 
@@ -170,25 +163,13 @@ def read_container(data: bytes, magic: bytes, version: int,
 
 
 class Parameter:
-    """Named trainable tensor; identity is the lookup key for gradients."""
+    """Named trainable array; identity is the lookup key for gradients."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name", "data")
 
     def __init__(self, name: str, data, dtype=None):
         self.name = name
-        self.tensor = data if isinstance(data, Tensor) else Tensor(data, dtype)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value) -> None:
-        self.tensor = Tensor(value)
-
-    @property
-    def shape(self):
-        return self.tensor.shape
+        self.data = _as_supported(data, dtype)
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.shape})"
+        return f"Parameter({self.name!r}, shape={self.data.shape})"

@@ -300,14 +300,12 @@ def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
 
 
 def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
-          log_path=None, checkpoint_path=None,
-          quiet: bool = True) -> TrainResult:
+          log_path=None, quiet: bool = True) -> TrainResult:
     """SGD epochs with shuffled batches, plateau scheduling + early stop.
 
     The best-validation parameter state is restored into the model at
-    the end (and written to checkpoint_path when given).  One log line
-    per epoch: epoch, train_loss, val_loss, lr, then the four
-    denormalized validation metrics.
+    the end.  One log line per epoch: epoch, train_loss, val_loss, lr,
+    then the four denormalized validation metrics.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("empty train or validation set")
@@ -370,6 +368,4 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
     if log_path is not None:
         with open(log_path, "w") as fp:
             fp.write(result.log_text)
-    if checkpoint_path is not None:
-        write_checkpoint(checkpoint_path, model)
     return result

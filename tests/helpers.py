@@ -11,7 +11,7 @@ import numpy as np
 from stormkan import ops
 from stormkan.staticgraph import MAGIC, VERSION, GraphNode, StaticGraph
 from stormkan.tape import Tape
-from stormkan.tensor import Tensor, write_container
+from stormkan.tensor import read_tensor, write_container
 
 
 def total(x):
@@ -220,14 +220,16 @@ def container_sections(blob):
         start = fp.tell()
         (name_len,) = struct.unpack("<H", fp.read(2))
         fp.seek(name_len, io.SEEK_CUR)
-        Tensor.read(fp)
+        read_tensor(fp)
         spans.append((start, fp.tell()))
     return spans
 
 
 def reference_checkpoint(model, extra=None) -> bytes:
     """A version 1 .kfc checkpoint packed field by field, as the
-    checkpoint writer did before the container was shared (reference)."""
+    checkpoint writer did before the container was shared (reference):
+    each tensor is a KFT1 record of magic, dtype code (0 float32, 1
+    float64), rank, u32 extents and little-endian data."""
     config = {"model": asdict(model.cfg), "dtype": model.dtype.name}
     if extra:
         config["run"] = extra
@@ -239,5 +241,9 @@ def reference_checkpoint(model, extra=None) -> bytes:
     for name in sorted(state):
         raw = name.encode("utf-8")
         out.write(struct.pack("<H", len(raw)) + raw)
-        Tensor(state[name]).write(out)
+        arr = state[name]
+        out.write(b"KFT1" + struct.pack(
+            f"<BB{arr.ndim}I", {"float32": 0, "float64": 1}[arr.dtype.name],
+            arr.ndim, *arr.shape) + arr.astype(arr.dtype.newbyteorder("<"))
+            .tobytes())
     return out.getvalue()

@@ -208,12 +208,12 @@ class TestExportInferBench:
     def test_infer_prints_physical_ranges(self, workdir, deploy_artifacts,
                                           tmp_path, capsys):
         from stormkan.data import generate_sample
-        from stormkan.tensor import Tensor
+        from stormkan.tensor import write_tensor
         sample = generate_sample(900, 0, seed=2, image_hw=40)
         spath = str(tmp_path / "sample.kft")
         with open(spath, "wb") as fp:
-            Tensor(sample.x_seq).write(fp)
-            Tensor(sample.x_img).write(fp)
+            write_tensor(fp, sample.x_seq)
+            write_tensor(fp, sample.x_img)
         assert main(["infer", "--graph", deploy_artifacts["graph"],
                      "--input", spath, "--raw"]) == 0
         out = capsys.readouterr().out

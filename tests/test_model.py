@@ -9,7 +9,7 @@ import pytest
 from stormkan import ops
 from stormkan.errors import ConfigError
 from stormkan.model import (ATTN_CHANNEL, VARIANTS, CycloneNet, ModelConfig,
-                            build_model, quadrant_tap_matrix, ring_bounds)
+                            build_model, quadrant_tap_matrix)
 from stormkan.tape import Tape
 from stormkan.training import multitask_loss
 
@@ -59,7 +59,8 @@ class TestConfig:
 
 class TestRingGeometry:
     def test_bounds(self):
-        bounds = ring_bounds(ModelConfig())
+        cfg = ModelConfig()
+        bounds = ops.ring_crops(cfg.r_center, cfg.ring_count)
         assert len(bounds) == 39
         assert bounds[0] == (76, 79)               # 3x3 center crop
         for i in range(1, 39):
@@ -86,7 +87,8 @@ class TestRingGeometry:
         m = build_model(cfg, seed=0, dtype=np.float64)
         xi = rng.standard_normal((2, 8, cfg.image_hw, cfg.image_hw))
         got = m.ring_features(Tape(), xi)
-        ref = naive_ring_means(xi[:, ATTN_CHANNEL], ring_bounds(cfg))
+        ref = naive_ring_means(xi[:, ATTN_CHANNEL],
+                               ops.ring_crops(cfg.r_center, cfg.ring_count))
         assert got.shape == ref.shape == (2, cfg.ring_count, 4)
         np.testing.assert_allclose(got.data, ref, rtol=1e-12, atol=1e-12)
 
@@ -186,6 +188,15 @@ class TestShapeWalk:
 
     def test_spatial_flatten_width(self, tiny_model):
         assert tiny_model.img_proj.in_dim == 256
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_empty_batch_forward(self, variant):
+        # no tape value folds the batch into another axis, so an empty
+        # batch runs: numpy infers no -1 extent of a zero-size array
+        m = build_model(replace(TINY, variant=variant), seed=0)
+        ym, yr = m.forward(Tape(grad=False), np.zeros((0, 3, 5)),
+                           np.zeros((0, 8, 40, 40)))
+        assert ym.shape == yr.shape == (0, 1)
 
     def test_zero_weights_zero_features(self):
         m = build_model(TINY, seed=0, dtype=np.float64)

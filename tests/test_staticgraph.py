@@ -190,6 +190,19 @@ class TestExport:
         raw = np.frombuffer(blob, np.uint8)
         assert not any(np.shares_memory(arr, raw) for arr in graph.constants)
 
+    def test_save_graph_copies_constants_once(self, full_size_graph):
+        # each constant's buffer goes straight into the one output bytes
+        graph = full_size_graph[1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blob = save_graph(graph)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(blob) < 1_000_000
+        assert peak <= 1.1 * len(blob)
+
     def test_shapes_inferred_once_per_graph(self, deploy_graph, monkeypatch):
         # export and load_graph each construct a graph, which runs the
         # shape rule once per node; save_graph and Session run it never
@@ -262,17 +275,17 @@ class TestValidation:
                         [dataclasses.replace(node, output=2)], outputs)
 
     def test_maxpool_op_rejected_at_load(self):
-        # op 4 stays reserved: the pool is a CONV2D attribute
+        # no node op is a pool: the pool is a CONV2D attribute
         assert_invalid(one_node_parts(MAXPOOL2D, (2, 2), (1, 1, 4, 4)),
-                       "unknown op id 4")
+                       "unknown op 'maxpool2d'")
 
     def test_version_1_graph_rejected(self, deploy_graph):
         # version 1 held average pools, version 2 max-pool and bias nodes,
-        # version 3 had its own section layout
+        # version 3 had its own section layout, version 4 numbered its ops
         payload = save_graph(deploy_graph[1])
-        assert struct.unpack_from("<I", payload, 4) == (4,)
+        assert struct.unpack_from("<I", payload, 4) == (5,)
         load_graph(payload)
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             old = payload[:4] + struct.pack("<I", version) + payload[8:]
             with pytest.raises(GraphError, match=rf"version {version} .*\.kfc"):
                 load_graph(old)
@@ -479,7 +492,8 @@ class TestFuzzLoad:
         for n in range(data.draw(st.integers(1, 3))):
             vid = len(inputs) + len(consts) + n
             # half the nodes are convs, half of those of the right arity
-            op = data.draw(st.one_of(st.just(CONV2D), st.integers(0, 16)))
+            op = data.draw(st.one_of(st.just(CONV2D), st.sampled_from(
+                sorted(staticgraph._ARITY) + [MAXPOOL2D, AVGPOOL2D])))
             arity = (3, 5) if op == CONV2D and data.draw(st.booleans()) \
                 else (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 5)))
             nodes.append(GraphNode(
@@ -505,10 +519,25 @@ class TestFuzzLoad:
             pass
 
 
+# every exportable model kind: the LinearBlock lowerings (relu, tanh and
+# none), the compressed widths, and a float64 model's float32 graph
+DEPLOY_MODELS = {
+    "tiny": (DEPLOY_TINY, np.float32),
+    "all_mlp": (dataclasses.replace(DEPLOY_TINY, mlp_extract=True,
+                                    mlp_attention=True, mlp_constraint=True,
+                                    mlp_decoder=True), np.float32),
+    "compressed": (dataclasses.replace(DEPLOY_TINY, compressed=True),
+                   np.float32),
+    "float64": (DEPLOY_TINY, np.float64),
+}
+
+
 class TestSession:
-    def test_matches_dynamic_forward(self, deploy_graph):
-        model, graph = deploy_graph
-        session = Session(graph)
+    @pytest.mark.parametrize("kind", list(DEPLOY_MODELS))
+    def test_matches_dynamic_forward(self, kind):
+        cfg, dtype = DEPLOY_MODELS[kind]
+        model = build_model(cfg, seed=2, dtype=dtype)
+        session = Session(export(model))
         for trial in range(8):
             xs, xi = tiny_io(trial)
             out = session.run({"x_seq_flat": xs, "x_img": xi})

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from stormkan import ops
 from stormkan.errors import DataError, ShapeError
 from stormkan.tape import Tape
-from stormkan.tensor import Tensor
+from stormkan.tensor import read_tensor, write_tensor
 
 from helpers import (adaptive_avgpool2d, check_gradients, naive_conv2d,
                      naive_conv2d_grads, naive_maxpool2d, naive_maxpool2d_grad,
@@ -470,7 +470,6 @@ ELEMENTWISE_CASES = {
         [v, t.constant(np.ones((3, 2)))], axis=1),
     "slice": lambda t, v: ops.slice_(v, (slice(1, 3), slice(0, 2))),
     "mean": lambda t, v: ops.mean(v, axis=1),
-    "flatten": lambda t, v: ops.flatten(v),
     "reshape": lambda t, v: ops.reshape(v, (4, 3)),
     "transpose": lambda t, v: ops.transpose(v, (1, 0)),
 }
@@ -667,60 +666,114 @@ class TestBackprop:
             ops.mul(x, x)
 
 
+def record_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    write_tensor(buf, array)
+    return buf.getvalue()
+
+
+class _Pipe(io.RawIOBase):
+    """A non-seekable raw stream over bytes."""
+
+    def __init__(self, data):
+        self._src = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._src.readinto(b)
+
+
 class TestTensorSerialization:
     def test_roundtrip(self):
-        t = Tensor(rng.standard_normal((3, 4, 5)).astype(np.float32))
-        back = Tensor.read(io.BytesIO(t.tobytes()))
+        arr = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        back = read_tensor(io.BytesIO(record_bytes(arr)))
         assert back.dtype == np.float32
-        np.testing.assert_array_equal(back.data, t.data)
+        np.testing.assert_array_equal(back, arr)
 
     def test_roundtrip_f64_stream(self):
-        t1 = Tensor(rng.standard_normal((2, 3)))
-        t2 = Tensor(rng.standard_normal(7).astype(np.float32))
+        a1 = rng.standard_normal((2, 3))
+        a2 = rng.standard_normal(7).astype(np.float32)
         buf = io.BytesIO()
-        t1.write(buf)
-        t2.write(buf)
+        write_tensor(buf, a1)
+        write_tensor(buf, a2)
         buf.seek(0)
-        np.testing.assert_array_equal(Tensor.read(buf).data, t1.data)
-        np.testing.assert_array_equal(Tensor.read(buf).data, t2.data)
+        np.testing.assert_array_equal(read_tensor(buf), a1)
+        np.testing.assert_array_equal(read_tensor(buf), a2)
+
+    def test_non_seekable_stream(self):
+        arr = np.arange(12, dtype=np.float64).reshape(3, 4).T   # strided
+        payload = record_bytes(arr)
+        np.testing.assert_array_equal(
+            read_tensor(io.BufferedReader(_Pipe(payload))), arr)
+        with pytest.raises(DataError, match="truncated"):
+            read_tensor(io.BufferedReader(_Pipe(payload[:-8])))
 
     def test_magic_mismatch(self):
         with pytest.raises(DataError):
-            Tensor.read(io.BytesIO(b"JUNK" + b"\x00" * 16))
+            read_tensor(io.BytesIO(b"JUNK" + b"\x00" * 16))
 
     def test_truncation(self):
-        payload = Tensor(np.ones((4, 4), dtype=np.float32)).tobytes()
+        payload = record_bytes(np.ones((4, 4), dtype=np.float32))
         with pytest.raises(DataError):
-            Tensor.read(io.BytesIO(payload[:-8]))
+            read_tensor(io.BytesIO(payload[:-8]))
 
     def test_rank_beyond_numpy_limit(self):
         # 65 unit extents: one element, but more axes than numpy allows
         payload = (b"KFT1" + bytes([0, 65]) + struct.pack("<65I", *[1] * 65)
                    + b"\x00" * 4)
         with pytest.raises(DataError):
-            Tensor.read(io.BytesIO(payload))
+            read_tensor(io.BytesIO(payload))
 
     def test_size_beyond_int64(self):
         # 2**61 float32 elements: 2**63 bytes, beyond any read size
         payload = b"KFT1" + bytes([0, 2]) + struct.pack("<2I", 2**31, 2**30)
         with pytest.raises(DataError):
-            Tensor.read(io.BytesIO(payload + b"\x00" * 16))
+            read_tensor(io.BytesIO(payload + b"\x00" * 16))
+        with pytest.raises(DataError):
+            read_tensor(io.BufferedReader(_Pipe(payload + b"\x00" * 16)))
 
     def test_size_beyond_file(self, tmp_path):
         # 2**51 float32 elements from a real file: a DataError from the
-        # bytes left in it, not a MemoryError from the 2**53-byte read
+        # bytes left in it, not a MemoryError from a 2**53-byte buffer
         path = tmp_path / "huge.kft"
         path.write_bytes(b"KFT1" + bytes([0, 2])
                          + struct.pack("<2I", 2**31, 2**20) + b"\x00" * 16)
         with open(path, "rb") as fp, pytest.raises(DataError):
-            Tensor.read(fp)
+            read_tensor(fp)
+
+    def test_file_read_and_write_copy_the_data_once(self, tmp_path):
+        # one [8, 156, 156] image record: the read allocates only the
+        # array it returns, the write nothing the size of the data
+        arr = rng.standard_normal((8, 156, 156)).astype(np.float32)
+        path = tmp_path / "image.kft"
+        with open(path, "wb") as fp:
+            tracemalloc.start()
+            try:
+                write_tensor(fp, arr)
+                wrote = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert wrote < 0.1 * arr.nbytes
+        with open(path, "rb") as fp:
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                back = read_tensor(fp)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.1 * arr.nbytes
+        np.testing.assert_array_equal(back, arr)
+        assert path.read_bytes()[-arr.nbytes:] == arr.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_mutations_fail_typed(self, data):
         # byte edits of one record, its header most often: only DataError
-        blob = bytearray(Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-                         .tobytes())
+        blob = bytearray(record_bytes(np.arange(6, dtype=np.float64)
+                                      .reshape(2, 3)))
         pos = data.draw(st.integers(0, 13) | st.integers(0, len(blob) - 1))
         kind = data.draw(st.sampled_from(
             ["overwrite", "insert", "delete", "truncate", "append"]))
@@ -736,6 +789,6 @@ class TestTensorSerialization:
         else:
             blob += chunk
         try:
-            Tensor.read(io.BytesIO(bytes(blob)))
+            read_tensor(io.BytesIO(bytes(blob)))
         except DataError:
             pass
