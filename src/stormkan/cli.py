@@ -18,13 +18,12 @@ import sys
 
 import numpy as np
 
-from .data import (ROTATIONS, SyntheticDataset, load_dataset, save_dataset,
-                   split_dataset)
+from .data import (ROTATIONS, SyntheticDataset, _read_sample, load_dataset,
+                   save_dataset, split_dataset)
 from .errors import ConfigError, StormkanError
 from .model import ABLATION_FLAGS, ModelConfig, build_model
 from .staticgraph import Session, bench, export, load_graph, save_graph
 from .tape import Tape
-from .tensor import read_tensor
 from .training import (TrainConfig, compute_metrics, denormalize, evaluate,
                        mae, model_from_checkpoint, rmse, train,
                        write_checkpoint)
@@ -239,17 +238,11 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _read_sample_file(path):
-    with open(path, "rb") as fp:
-        x_seq = read_tensor(fp)
-        x_img = read_tensor(fp)
-    return x_seq, x_img
-
-
 def cmd_infer(args) -> int:
     with open(args.graph, "rb") as fp:
         graph = load_graph(fp.read())
-    x_seq, x_img = _read_sample_file(args.input)
+    with open(args.input, "rb") as fp:
+        x_seq, x_img = _read_sample(fp)
     session = Session(graph)
     out = session.run({
         "x_seq_flat": x_seq.reshape(1, -1).astype(np.float32),

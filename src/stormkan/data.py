@@ -284,6 +284,14 @@ def load_dataset(path) -> list[TcSample]:
             raise DataError(f"malformed dataset index: {exc}") from exc
 
 
+def _read_sample(fp) -> tuple[np.ndarray, np.ndarray]:
+    """The x_seq and x_img records of a sample file, which end it."""
+    x_seq, x_img = read_tensor(fp), read_tensor(fp)
+    if fp.read(1):
+        raise DataError("bytes after the sample's two records")
+    return x_seq, x_img
+
+
 def _load_row(path, row: dict) -> TcSample:
     """One index row and the sample file it names."""
     if len(row) != len(INDEX_COLUMNS) or None in row.values():
@@ -296,8 +304,7 @@ def _load_row(path, row: dict) -> TcSample:
         raise DataError(f"sample file {name!r} is not a plain name")
     try:
         with open(os.path.join(path, name), "rb") as sfp:
-            x_seq = read_tensor(sfp)
-            x_img = read_tensor(sfp)
+            x_seq, x_img = _read_sample(sfp)
     except OSError as exc:
         raise DataError(f"cannot read sample file {name!r}: {exc}") from exc
     except DataError as exc:

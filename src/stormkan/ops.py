@@ -219,42 +219,43 @@ def _padded(xc, padding, buf):
     return xp.reshape(b, c, -1)
 
 
-def _max2x2(y, half, out, picks=None):
+def _max2x2(y, half, out, code=None):
     """2x2, stride-2 max of y [.., H, W] into out [.., H/2, W/2]: first
     over each row's column pair into half, then over each pair of those
-    rows.  Given picks = (col_pick, row_pick), it records whether the
-    right column and then the lower row won; both picks are strict, so
-    ties go to the first flat index of the window."""
+    rows.  Given the uint8 array code, of out's shape, it records each
+    window's winner there as 4 * row + 2 * column; both comparisons are
+    strict, so ties go to the first flat index of the window."""
     c0, c1 = y[..., 0::2], y[..., 1::2]
-    if picks is not None:
-        np.greater(c1, c0, out=picks[0])
+    if code is not None:   # whether the right column won, per window row
+        up = np.greater(y[..., 0::2, 1::2], y[..., 0::2, 0::2])
+        down = np.greater(y[..., 1::2, 1::2], y[..., 1::2, 0::2])
     np.maximum(c0, c1, out=half)
     r0, r1 = half[..., 0::2, :], half[..., 1::2, :]
-    if picks is not None:
-        np.greater(r1, r0, out=picks[1])
+    if code is not None:
+        lower = code.view(bool)            # the row pick, in code itself
+        np.greater(r1, r0, out=lower)
+        down ^= up        # up ^ (lower & (up ^ down)): the column pick
+        down &= lower     # of the winning row, left in up
+        up ^= down
+        code += code
+        code |= up
+        code += code
     np.maximum(r0, r1, out=out)
 
 
-def _unpool2x2(gp, col_pick, row_pick, half, g):
-    """Route the pooled gradient gp back through _max2x2's picks into g
-    [.., H, W]: each window's max takes it, the other three get zero."""
-    np.multiply(gp, row_pick, out=half[..., 1::2, :])
-    np.subtract(gp, half[..., 1::2, :], out=half[..., 0::2, :])
-    np.multiply(half, col_pick, out=g[..., 1::2])
-    np.subtract(half, g[..., 1::2], out=g[..., 0::2])
-
-
 def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
-                picks=None):
+                code=None):
     """The conv of one block of output rows into out [b, Cout, rows, OW]:
     the taps of the flat grid xf [b, C, L], whose row 0 is the block's
     first input row, packed into cols (_pack), times w2 [Cout, K] into
     the front of y over the block's grid, then + bias [Cout] unless it is
     None, and the ReLU if `relu`.  Given the flat buffer half, out is the
-    pooled block [b, Cout, rows/2, OW/2]: the 2x2 max (_max2x2, recording
-    picks if given) runs on the GEMM's output, before the bias and the
-    ReLU, which commute with it.  ``conv2d`` runs it per batch chunk,
-    ``staticgraph.Session`` per strip of output rows."""
+    pooled block [b, Cout, rows/2, OW/2]: the 2x2 max runs on the GEMM's
+    output, before the bias and the ReLU, which commute with it.  Given
+    code too, of out's shape, it records each window's winner there
+    (_max2x2), plus 1 where the ReLU passed a gradient (out > 0).
+    ``conv2d`` runs it per batch chunk, ``staticgraph.Session`` per strip
+    of output rows."""
     wp = geom[-1]
     b, cout = out.shape[:2]
     pool = half is not None
@@ -266,7 +267,7 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
     bias = None if bias is None else bias.reshape(-1, 1, 1)
     if pool:
         _max2x2(yv, half[:b * cout * rows * (ow // 2)].reshape(
-            b, cout, rows, ow // 2), out, picks)
+            b, cout, rows, ow // 2), out, code)
         if bias is not None:
             out += bias
     elif bias is None:
@@ -275,6 +276,8 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
         np.add(yv, bias, out=out)
     if relu:
         np.maximum(out, 0, out=out)
+        if code is not None:
+            code |= np.greater(out, 0)
 
 
 def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
@@ -285,15 +288,18 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     gives the extents it accepts).
 
     Forward runs ``_conv_block`` per batch chunk, on the chunk's flat
-    padded grid in one reused buffer (``_padded``).  When a gradient is
-    needed, the pool records, per window, which column of each row pair
-    and which row won (two bool masks; ties go to the first flat index);
-    otherwise it records nothing.  Only the output, the masks and the
-    input itself are kept for backward, which works chunk by chunk: it
-    routes the output gradient through the masks and the ReLU onto the
-    GEMM grid, whose extra columns are zero, repacks the chunk's columns
-    for dw, and adds each tap of dcols = W^T g into the chunk's flat
-    padded dx (col2im), whose interior is the chunk's dx.
+    padded grid in one reused buffer (``_padded``).  For backward it
+    keeps the input and, when a gradient is needed, without the pool the
+    output if `relu` (for its mask); with the pool not the output but a
+    uint8 code per pooled output: twice the window's winner (ties go to
+    the first flat index), plus 1 where the ReLU passed a gradient.  A
+    forward-only pool records nothing.  Backward works chunk by chunk:
+    it routes the output gradient through the code, or the ReLU's mask,
+    onto the GEMM grid, whose extra columns are zero, repacks the
+    chunk's columns for dw, and adds each tap of dcols = W^T g into dx's
+    zero-bordered flat grid (col2im), one buffer for the whole batch
+    whose interior view is dx.  With the pool, db sums the pooled
+    gradient where the ReLU passed it, as the routing keeps each sum.
     """
     xd, wd = x.data, w.data
     has_bias = bias is not None
@@ -321,9 +327,8 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
         has_bias and bias.requires_grad)
 
     out = np.empty(out_shape, dtype=dtype)
-    if pool and needs_grad:   # a forward-only pool records no picks
-        col_pick = np.empty((bsz, cout, oh, ow // 2), dtype=bool)
-        row_pick = np.empty(out_shape, dtype=bool)
+    # a forward-only pool records no code
+    code = np.empty(out_shape, np.uint8) if pool and needs_grad else None
     cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
     y = np.empty(chunk * cout * oh * wp, dtype)
     half = np.empty(chunk * cout * oh * (ow // 2), dtype) if pool else None
@@ -331,43 +336,48 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
         c = slice(b0, b0 + chunk)
         _conv_block(_padded(xd[c], padding, xp), w2, geom,
                     bias.data if has_bias else None, relu, cols, y, out[c],
-                    half, (col_pick[c], row_pick[c])
-                    if pool and needs_grad else None)
+                    half, None if code is None else code[c])
+    # the output is kept only for the ReLU's mask of a conv without the pool
+    relu_out = out if relu and not pool else None
 
     def backward(g):
         dw = np.zeros((k, cout), dtype=g.dtype)
         db = np.zeros(cout, dtype=g.dtype) if has_bias else None
-        dx = np.zeros(xd.shape, dtype=g.dtype) if x_needs_grad else None
+        dx = dxg = None
+        if x_needs_grad:   # dx is the interior of its flat padded grid dxg
+            dxg = np.zeros((bsz, cin, hp * wp), dtype=g.dtype)
+            dx = dxg.reshape(bsz, cin, hp, wp)[
+                :, :, padding:padding + h, padding:padding + wid]
         # the output gradient on the GEMM grid: its extra columns stay 0
         gg = np.zeros((chunk, cout, oh, wp), dtype=g.dtype)
-        half = np.empty((chunk, cout, oh, ow // 2), g.dtype) if pool else None
+        hit = np.empty((chunk,) + out_shape[1:], bool) if pool else None
         cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
-        dxp = np.empty(n_pad, g.dtype) if x_needs_grad else None
         for b0 in range(0, bsz, chunk):
             c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
             c3 = _pack(_padded(xd[c], padding, xp), geom, n, cols)
             gc, gv = g[c], gg[:bc, :, :, :ow]
             if pool:
-                if relu:
-                    gc = gc * (out[c] > 0)
-                _unpool2x2(gc, col_pick[c], row_pick[c], half[:bc], gv)
+                # each pooled gradient to its window's winner, if alive
+                for win in range(4):
+                    np.equal(code[c], 2 * win + relu, out=hit[:bc])
+                    np.multiply(gc, hit[:bc],
+                                out=gv[..., win >> 1::2, win & 1::2])
+                if has_bias and relu:
+                    np.bitwise_and(code[c], 1, out=hit[:bc].view(np.uint8))
+                    db += np.multiply(gc, hit[:bc]).sum(axis=(0, 2, 3))
+                elif has_bias:
+                    db += gc.sum(axis=(0, 2, 3))
             elif relu:
-                np.multiply(gc, out[c] > 0, out=gv)
+                np.multiply(gc, relu_out[c] > 0, out=gv)
             else:
                 np.copyto(gv, gc)
             gn = gg[:bc].reshape(bc, cout, oh * wp)[:, :, :n]
-            if has_bias:
+            if has_bias and not pool:
                 db += gn.sum(axis=(0, 2))
             dw += np.matmul(c3, gn.transpose(0, 2, 1)).sum(axis=0)
             if dx is None:
                 continue
-            # the gradient w.r.t. the chunk's flat grid: dx itself, or a
-            # zeroed padded buffer whose interior is then the chunk's dx
-            if padding:
-                dxf = dxp[:bc * cin * hp * wp].reshape(bc, cin, hp * wp)
-                dxf.fill(0)
-            else:
-                dxf = dx[c].reshape(bc, cin, h * wid)
+            dxf = dxg[c]
             if is_1x1:
                 np.matmul(w2.T, gn, out=dxf)
             else:
@@ -377,9 +387,6 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
                 for i, j in np.ndindex(kh, kw):
                     tap = taps[:, :, i, j]
                     np.add(tap, dcols[:, :, i, j], out=tap)
-            if padding:
-                dx[c] = dxf.reshape(bc, cin, hp, wp)[
-                    :, :, padding:padding + h, padding:padding + wid]
         dw = np.ascontiguousarray(dw.T).reshape(wd.shape)
         return (dx, dw, db) if has_bias else (dx, dw)
 

@@ -2,9 +2,13 @@
 
 Every forward op appends a TapeNode holding the op name, the indices of
 its parent nodes, the output array, and a backward rule (a closure over
-whatever forward context the rule needs).  ``Tape.backprop`` walks the
-nodes in reverse, accumulating output-gradients and handing each node's
-contribution to its parents.
+whatever forward context the rule needs), and returns a Var that holds
+the same array.  ``Tape.backprop`` walks the nodes in reverse,
+accumulating output-gradients and handing each node's contribution to
+its parents.  As the walk reaches an op's node it drops the node's
+output, and after that node's backward its closure, so an array lives
+only while a caller's Var or a backward still to run holds it.  A tape
+is backpropagated once.
 
 A tape is confined to one logical thread while it is being built and
 differentiated; independent tapes may run concurrently.
@@ -26,23 +30,20 @@ class TapeNode:
     def __init__(self, op, inputs, output, backward, requires_grad):
         self.op = op
         self.inputs = inputs          # indices of parent nodes
-        self.output = output          # np.ndarray
+        self.output = output          # np.ndarray; None once backprop passed
         self.backward = backward      # grad_out -> tuple of parent grads
         self.requires_grad = requires_grad
 
 
 class Var:
-    """Handle to one tape node."""
+    """Handle to one tape node, holding the node's output array."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "data")
 
-    def __init__(self, tape: "Tape", idx: int):
+    def __init__(self, tape: "Tape", idx: int, data: np.ndarray):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tape.nodes[self.idx].output
+        self.data = data
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,10 +69,9 @@ class Gradients:
         self._by_idx = by_idx
 
     def wrt(self, var: Var) -> np.ndarray:
-        node = self._tape.nodes[var.idx]
         grad = self._by_idx.get(var.idx)
         if grad is None:
-            return np.zeros_like(node.output)
+            return np.zeros_like(var.data)
         return grad
 
     def wrt_param(self, param: Parameter) -> np.ndarray:
@@ -94,7 +94,9 @@ class Tape:
 
     grad=False makes a forward-only tape: every leaf, parameters
     included, is a constant, so ``record`` keeps no backward closure nor
-    anything it captured, and ``backprop`` finds no gradient.
+    anything it captured, and no node keeps its output (its Var does), so
+    each array dies with the last Var that holds it; ``backprop`` finds
+    no gradient.
     """
 
     def __init__(self, checked: bool = False, grad: bool = True):
@@ -102,14 +104,16 @@ class Tape:
         self.checked = checked
         self.grad = grad
         self._param_idx: dict[int, int] = {}
+        self._spent = False   # set by backprop
 
     # -- node creation -----------------------------------------------------
 
     def _append(self, op, inputs, output, backward, requires_grad) -> Var:
         if self.checked and not np.all(np.isfinite(output)):
             raise NumericsError(f"non-finite values in output of op '{op}'")
-        self.nodes.append(TapeNode(op, inputs, output, backward, requires_grad))
-        return Var(self, len(self.nodes) - 1)
+        self.nodes.append(TapeNode(op, inputs, output if self.grad else None,
+                                   backward, requires_grad))
+        return Var(self, len(self.nodes) - 1, output)
 
     def leaf(self, array, requires_grad: bool = False) -> Var:
         arr = np.asarray(array)
@@ -123,7 +127,7 @@ class Tape:
         grad=False tape), cached per tape."""
         idx = self._param_idx.get(id(parameter))
         if idx is not None:
-            return Var(self, idx)
+            return Var(self, idx, parameter.data)
         var = self.leaf(parameter.data, requires_grad=True)
         self._param_idx[id(parameter)] = var.idx
         return var
@@ -154,25 +158,27 @@ class Tape:
     def backprop(self, loss: Var) -> Gradients:
         """Accumulate d(loss)/d(node) for every grad-requiring leaf.
 
-        The loss must be scalar.  Intermediate gradient buffers are
-        released as soon as their node has been processed, so peak
-        memory stays near one forward pass.
+        The loss must be scalar, and a tape is backpropagated once.  Each
+        op node's output is dropped as the walk reaches it, before its
+        backward runs, and its gradient and backward closure as soon as
+        that backward has run; an array that a caller's Var or an earlier
+        node's backward still holds stays alive until they let it go.
         """
         if loss.tape is not self:
             raise ShapeError("loss belongs to a different tape")
-        loss_node = self.nodes[loss.idx]
-        if loss_node.output.size != 1:
-            raise ShapeError(
-                f"loss must be scalar, got shape {loss_node.output.shape}"
-            )
+        if self._spent:
+            raise ShapeError("this tape has already been backpropagated")
+        if loss.data.size != 1:
+            raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+        self._spent = True
 
-        grads: dict[int, np.ndarray] = {
-            loss.idx: np.ones_like(loss_node.output)
-        }
+        grads: dict[int, np.ndarray] = {loss.idx: np.ones_like(loss.data)}
         owned: set[int] = {loss.idx}
         retained: dict[int, np.ndarray] = {}
         for i in range(loss.idx, -1, -1):
             node = self.nodes[i]
+            if node.inputs:
+                node.output = None
             grad_out = grads.pop(i, None)
             owned.discard(i)
             if grad_out is None or not node.requires_grad:

@@ -34,10 +34,11 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def _as_supported(array, dtype=None) -> np.ndarray:
+    """array as a contiguous, native-order float64 if it is a float64 of
+    either byte order, else as a float32."""
     arr = np.asarray(array, dtype=dtype)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float32)
-    return np.ascontiguousarray(arr)
+    wide = arr.dtype.kind == "f" and arr.itemsize == 8
+    return np.ascontiguousarray(arr, dtype=np.float64 if wide else np.float32)
 
 
 def _record(array) -> tuple[bytes, np.ndarray]:

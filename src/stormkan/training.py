@@ -14,6 +14,7 @@ wind, range [5, 200]).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -265,16 +266,17 @@ class TrainResult:
 
 
 def collate(dataset, indices, dtype=np.float32):
-    xs = np.stack([dataset[i].x_seq for i in indices]).astype(dtype)
-    xi = np.stack([dataset[i].x_img for i in indices]).astype(dtype)
+    xs = np.stack([dataset[i].x_seq for i in indices])
+    xi = np.stack([dataset[i].x_img for i in indices])
     tm = np.array([[dataset[i].y_msw_norm] for i in indices], dtype=dtype)
     tr = np.array([[dataset[i].y_rmw_norm] for i in indices], dtype=dtype)
-    return xs, xi, tm, tr
+    return xs.astype(dtype, copy=False), xi.astype(dtype, copy=False), tm, tr
 
 
 def predict(model: CycloneNet, dataset, batch: int = 64):
     """Normalized predictions over a dataset, [N] per task, on
-    forward-only tapes: no op keeps its backward context."""
+    forward-only tapes: no op keeps its backward context, nor any node
+    its output."""
     if len(dataset) == 0:
         raise ShapeError("predict on an empty dataset")
     preds_m, preds_r = [], []
@@ -305,7 +307,9 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
 
     The best-validation parameter state is restored into the model at
     the end.  One log line per epoch: epoch, train_loss, val_loss, lr,
-    then the four denormalized validation metrics.
+    the four denormalized validation metrics, then the epoch's wall time
+    in seconds (its steps and its validation) and its training samples
+    per second of that time.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("empty train or validation set")
@@ -320,6 +324,7 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
     result = TrainResult(0, 0, np.inf)
 
     for epoch in range(1, cfg.max_epochs + 1):
+        start = time.perf_counter()
         lr = sched.lr
         order = rng.permutation(len(train_set))
         total = 0.0
@@ -343,9 +348,11 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
 
         val_loss, metrics = evaluate(model, val_set, cfg.alpha, cfg.beta,
                                      batch=cfg.batch)
+        wall = time.perf_counter() - start
         line = ",".join(repr(float(v)) for v in (
             train_loss, val_loss, lr, metrics.mae_msw_kt,
-            metrics.rmse_msw_kt, metrics.mae_rmw_nmi, metrics.rmse_rmw_nmi))
+            metrics.rmse_msw_kt, metrics.mae_rmw_nmi, metrics.rmse_rmw_nmi,
+            wall, len(order) / wall))
         result.log_lines.append(f"{epoch},{line}")
         result.val_history.append(val_loss)
         result.final_metrics = metrics

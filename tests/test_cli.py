@@ -163,7 +163,7 @@ class TestTrain:
     def test_metrics_log_one_row_per_epoch(self, trained):
         rows = open(trained + ".log.csv").read().strip().splitlines()
         assert len(rows) == 2
-        assert all(len(r.split(",")) == 8 for r in rows)
+        assert all(len(r.split(",")) == 10 for r in rows)
 
     def test_conflicting_ablation_flags_fail(self, workdir, tmp_path):
         rc = main(["train", "--data", workdir["data"], "--config",
@@ -222,6 +222,20 @@ class TestExportInferBench:
         assert 19.0 <= msw <= 170.0
         assert 5.0 <= rmw <= 200.0
         assert "raw normalized" in out
+
+    def test_infer_rejects_trailing_bytes(self, deploy_artifacts, tmp_path,
+                                          capsys):
+        from stormkan.data import generate_sample
+        from stormkan.tensor import write_tensor
+        sample = generate_sample(900, 0, seed=2, image_hw=40)
+        spath = str(tmp_path / "sample.kft")
+        with open(spath, "wb") as fp:
+            write_tensor(fp, sample.x_seq)
+            write_tensor(fp, sample.x_img)
+            fp.write(b"\x00" * 22)
+        assert main(["infer", "--graph", deploy_artifacts["graph"],
+                     "--input", spath]) != 0
+        assert "bytes after" in capsys.readouterr().err
 
     def test_bench_report(self, deploy_artifacts, tmp_path, capsys):
         report = str(tmp_path / "bench.json")

@@ -14,7 +14,7 @@ from stormkan.data import (CH_AFFINE, PIXEL_SCALE, SyntheticDataset, TcSample,
                            eye_radius_px, generate_sample, latents_at,
                            load_dataset, radial_profile, rotate_sample,
                            save_dataset, split_dataset, split_storm_ids)
-from stormkan.errors import DataError, ShapeError
+from stormkan.errors import DataError, ShapeError, StormkanError
 
 rng = np.random.default_rng(23)
 
@@ -197,6 +197,16 @@ class TestDiskFormat:
         with pytest.raises(DataError, match="corrupt"):
             load_dataset(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a sample file ends with its second record
+        ds = SyntheticDataset(range(2), 1, seed=7, image_hw=40)
+        path = str(tmp_path / "ds")
+        save_dataset(path, ds)
+        with open(os.path.join(path, "000001.kft"), "ab") as fp:
+            fp.write(b"\x00" * 22)
+        with pytest.raises(DataError, match="bytes after"):
+            load_dataset(path)
+
     def test_missing_index(self, tmp_path):
         with pytest.raises(DataError, match="index"):
             load_dataset(str(tmp_path))
@@ -253,6 +263,60 @@ class TestIndexErrors:
             pass
         finally:
             write_index(path, text)
+
+
+def record_starts(raw) -> tuple[int, int]:
+    """Offsets of the two KFT1 records of the sample file raw."""
+    rank = raw[5]
+    count = int(np.prod(struct.unpack_from(f"<{rank}I", raw, 6)))
+    return 0, 6 + 4 * rank + count * (4, 8)[raw[4]]
+
+
+class TestSampleFileErrors:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sample_mutations_fail_typed(self, tiny_dataset, data):
+        # byte edits of the sample files, their record headers most often:
+        # load_dataset returns or raises a StormkanError, nothing else
+        path, _ = tiny_dataset
+        names = sorted(f for f in os.listdir(path) if f.endswith(".kft"))
+        originals = {}
+        for name in names:
+            with open(os.path.join(path, name), "rb") as fp:
+                originals[name] = fp.read()
+        try:   # a draw may end the example early: restore in any case
+            for _ in range(data.draw(st.integers(1, 3))):
+                name = data.draw(st.sampled_from(names))
+                victim = os.path.join(path, name)
+                with open(victim, "rb") as fp:
+                    blob = bytearray(fp.read())
+                header = data.draw(st.sampled_from(
+                    record_starts(originals[name])))
+                pos = data.draw(st.integers(header, header + 13)
+                                | st.integers(0, len(blob)))
+                kind = data.draw(st.sampled_from(
+                    ["overwrite", "insert", "delete", "truncate", "append"]))
+                chunk = data.draw(st.binary(min_size=1, max_size=8))
+                if kind == "overwrite":
+                    blob[pos:pos + len(chunk)] = chunk
+                elif kind == "insert":
+                    blob[pos:pos] = chunk
+                elif kind == "delete":
+                    del blob[pos:pos + len(chunk)]
+                elif kind == "truncate":
+                    del blob[pos:]
+                else:
+                    blob += chunk
+                with open(victim, "wb") as fp:
+                    fp.write(blob)
+            try:
+                load_dataset(path)
+            except StormkanError:
+                pass
+        finally:
+            for name, raw in originals.items():
+                with open(os.path.join(path, name), "wb") as fp:
+                    fp.write(raw)
 
 
 class TestRecoverability:

@@ -3,6 +3,7 @@
 import io
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from stormkan import ops
 from stormkan.errors import DataError, ShapeError
 from stormkan.tape import Tape
-from stormkan.tensor import read_tensor, write_tensor
+from stormkan.tensor import Parameter, read_tensor, write_tensor
 
 from helpers import (adaptive_avgpool2d, check_gradients, naive_conv2d,
                      naive_conv2d_grads, naive_maxpool2d, naive_maxpool2d_grad,
@@ -296,7 +297,7 @@ class TestConv2d:
     def test_pool_holds_pooled_output_input_and_masks(self, monkeypatch):
         # with pool=True neither the conv output nor the ReLU output is
         # kept at full resolution, nor a padded copy of the input: only
-        # the pooled output and the two bool masks of the pool's picks
+        # the pooled output and one uint8 code per pooled output
         monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)   # one sample a chunk
         x = rng.standard_normal((4, 4, 40, 40))
         w = rng.standard_normal((2, 4, 5, 5))
@@ -312,18 +313,18 @@ class TestConv2d:
             tracemalloc.stop()
         assert out.shape == (4, 2, 20, 20)
         padded = 4 * 4 * 44 * 44 * x.itemsize       # [B, C, 40 + 4, 40 + 4]
-        masks = 4 * 2 * 40 * 20 + 4 * 2 * 20 * 20   # column, then row picks
-        assert out.data.nbytes + masks <= held
-        assert held < out.data.nbytes + masks + padded // 4
+        code = 4 * 2 * 20 * 20                      # a byte per pooled output
+        assert out.data.nbytes + code <= held
+        assert held < out.data.nbytes + code + padded // 32
 
     def test_forward_only_pool_records_no_masks(self, monkeypatch):
-        # with nothing to differentiate, the pool allocates no pick masks
+        # with nothing to differentiate, the pool allocates no winner code
         # and the op holds only its output, which is bitwise the same
         monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)   # one sample a chunk
         x = rng.standard_normal((4, 4, 40, 40))
         w = rng.standard_normal((2, 4, 5, 5))
         b = rng.standard_normal(2)
-        masks = 4 * 2 * 40 * 20 + 4 * 2 * 20 * 20   # column, then row picks
+        code = 4 * 2 * 20 * 20                      # a byte per pooled output
         runs = {}
         for grad in (True, False):
             tape = Tape(grad=grad)
@@ -339,8 +340,38 @@ class TestConv2d:
             runs[grad] = out.data, held, peak
         (ref, held_grad, peak_grad), (out, held, peak) = runs[True], runs[False]
         assert out.tobytes() == ref.tobytes()
-        assert held_grad - held >= masks and peak_grad - peak >= masks
-        assert out.nbytes <= held < out.nbytes + masks // 4
+        assert held_grad - held >= code and peak_grad - peak >= code
+        assert out.nbytes <= held < out.nbytes + code // 2
+
+    def test_pooled_output_freed_before_its_backward(self):
+        # the pool's backward reads its code, not its output: once the
+        # caller lets go of its Var, backprop frees the pooled output
+        # before the conv's backward runs
+        x = rng.standard_normal((2, 3, 8, 8))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        tape = Tape()
+        xv, wv, bv = leafy(tape, x), leafy(tape, w), leafy(tape, b)
+        out = ops.conv2d(xv, wv, bv, padding=1, relu=True, pool=True)
+        expected = out.data.copy()
+        alive = weakref.ref(out.data)
+        node = tape.nodes[out.idx]
+        conv_backward, seen = node.backward, []
+
+        def backward(g):
+            seen.append(alive() is not None)
+            return conv_backward(g)
+
+        node.backward = backward
+        loss = total(ops.mul(out, tape.constant(np.ones(expected.shape))))
+        del out
+        grads = tape.backprop(loss)
+        assert seen == [False]
+        y = naive_conv2d(x, w, 1, 1, 1) + b.reshape(1, 4, 1, 1)
+        gy = naive_maxpool2d_grad(np.maximum(y, 0), np.ones(expected.shape),
+                                  2, 2) * (y > 0)
+        np.testing.assert_allclose(grads.wrt(bv), gy.sum(axis=(0, 2, 3)),
+                                   rtol=1e-12)
 
     def test_non_integral_extent_rejected(self):
         tape = Tape()
@@ -639,6 +670,38 @@ class TestBackprop:
         with pytest.raises(ShapeError):
             tape.backprop(ops.relu(x))
 
+    def test_second_backprop_rejected(self):
+        tape = Tape()
+        loss = total(ops.tanh(leafy(tape, np.ones((2, 2)))))
+        tape.backprop(loss)
+        with pytest.raises(ShapeError, match="already"):
+            tape.backprop(loss)
+
+    def test_outputs_dropped_as_backprop_passes(self):
+        # each op node lets go of its output; a caller's Var keeps its own
+        tape = Tape()
+        x = leafy(tape, rng.standard_normal((3, 4)))
+        h = ops.tanh(x)
+        want = np.tanh(x.data)
+        grads = tape.backprop(total(ops.mul(h, h)))
+        assert all(node.output is None for node in tape.nodes if node.inputs)
+        assert tape.nodes[x.idx].output is x.data
+        np.testing.assert_array_equal(h.data, want)
+        np.testing.assert_allclose(grads.wrt(x), 2 * want * (1 - want ** 2),
+                                   rtol=1e-12)
+
+    def test_forward_only_tape_keeps_no_outputs(self):
+        # an intermediate dies with its Var: no node or closure holds it
+        tape = Tape(grad=False)
+        x = tape.constant(rng.standard_normal((3, 4)))
+        h = ops.tanh(x)
+        alive = weakref.ref(h.data)
+        y = ops.tanh(h)
+        del h
+        assert alive() is None
+        assert all(node.output is None for node in tape.nodes)
+        np.testing.assert_array_equal(y.data, np.tanh(np.tanh(x.data)))
+
     def test_disconnected_param_zero_gradient(self):
         from stormkan.tensor import Parameter
         tape = Tape()
@@ -701,6 +764,18 @@ class TestTensorSerialization:
         buf.seek(0)
         np.testing.assert_array_equal(read_tensor(buf), a1)
         np.testing.assert_array_equal(read_tensor(buf), a2)
+
+    def test_big_endian_float64_stays_float64(self):
+        arr = np.array([1 / 3], ">f8")
+        buf = io.BytesIO()
+        write_tensor(buf, arr)
+        buf.seek(0)
+        back = read_tensor(buf)
+        assert back.dtype == np.float64
+        assert back[0] == 1 / 3
+        data = Parameter("p", arr).data
+        assert data.dtype == np.float64 and data.dtype.isnative
+        assert data[0] == 1 / 3
 
     def test_non_seekable_stream(self):
         arr = np.arange(12, dtype=np.float64).reshape(3, 4).T   # strided

@@ -223,14 +223,71 @@ class TestTrainLoop:
         assert increases <= 0.05 * len(losses) + 1
 
     def test_seeded_rerun_bit_identical(self, tiny_sets):
+        # every log column but the last two, which time the epoch, and
+        # every parameter
         train_ds, val_ds = tiny_sets
         cfg = TrainConfig(lr=0.01, batch=8, max_epochs=2, seed=3)
-        logs = []
+        logs, states = [], []
         for _ in range(2):
             model = build_model(TINY, seed=4)
             res = train(model, train_ds, val_ds, cfg)
-            logs.append(res.log_text)
+            logs.append([line.rsplit(",", 2)[0] for line in res.log_lines])
+            states.append(model.state())
         assert logs[0] == logs[1]
+        assert states[0].keys() == states[1].keys()
+        for name, value in states[0].items():
+            assert value.tobytes() == states[1][name].tobytes(), name
+
+    def test_log_columns(self, tiny_sets):
+        # epoch, train_loss, val_loss, lr, the four validation metrics,
+        # then the epoch's wall time and its training samples per second
+        train_ds, val_ds = tiny_sets
+        cfg = TrainConfig(lr=0.01, batch=8, max_epochs=2, seed=3)
+        res = train(build_model(TINY, seed=4), train_ds, val_ds, cfg)
+        assert len(res.log_lines) == 2
+        for epoch, line in enumerate(res.log_lines, start=1):
+            cols = line.split(",")
+            assert len(cols) == 10
+            assert cols[0] == str(epoch)
+            train_loss, val_loss, lr, *metrics, wall, rate = map(float,
+                                                                 cols[1:])
+            assert val_loss == res.val_history[epoch - 1]
+            assert lr == 0.01 and train_loss > 0
+            assert metrics[0] <= metrics[1] and metrics[2] <= metrics[3]
+            assert wall > 0
+            assert rate == pytest.approx(len(train_ds) / wall, rel=1e-12)
+        m = res.final_metrics
+        assert list(map(float, cols[4:8])) == [
+            m.mae_msw_kt, m.rmse_msw_kt, m.mae_rmw_nmi, m.rmse_rmw_nmi]
+
+    def test_collate_stacks_without_a_second_copy(self, tiny_sets):
+        # the float32 samples are stacked once, not copied again to
+        # float32; the batch is unchanged in either dtype
+        import tracemalloc
+        from stormkan.training import collate
+        train_ds, _ = tiny_sets
+        idxs = [3, 0, 2]
+        for i in idxs:   # the set caches each sample on first access
+            train_ds[i]
+        for dtype in (np.float32, np.float64):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                xs, xi, tm, tr = collate(train_ds, idxs, dtype=dtype)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            if dtype == np.float32:
+                assert peak < 1.25 * (xs.nbytes + xi.nbytes)
+            for got, field in ((xs, "x_seq"), (xi, "x_img")):
+                want = np.stack([getattr(train_ds[i], field) for i in idxs])
+                assert got.dtype == dtype and got.flags.c_contiguous
+                np.testing.assert_array_equal(got, want.astype(dtype))
+            assert tm.dtype == tr.dtype == dtype
+            np.testing.assert_array_equal(tm[:, 0], np.array(
+                [train_ds[i].y_msw_norm for i in idxs], dtype))
+            np.testing.assert_array_equal(tr[:, 0], np.array(
+                [train_ds[i].y_rmw_norm for i in idxs], dtype))
 
     def test_early_stop_fires_on_constant_loss(self, tiny_sets):
         train_ds, val_ds = tiny_sets
