@@ -7,12 +7,15 @@ ShapeError, and ``add``, ``sub`` and ``mul`` with ``_broadcast``;
 ``staticgraph``'s shape inference calls the same rules.  ``conv2d``,
 ``silu`` and ``softmax`` compute their forward with a private ``out=``
 kernel, called with fresh buffers here and with preallocated ones by
-``staticgraph.Session``.  ``conv2d`` packs the taps of each batch
-chunk's flat padded grid (``_taps``) and runs one batched GEMM per
-chunk (``_conv_block``), then the 2x2 max-pool, bias and ReLU while the
-chunk is in cache; its columns and padding are per chunk, in reused
-buffers, and never kept: backward repacks them.  Average pools are
-products with constant averaging matrices, through ``matmul``.
+``staticgraph.Session``.  ``conv2d`` works in blocks of whole samples
+or strips of one sample's output rows whose columns fit ``STRIP_BYTES``
+(``_conv_blocks``, which ``Session`` calls too): it packs the taps of a
+block's flat padded grid (``_taps``), runs one batched GEMM per block
+(``_conv_block``), then the 2x2 max-pool, bias and ReLU while the block
+is in cache.  Its columns and padding live in reused block-sized
+buffers and are never kept: backward repacks them, block by block.
+Average pools are products with constant averaging matrices, through
+``matmul``.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ import numpy as np
 from .errors import ShapeError
 from .tape import Var
 
-# im2col columns packed per GEMM call, about one full-size sample of
-# conv1 or conv2; measured faster than 128 MiB chunks on the B=16 step
-_CHUNK_BYTES = 16 * 2**20
+# im2col columns packed per conv GEMM call, forward and backward, by the
+# tape op and by staticgraph.Session (_conv_blocks).  Swept on the
+# full-size graph at B=1: 3 to 5 MiB run equally fast, 1 MiB (a dispatch
+# per 8 rows) about 25% slower; each MiB costs about 1.35 MiB of the
+# session's scratch buffer (conv2's columns, GEMM output and half-pooled
+# rows), on top of conv2's 1.5 MiB padded input
+STRIP_BYTES = 4 * 2**20
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -243,6 +250,19 @@ def _max2x2(y, half, out, code=None):
     np.maximum(r0, r1, out=out)
 
 
+def _conv_blocks(bsz, k, oh, ow, itemsize, pool):
+    """(chunk, rows): the samples and output rows of each block of a conv
+    with k = C*kh*kw and oh x ow outputs, whose columns fit STRIP_BYTES.
+    A block is as many whole samples as fit, if one does, else one
+    sample's strip of rows, an even count with the pool, so that every
+    strip pools whole row pairs; the last block of each may be shorter."""
+    row = k * ow * itemsize   # the columns of one output row of one sample
+    if row * oh <= STRIP_BYTES:
+        return max(1, min(bsz, STRIP_BYTES // (row * oh))), oh
+    rows = max(1, STRIP_BYTES // row)
+    return 1, (max(2, rows - rows % 2) if pool else rows)
+
+
 def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
                 code=None):
     """The conv of one block of output rows into out [b, Cout, rows, OW]:
@@ -254,8 +274,8 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
     output, before the bias and the ReLU, which commute with it.  Given
     code too, of out's shape, it records each window's winner there
     (_max2x2), plus 1 where the ReLU passed a gradient (out > 0).
-    ``conv2d`` runs it per batch chunk, ``staticgraph.Session`` per strip
-    of output rows."""
+    ``conv2d`` and ``staticgraph.Session`` run it per block of
+    ``_conv_blocks``."""
     wp = geom[-1]
     b, cout = out.shape[:2]
     pool = half is not None
@@ -287,19 +307,23 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     optionally ReLU and the 2x2, stride-2 max-pool (``_conv2d_shape``
     gives the extents it accepts).
 
-    Forward runs ``_conv_block`` per batch chunk, on the chunk's flat
-    padded grid in one reused buffer (``_padded``).  For backward it
-    keeps the input and, when a gradient is needed, without the pool the
-    output if `relu` (for its mask); with the pool not the output but a
-    uint8 code per pooled output: twice the window's winner (ties go to
-    the first flat index), plus 1 where the ReLU passed a gradient.  A
-    forward-only pool records nothing.  Backward works chunk by chunk:
-    it routes the output gradient through the code, or the ReLU's mask,
-    onto the GEMM grid, whose extra columns are zero, repacks the
-    chunk's columns for dw, and adds each tap of dcols = W^T g into dx's
-    zero-bordered flat grid (col2im), one buffer for the whole batch
-    whose interior view is dx.  With the pool, db sums the pooled
-    gradient where the ReLU passed it, as the routing keeps each sum.
+    Forward runs ``_conv_block`` per block of ``_conv_blocks`` (whole
+    samples, or strips of one sample's output rows), on the flat padded
+    grid of the block's samples in one reused buffer (``_padded``).  For
+    backward it keeps the input and, when a gradient is needed, without
+    the pool the output if `relu` (for its mask); with the pool not the
+    output but a uint8 code per pooled output: twice the window's winner
+    (ties go to the first flat index), plus 1 where the ReLU passed a
+    gradient.  A forward-only pool records nothing.  Backward walks the
+    same blocks, holding one block of columns and of gradient grid at a
+    time: it routes the block's output gradient through the code, or the
+    ReLU's mask, onto the block's GEMM grid, whose extra columns stay 0,
+    repacks the block's columns, adds their product with it to dw, and
+    adds each tap of dcols = W^T g into dx's zero-bordered flat grid
+    (col2im), where neighbouring strips overlap: one buffer for the
+    whole batch, whose interior view is dx.  With the pool, db sums the
+    pooled gradient where the ReLU passed it, as the routing keeps each
+    sum.
     """
     xd, wd = x.data, w.data
     has_bias = bias is not None
@@ -313,12 +337,11 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     geom = (kh, kw, stride, dilation, wp)
     is_1x1 = (kh, kw, stride, dilation) == (1, 1, 1, 1)
     k = cin * kh * kw
-    n = (oh - 1) * wp + ow
     w2 = np.ascontiguousarray(wd.reshape(cout, k))
     dtype = np.result_type(xd, wd)
-    chunk = max(1, min(bsz, _CHUNK_BYTES // max(k * n * xd.itemsize, 1)))
-    # the chunk buffers: one per pass, reused by every chunk, never kept
-    n_cols = 0 if is_1x1 else chunk * k * n
+    chunk, rows = _conv_blocks(bsz, k, oh, ow, xd.itemsize, pool)
+    # the block buffers: one per pass, reused by every block, never kept
+    n_cols = 0 if is_1x1 else chunk * k * ((rows - 1) * wp + ow)
     n_pad = chunk * cin * hp * wp if padding else 0
     # capture plain flags, not Vars: a Var in the closure would create a
     # tape <-> closure cycle and delay freeing whole forward passes
@@ -330,13 +353,17 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     # a forward-only pool records no code
     code = np.empty(out_shape, np.uint8) if pool and needs_grad else None
     cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
-    y = np.empty(chunk * cout * oh * wp, dtype)
-    half = np.empty(chunk * cout * oh * (ow // 2), dtype) if pool else None
+    y = np.empty(chunk * cout * rows * wp, dtype)
+    half = np.empty(chunk * cout * rows * (ow // 2), dtype) if pool else None
     for b0 in range(0, bsz, chunk):
         c = slice(b0, b0 + chunk)
-        _conv_block(_padded(xd[c], padding, xp), w2, geom,
-                    bias.data if has_bias else None, relu, cols, y, out[c],
-                    half, None if code is None else code[c])
+        xf = _padded(xd[c], padding, xp)
+        for r0 in range(0, oh, rows):
+            p = slice(r0 >> pool, (r0 + rows) >> pool)
+            _conv_block(xf[:, :, r0 * stride * wp:], w2, geom,
+                        bias.data if has_bias else None, relu, cols, y,
+                        out[c, :, p], half,
+                        None if code is None else code[c, :, p])
     # the output is kept only for the ReLU's mask of a conv without the pool
     relu_out = out if relu and not pool else None
 
@@ -348,39 +375,51 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
             dxg = np.zeros((bsz, cin, hp * wp), dtype=g.dtype)
             dx = dxg.reshape(bsz, cin, hp, wp)[
                 :, :, padding:padding + h, padding:padding + wid]
-        # the output gradient on the GEMM grid: its extra columns stay 0
-        gg = np.zeros((chunk, cout, oh, wp), dtype=g.dtype)
-        hit = np.empty((chunk,) + out_shape[1:], bool) if pool else None
+        # a block's output gradient on its GEMM grid: whatever the block's
+        # row count, the Wp - OW extra columns of each row sit at the same
+        # flat offsets modulo Wp, never written, so they stay 0
+        gg = np.zeros(chunk * cout * rows * wp, dtype=g.dtype)
+        hit = np.empty(chunk * cout * (rows >> pool) * (ow >> pool), bool)
         cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
         for b0 in range(0, bsz, chunk):
             c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
-            c3 = _pack(_padded(xd[c], padding, xp), geom, n, cols)
-            gc, gv = g[c], gg[:bc, :, :, :ow]
-            if pool:
-                # each pooled gradient to its window's winner, if alive
-                for win in range(4):
-                    np.equal(code[c], 2 * win + relu, out=hit[:bc])
-                    np.multiply(gc, hit[:bc],
-                                out=gv[..., win >> 1::2, win & 1::2])
-                if has_bias and relu:
-                    np.bitwise_and(code[c], 1, out=hit[:bc].view(np.uint8))
-                    db += np.multiply(gc, hit[:bc]).sum(axis=(0, 2, 3))
-                elif has_bias:
-                    db += gc.sum(axis=(0, 2, 3))
-            elif relu:
-                np.multiply(gc, relu_out[c] > 0, out=gv)
-            else:
-                np.copyto(gv, gc)
-            gn = gg[:bc].reshape(bc, cout, oh * wp)[:, :, :n]
-            if has_bias and not pool:
-                db += gn.sum(axis=(0, 2))
-            dw += np.matmul(c3, gn.transpose(0, 2, 1)).sum(axis=0)
-            if dx is None:
-                continue
-            dxf = dxg[c]
-            if is_1x1:
-                np.matmul(w2.T, gn, out=dxf)
-            else:
+            xf = _padded(xd[c], padding, xp)
+            for r0 in range(0, oh, rows):
+                rs = min(rows, oh - r0)
+                n, start = (rs - 1) * wp + ow, r0 * stride * wp
+                c3 = _pack(xf[:, :, start:], geom, n, cols)
+                p = slice(r0 >> pool, (r0 + rs) >> pool)
+                gc = g[c, :, p]
+                hc = hit[:gc.size].reshape(gc.shape)
+                grid = gg[:bc * cout * rs * wp].reshape(bc, cout, rs, wp)
+                gv = grid[..., :ow]
+                if pool:
+                    # each pooled gradient to its window's winner, if alive
+                    cc = code[c, :, p]
+                    for win in range(4):
+                        np.equal(cc, 2 * win + relu, out=hc)
+                        np.multiply(gc, hc,
+                                    out=gv[..., win >> 1::2, win & 1::2])
+                    if has_bias and relu:
+                        np.bitwise_and(cc, 1, out=hc.view(np.uint8))
+                        db += np.multiply(gc, hc).sum(axis=(0, 2, 3))
+                    elif has_bias:
+                        db += gc.sum(axis=(0, 2, 3))
+                elif relu:
+                    np.multiply(gc, np.greater(relu_out[c, :, p], 0, out=hc),
+                                out=gv)
+                else:
+                    np.copyto(gv, gc)
+                gn = grid.reshape(bc, cout, rs * wp)[:, :, :n]
+                if has_bias and not pool:
+                    db += gn.sum(axis=(0, 2))
+                dw += np.matmul(c3, gn.transpose(0, 2, 1)).sum(axis=0)
+                if dx is None:
+                    continue
+                dxf = dxg[c, :, start:]
+                if is_1x1:   # strips of a 1x1 tile the grid: no overlap
+                    np.matmul(w2.T, gn, out=dxf[:, :, :n])
+                    continue
                 np.matmul(w2.T, gn, out=c3)  # dcols overwrite the columns
                 dcols = c3.reshape(bc, cin, kh, kw, n)
                 taps = _taps(dxf, geom, n, writeable=True)

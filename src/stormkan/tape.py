@@ -88,9 +88,10 @@ class Gradients:
 class Tape:
     """Records ops for one forward pass and replays them backward.
 
-    checked=True validates that every op output is finite, raising
-    NumericsError otherwise (off by default; gradient/acceptance tests
-    turn it on, benchmarks leave it off).
+    checked=True validates that every leaf and op output is finite; the
+    NumericsError it raises otherwise names the node and its op, or the
+    parameter a leaf holds (off by default; ``training.train`` re-runs a
+    batch whose loss is non-finite on a checked tape).
 
     grad=False makes a forward-only tape: every leaf, parameters
     included, is a constant, so ``record`` keeps no backward closure nor
@@ -110,7 +111,8 @@ class Tape:
 
     def _append(self, op, inputs, output, backward, requires_grad) -> Var:
         if self.checked and not np.all(np.isfinite(output)):
-            raise NumericsError(f"non-finite values in output of op '{op}'")
+            raise NumericsError(f"non-finite values in output of node "
+                                f"{len(self.nodes)}, op '{op}'")
         self.nodes.append(TapeNode(op, inputs, output if self.grad else None,
                                    backward, requires_grad))
         return Var(self, len(self.nodes) - 1, output)
@@ -128,7 +130,10 @@ class Tape:
         idx = self._param_idx.get(id(parameter))
         if idx is not None:
             return Var(self, idx, parameter.data)
-        var = self.leaf(parameter.data, requires_grad=True)
+        try:
+            var = self.leaf(parameter.data, requires_grad=True)
+        except NumericsError as exc:
+            raise NumericsError(f"{exc}: parameter {parameter.name}") from None
         self._param_idx[id(parameter)] = var.idx
         return var
 

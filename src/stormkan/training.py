@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import ops
-from .errors import (CheckpointError, ConfigError, DataError, ShapeError,
-                     TrainingError)
+from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
+                     ShapeError, TrainingError)
 from .model import CycloneNet, ModelConfig, build_model
 from .tape import Tape, Var
 from .tensor import Parameter, read_container, write_container
@@ -301,6 +301,21 @@ def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
     return loss, compute_metrics(pm, pr, tm, tr)
 
 
+def _first_nonfinite(model: CycloneNet, cfg: TrainConfig, xs, xi, tm,
+                     tr) -> str:
+    """Where a batch's loss goes non-finite: the batch's forward and loss
+    re-run on a checked, forward-only tape, which stops at the first
+    non-finite leaf or op output (``Tape(checked=True)``)."""
+    tape = Tape(checked=True, grad=False)
+    try:
+        ym, yr = model.forward(tape, xs, xi)
+        multitask_loss(ym, yr, tape.constant(tm), tape.constant(tr),
+                       cfg.alpha, cfg.beta)
+    except NumericsError as exc:
+        return str(exc)
+    return "every output is finite on a re-run"
+
+
 def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
           log_path=None, quiet: bool = True) -> TrainResult:
     """SGD epochs with shuffled batches, plateau scheduling + early stop.
@@ -309,7 +324,9 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
     the end.  One log line per epoch: epoch, train_loss, val_loss, lr,
     the four denormalized validation metrics, then the epoch's wall time
     in seconds (its steps and its validation) and its training samples
-    per second of that time.
+    per second of that time.  A non-finite loss raises TrainingError,
+    naming the first leaf or op output that goes non-finite when the
+    batch is re-run on a checked tape (``_first_nonfinite``).
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("empty train or validation set")
@@ -339,7 +356,8 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
             if not np.isfinite(lval):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch "
-                    f"{bstart // cfg.batch} (lr={lr})")
+                    f"{bstart // cfg.batch} (lr={lr}): "
+                    f"{_first_nonfinite(model, cfg, xs, xi, tm, tr)}")
             grads = tape.backprop(loss)
             sgd_step(params, grads, lr)
             tape.release()

@@ -643,14 +643,13 @@ class TestSession:
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
     def test_conv_node_row_strips(self, monkeypatch, rows):
-        """A conv packed in strips of `rows` of its 8 output rows (the
-        last one shorter when rows does not divide 8) matches the naive
-        loop.  With the pool, an odd budget rounds down to an even strip
-        (1 up to 2), so every strip pools whole row pairs."""
+        """A conv packed, per sample, in strips of `rows` of its 8 output
+        rows (the last one shorter when rows does not divide 8) matches
+        the naive loop.  With the pool, an odd budget rounds down to an
+        even strip (1 up to 2), so every strip pools whole row pairs."""
         bsz, cin, cout, k, stride, padding, dilation = 2, 3, 4, 3, 2, 1, 2
         h = wid = (8 - 1) * stride + dilation * (k - 1) + 1 - 2 * padding
-        monkeypatch.setattr(staticgraph, "STRIP_BYTES",
-                            4 * cin * k * k * bsz * 8 * rows)
+        monkeypatch.setattr(ops, "STRIP_BYTES", 4 * cin * k * k * 8 * rows)
         r = np.random.default_rng(rows)
         w = r.standard_normal((cout, cin, k, k)).astype(np.float32)
         b = r.standard_normal(cout).astype(np.float32)
@@ -658,10 +657,11 @@ class TestSession:
             session = Session(conv_graph((bsz, cin, h, wid), w, b, stride,
                                          padding, dilation, 1, pool))
             step = max(2, rows - rows % 2) if pool else rows
-            # each strip is (offset, its rows of the node's output)
-            assert [out.shape[2] << pool
-                    for _, out in session._scratch[0][-1]] == [
-                min(step, 8 - r0) for r0 in range(0, 8, step)]
+            # each block is (samples, offset, its rows of the output)
+            assert [(c.start, out.shape[:1] + (out.shape[2] << pool,))
+                    for c, _, out in session._scratch[0][-1]] == [
+                (b, (1, min(step, 8 - r0)))
+                for b in range(bsz) for r0 in range(0, 8, step)]
             x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
             np.testing.assert_allclose(
                 session.run({"x": x})["y"],

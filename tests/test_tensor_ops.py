@@ -149,9 +149,10 @@ class TestConv2d:
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
            st.integers(0, 2), st.integers(1, 3), st.integers(1, 4),
-           st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+           st.integers(1, 4), st.integers(1, 2**12),
+           st.integers(0, 2**32 - 1))
     def test_matches_naive_loop(self, bsz, cin, cout, kh, kw, stride,
-                                padding, dilation, oh, ow, one_per_chunk,
+                                padding, dilation, oh, ow, strip_bytes,
                                 seed):
         # input extents chosen so the output is exactly oh x ow
         h = (oh - 1) * stride + dilation * (kh - 1) + 1 - 2 * padding
@@ -162,10 +163,10 @@ class TestConv2d:
         w = r.standard_normal((cout, cin, kh, kw))
         g = r.standard_normal((bsz, cout, oh, ow))
         with pytest.MonkeyPatch.context() as mp:
-            if one_per_chunk:
-                # one sample per chunk: dw accumulates over chunks, and
-                # col2im scatters each chunk from the reused buffer
-                mp.setattr(ops, "_CHUNK_BYTES", 1)
+            # blocks of several samples, of one, or strips of a sample's
+            # rows: dw accumulates over blocks, and col2im adds each
+            # block from the reused buffer, overlapping strips included
+            mp.setattr(ops, "STRIP_BYTES", strip_bytes)
             tape = Tape()
             xv, wv = leafy(tape, x), leafy(tape, w)
             out = ops.conv2d(xv, wv, stride=stride, padding=padding,
@@ -186,11 +187,12 @@ class TestConv2d:
     ], ids=["padded_1x1", "5x5_pad2", "3x3_dil3_pad3", "constant_input"])
     def test_one_sample_per_chunk(self, monkeypatch, cin, cout, k, padding,
                                   dilation, x_grad):
-        # three chunks, so a first, a middle and a last one, each padded
-        # into the reused buffer in forward and again in backward, whose
-        # input gradient goes through a padded chunk buffer; an input that
-        # needs no gradient (conv1's image) gets none computed
-        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
+        # three samples, each padded into the reused buffer in forward and
+        # again in backward and walked in one-row strips, so a first, a
+        # middle and a last one, whose input gradients overlap in dx's
+        # padded grid; an input that needs no gradient (conv1's image)
+        # gets none computed
+        monkeypatch.setattr(ops, "STRIP_BYTES", 1)
         r = np.random.default_rng(11)
         x = r.standard_normal((3, cin, 7, 7))
         w = r.standard_normal((cout, cin, k, k))
@@ -223,12 +225,43 @@ class TestConv2d:
         np.testing.assert_allclose(db, g.sum(axis=(0, 2, 3)), rtol=1e-12,
                                    atol=1e-12)
 
+    def test_backward_holds_one_strip(self):
+        # one sample's columns, 288 x 160 x 162 floats, are about seven
+        # times the strip budget: above the input gradient's padded grid
+        # and one sample's padded input, the backward holds one strip of
+        # columns and one of gradient grid.  The budget counts OW of each
+        # row's Wp grid columns, so a strip's grids reach Wp/OW of it.
+        bsz, cin, cout, size = 2, 32, 8, 160
+        r = np.random.default_rng(7)
+        x = r.standard_normal((bsz, cin, size, size)).astype(np.float32)
+        w = r.standard_normal((cout, cin, 3, 3)).astype(np.float32)
+        b = r.standard_normal(cout).astype(np.float32)
+        g = r.standard_normal((bsz, cout, size, size)).astype(np.float32)
+        k, wp = cin * 9, size + 2
+        assert k * size * size * 4 > 6 * ops.STRIP_BYTES
+        tape = Tape()
+        out = ops.conv2d(leafy(tape, x), leafy(tape, w), leafy(tape, b),
+                         padding=1, relu=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dx = tape.nodes[out.idx].backward(g)[0]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        dx_grid = bsz * cin * wp * wp * 4
+        padded = cin * wp * wp * 4                  # one sample's input
+        strip = ops.STRIP_BYTES * wp / size * (1 + cout / k)
+        assert dx.base.nbytes == dx_grid
+        assert peak < dx_grid + padded + strip + 2**16
+
     def test_holds_only_its_output(self, monkeypatch):
         # between forward and backward neither the im2col columns (50x
         # the output's bytes, repacked by the backward) nor a padded copy
-        # of the input are kept: each chunk is padded into a reused
-        # buffer, here one sample of the four, and padded again later
-        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
+        # of the input are kept: each block is padded into a reused
+        # buffer, here one sample of the four (its 100 x 20 x 20 columns
+        # are the budget), and padded again later
+        monkeypatch.setattr(ops, "STRIP_BYTES", 100 * 20 * 20 * 8)
         r = np.random.default_rng(5)
         x = r.standard_normal((4, 4, 20, 20))
         w = r.standard_normal((2, 4, 5, 5))
@@ -254,11 +287,11 @@ class TestConv2d:
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
            st.integers(0, 2), st.integers(1, 3), st.integers(1, 3),
-           st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
-           st.integers(0, 2**32 - 1))
+           st.integers(1, 3), st.booleans(), st.booleans(),
+           st.integers(1, 2**12), st.integers(0, 2**32 - 1))
     def test_epilogue_matches_naive_loop(self, bsz, cin, cout, kh, kw,
                                          stride, padding, dilation, ph, pw,
-                                         relu, pool, one_per_chunk, seed):
+                                         relu, pool, strip_bytes, seed):
         # conv -> +b -> max(., 0) -> 2x2 max-pool, each step optional but
         # the bias; even output extents, and small integer inputs, so
         # that windows often tie and the ReLU often zeroes a whole window
@@ -280,8 +313,7 @@ class TestConv2d:
         if relu:
             gy = gy * (y > 0)
         with pytest.MonkeyPatch.context() as mp:
-            if one_per_chunk:
-                mp.setattr(ops, "_CHUNK_BYTES", 1)
+            mp.setattr(ops, "STRIP_BYTES", strip_bytes)
             tape = Tape()
             xv, wv, bv = leafy(tape, x), leafy(tape, w), leafy(tape, b)
             out = ops.conv2d(xv, wv, bv, stride=stride, padding=padding,
@@ -298,7 +330,8 @@ class TestConv2d:
         # with pool=True neither the conv output nor the ReLU output is
         # kept at full resolution, nor a padded copy of the input: only
         # the pooled output and one uint8 code per pooled output
-        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)   # one sample a chunk
+        # one sample a block: its 100 x 40 x 40 columns
+        monkeypatch.setattr(ops, "STRIP_BYTES", 100 * 40 * 40 * 8)
         x = rng.standard_normal((4, 4, 40, 40))
         w = rng.standard_normal((2, 4, 5, 5))
         b = rng.standard_normal(2)
@@ -320,7 +353,8 @@ class TestConv2d:
     def test_forward_only_pool_records_no_masks(self, monkeypatch):
         # with nothing to differentiate, the pool allocates no winner code
         # and the op holds only its output, which is bitwise the same
-        monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)   # one sample a chunk
+        # one sample a block: its 100 x 40 x 40 columns
+        monkeypatch.setattr(ops, "STRIP_BYTES", 100 * 40 * 40 * 8)
         x = rng.standard_normal((4, 4, 40, 40))
         w = rng.standard_normal((2, 4, 5, 5))
         b = rng.standard_normal(2)
@@ -426,15 +460,15 @@ class TestMaxPool:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 4),
-           st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_matches_naive_loop(self, bsz, c, oh, ow, one_per_chunk, seed):
+           st.integers(1, 4), st.integers(1, 2**12),
+           st.integers(0, 2**32 - 1))
+    def test_matches_naive_loop(self, bsz, c, oh, ow, strip_bytes, seed):
         # few distinct integer values, so most windows hold ties
         r = np.random.default_rng(seed)
         x = r.integers(0, 3, (bsz, c, 2 * oh, 2 * ow)).astype(np.float64)
         g = r.integers(-4, 5, (bsz, c, oh, ow)).astype(np.float64)
         with pytest.MonkeyPatch.context() as mp:
-            if one_per_chunk:
-                mp.setattr(ops, "_CHUNK_BYTES", 1)
+            mp.setattr(ops, "STRIP_BYTES", strip_bytes)
             tape = Tape()
             xv = leafy(tape, x)
             out = maxpool2x2(xv)

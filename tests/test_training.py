@@ -312,6 +312,25 @@ class TestTrainLoop:
             train(model, train_ds, val_ds,
                   TrainConfig(lr=1e6, batch=8, max_epochs=2, seed=0))
 
+    @pytest.mark.parametrize("key,value,names", [
+        ((0, 0, 1, 1), np.nan, "op 'leaf': parameter spatial.conv2.w"),
+        (..., np.finfo(np.float32).max, "op 'conv2d'"),
+    ], ids=["nan", "overflow"])
+    def test_nonfinite_loss_names_first_bad_output(self, tiny_sets, key,
+                                                   value, names):
+        # a poisoned weight: one NaN is named as the parameter it is in;
+        # the largest float32 in every tap overflows conv2's output,
+        # named as its op
+        train_ds, val_ds = tiny_sets
+        model = build_model(TINY, seed=6)
+        conv2 = {p.name: p for p in model.parameters()}["spatial.conv2.w"]
+        conv2.data[key] = value
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
+            train(model, train_ds, val_ds,
+                  TrainConfig(lr=0.01, batch=8, max_epochs=1, seed=0))
+        assert "epoch 1, batch 0" in str(err.value)
+        assert str(err.value).endswith(names)
+
 
 class TestPredict:
     def test_empty_dataset_rejected(self):
