@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import (ROTATIONS, SyntheticDataset, _read_sample, load_dataset,
                    save_dataset, split_dataset)
-from .errors import ConfigError, StormkanError
+from .errors import CheckpointError, ConfigError, StormkanError
 from .model import ABLATION_FLAGS, ModelConfig, build_model
 from .staticgraph import Session, bench, export, load_graph, save_graph
 from .tape import Tape
@@ -177,14 +177,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _run_record(config: dict) -> tuple[int, float, float, float]:
+    """(seed, train_frac, alpha, beta) of a checkpoint's ``run`` record,
+    each its default where the record has none."""
+    run = config.get("run", {})
+    train_cfg = run.get("train", {}) if isinstance(run, dict) else None
+    if not isinstance(train_cfg, dict):
+        raise CheckpointError("checkpoint run record must be an object "
+                              "whose 'train' is an object")
+    values = {"seed": train_cfg.get("seed", 0),
+              "train_frac": run.get("train_frac", 0.7),
+              "alpha": train_cfg.get("alpha", 1.0),
+              "beta": train_cfg.get("beta", 1.0)}
+    for name, value in values.items():
+        kinds = (int,) if name == "seed" else (int, float)
+        if type(value) not in kinds or not math.isfinite(value):
+            raise CheckpointError(f"checkpoint run record: {name} {value!r} "
+                                  f"is not a finite {kinds[-1].__name__}")
+    seed, *reals = values.values()
+    return seed, *map(float, reals)
+
+
 def cmd_eval(args) -> int:
     model, config = model_from_checkpoint(args.ckpt)
-    run_extra = config.get("run", {})
-    train_cfg = run_extra.get("train", {})
-    seed = int(train_cfg.get("seed", 0))
-    train_frac = float(run_extra.get("train_frac", 0.7))
-    alpha = float(train_cfg.get("alpha", 1.0))
-    beta = float(train_cfg.get("beta", 1.0))
+    seed, train_frac, alpha, beta = _run_record(config)
     samples = load_dataset(args.data)
     splits = dict(zip(("train", "val", "test"),
                       split_dataset(samples, train_frac, seed)))

@@ -7,15 +7,15 @@ ShapeError, and ``add``, ``sub`` and ``mul`` with ``_broadcast``;
 ``staticgraph``'s shape inference calls the same rules.  ``conv2d``,
 ``silu`` and ``softmax`` compute their forward with a private ``out=``
 kernel, called with fresh buffers here and with preallocated ones by
-``staticgraph.Session``.  ``conv2d`` works in blocks of whole samples
-or strips of one sample's output rows whose columns fit ``STRIP_BYTES``
-(``_conv_blocks``, which ``Session`` calls too): it packs the taps of a
-block's flat padded grid (``_taps``), runs one batched GEMM per block
-(``_conv_block``), then the 2x2 max-pool, bias and ReLU while the block
-is in cache.  Its columns and padding live in reused block-sized
-buffers and are never kept: backward repacks them, block by block.
-Average pools are products with constant averaging matrices, through
-``matmul``.
+``staticgraph.Session``.  A conv walks one plan (``_conv_plan``), in
+``conv2d``'s forward and backward and in ``Session``: blocks of whole
+samples or strips of one sample's output rows whose columns fit
+``STRIP_BYTES``, and the block-sized buffers they reuse.  Per block it
+packs the taps of the flat padded grid (``_taps``), runs one batched
+GEMM (``_conv_block``), then the 2x2 max-pool, bias and ReLU while the
+block is in cache.  Columns and padding are never kept: backward
+repacks them, block by block.  Average pools are products with constant
+averaging matrices, through ``matmul``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ShapeError
 from .tape import Var
 
-# im2col columns packed per conv GEMM call, forward and backward, by the
-# tape op and by staticgraph.Session (_conv_blocks).  Swept on the
+# im2col columns packed per conv GEMM call, in each block of a
+# _conv_plan, forward and backward, tape and Session.  Swept on the
 # full-size graph at B=1: 3 to 5 MiB run equally fast, 1 MiB (a dispatch
 # per 8 rows) about 25% slower; each MiB costs about 1.35 MiB of the
 # session's scratch buffer (conv2's columns, GEMM output and half-pooled
@@ -250,17 +250,37 @@ def _max2x2(y, half, out, code=None):
     np.maximum(r0, r1, out=out)
 
 
-def _conv_blocks(bsz, k, oh, ow, itemsize, pool):
-    """(chunk, rows): the samples and output rows of each block of a conv
-    with k = C*kh*kw and oh x ow outputs, whose columns fit STRIP_BYTES.
-    A block is as many whole samples as fit, if one does, else one
-    sample's strip of rows, an even count with the pool, so that every
-    strip pools whole row pairs; the last block of each may be shorter."""
-    row = k * ow * itemsize   # the columns of one output row of one sample
+def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take):
+    """(geom, chunks, strips, xp, cols, y, half): the walk of a conv of
+    input shape x and kernel shape w, and the flat buffers every block
+    reuses, each take(size, dtype).  geom is _taps' (kh, kw, stride,
+    dilation, Wp).  A block is a chunk (a slice of the batch) and a
+    strip (r0, rows) of its output rows, before the pool: as many whole
+    samples as fit STRIP_BYTES of columns, if one does, else one
+    sample's strip of rows, an even count with the pool; the last chunk
+    or strip may be shorter.  The buffers are one block's padded samples
+    and columns (empty if unused), GEMM grid and, with the pool,
+    half-pooled rows (else None)."""
+    bsz, cin, h, wid = x
+    cout, _, kh, kw = w
+    oh, ow = (n << pool for n in _conv2d_shape(x, w, None, stride, padding,
+                                                dilation, pool)[2:])
+    hp, wp = h + 2 * padding, wid + 2 * padding
+    k = cin * kh * kw
+    row = k * ow * np.dtype(dtype).itemsize   # one output row's columns
     if row * oh <= STRIP_BYTES:
-        return max(1, min(bsz, STRIP_BYTES // (row * oh))), oh
-    rows = max(1, STRIP_BYTES // row)
-    return 1, (max(2, rows - rows % 2) if pool else rows)
+        chunk, rows = max(1, min(bsz, STRIP_BYTES // (row * oh))), oh
+    else:
+        rows = max(1, STRIP_BYTES // row)
+        chunk, rows = 1, (max(2, rows - rows % 2) if pool else rows)
+    packs = (kh, kw, stride, dilation) != (1, 1, 1, 1)
+    return ((kh, kw, stride, dilation, wp),
+            [slice(b0, b0 + chunk) for b0 in range(0, bsz, chunk)],
+            [(r0, min(rows, oh - r0)) for r0 in range(0, oh, rows)],
+            take(chunk * cin * hp * wp if padding else 0, dtype),
+            take(chunk * k * ((rows - 1) * wp + ow) if packs else 0, dtype),
+            take(chunk * cout * rows * wp, dtype),
+            take(chunk * cout * rows * (ow // 2), dtype) if pool else None)
 
 
 def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
@@ -273,9 +293,7 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
     pooled block [b, Cout, rows/2, OW/2]: the 2x2 max runs on the GEMM's
     output, before the bias and the ReLU, which commute with it.  Given
     code too, of out's shape, it records each window's winner there
-    (_max2x2), plus 1 where the ReLU passed a gradient (out > 0).
-    ``conv2d`` and ``staticgraph.Session`` run it per block of
-    ``_conv_blocks``."""
+    (_max2x2), plus 1 where the ReLU passed a gradient (out > 0)."""
     wp = geom[-1]
     b, cout = out.shape[:2]
     pool = half is not None
@@ -300,30 +318,41 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
             code |= np.greater(out, 0)
 
 
+def _conv_forward(x, w2, bias, padding, relu, plan, out, code=None):
+    """The conv of x [B, C, H, W] by w2 [Cout, K] into out (and code):
+    _conv_block per block of plan (_conv_plan), each chunk of samples
+    padded into the plan's buffer as the walk reaches it."""
+    geom, chunks, strips, xp, cols, y, half = plan
+    stride, wp = geom[2], geom[4]
+    pool = half is not None
+    for c in chunks:
+        xf = _padded(x[c], padding, xp)
+        for r0, rows in strips:
+            p = slice(r0 >> pool, (r0 + rows) >> pool)
+            _conv_block(xf[:, :, r0 * stride * wp:], w2, geom, bias, relu,
+                        cols, y, out[c, :, p], half,
+                        None if code is None else code[c, :, p])
+
+
 def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
            padding: int = 0, dilation: int = 1, relu: bool = False,
            pool: bool = False) -> Var:
     """2-d cross-correlation with optional per-channel bias, then
     optionally ReLU and the 2x2, stride-2 max-pool (``_conv2d_shape``
-    gives the extents it accepts).
+    gives the extents it accepts), by ``_conv_forward`` on a fresh plan.
 
-    Forward runs ``_conv_block`` per block of ``_conv_blocks`` (whole
-    samples, or strips of one sample's output rows), on the flat padded
-    grid of the block's samples in one reused buffer (``_padded``).  For
-    backward it keeps the input and, when a gradient is needed, without
-    the pool the output if `relu` (for its mask); with the pool not the
-    output but a uint8 code per pooled output: twice the window's winner
+    For backward it keeps the input and, when a gradient is needed,
+    without the pool the output if `relu` (for its mask); with the pool
+    a uint8 code per pooled output instead: twice the window's winner
     (ties go to the first flat index), plus 1 where the ReLU passed a
     gradient.  A forward-only pool records nothing.  Backward walks the
-    same blocks, holding one block of columns and of gradient grid at a
-    time: it routes the block's output gradient through the code, or the
-    ReLU's mask, onto the block's GEMM grid, whose extra columns stay 0,
-    repacks the block's columns, adds their product with it to dw, and
-    adds each tap of dcols = W^T g into dx's zero-bordered flat grid
-    (col2im), where neighbouring strips overlap: one buffer for the
-    whole batch, whose interior view is dx.  With the pool, db sums the
-    pooled gradient where the ReLU passed it, as the routing keeps each
-    sum.
+    plan's blocks again, on fresh buffers: it routes each block's output
+    gradient through the code or the mask onto its GEMM grid, repacks
+    its columns, adds their product with it to dw, and adds each tap of
+    dcols = W^T g into dx's zero-bordered flat grid (col2im), where
+    neighbouring strips overlap; dx is its interior view.  With the
+    pool, db sums the pooled gradient where the ReLU passed it, as the
+    routing keeps each sum.
     """
     xd, wd = x.data, w.data
     has_bias = bias is not None
@@ -331,18 +360,10 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
                               bias.data.shape if has_bias else None, stride,
                               padding, dilation, pool)
     bsz, cin, h, wid = xd.shape
-    cout, _, kh, kw = wd.shape
-    oh, ow = out_shape[2] << pool, out_shape[3] << pool
-    hp, wp = h + 2 * padding, wid + 2 * padding
-    geom = (kh, kw, stride, dilation, wp)
-    is_1x1 = (kh, kw, stride, dilation) == (1, 1, 1, 1)
-    k = cin * kh * kw
-    w2 = np.ascontiguousarray(wd.reshape(cout, k))
+    cout = wd.shape[0]
+    w2 = np.ascontiguousarray(wd.reshape(cout, -1))
     dtype = np.result_type(xd, wd)
-    chunk, rows = _conv_blocks(bsz, k, oh, ow, xd.itemsize, pool)
-    # the block buffers: one per pass, reused by every block, never kept
-    n_cols = 0 if is_1x1 else chunk * k * ((rows - 1) * wp + ow)
-    n_pad = chunk * cin * hp * wp if padding else 0
+    plan_args = (xd.shape, wd.shape, stride, padding, dilation, pool, dtype)
     # capture plain flags, not Vars: a Var in the closure would create a
     # tape <-> closure cycle and delay freeing whole forward passes
     x_needs_grad = x.requires_grad
@@ -352,44 +373,36 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     out = np.empty(out_shape, dtype=dtype)
     # a forward-only pool records no code
     code = np.empty(out_shape, np.uint8) if pool and needs_grad else None
-    cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
-    y = np.empty(chunk * cout * rows * wp, dtype)
-    half = np.empty(chunk * cout * rows * (ow // 2), dtype) if pool else None
-    for b0 in range(0, bsz, chunk):
-        c = slice(b0, b0 + chunk)
-        xf = _padded(xd[c], padding, xp)
-        for r0 in range(0, oh, rows):
-            p = slice(r0 >> pool, (r0 + rows) >> pool)
-            _conv_block(xf[:, :, r0 * stride * wp:], w2, geom,
-                        bias.data if has_bias else None, relu, cols, y,
-                        out[c, :, p], half,
-                        None if code is None else code[c, :, p])
+    _conv_forward(xd, w2, bias.data if has_bias else None, padding, relu,
+                  _conv_plan(*plan_args, np.empty), out, code)
     # the output is kept only for the ReLU's mask of a conv without the pool
     relu_out = out if relu and not pool else None
 
     def backward(g):
-        dw = np.zeros((k, cout), dtype=g.dtype)
+        # the plan again, on fresh buffers but for the half-pooled rows.
+        # Whatever a block's row count, the Wp - OW extra columns of each
+        # grid row sit at the same flat offsets modulo Wp: never written
+        geom, chunks, strips, n_pad, n_cols, n_grid, _ = _conv_plan(
+            *plan_args, lambda n, _: n)
+        kh, kw, wp, ow = geom[0], geom[1], geom[4], g.shape[3] << pool
+        xp, cols = np.empty(n_pad, dtype), np.empty(n_cols, dtype)
+        gg = np.zeros(n_grid, dtype=g.dtype)
+        hit = np.empty(g[chunks[0], :, :strips[0][1] >> pool].size, bool)
+        dw = np.zeros(w2.shape[::-1], dtype=g.dtype)
         db = np.zeros(cout, dtype=g.dtype) if has_bias else None
         dx = dxg = None
         if x_needs_grad:   # dx is the interior of its flat padded grid dxg
-            dxg = np.zeros((bsz, cin, hp * wp), dtype=g.dtype)
-            dx = dxg.reshape(bsz, cin, hp, wp)[
+            dxg = np.zeros((bsz, cin, (h + 2 * padding) * wp), dtype=g.dtype)
+            dx = dxg.reshape(bsz, cin, -1, wp)[
                 :, :, padding:padding + h, padding:padding + wid]
-        # a block's output gradient on its GEMM grid: whatever the block's
-        # row count, the Wp - OW extra columns of each row sit at the same
-        # flat offsets modulo Wp, never written, so they stay 0
-        gg = np.zeros(chunk * cout * rows * wp, dtype=g.dtype)
-        hit = np.empty(chunk * cout * (rows >> pool) * (ow >> pool), bool)
-        cols, xp = np.empty(n_cols, xd.dtype), np.empty(n_pad, xd.dtype)
-        for b0 in range(0, bsz, chunk):
-            c, bc = slice(b0, b0 + chunk), min(chunk, bsz - b0)
+        for c in chunks:
             xf = _padded(xd[c], padding, xp)
-            for r0 in range(0, oh, rows):
-                rs = min(rows, oh - r0)
+            for r0, rs in strips:
                 n, start = (rs - 1) * wp + ow, r0 * stride * wp
                 c3 = _pack(xf[:, :, start:], geom, n, cols)
                 p = slice(r0 >> pool, (r0 + rs) >> pool)
                 gc = g[c, :, p]
+                bc = len(gc)
                 hc = hit[:gc.size].reshape(gc.shape)
                 grid = gg[:bc * cout * rs * wp].reshape(bc, cout, rs, wp)
                 gv = grid[..., :ow]
@@ -417,7 +430,7 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
                 if dx is None:
                     continue
                 dxf = dxg[c, :, start:]
-                if is_1x1:   # strips of a 1x1 tile the grid: no overlap
+                if not n_cols:   # a 1x1 packs nothing: its strips tile dxg
                     np.matmul(w2.T, gn, out=dxf[:, :, :n])
                     continue
                 np.matmul(w2.T, gn, out=c3)  # dcols overwrite the columns

@@ -25,9 +25,9 @@ shape and every constant the interpreter indexes by once, in its
 constructor.  A ``Session`` allocates two buffers when it is created:
 one block of node outputs, and one scratch buffer that every node uses
 in turn, sized by the largest need, conv2's at full size.  A CONV2D runs
-``ops._conv_block`` per block of ``ops._conv_blocks``, the rule the
-tape's ``conv2d`` follows too: at batch 1 of the full-size graph, one
-strip of output rows at a time, whose columns fit ``ops.STRIP_BYTES``.
+``ops._conv_forward`` on its ``ops._conv_plan``, the tape's ``conv2d``
+plan: at batch 1 of the full-size graph, one strip of output rows at a
+time, whose columns fit ``ops.STRIP_BYTES``.
 A warm ``run`` allocates only its output copies, as ``bench`` measures
 with tracemalloc.
 """
@@ -45,8 +45,8 @@ from .errors import DataError, ExportError, GraphError, ShapeError
 from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
                     quadrant_tap_grid)
 from .ops import (_axis, _broadcast, _concat_shape, _conv2d_shape,
-                  _conv_block, _conv_blocks, _matmul_shape, _mean_shape,
-                  _padded, _require, _silu, _softmax)
+                  _conv_forward, _conv_plan, _matmul_shape, _mean_shape,
+                  _require, _silu, _softmax)
 from .spline import KanLinear, _horner_basis, _horner_scratch
 from .tape import Tape
 from .tensor import read_container, write_container
@@ -513,12 +513,11 @@ class Session:
     One block holds every node output.  One scratch buffer, as large as
     the largest node's need, holds every node's scratch in turn, since
     ``run`` executes the nodes in order: no node reads what another, or
-    an earlier run, left there.  A CONV2D runs ``ops._conv_block`` per
-    block of ``ops._conv_blocks``, so its scratch is the padded input
-    plus block-sized buffers.  The graph is frozen and its constants
-    read-only, so sessions may share one graph and run concurrently; its
-    ``shapes`` size the buffers, and it needs no checking, as only a
-    valid graph exists.
+    an earlier run, left there.  A CONV2D's scratch is its
+    ``ops._conv_plan``: its blocks, and the block-sized buffers they
+    reuse.  The graph is frozen and its constants read-only, so sessions
+    may share one graph and run concurrently; its ``shapes`` size the
+    buffers, and it needs no checking, as only a valid graph exists.
     """
 
     def __init__(self, graph: StaticGraph):
@@ -550,8 +549,9 @@ class Session:
     def _node_scratch(self, node: GraphNode, take):
         """The node's scratch views, each from take(shape, dtype)."""
         shapes = self.shapes
-        if node.op == CONV2D:
-            return self._conv_scratch(node, take)
+        if node.op == CONV2D:   # attrs: stride, padding, dilation, relu, pool
+            return _conv_plan(shapes[node.inputs[0]], shapes[node.inputs[1]],
+                              *node.attrs[:3], node.attrs[4], np.float32, take)
         if node.op == SOFTMAX:
             return (take(_mean_shape(shapes[node.inputs[0]], node.attrs[0],
                                      keepdims=True)),)
@@ -561,31 +561,6 @@ class Session:
         if node.op == SILU:
             return (take(shapes[node.inputs[0]]),)
         return ()
-
-    def _conv_scratch(self, node: GraphNode, take):
-        """(geometry, padded input, columns, GEMM output, half-pooled
-        rows, blocks): the four are flat buffers, each None if unused,
-        that every block of ``ops._conv_blocks`` reuses.  Each block is
-        (samples, offset, out): its slice of the batch, the offset of its
-        first input row in the flat padded input, and its rows of the
-        node's output, pooled with the pool."""
-        stride, padding, dilation, _, pool = node.attrs
-        (bsz, cin, h, wid), (cout, _, kh, kw) = (
-            self.shapes[j] for j in node.inputs[:2])
-        out = self._values[node.output]
-        oh, ow = out.shape[2] << pool, out.shape[3] << pool
-        wp = wid + 2 * padding
-        chunk, rows = _conv_blocks(bsz, cin * kh * kw, oh, ow, 4, pool)
-        n = (rows - 1) * wp + ow
-        xp = take(bsz * cin * (h + 2 * padding) * wp) if padding else None
-        is_1x1 = (kh, kw, stride, dilation) == (1, 1, 1, 1)
-        cols = None if is_1x1 else take(chunk * cin * kh * kw * n)
-        y = take(chunk * cout * rows * wp)
-        half = take(chunk * cout * rows * (ow // 2)) if pool else None
-        blocks = [(slice(b0, b0 + chunk), r0 * stride * wp,
-                   out[b0:b0 + chunk, :, r0 >> pool:(r0 + rows) >> pool])
-                  for b0 in range(0, bsz, chunk) for r0 in range(0, oh, rows)]
-        return (kh, kw, stride, dilation, wp), xp, cols, y, half, blocks
 
     def run(self, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         graph = self.graph
@@ -616,14 +591,9 @@ class Session:
         ins = [vals[j] for j in node.inputs]
         op, attrs = node.op, node.attrs
         if op == CONV2D:
-            relu = attrs[3]
             x, w, bias = ins
-            geom, xp, cols, y, half, blocks = scratch
-            xf = _padded(x, attrs[1], xp)
-            w2 = w.reshape(w.shape[0], -1)
-            for c, start, out_rows in blocks:
-                _conv_block(xf[c, :, start:], w2, geom, bias, relu, cols, y,
-                            out_rows, half)
+            _conv_forward(x, w.reshape(w.shape[0], -1), bias, attrs[1],
+                          attrs[3], scratch, out)
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)
         elif op == SILU:

@@ -38,7 +38,7 @@ def _as_supported(array, dtype=None) -> np.ndarray:
     either byte order, else as a float32."""
     arr = np.asarray(array, dtype=dtype)
     wide = arr.dtype.kind == "f" and arr.itemsize == 8
-    return np.ascontiguousarray(arr, dtype=np.float64 if wide else np.float32)
+    return np.asarray(arr, np.float64 if wide else np.float32, order="C")
 
 
 def _record(array) -> tuple[bytes, np.ndarray]:
@@ -50,7 +50,7 @@ def _record(array) -> tuple[bytes, np.ndarray]:
     dtype_le = arr.dtype.newbyteorder("<")
     header = MAGIC + struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODES[dtype_le],
                                  arr.ndim, *arr.shape)
-    return header, np.ascontiguousarray(arr, dtype=dtype_le)
+    return header, np.asarray(arr, dtype_le, order="C")
 
 
 def write_tensor(fp: BinaryIO, array) -> None:

@@ -335,7 +335,6 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
     sched = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.plateau_factor,
                              cfg.improvement_threshold)
     stopper = EarlyStopper(cfg.early_stop_patience, cfg.improvement_threshold)
-    best_val = np.inf
     best_epoch = 0
     best_state = {k: v.copy() for k, v in model.state().items()}
     result = TrainResult(0, 0, np.inf)
@@ -377,18 +376,18 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
         if not quiet:
             print(result.log_lines[-1], flush=True)
 
-        if val_loss < best_val - cfg.improvement_threshold:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = {k: v.copy() for k, v in model.state().items()}
         result.epochs_run = epoch
         sched.update(val_loss)
-        if stopper.update(val_loss):
+        stop = stopper.update(val_loss)
+        if stopper.counter == 0:   # the stopper's new best
+            best_epoch = epoch
+            best_state = {k: v.copy() for k, v in model.state().items()}
+        if stop:
             result.stopped_early = True
             break
 
     result.best_epoch = best_epoch
-    result.best_val_loss = float(best_val)
+    result.best_val_loss = float(stopper.best)
     model.load_state(best_state)
     if log_path is not None:
         with open(log_path, "w") as fp:

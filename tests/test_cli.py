@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from stormkan.cli import main, parse_config_file, resolve_run_config
 from stormkan.errors import ConfigError
 from stormkan.model import ModelConfig
-from stormkan.training import TrainConfig
+from stormkan.tensor import write_container
+from stormkan.training import (CKPT_MAGIC, CKPT_VERSION, TrainConfig,
+                               read_checkpoint)
 
 TINY_CFG = """
 # desk-scale configuration
@@ -190,6 +192,21 @@ class TestEval:
         assert data["rmse_msw_kt"] >= data["mae_msw_kt"]
         assert data["rmse_rmw_nmi"] >= data["mae_rmw_nmi"]
         assert "baseline_mae_msw_kt" in data
+
+    @pytest.mark.parametrize("run", [
+        {"train": {"seed": "abc"}}, {"train_frac": "x"}, "notadict",
+        {"train": [1]}], ids=["seed", "train_frac", "run", "train"])
+    def test_malformed_run_record_fails_typed(self, workdir, trained,
+                                              tmp_path, capsys, run):
+        config, state = read_checkpoint(trained)
+        config["run"] = run
+        ckpt = tmp_path / "bad.kfc"
+        ckpt.write_bytes(write_container(CKPT_MAGIC, CKPT_VERSION, config,
+                                         state))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", workdir["data"],
+                     "--out", str(tmp_path / "eval.json")]) == 1
+        assert "error[CheckpointError]: checkpoint run record" in \
+            capsys.readouterr().err
 
     def test_perfect_prediction_fixture(self):
         from stormkan.training import compute_metrics

@@ -657,11 +657,15 @@ class TestSession:
             session = Session(conv_graph((bsz, cin, h, wid), w, b, stride,
                                          padding, dilation, 1, pool))
             step = max(2, rows - rows % 2) if pool else rows
-            # each block is (samples, offset, its rows of the output)
-            assert [(c.start, out.shape[:1] + (out.shape[2] << pool,))
-                    for c, _, out in session._scratch[0][-1]] == [
-                (b, (1, min(step, 8 - r0)))
+            # each block is a chunk of samples and a strip of output rows
+            plan = ops._conv_plan((bsz, cin, h, wid), w.shape, stride,
+                                  padding, dilation, pool, np.float32,
+                                  lambda n, dtype: None)
+            assert [(c.start, c.stop, r0, n) for c in plan[1]
+                    for r0, n in plan[2]] == [
+                (b, b + 1, r0, min(step, 8 - r0))
                 for b in range(bsz) for r0 in range(0, 8, step)]
+            assert session._scratch[0][1:3] == plan[1:3]
             x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
             np.testing.assert_allclose(
                 session.run({"x": x})["y"],
@@ -829,6 +833,33 @@ class TestTapeParity:
         differ = np.ascontiguousarray(out).view(np.uint32) \
             != np.ascontiguousarray(ref).view(np.uint32)
         assert not differ.any(), f"{differ.sum()} of {out.size} differ"
+
+    @pytest.mark.parametrize("blocks", ["samples", "sample", "rows"])
+    @pytest.mark.parametrize("case", sorted(c for c in NODE_CASES
+                                            if c.startswith("conv2d")))
+    def test_conv_node_matches_tape_op_in_blocks(self, monkeypatch, case,
+                                                  blocks):
+        # at batch 2, the budget fits both samples' columns, one sample's,
+        # or three output rows of one (two under the pool): the node and
+        # the tape op walk the same blocks of ops._conv_plan
+        op, attrs, x_shape, consts, tape_op = NODE_CASES[case]
+        graph = one_node_graph(op, attrs, x_shape, consts)
+        oh, ow = (n << attrs[4] for n in graph.shapes[graph.outputs[0][1]][2:])
+        row = 4 * consts[0][0].size * ow    # one output row's columns
+        budget = {"samples": 2 * oh * row, "sample": oh * row,
+                  "rows": 3 * row}[blocks]
+        monkeypatch.setattr(ops, "STRIP_BYTES", budget)
+        plan = ops._conv_plan(x_shape, consts[0].shape, *attrs[:3], attrs[4],
+                              np.float32, lambda n, dtype: None)
+        assert (len(plan[1]), len(plan[2])) == {
+            "samples": (1, 1), "sample": (2, 1),
+            "rows": (2, -(-oh // (3 - attrs[4])))}[blocks]
+        x = (3 * rng.standard_normal(x_shape)).astype(np.float32)
+        out = Session(graph).run({"x": x})["y"]
+        tape = Tape()
+        ref = tape_op(tape.constant(x), *map(tape.constant,
+                                             graph.constants)).data
+        assert out.tobytes() == ref.tobytes()
 
 
 class TestBench:

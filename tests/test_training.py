@@ -299,6 +299,23 @@ class TestTrainLoop:
         assert res.stopped_early
         assert res.epochs_run == 11
 
+    def test_best_epoch_restored(self, tiny_sets):
+        # a large lr makes validation worse after the first epoch.  The
+        # best epoch is the last to beat every earlier one by the
+        # threshold, and the restored model evaluates to its loss
+        train_ds, val_ds = tiny_sets
+        cfg = TrainConfig(lr=0.05, batch=8, max_epochs=3, seed=3)
+        model = build_model(TINY, seed=3)
+        res = train(model, train_ds, val_ds, cfg)
+        best, best_epoch = np.inf, 0
+        for epoch, loss in enumerate(res.val_history, 1):
+            if loss < best - cfg.improvement_threshold:
+                best, best_epoch = loss, epoch
+        assert (res.best_epoch, res.best_val_loss) == (best_epoch, best)
+        assert best_epoch < res.epochs_run
+        assert evaluate(model, val_ds, cfg.alpha, cfg.beta,
+                        batch=cfg.batch)[0] == best
+
     def test_empty_dataset_rejected(self, tiny_sets):
         with pytest.raises(TrainingError):
             train(build_model(TINY, seed=0), [], [], TrainConfig())
