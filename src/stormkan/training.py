@@ -1,5 +1,11 @@
-"""Multitask training: MAE losses, plain SGD, plateau scheduling,
-early stopping, denormalized metrics, and checkpoint round-trips.
+"""Multitask training: MAE losses, plain SGD on micro-batched passes,
+plateau scheduling, early stopping, denormalized metrics, and
+checkpoint round-trips.
+
+A train step runs its batch as passes of at most ``MICRO_BATCH``
+samples, each a forward and backward on its own tape, and sums their
+gradients, weighted by pass size, into one SGD update: the batch-mean
+gradient, at the memory of one pass.
 
 A ``.kfc`` checkpoint is a ``tensor.write_container`` payload (magic
 "KFC1", version 1): the JSON header holds the model config, the dtype
@@ -28,6 +34,10 @@ from .tensor import Parameter, read_container, write_container
 
 CKPT_MAGIC = b"KFC1"
 CKPT_VERSION = 1
+
+# samples per forward/backward pass of a train step; a larger batch is
+# several passes whose gradients are summed before one SGD step
+MICRO_BATCH = 8
 
 MSW_RANGE = (19.0, 170.0)   # knots
 RMW_RANGE = (5.0, 200.0)    # nautical miles
@@ -60,6 +70,8 @@ class TrainConfig:
             raise ConfigError("task weights must be >= 0 and not both zero")
         if self.batch < 1 or self.max_epochs < 1:
             raise ConfigError("batch and max_epochs must be >= 1")
+        if self.plateau_patience < 1 or self.early_stop_patience < 1:
+            raise ConfigError("patiences must be >= 1")
 
 
 @dataclass
@@ -141,46 +153,32 @@ def sgd_step(params: list[Parameter], grads, lr: float) -> list[Parameter]:
     return params
 
 
-class PlateauScheduler:
-    """Halve (by `factor`) after `patience` epochs without improvement."""
+class PlateauTracker:
+    """The best validation loss and the epochs since it last improved by
+    more than ``cfg.improvement_threshold``: the lr is cut by
+    ``plateau_factor`` at every ``plateau_patience`` of those epochs, and
+    training stops at ``early_stop_patience`` of them."""
 
-    def __init__(self, lr: float, patience: int = 5, factor: float = 0.5,
-                 threshold: float = 1e-6):
-        self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.threshold = threshold
+    def __init__(self, cfg: TrainConfig):
+        self.cfg = cfg
+        self.lr = cfg.lr
         self.best = np.inf
-        self.counter = 0
-
-    def update(self, loss: float) -> float:
-        if loss < self.best - self.threshold:
-            self.best = loss
-            self.counter = 0
-        else:
-            self.counter += 1
-            if self.counter >= self.patience:
-                self.lr *= self.factor
-                self.counter = 0
-        return self.lr
-
-
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without improvement."""
-
-    def __init__(self, patience: int = 10, threshold: float = 1e-6):
-        self.patience = patience
-        self.threshold = threshold
-        self.best = np.inf
-        self.counter = 0
+        self.stale = 0
 
     def update(self, loss: float) -> bool:
-        if loss < self.best - self.threshold:
+        """Record one epoch's validation loss; True if it is a new best."""
+        if loss < self.best - self.cfg.improvement_threshold:
             self.best = loss
-            self.counter = 0
-            return False
-        self.counter += 1
-        return self.counter >= self.patience
+            self.stale = 0
+            return True
+        self.stale += 1
+        if self.stale % self.cfg.plateau_patience == 0:
+            self.lr *= self.cfg.plateau_factor
+        return False
+
+    @property
+    def stop(self) -> bool:
+        return self.stale >= self.cfg.early_stop_patience
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +275,8 @@ def predict(model: CycloneNet, dataset, batch: int = 64):
     """Normalized predictions over a dataset, [N] per task, on
     forward-only tapes: no op keeps its backward context, nor any node
     its output."""
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     if len(dataset) == 0:
         raise ShapeError("predict on an empty dataset")
     preds_m, preds_r = [], []
@@ -301,16 +301,53 @@ def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
     return loss, compute_metrics(pm, pr, tm, tr)
 
 
-def _first_nonfinite(model: CycloneNet, cfg: TrainConfig, xs, xi, tm,
-                     tr) -> str:
-    """Where a batch's loss goes non-finite: the batch's forward and loss
-    re-run on a checked, forward-only tape, which stops at the first
-    non-finite leaf or op output (``Tape(checked=True)``)."""
-    tape = Tape(checked=True, grad=False)
+class _GradientSum:
+    """Per-parameter gradients summed over a batch's passes, read by
+    ``sgd_step`` as it reads a tape's ``Gradients``."""
+
+    def __init__(self, params: list[Parameter]):
+        self._params = params
+        self._by_id = {id(p): np.zeros_like(p.data) for p in params}
+
+    def add(self, grads, weight: float) -> None:
+        for p in self._params:
+            self._by_id[id(p)] += weight * grads.wrt_param(p)
+
+    def wrt_param(self, param: Parameter) -> np.ndarray:
+        return self._by_id[id(param)]
+
+
+def _pass_loss(model: CycloneNet, cfg: TrainConfig, tape: Tape, dataset,
+               idxs) -> Var:
+    """The multitask loss of the samples `idxs`, forward on `tape`."""
+    xs, xi, tm, tr = collate(dataset, idxs, dtype=model.dtype)
+    ym, yr = model.forward(tape, xs, xi)
+    return multitask_loss(ym, yr, tape.constant(tm), tape.constant(tr),
+                          cfg.alpha, cfg.beta)
+
+
+def _run_pass(model: CycloneNet, cfg: TrainConfig, dataset, idxs,
+              total: _GradientSum, weight: float) -> float:
+    """One pass of a batch: forward, loss and, if the loss is finite,
+    backward, whose parameter gradients times `weight` go into `total`.
+    Returns the pass loss; every array of the pass is dropped on
+    return."""
+    tape = Tape()
+    loss = _pass_loss(model, cfg, tape, dataset, idxs)
+    lval = float(loss.data)
+    if np.isfinite(lval):
+        total.add(tape.backprop(loss), weight)
+    tape.release()
+    return lval
+
+
+def _first_nonfinite(model: CycloneNet, cfg: TrainConfig, dataset,
+                     idxs) -> str:
+    """Where a pass's loss goes non-finite: its forward and loss re-run
+    on a checked, forward-only tape, which stops at the first non-finite
+    leaf or op output (``Tape(checked=True)``)."""
     try:
-        ym, yr = model.forward(tape, xs, xi)
-        multitask_loss(ym, yr, tape.constant(tm), tape.constant(tr),
-                       cfg.alpha, cfg.beta)
+        _pass_loss(model, cfg, Tape(checked=True, grad=False), dataset, idxs)
     except NumericsError as exc:
         return str(exc)
     return "every output is finite on a re-run"
@@ -320,51 +357,55 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
           log_path=None, quiet: bool = True) -> TrainResult:
     """SGD epochs with shuffled batches, plateau scheduling + early stop.
 
+    Each batch runs as consecutive passes of at most ``MICRO_BATCH``
+    samples, each with its own tape, forward, loss and backward; their
+    parameter gradients, weighted by pass size over batch size, sum to
+    the batch's, and one ``sgd_step`` applies them.  A pass's arrays are
+    dropped before the next pass collates, so peak memory is that of one
+    pass whatever the batch; validation runs in batches of at most
+    ``MICRO_BATCH`` too.
+
     The best-validation parameter state is restored into the model at
-    the end.  One log line per epoch: epoch, train_loss, val_loss, lr,
-    the four denormalized validation metrics, then the epoch's wall time
-    in seconds (its steps and its validation) and its training samples
-    per second of that time.  A non-finite loss raises TrainingError,
-    naming the first leaf or op output that goes non-finite when the
-    batch is re-run on a checked tape (``_first_nonfinite``).
+    the end.  One log line per epoch: epoch, train_loss (the mean pass
+    loss over samples), val_loss, lr, the four denormalized validation
+    metrics, then the epoch's wall time in seconds (its steps and its
+    validation) and its training samples per second of that time.  A
+    non-finite loss raises TrainingError, naming the epoch, the batch
+    and the first leaf or op output that goes non-finite when the pass
+    is re-run on a checked tape (``_first_nonfinite``).
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("empty train or validation set")
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
-    sched = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.plateau_factor,
-                             cfg.improvement_threshold)
-    stopper = EarlyStopper(cfg.early_stop_patience, cfg.improvement_threshold)
+    plateau = PlateauTracker(cfg)
     best_epoch = 0
     best_state = {k: v.copy() for k, v in model.state().items()}
     result = TrainResult(0, 0, np.inf)
 
     for epoch in range(1, cfg.max_epochs + 1):
         start = time.perf_counter()
-        lr = sched.lr
+        lr = plateau.lr
         order = rng.permutation(len(train_set))
         total = 0.0
         for bstart in range(0, len(order), cfg.batch):
             idxs = order[bstart:bstart + cfg.batch]
-            xs, xi, tm, tr = collate(train_set, idxs, dtype=model.dtype)
-            tape = Tape()
-            ym, yr = model.forward(tape, xs, xi)
-            loss = multitask_loss(ym, yr, tape.constant(tm),
-                                  tape.constant(tr), cfg.alpha, cfg.beta)
-            lval = float(loss.data)
-            if not np.isfinite(lval):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch "
-                    f"{bstart // cfg.batch} (lr={lr}): "
-                    f"{_first_nonfinite(model, cfg, xs, xi, tm, tr)}")
-            grads = tape.backprop(loss)
+            grads = _GradientSum(params)
+            for pstart in range(0, len(idxs), MICRO_BATCH):
+                pidxs = idxs[pstart:pstart + MICRO_BATCH]
+                lval = _run_pass(model, cfg, train_set, pidxs, grads,
+                                 len(pidxs) / len(idxs))
+                if not np.isfinite(lval):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, batch "
+                        f"{bstart // cfg.batch} (lr={lr}): "
+                        f"{_first_nonfinite(model, cfg, train_set, pidxs)}")
+                total += lval * len(pidxs)
             sgd_step(params, grads, lr)
-            tape.release()
-            total += lval * len(idxs)
         train_loss = total / len(order)
 
         val_loss, metrics = evaluate(model, val_set, cfg.alpha, cfg.beta,
-                                     batch=cfg.batch)
+                                     batch=min(cfg.batch, MICRO_BATCH))
         wall = time.perf_counter() - start
         line = ",".join(repr(float(v)) for v in (
             train_loss, val_loss, lr, metrics.mae_msw_kt,
@@ -377,17 +418,15 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
             print(result.log_lines[-1], flush=True)
 
         result.epochs_run = epoch
-        sched.update(val_loss)
-        stop = stopper.update(val_loss)
-        if stopper.counter == 0:   # the stopper's new best
+        if plateau.update(val_loss):
             best_epoch = epoch
             best_state = {k: v.copy() for k, v in model.state().items()}
-        if stop:
+        if plateau.stop:
             result.stopped_early = True
             break
 
     result.best_epoch = best_epoch
-    result.best_val_loss = float(stopper.best)
+    result.best_val_loss = float(plateau.best)
     model.load_state(best_state)
     if log_path is not None:
         with open(log_path, "w") as fp:

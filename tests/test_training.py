@@ -13,12 +13,12 @@ from stormkan.errors import (CheckpointError, ConfigError, ShapeError,
                              StormkanError, TrainingError)
 from stormkan.model import ModelConfig, build_model
 from stormkan.tape import Tape
-from stormkan.training import (EarlyStopper, PlateauScheduler, TrainConfig,
-                               compute_metrics, denormalize, evaluate,
-                               load_checkpoint, mae, mae_loss,
-                               model_from_checkpoint, multitask_loss,
-                               normalize, rmse, save_checkpoint, sgd_step,
-                               train)
+from stormkan import training
+from stormkan.training import (PlateauTracker, TrainConfig, compute_metrics,
+                               denormalize, evaluate, load_checkpoint, mae,
+                               mae_loss, model_from_checkpoint,
+                               multitask_loss, normalize, predict, rmse,
+                               save_checkpoint, sgd_step, train)
 
 from helpers import container_sections, reference_checkpoint, total
 
@@ -128,20 +128,22 @@ class TestSgd:
 
 def plateau_replay(history):
     """(lr multiplier, 1-based epochs whose update reduced the lr)."""
-    sched = PlateauScheduler(1.0)
+    plateau = PlateauTracker(TrainConfig(lr=1.0))
     reductions = []
     for epoch, loss in enumerate(history, start=1):
-        before = sched.lr
-        if sched.update(loss) != before:
+        before = plateau.lr
+        plateau.update(loss)
+        if plateau.lr != before:
             reductions.append(epoch)
-    return sched.lr, reductions
+    return plateau.lr, reductions
 
 
 def stop_epoch(history):
-    """1-based epoch at which EarlyStopper first fires, or None."""
-    stopper = EarlyStopper()
+    """1-based epoch at which the tracker first says stop, or None."""
+    plateau = PlateauTracker(TrainConfig())
     for epoch, loss in enumerate(history, start=1):
-        if stopper.update(loss):
+        plateau.update(loss)
+        if plateau.stop:
             return epoch
     return None
 
@@ -349,18 +351,65 @@ class TestTrainLoop:
         assert str(err.value).endswith(names)
 
 
+class TestMicroBatch:
+    def test_uneven_passes_match_whole_passes(self, tiny_sets, monkeypatch):
+        # batches of 8 in passes of 3, 3 and 2 take the same step as in
+        # one pass of 8: parameters and both losses agree to rounding
+        train_ds, val_ds = tiny_sets
+        cfg = TrainConfig(lr=0.01, batch=8, max_epochs=1, seed=3)
+        runs = []
+        for micro in (training.MICRO_BATCH, 3):
+            monkeypatch.setattr(training, "MICRO_BATCH", micro)
+            model = build_model(TINY, seed=4, dtype=np.float64)
+            res = train(model, train_ds, val_ds, cfg)
+            runs.append((model.state(), res.log_lines[0].split(",")))
+        (whole, whole_log), (split, split_log) = runs
+        for name, value in whole.items():
+            np.testing.assert_allclose(split[name], value, rtol=1e-12,
+                                       atol=1e-12, err_msg=name)
+        for col in (1, 2):   # train_loss, val_loss
+            assert float(split_log[col]) == pytest.approx(
+                float(whole_log[col]), rel=1e-12, abs=1e-12)
+
+    def test_peak_memory_is_one_pass_whatever_the_batch(self):
+        # at 40^2 the activations of a batch dominate the model's own
+        # arrays: a batch of 4 passes peaks at the memory of one
+        import tracemalloc
+        ds = SyntheticDataset(range(8), 4, seed=5, image_hw=40, cache=True)
+        micro = training.MICRO_BATCH
+        samples = [ds[i] for i in range(4 * micro)]
+        peaks = []
+        for batch in (micro, 4 * micro):
+            model = build_model(TINY, seed=1)
+            cfg = TrainConfig(lr=0.01, batch=batch, max_epochs=1, seed=0)
+            tracemalloc.start()
+            try:
+                train(model, samples, samples[:1], cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 class TestPredict:
     def test_empty_dataset_rejected(self):
-        from stormkan.training import predict
         model = build_model(TINY, seed=0)
         for call in (predict, evaluate):
             with pytest.raises(ShapeError, match="empty"):
                 call(model, [])
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected(self, tiny_sets, batch):
+        train_ds, _ = tiny_sets
+        model = build_model(TINY, seed=0)
+        for call in (predict, evaluate):
+            with pytest.raises(ConfigError, match="batch"):
+                call(model, train_ds, batch=batch)
+
     def test_forward_only_tape_matches_grad_tape(self, tiny_sets):
         # predict runs forward-only tapes: the same bits as a forward on
         # a tape that keeps backward rules, with no rule kept
-        from stormkan.training import collate, predict
+        from stormkan.training import collate
         train_ds, _ = tiny_sets
         n = len(train_ds)
         model = build_model(TINY, seed=8)
@@ -535,3 +584,9 @@ class TestTrainConfigValidation:
     def test_zero_weights(self):
         with pytest.raises(ConfigError):
             TrainConfig(alpha=0.0, beta=0.0)
+
+    @pytest.mark.parametrize("field", ["plateau_patience",
+                                       "early_stop_patience"])
+    def test_patience_below_one(self, field):
+        with pytest.raises(ConfigError, match="patience"):
+            TrainConfig(**{field: 0})
