@@ -21,7 +21,7 @@ import numpy as np
 from .data import (ROTATIONS, SyntheticDataset, _read_sample, load_dataset,
                    save_dataset, split_dataset)
 from .errors import CheckpointError, ConfigError, StormkanError
-from .model import ABLATION_FLAGS, ModelConfig, build_model
+from .model import ABLATIONS, COMPRESSED, ModelConfig, build_model
 from .staticgraph import Session, bench, export, load_graph, save_graph
 from .tape import Tape
 from .training import (TrainConfig, compute_metrics, denormalize, evaluate,
@@ -110,6 +110,23 @@ def resolve_run_config(config_path: str | None, overrides: dict) -> RunConfig:
                      **extra)
 
 
+# the flags that set a run's budget, each a TrainConfig or data field
+_RUN_FLAGS = {"lr": float, "batch": int, "max_epochs": int, "seed": int,
+              "train_frac": float}
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="key = value config file")
+    for name, kind in _RUN_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
+
+
+def _run_config(args) -> RunConfig:
+    """The RunConfig of --config with the run flags given overriding it."""
+    return resolve_run_config(args.config, {name: getattr(args, name)
+                                            for name in _RUN_FLAGS})
+
+
 def _log_config(run: RunConfig) -> None:
     print("# resolved config:")
     for section, block in run.as_dict().items():
@@ -134,30 +151,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# each --variant as the ModelConfig fields it replaces
+_VARIANT_FIELDS = {"full": {}, "deploy": {"variant": "deploy"},
+                   "s": COMPRESSED}
+
+
 def _apply_variant(model_cfg: ModelConfig, variant: str | None,
                    ablate: str | None) -> ModelConfig:
-    kwargs = {}
-    if variant == "deploy":
-        kwargs["variant"] = "deploy"
-    elif variant == "s":
-        kwargs["compressed"] = True
-    elif variant not in (None, "full"):
-        raise ConfigError(f"unknown variant {variant!r}")
+    kwargs = dict(_VARIANT_FIELDS[variant or "full"])
     if ablate:
         for flag in ablate.split(","):
             flag = flag.strip()
-            if flag not in ABLATION_FLAGS:
+            if flag not in ABLATIONS:
                 raise ConfigError(f"unknown ablation flag {flag!r} "
-                                  f"(choose from {ABLATION_FLAGS})")
-            kwargs[flag] = True
+                                  f"(choose from {tuple(ABLATIONS)})")
+            kwargs.update(ABLATIONS[flag])
     return dataclasses.replace(model_cfg, **kwargs)
 
 
 def cmd_train(args) -> int:
-    run = resolve_run_config(args.config, {
-        "lr": args.lr, "batch": args.batch, "max_epochs": args.max_epochs,
-        "seed": args.seed, "train_frac": args.train_frac,
-    })
+    run = _run_config(args)
     run = dataclasses.replace(
         run, model=_apply_variant(run.model, args.variant, args.ablate))
     _log_config(run)
@@ -298,24 +311,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# every MLP swap at once, each ablation alone, then the reference
 ABLATE_MATRIX = [
-    ("all_mlp", {"mlp_extract": True, "mlp_attention": True,
-                 "mlp_constraint": True, "mlp_decoder": True}),
-    ("mlp_extract", {"mlp_extract": True}),
-    ("mlp_attention", {"mlp_attention": True}),
-    ("mlp_constraint", {"mlp_constraint": True}),
-    ("mlp_decoder", {"mlp_decoder": True}),
-    ("no_lstm", {"no_lstm": True}),
-    ("no_seq", {"no_seq": True}),
+    ("all_mlp", {k: v for name, repl in ABLATIONS.items()
+                 if name.startswith("mlp_") for k, v in repl.items()}),
+    *ABLATIONS.items(),
     ("full", {}),
 ]
 
 
 def cmd_ablate(args) -> int:
-    run = resolve_run_config(args.config, {
-        "lr": args.lr, "batch": args.batch, "max_epochs": args.max_epochs,
-        "seed": args.seed, "train_frac": args.train_frac,
-    })
+    run = _run_config(args)
     _log_config(run)
     samples = load_dataset(args.data)
     train_set, val_set, test_set = split_dataset(samples, run.train_frac,
@@ -373,15 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--variant", choices=["full", "deploy", "s"])
+    _add_run_flags(p)
+    p.add_argument("--variant", choices=list(_VARIANT_FIELDS))
     p.add_argument("--ablate", help="comma-separated ablation flags")
     p.add_argument("--log", help="metrics log path")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-frac", type=float)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -414,13 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train the ablation matrix")
     p.add_argument("--data", required=True)
-    p.add_argument("--config")
     p.add_argument("--out", help="table output path")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-frac", type=float)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_ablate)
     return parser
 

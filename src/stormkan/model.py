@@ -28,7 +28,7 @@ forward pass can be lowered to a static graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,8 +45,19 @@ CONV2_CH = 32
 RES_CH = 64
 
 VARIANTS = ("full", "deploy")
-ABLATION_FLAGS = ("no_lstm", "no_seq", "mlp_extract", "mlp_attention",
-                  "mlp_constraint", "mlp_decoder")
+# the compressed model: halved hidden widths (``--variant s``)
+COMPRESSED = {"d_attn": 16, "task_dim": 16, "lstm_hidden": 32,
+              "reduce_channels": 32}
+# each ablation as the ModelConfig fields it replaces; without its LSTM
+# the model is the deploy variant
+ABLATIONS = {
+    "mlp_extract": {"mlp_extract": True},
+    "mlp_attention": {"mlp_attention": True},
+    "mlp_constraint": {"mlp_constraint": True},
+    "mlp_decoder": {"mlp_decoder": True},
+    "no_lstm": {"variant": "deploy"},
+    "no_seq": {"no_seq": True},
+}
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,6 @@ class ModelConfig:
     d_attn: int = 32
     heads: int = 4
     lstm_hidden: int = 64
-    shared_dim: int = 64
     task_dim: int = 32
     reduce_channels: int = 64
     ring_count: int = 39
@@ -63,13 +73,11 @@ class ModelConfig:
     seq_len: int = 3
     seq_feat: int = 5
     variant: str = "full"
-    no_lstm: bool = False
     no_seq: bool = False
     mlp_extract: bool = False
     mlp_attention: bool = False
     mlp_constraint: bool = False
     mlp_decoder: bool = False
-    compressed: bool = False
     grid_size: int = 5
     spline_order: int = 3
 
@@ -83,37 +91,17 @@ class ModelConfig:
                 raise ConfigError(f"{f.name} must be >= {low}, got {value}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.no_seq and self.no_lstm:
-            raise ConfigError("conflicting ablation flags: no_seq with no_lstm")
         if self.no_seq and self.variant == "deploy":
             raise ConfigError("no_seq conflicts with the deploy variant")
-        cfg = self._resolved_fields()
-        if cfg["d_attn"] % self.heads != 0:
+        if self.d_attn % self.heads != 0:
             raise ConfigError(
-                f"d_attn {cfg['d_attn']} not divisible by heads {self.heads}")
-        if cfg["shared_dim"] != 2 * cfg["task_dim"]:
-            raise ConfigError("shared_dim must equal 2 * task_dim")
+                f"d_attn {self.d_attn} not divisible by heads {self.heads}")
         err = ops.ring_geometry_error(self.r_center, self.ring_count,
                                       self.image_hw)
         if err is not None:
             raise ConfigError(f"ring geometry invalid: {err}")
         if self.image_hw % 2 != 0:
             raise ConfigError("image_hw must be even (2x2 max-pool stage)")
-
-    def _resolved_fields(self) -> dict:
-        if not self.compressed:
-            return {"d_attn": self.d_attn, "task_dim": self.task_dim,
-                    "shared_dim": self.shared_dim,
-                    "lstm_hidden": self.lstm_hidden,
-                    "reduce_channels": self.reduce_channels}
-        return {"d_attn": 16, "task_dim": 16, "shared_dim": 32,
-                "lstm_hidden": 32, "reduce_channels": 32}
-
-    def resolved(self) -> "ModelConfig":
-        """Apply the compressed preset (halved hidden widths)."""
-        if not self.compressed:
-            return self
-        return replace(self, compressed=False, **self._resolved_fields())
 
     @property
     def flat_seq(self) -> int:
@@ -125,7 +113,9 @@ class ModelConfig:
 
     @property
     def decoder_in(self) -> int:
-        return 2 * self.task_dim + self.shared_dim
+        # a task's head and coupling term, then the shared temporal and
+        # image features: task_dim each
+        return 4 * self.task_dim
 
 
 def _ring_mean_matrix(cfg: ModelConfig, dtype) -> np.ndarray:
@@ -314,7 +304,6 @@ class AttentionHead:
 
 class CycloneNet:
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
-        cfg = cfg.resolved()
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.grid = SplineGrid(cfg.grid_size, cfg.spline_order)
@@ -332,7 +321,7 @@ class CycloneNet:
                                       cfg.lstm_hidden, "tanh", rng, dt)
             self.noseq2 = LinearBlock("temporal.enc2", cfg.lstm_hidden,
                                       cfg.task_dim, "tanh", rng, dt)
-        elif cfg.variant == "deploy" or cfg.no_lstm:
+        elif cfg.variant == "deploy":
             self.deploy_seq1 = kan_init("temporal.kan1", cfg.flat_seq,
                                         cfg.lstm_hidden, g, rng, dt)
             self.deploy_seq2 = kan_init("temporal.kan2", cfg.lstm_hidden,
@@ -394,23 +383,19 @@ class CycloneNet:
     def state(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
 
-    def load_state(self, state: dict[str, np.ndarray],
-                   strict: bool = True) -> None:
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = {p.name: p for p in self.parameters()}
         for name, arr in state.items():
             p = params.get(name)
             if p is None:
-                if strict:
-                    raise ConfigError(f"unexpected parameter {name!r}")
-                continue
+                raise ConfigError(f"unexpected parameter {name!r}")
             if p.data.shape != arr.shape:
                 raise ConfigError(
                     f"parameter {name!r} shape {arr.shape} != {p.data.shape}")
             p.data = arr.astype(self.dtype)
-        if strict:
-            missing = set(params) - set(state)
-            if missing:
-                raise ConfigError(f"missing parameters: {sorted(missing)}")
+        missing = set(params) - set(state)
+        if missing:
+            raise ConfigError(f"missing parameters: {sorted(missing)}")
 
     # -- forward pieces ------------------------------------------------------
 

@@ -137,11 +137,6 @@ class Tape:
         self._param_idx[id(parameter)] = var.idx
         return var
 
-    def release(self) -> None:
-        """Drop all recorded nodes (frees activations and closures)."""
-        self.nodes.clear()
-        self._param_idx.clear()
-
     def record(
         self,
         op: str,

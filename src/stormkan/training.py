@@ -39,6 +39,9 @@ CKPT_VERSION = 1
 # several passes whose gradients are summed before one SGD step
 MICRO_BATCH = 8
 
+# a validation loss is a new best only if below the best by more than this
+IMPROVEMENT_THRESHOLD = 1e-6
+
 MSW_RANGE = (19.0, 170.0)   # knots
 RMW_RANGE = (5.0, 200.0)    # nautical miles
 _RANGES = {"msw": MSW_RANGE, "rmw": RMW_RANGE}
@@ -55,7 +58,6 @@ class TrainConfig:
     alpha: float = 1.0
     beta: float = 1.0
     seed: int = 0
-    improvement_threshold: float = 1e-6
 
     def __post_init__(self):
         for f in fields(self):
@@ -155,7 +157,7 @@ def sgd_step(params: list[Parameter], grads, lr: float) -> list[Parameter]:
 
 class PlateauTracker:
     """The best validation loss and the epochs since it last improved by
-    more than ``cfg.improvement_threshold``: the lr is cut by
+    more than ``IMPROVEMENT_THRESHOLD``: the lr is cut by
     ``plateau_factor`` at every ``plateau_patience`` of those epochs, and
     training stops at ``early_stop_patience`` of them."""
 
@@ -167,7 +169,7 @@ class PlateauTracker:
 
     def update(self, loss: float) -> bool:
         """Record one epoch's validation loss; True if it is a new best."""
-        if loss < self.best - self.cfg.improvement_threshold:
+        if loss < self.best - IMPROVEMENT_THRESHOLD:
             self.best = loss
             self.stale = 0
             return True
@@ -230,11 +232,9 @@ def model_from_checkpoint(data_or_path) -> tuple[CycloneNet, dict]:
     # file: in checkpoints this package writes none exceeds the widest
     # stored extent (seq_len and an all-MLP model's grid size no tensor)
     widest = max((max(a.shape, default=1) for a in state.values()), default=0)
-    sizes = cfg.resolved()
-    for name in ("d_attn", "lstm_hidden", "shared_dim", "task_dim",
-                 "reduce_channels", "seq_len", "seq_feat", "grid_size",
-                 "spline_order"):
-        if getattr(sizes, name) > widest:
+    for name in ("d_attn", "lstm_hidden", "task_dim", "reduce_channels",
+                 "seq_len", "seq_feat", "grid_size", "spline_order"):
+        if getattr(cfg, name) > widest:
             raise CheckpointError(f"{name} exceeds every stored extent")
     model = build_model(cfg, seed=0, dtype=dtype)
     try:
@@ -337,7 +337,6 @@ def _run_pass(model: CycloneNet, cfg: TrainConfig, dataset, idxs,
     lval = float(loss.data)
     if np.isfinite(lval):
         total.add(tape.backprop(loss), weight)
-    tape.release()
     return lval
 
 

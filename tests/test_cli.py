@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormkan.cli import main, parse_config_file, resolve_run_config
+from stormkan.cli import (ABLATE_MATRIX, _apply_variant, main,
+                          parse_config_file, resolve_run_config)
 from stormkan.errors import ConfigError
-from stormkan.model import ModelConfig
+from stormkan.model import ModelConfig, build_model
 from stormkan.tensor import write_container
 from stormkan.training import (CKPT_MAGIC, CKPT_VERSION, TrainConfig,
                                read_checkpoint)
@@ -73,7 +74,7 @@ def config_path(tmp_path_factory):
 class TestConfigErrors:
     @pytest.mark.parametrize("text", [
         "lr = abc\n", "batch = 1e400\n", "lr = inf\n", "lr = nan\n",
-        "batch = 2.5\n", "no_lstm = 1\n", "image_hw = true\n"],
+        "batch = 2.5\n", "no_seq = 1\n", "image_hw = true\n"],
         ids=["lr_abc", "batch_1e400", "lr_inf", "lr_nan", "batch_2.5",
              "bool_1", "int_true"])
     def test_values_parsed_by_field_type(self, tmp_path, text):
@@ -180,7 +181,28 @@ class TestTrain:
                      "--out", ckpt, "--quiet"]) == 0
         from stormkan.training import model_from_checkpoint
         small, _ = model_from_checkpoint(ckpt)
-        assert small.cfg.resolved().task_dim == 16
+        assert small.cfg.task_dim == 16
+
+    def test_compressed_variant_widths_at_full_size(self):
+        cfg = _apply_variant(ModelConfig(), "s", None)
+        assert ((cfg.d_attn, cfg.task_dim, cfg.lstm_hidden,
+                 cfg.reduce_channels, cfg.decoder_in, cfg.flatten_width)
+                == (16, 16, 32, 32, 64, 128))
+        assert build_model(cfg, seed=0).param_count() == 86_288
+
+    def test_no_lstm_ablation_is_the_deploy_variant(self, workdir, tmp_path):
+        states = []
+        for flags in (["--ablate", "no_lstm"], ["--variant", "deploy"]):
+            ckpt = str(tmp_path / f"{flags[1]}.kfc")
+            assert main(["train", "--data", workdir["data"], "--config",
+                         workdir["cfg"], "--max-epochs", "1", "--out", ckpt,
+                         "--quiet", *flags]) == 0
+            config, state = read_checkpoint(ckpt)
+            states.append((config["model"], state))
+        (cfg_a, a), (cfg_b, b) = states
+        assert cfg_a == cfg_b and sorted(a) == sorted(b)
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
 
 
 class TestEval:
@@ -279,6 +301,12 @@ class TestAblateCommand:
         lines = [l for l in open(table).read().splitlines() if l.strip()]
         # header + 7 variants + full reference row
         assert len(lines) == 9
+        assert [l.split()[0] for l in lines[1:]] == [
+            "all_mlp", "mlp_extract", "mlp_attention", "mlp_constraint",
+            "mlp_decoder", "no_lstm", "no_seq", "full"]
         assert lines[-1].startswith("full") and "(reference)" in lines[-1]
+        assert dict(ABLATE_MATRIX)["all_mlp"] == {
+            "mlp_extract": True, "mlp_attention": True,
+            "mlp_constraint": True, "mlp_decoder": True}
         out = capsys.readouterr().out
         assert "shared budget" in out

@@ -8,8 +8,9 @@ import pytest
 
 from stormkan import ops
 from stormkan.errors import ConfigError
-from stormkan.model import (ATTN_CHANNEL, VARIANTS, CycloneNet, ModelConfig,
-                            build_model, quadrant_tap_matrix)
+from stormkan.model import (ABLATIONS, ATTN_CHANNEL, COMPRESSED, VARIANTS,
+                            CycloneNet, ModelConfig, build_model,
+                            quadrant_tap_matrix)
 from stormkan.tape import Tape
 from stormkan.training import multitask_loss
 
@@ -40,7 +41,7 @@ class TestConfig:
 
     def test_conflicting_flags(self):
         with pytest.raises(ConfigError):
-            ModelConfig(no_seq=True, no_lstm=True)
+            ModelConfig(no_seq=True, **ABLATIONS["no_lstm"])
 
     def test_ring_geometry_validated(self):
         with pytest.raises(ConfigError):
@@ -51,7 +52,7 @@ class TestConfig:
             ModelConfig(ring_count=0)
 
     def test_compressed_preset(self):
-        cfg = ModelConfig(compressed=True).resolved()
+        cfg = ModelConfig(**COMPRESSED)
         assert (cfg.task_dim, cfg.d_attn, cfg.lstm_hidden) == (16, 16, 32)
         assert cfg.flatten_width == 128
         assert cfg.decoder_in == 64
@@ -364,7 +365,7 @@ class TestDeployVariant:
         dep = build_model(cfg_dep, seed=7)
         shared = {n: t for n, t in full.state().items()
                   if not n.startswith("temporal.")}
-        dep.load_state(shared, strict=False)
+        dep.load_state({**dep.state(), **shared})
         # zero both temporal paths: remaining computation must agree
         for m in (full, dep):
             for p in m.parameters():
@@ -391,12 +392,12 @@ class TestDeployVariant:
         assert np.array_equal(outs[0][1], outs[1][1])
 
 
-ABLATIONS = ["mlp_extract", "mlp_attention", "mlp_constraint", "mlp_decoder",
-             "all_mlp"]
+MLP_ABLATIONS = ["mlp_extract", "mlp_attention", "mlp_constraint",
+                 "mlp_decoder", "all_mlp"]
 
 
 class TestAblations:
-    @pytest.mark.parametrize("name", ABLATIONS)
+    @pytest.mark.parametrize("name", MLP_ABLATIONS)
     def test_constructs_and_trains_one_step(self, name):
         flags = ({f: True for f in ("mlp_extract", "mlp_attention",
                                     "mlp_constraint", "mlp_decoder")}
@@ -438,8 +439,7 @@ class TestAblations:
         np.testing.assert_array_equal(y1[0].data, y2[0].data)
 
     def test_no_lstm_uses_deploy_temporal_path(self):
-        cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9,
-                          no_lstm=True)
+        cfg = replace(TINY, **ABLATIONS["no_lstm"])
         m = build_model(cfg, seed=12)
         assert m.lstm is None and m.deploy_seq1 is not None
 
@@ -451,7 +451,7 @@ class TestParameterBudget:
 
     def test_compressed_strictly_smaller(self):
         full = build_model(ModelConfig(), seed=0)
-        small = build_model(ModelConfig(compressed=True), seed=0)
+        small = build_model(ModelConfig(**COMPRESSED), seed=0)
         assert small.param_count() < full.param_count()
 
     def test_state_roundtrip_bitexact(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stormkan import ops, staticgraph
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
-from stormkan.model import ModelConfig, build_model
+from stormkan.model import COMPRESSED, ModelConfig, build_model
 from stormkan.spline import (SplineGrid, bspline_basis,
                              precompute_basis_coefficients)
 from stormkan.staticgraph import (ADD, AVGPOOL2D, CONCAT, CONV2D, MATMUL,
@@ -526,7 +526,7 @@ DEPLOY_MODELS = {
     "all_mlp": (dataclasses.replace(DEPLOY_TINY, mlp_extract=True,
                                     mlp_attention=True, mlp_constraint=True,
                                     mlp_decoder=True), np.float32),
-    "compressed": (dataclasses.replace(DEPLOY_TINY, compressed=True),
+    "compressed": (dataclasses.replace(DEPLOY_TINY, **COMPRESSED),
                    np.float32),
     "float64": (DEPLOY_TINY, np.float64),
 }

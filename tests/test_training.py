@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stormkan.data import SyntheticDataset
 from stormkan.errors import (CheckpointError, ConfigError, ShapeError,
                              StormkanError, TrainingError)
-from stormkan.model import ModelConfig, build_model
+from stormkan.model import COMPRESSED, ModelConfig, build_model
 from stormkan.tape import Tape
 from stormkan import training
 from stormkan.training import (PlateauTracker, TrainConfig, compute_metrics,
@@ -311,7 +311,7 @@ class TestTrainLoop:
         res = train(model, train_ds, val_ds, cfg)
         best, best_epoch = np.inf, 0
         for epoch, loss in enumerate(res.val_history, 1):
-            if loss < best - cfg.improvement_threshold:
+            if loss < best - training.IMPROVEMENT_THRESHOLD:
                 best, best_epoch = loss, epoch
         assert (res.best_epoch, res.best_val_loss) == (best_epoch, best)
         assert best_epoch < res.epochs_run
@@ -448,7 +448,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("cfg", [
         TINY, ModelConfig(image_hw=40, r_center=20, ring_count=9,
                           variant="deploy"),
-        ModelConfig(image_hw=40, r_center=20, ring_count=9, compressed=True),
+        ModelConfig(image_hw=40, r_center=20, ring_count=9, **COMPRESSED),
     ], ids=["full", "deploy", "compressed"])
     def test_bytes_equal_the_version_1_layout(self, cfg):
         # the shared container writer keeps .kfc bytes as they were
@@ -501,9 +501,10 @@ class TestCheckpoints:
         lambda c: c["model"].update(seq_feat=0),
         lambda c: c["model"].update(lstm_hidden=10**6),
         lambda c: c["model"].update(ring_count=10**12),
+        lambda c: c["model"].update(compressed=False),
     ], ids=["ring_count_0", "bad_dtype", "no_model", "int_dtype",
             "float_width", "zero_width", "oversized_width",
-            "huge_ring_count"])
+            "huge_ring_count", "removed_key"])
     def test_invalid_stored_config_rejected(self, edit):
         payload = save_checkpoint(build_model(TINY, seed=9))
         (blob_len,) = struct.unpack("<I", payload[8:12])
@@ -527,9 +528,9 @@ class TestCheckpoints:
 
 
 # every width small, so that each of the fuzz examples builds quickly
-FUZZ_CFG = ModelConfig(d_attn=8, heads=2, lstm_hidden=8, shared_dim=8,
-                       task_dim=4, reduce_channels=4, ring_count=3,
-                       r_center=8, image_hw=16, grid_size=3, spline_order=2)
+FUZZ_CFG = ModelConfig(d_attn=8, heads=2, lstm_hidden=8, task_dim=4,
+                       reduce_channels=4, ring_count=3, r_center=8,
+                       image_hw=16, grid_size=3, spline_order=2)
 
 
 @pytest.fixture(scope="module")
