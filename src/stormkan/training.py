@@ -3,9 +3,9 @@ plateau scheduling, early stopping, denormalized metrics, and
 checkpoint round-trips.
 
 A train step runs its batch as passes of at most ``MICRO_BATCH``
-samples, each a forward and backward on its own tape, and sums their
-gradients, weighted by pass size, into one SGD update: the batch-mean
-gradient, at the memory of one pass.
+samples on ``WORKERS`` threads, each a forward and backward on its own
+tape, and sums their gradients, weighted by pass size, into one SGD
+update: the batch-mean gradient, at the memory of one pass per worker.
 
 A ``.kfc`` checkpoint is a ``tensor.write_container`` payload (magic
 "KFC1", version 1): the JSON header holds the model config, the dtype
@@ -19,7 +19,13 @@ wind, range [5, 200]).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
+import glob
 import math
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -36,8 +42,9 @@ CKPT_MAGIC = b"KFC1"
 CKPT_VERSION = 1
 
 # samples per forward/backward pass of a train step; a larger batch is
-# several passes whose gradients are summed before one SGD step
-MICRO_BATCH = 8
+# several passes, on WORKERS threads, summed before one SGD step
+MICRO_BATCH = 2
+WORKERS = 2
 
 # a validation loss is a new best only if below the best by more than this
 IMPROVEMENT_THRESHOLD = 1e-6
@@ -301,6 +308,36 @@ def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
     return loss, compute_metrics(pm, pr, tm, tr)
 
 
+@functools.cache
+def _openblas_threads():
+    """numpy's bundled OpenBLAS thread-count setter and getter, or None."""
+    for lib in map(ctypes.CDLL, glob.glob(np.__path__[0] + ".libs/*blas*")):
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Yields whether BLAS is pinned to one thread for the block; its
+    previous count is restored on exit."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    setter, getter = blas
+    before = getter()
+    setter(1)
+    try:
+        yield True
+    finally:
+        setter(before)
+
+
 class _GradientSum:
     """Per-parameter gradients summed over a batch's passes, read by
     ``sgd_step`` as it reads a tape's ``Gradients``."""
@@ -340,6 +377,44 @@ def _run_pass(model: CycloneNet, cfg: TrainConfig, dataset, idxs,
     return lval
 
 
+def _run_step(model: CycloneNet, cfg: TrainConfig, dataset, passes,
+              size: int) -> tuple[_GradientSum, list]:
+    """A batch's passes, pass k on worker k % WORKERS, each worker on
+    its own thread if BLAS can be pinned to one, else in turn on this
+    one.  Returns the workers' gradient sums added in worker order, and
+    each pass's loss, exception, or None after a worker's failed pass."""
+    sums = [_GradientSum(model.parameters()) for _ in range(WORKERS)]
+    outcomes = [None] * len(passes)
+
+    def work(w):
+        try:
+            for k in range(w, len(passes), WORKERS):
+                outcomes[k] = _run_pass(model, cfg, dataset, passes[k],
+                                        sums[w], len(passes[k]) / size)
+                if not np.isfinite(outcomes[k]):
+                    return
+        except Exception as exc:
+            outcomes[k] = exc
+
+    with _one_blas_thread() as threaded:
+        threads = []
+        try:
+            for w in range(1, WORKERS) if threaded else ():
+                # a copy of the caller's context carries its np.errstate
+                thread = threading.Thread(
+                    target=contextvars.copy_context().run, args=(work, w))
+                thread.start()
+                threads.append(thread)
+            for w in range(1 if threaded else WORKERS):
+                work(w)
+        finally:
+            for thread in threads:
+                thread.join()
+    for other in sums[1:]:
+        sums[0].add(other, 1.0)
+    return sums[0], outcomes
+
+
 def _first_nonfinite(model: CycloneNet, cfg: TrainConfig, dataset,
                      idxs) -> str:
     """Where a pass's loss goes non-finite: its forward and loss re-run
@@ -356,12 +431,13 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
           log_path=None, quiet: bool = True) -> TrainResult:
     """SGD epochs with shuffled batches, plateau scheduling + early stop.
 
-    Each batch runs as consecutive passes of at most ``MICRO_BATCH``
-    samples, each with its own tape, forward, loss and backward; their
-    parameter gradients, weighted by pass size over batch size, sum to
-    the batch's, and one ``sgd_step`` applies them.  A pass's arrays are
-    dropped before the next pass collates, so peak memory is that of one
-    pass whatever the batch; validation runs in batches of at most
+    Each batch runs as passes of at most ``MICRO_BATCH`` samples, each
+    with its own tape, forward, loss and backward, on ``WORKERS``
+    workers (``_run_step``); their parameter gradients, weighted by pass
+    size over batch size, sum in a fixed order to the batch's, and one
+    ``sgd_step`` applies them.  A pass's arrays are dropped before its
+    worker's next pass collates, so peak memory is that of one pass per
+    worker whatever the batch; validation runs in batches of at most
     ``MICRO_BATCH`` too.
 
     The best-validation parameter state is restored into the model at
@@ -369,9 +445,10 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
     loss over samples), val_loss, lr, the four denormalized validation
     metrics, then the epoch's wall time in seconds (its steps and its
     validation) and its training samples per second of that time.  A
-    non-finite loss raises TrainingError, naming the epoch, the batch
-    and the first leaf or op output that goes non-finite when the pass
-    is re-run on a checked tape (``_first_nonfinite``).
+    batch's first failing pass re-raises its error, or for a non-finite
+    loss raises TrainingError naming the epoch, the batch and the first
+    leaf or op output that goes non-finite when the pass is re-run on a
+    checked tape (``_first_nonfinite``).
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise TrainingError("empty train or validation set")
@@ -389,11 +466,13 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
         total = 0.0
         for bstart in range(0, len(order), cfg.batch):
             idxs = order[bstart:bstart + cfg.batch]
-            grads = _GradientSum(params)
-            for pstart in range(0, len(idxs), MICRO_BATCH):
-                pidxs = idxs[pstart:pstart + MICRO_BATCH]
-                lval = _run_pass(model, cfg, train_set, pidxs, grads,
-                                 len(pidxs) / len(idxs))
+            passes = [idxs[p:p + MICRO_BATCH]
+                      for p in range(0, len(idxs), MICRO_BATCH)]
+            grads, outcomes = _run_step(model, cfg, train_set, passes,
+                                        len(idxs))
+            for pidxs, lval in zip(passes, outcomes):
+                if isinstance(lval, BaseException):
+                    raise lval
                 if not np.isfinite(lval):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, batch "

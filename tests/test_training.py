@@ -304,7 +304,8 @@ class TestTrainLoop:
     def test_best_epoch_restored(self, tiny_sets):
         # a large lr makes validation worse after the first epoch.  The
         # best epoch is the last to beat every earlier one by the
-        # threshold, and the restored model evaluates to its loss
+        # threshold, and the restored model evaluates to its loss at
+        # train's validation batch
         train_ds, val_ds = tiny_sets
         cfg = TrainConfig(lr=0.05, batch=8, max_epochs=3, seed=3)
         model = build_model(TINY, seed=3)
@@ -316,7 +317,7 @@ class TestTrainLoop:
         assert (res.best_epoch, res.best_val_loss) == (best_epoch, best)
         assert best_epoch < res.epochs_run
         assert evaluate(model, val_ds, cfg.alpha, cfg.beta,
-                        batch=cfg.batch)[0] == best
+                        batch=min(cfg.batch, training.MICRO_BATCH))[0] == best
 
     def test_empty_dataset_rejected(self, tiny_sets):
         with pytest.raises(TrainingError):
@@ -353,30 +354,33 @@ class TestTrainLoop:
 
 class TestMicroBatch:
     def test_uneven_passes_match_whole_passes(self, tiny_sets, monkeypatch):
-        # batches of 8 in passes of 3, 3 and 2 take the same step as in
-        # one pass of 8: parameters and both losses agree to rounding
+        # batches of 8 in passes of MICRO_BATCH, or of 3, 3 and 2, take
+        # the same step as in one pass of 8: parameters and both losses
+        # agree to rounding
         train_ds, val_ds = tiny_sets
         cfg = TrainConfig(lr=0.01, batch=8, max_epochs=1, seed=3)
         runs = []
-        for micro in (training.MICRO_BATCH, 3):
+        for micro in (8, training.MICRO_BATCH, 3):
             monkeypatch.setattr(training, "MICRO_BATCH", micro)
             model = build_model(TINY, seed=4, dtype=np.float64)
             res = train(model, train_ds, val_ds, cfg)
             runs.append((model.state(), res.log_lines[0].split(",")))
-        (whole, whole_log), (split, split_log) = runs
-        for name, value in whole.items():
-            np.testing.assert_allclose(split[name], value, rtol=1e-12,
-                                       atol=1e-12, err_msg=name)
-        for col in (1, 2):   # train_loss, val_loss
-            assert float(split_log[col]) == pytest.approx(
-                float(whole_log[col]), rel=1e-12, abs=1e-12)
+        (whole, whole_log), *splits = runs
+        for split, split_log in splits:
+            for name, value in whole.items():
+                np.testing.assert_allclose(split[name], value, rtol=1e-12,
+                                           atol=1e-12, err_msg=name)
+            for col in (1, 2):   # train_loss, val_loss
+                assert float(split_log[col]) == pytest.approx(
+                    float(whole_log[col]), rel=1e-12, abs=1e-12)
 
     def test_peak_memory_is_one_pass_whatever_the_batch(self):
         # at 40^2 the activations of a batch dominate the model's own
-        # arrays: a batch of 4 passes peaks at the memory of one
+        # arrays: a batch of 4 passes per worker peaks at the memory of
+        # one pass per worker
         import tracemalloc
         ds = SyntheticDataset(range(8), 4, seed=5, image_hw=40, cache=True)
-        micro = training.MICRO_BATCH
+        micro = training.WORKERS * training.MICRO_BATCH
         samples = [ds[i] for i in range(4 * micro)]
         peaks = []
         for batch in (micro, 4 * micro):
@@ -389,6 +393,112 @@ class TestMicroBatch:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def _run(train_ds, val_ds, cfg):
+    """One run of `train` from a fixed model seed: the log columns but
+    the two that time the epoch, and the parameters."""
+    model = build_model(TINY, seed=4)
+    res = train(model, train_ds, val_ds, cfg)
+    return [line.rsplit(",", 2)[0] for line in res.log_lines], model.state()
+
+
+def _assert_same_bits(a, b):
+    assert a[0] == b[0]
+    assert a[1].keys() == b[1].keys()
+    for name, value in a[1].items():
+        assert value.tobytes() == b[1][name].tobytes(), name
+
+
+class TestWorkers:
+    @pytest.fixture
+    def blas(self):
+        """The BLAS thread-count setter and getter train pins with."""
+        if training._openblas_threads() is None:
+            pytest.skip("this numpy build exports no OpenBLAS thread setter")
+        return training._openblas_threads()
+
+    @pytest.mark.parametrize("workers", [training.WORKERS, 4])
+    def test_threaded_matches_sequential(self, tiny_sets, blas, workers,
+                                         monkeypatch):
+        # at one BLAS thread, the workers on their threads, switching
+        # often, and the same workers in turn, without the setter, give
+        # the same bits; 4 workers outnumber the cores
+        import sys
+        train_ds, val_ds = tiny_sets
+        cfg = TrainConfig(lr=0.01, batch=8, max_epochs=2, seed=3)
+        monkeypatch.setattr(training, "WORKERS", workers)
+        setter, getter = blas
+        before, interval = getter(), sys.getswitchinterval()
+        setter(1)
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = _run(train_ds, val_ds, cfg)
+            monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+            sequential = _run(train_ds, val_ds, cfg)
+        finally:
+            setter(before)
+            sys.setswitchinterval(interval)
+        _assert_same_bits(threaded, sequential)
+
+    def test_sequential_repeats_at_default_blas(self, tiny_sets,
+                                                monkeypatch):
+        monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+        train_ds, val_ds = tiny_sets
+        cfg = TrainConfig(lr=0.01, batch=8, max_epochs=2, seed=3)
+        _assert_same_bits(_run(train_ds, val_ds, cfg),
+                          _run(train_ds, val_ds, cfg))
+
+    def test_lowest_failing_pass_raises_and_threads_end(self, tiny_sets,
+                                                        blas, monkeypatch):
+        # pass 1, worker 1's first, raises ShapeError and pass 2, worker
+        # 0's second, another error: train raises pass 1's, unchanged,
+        # and leaves no thread and no changed BLAS thread count behind
+        import threading
+        from stormkan.errors import DataError
+        train_ds, val_ds = tiny_sets
+        cfg = TrainConfig(lr=0.01, batch=8, max_epochs=1, seed=0)
+        micro = training.MICRO_BATCH
+        order = np.random.default_rng(cfg.seed).permutation(len(train_ds))
+        failing = {tuple(order[micro:2 * micro]): ShapeError("pass 1"),
+                   tuple(order[2 * micro:3 * micro]): DataError("pass 2")}
+        pass_loss = training._pass_loss
+
+        def patched(model, cfg, tape, dataset, idxs):
+            if tuple(idxs) in failing:
+                raise failing[tuple(idxs)]
+            return pass_loss(model, cfg, tape, dataset, idxs)
+
+        monkeypatch.setattr(training, "_pass_loss", patched)
+        setter, getter = blas
+        before = getter()
+        setter(2)   # not the count train pins
+        try:
+            threads, blas_threads = threading.active_count(), getter()
+            with pytest.raises(ShapeError) as err:
+                train(build_model(TINY, seed=4), train_ds, val_ds, cfg)
+            assert threading.active_count() == threads
+            assert getter() == blas_threads
+        finally:
+            setter(before)
+        assert err.value is failing[tuple(order[micro:2 * micro])]
+
+    def test_workers_run_in_the_callers_errstate(self, tiny_sets):
+        # conv2's overflow under the caller's errstate(all="ignore")
+        # warns on no thread, worker 1's included: it ends as the
+        # TrainingError naming it
+        import warnings
+        train_ds, val_ds = tiny_sets
+        model = build_model(TINY, seed=6)
+        conv2 = {p.name: p for p in model.parameters()}["spatial.conv2.w"]
+        conv2.data[...] = np.finfo(np.float32).max
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match="op 'conv2d'"):
+                train(model, train_ds, val_ds,
+                      TrainConfig(lr=0.01, batch=8, max_epochs=1, seed=0))
+        assert [str(w.message) for w in caught] == []
 
 
 class TestPredict:
