@@ -14,11 +14,20 @@ samples or strips of one sample's output rows whose columns fit
 packs the taps of the flat padded grid (``_taps``), runs one batched
 GEMM (``_conv_block``), then the 2x2 max-pool, bias and ReLU while the
 block is in cache.  Columns and padding are never kept: backward
-repacks them, block by block.  Average pools are products with constant
-averaging matrices, through ``matmul``.
+repacks them, block by block.  ``Session`` deals a sample's strips to
+``WORKERS`` workers that share the budget (``_on_workers``).  Average
+pools are products with constant averaging matrices, through ``matmul``.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import ctypes
+import functools
+import glob
+import queue
+import threading
 
 import numpy as np
 
@@ -26,12 +35,15 @@ from .errors import ShapeError
 from .tape import Var
 
 # im2col columns packed per conv GEMM call, in each block of a
-# _conv_plan, forward and backward, tape and Session.  Swept on the
-# full-size graph at B=1: 3 to 5 MiB run equally fast, 1 MiB (a dispatch
-# per 8 rows) about 25% slower; each MiB costs about 1.35 MiB of the
-# session's scratch buffer (conv2's columns, GEMM output and half-pooled
-# rows), on top of conv2's 1.5 MiB padded input
+# _conv_plan, forward and backward, tape and Session; a plan for several
+# workers shares it, each strip packing at most its share.  Swept on the
+# full-size graph at B=1, one worker: 3 to 5 MiB run equally fast, 1 MiB
+# (a dispatch per 8 rows) about 25% slower.  Each MiB of a worker's
+# share costs up to about 1.35 MiB of the session's scratch buffer (its
+# columns, GEMM output and half-pooled rows), on top of conv1's 0.8 MiB
+# padded input
 STRIP_BYTES = 4 * 2**20
+WORKERS = 2   # of a Session's conv and a train step, on two cores
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -170,6 +182,101 @@ def linear(x: Var, w: Var) -> Var:
 
 
 # ---------------------------------------------------------------------------
+# two workers: the caller and one helper thread, with BLAS on one thread
+
+
+@functools.cache
+def _openblas_threads():
+    """numpy's bundled OpenBLAS thread-count setter and getter, or None."""
+    for lib in map(ctypes.CDLL, glob.glob(np.__path__[0] + ".libs/*blas*")):
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pins = _blas_before = 0   # callers pinning BLAS; the count they found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS on one thread for the block, if it can be pinned.  Callers
+    may overlap, on any threads: the first one in saves the thread
+    count and pins it, and the last one out restores it, on error too."""
+    global _blas_pins, _blas_before
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    setter, getter = blas
+    with _blas_lock:
+        if not _blas_pins:
+            _blas_before = getter()
+            setter(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if not _blas_pins:
+                setter(_blas_before)
+
+
+_jobs = queue.SimpleQueue()
+_helper_free = threading.Lock()   # held by the caller the helper serves
+_helper = None
+
+
+def _help():
+    while True:   # a job is never bound to a name, so none is kept once run
+        _jobs.get()()
+
+
+def _on_workers(work, workers: int) -> None:
+    """work(k) for each worker k < workers: work(0) on the caller and the
+    others in turn on the process's one helper thread, started on first
+    use, in a copy of the caller's context (its np.errstate), while BLAS
+    is pinned to one thread and the helper is free; else all in turn on
+    the caller.  Returns when all have ended, raising the caller's
+    exception, else the helper's."""
+    global _helper
+    if workers < 2 or not _blas_pins or not _helper_free.acquire(False):
+        for k in range(workers):
+            work(k)
+        return
+    ctx, ends = contextvars.copy_context(), queue.SimpleQueue()
+
+    def job():   # ends with its own outcome, even after an interrupted wait
+        try:
+            for k in range(1, workers):
+                ctx.run(work, k)
+        except BaseException as exc:
+            ends.put(exc)
+        else:
+            ends.put(None)
+
+    try:
+        if _helper is None or not _helper.is_alive():   # or in a fork
+            _helper = threading.Thread(target=_help, name="stormkan-helper",
+                                       daemon=True)
+            _helper.start()
+        _jobs.put(job)
+        try:
+            work(0)
+        finally:
+            error = ends.get()
+    finally:
+        _helper_free.release()
+    if error is not None:
+        raise error
+
+
+# ---------------------------------------------------------------------------
 # convolution, on the flat padded grid
 #
 # A chunk [b, C, H, W] padded by p is laid out flat, as [b, C, Hp*Wp] with
@@ -218,12 +325,14 @@ def _padded(xc, padding, buf):
     p = padding
     xp = buf[:b * c * (h + 2 * p) * (w + 2 * p)].reshape(b, c, h + 2 * p,
                                                           w + 2 * p)
-    xp[:, :, :p] = 0
-    xp[:, :, -p:] = 0
-    xp[:, :, p:-p, :p] = 0
-    xp[:, :, p:-p, -p:] = 0
+    _zero_border(xp, p)
     xp[:, :, p:-p, p:-p] = xc
     return xp.reshape(b, c, -1)
+
+
+def _zero_border(xp, p):
+    """Zeroes the `p` outer rows and columns of the grids xp [.., Hp, Wp]."""
+    xp[..., :p, :] = xp[..., -p:, :] = xp[..., :p] = xp[..., -p:] = 0
 
 
 def _max2x2(y, half, out, code=None):
@@ -250,17 +359,21 @@ def _max2x2(y, half, out, code=None):
     np.maximum(r0, r1, out=out)
 
 
-def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take):
-    """(geom, chunks, strips, xp, cols, y, half): the walk of a conv of
-    input shape x and kernel shape w, and the flat buffers every block
+def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take,
+               workers=1):
+    """(geom, chunks, strips, xp, cols, y, half, ...): the walk of a conv
+    of input shape x and kernel shape w, and the flat buffers every block
     reuses, each take(size, dtype).  geom is _taps' (kh, kw, stride,
     dilation, Wp).  A block is a chunk (a slice of the batch) and a
     strip (r0, rows) of its output rows, before the pool: as many whole
-    samples as fit STRIP_BYTES of columns, if one does, else one
-    sample's strip of rows, an even count with the pool; the last chunk
-    or strip may be shorter.  The buffers are one block's padded samples
-    and columns (empty if unused), GEMM grid and, with the pool,
-    half-pooled rows (else None)."""
+    samples as fit STRIP_BYTES of columns, if one does, else strips of
+    one sample's rows, an even count with the pool.  For one worker a
+    strip is as tall as fits, and the last chunk or strip may be
+    shorter; for several, strips are near-equal, within a worker's share
+    of the budget, and a multiple of `workers` in number, or if too few
+    rows allow that, the one-worker plan's.  The buffers are one block's
+    padded samples, then per worker its columns (both empty if unused),
+    GEMM grid and, with the pool, half-pooled rows (else None)."""
     bsz, cin, h, wid = x
     cout, _, kh, kw = w
     oh, ow = (n << pool for n in _conv2d_shape(x, w, None, stride, padding,
@@ -268,19 +381,29 @@ def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take):
     hp, wp = h + 2 * padding, wid + 2 * padding
     k = cin * kh * kw
     row = k * ow * np.dtype(dtype).itemsize   # one output row's columns
+    units = oh >> pool   # strips hold whole row pairs under the pool
+    most = max(1, STRIP_BYTES // workers // (row << pool))
+    n = workers * -(-units // (workers * most))   # strips for workers
+    chunk = max(1, min(bsz, STRIP_BYTES // (row * oh)))
     if row * oh <= STRIP_BYTES:
-        chunk, rows = max(1, min(bsz, STRIP_BYTES // (row * oh))), oh
+        bounds, workers = [0, units], 1
+    elif 1 < workers and n <= units:
+        bounds = [i * units // n for i in range(n + 1)]
     else:
-        rows = max(1, STRIP_BYTES // row)
-        chunk, rows = 1, (max(2, rows - rows % 2) if pool else rows)
+        workers, most = 1, max(1, STRIP_BYTES // (row << pool))
+        bounds = [*range(0, units, most), units]
+    strips = [(a << pool, (b - a) << pool) for a, b in zip(bounds, bounds[1:])]
+    rows = max(n for _, n in strips)
     packs = (kh, kw, stride, dilation) != (1, 1, 1, 1)
-    return ((kh, kw, stride, dilation, wp),
-            [slice(b0, b0 + chunk) for b0 in range(0, bsz, chunk)],
-            [(r0, min(rows, oh - r0)) for r0 in range(0, oh, rows)],
-            take(chunk * cin * hp * wp if padding else 0, dtype),
-            take(chunk * k * ((rows - 1) * wp + ow) if packs else 0, dtype),
-            take(chunk * cout * rows * wp, dtype),
-            take(chunk * cout * rows * (ow // 2), dtype) if pool else None)
+    plan = ((kh, kw, stride, dilation, wp),
+            [slice(b0, b0 + chunk) for b0 in range(0, bsz, chunk)], strips,
+            take(chunk * cin * hp * wp if padding else 0, dtype))
+    for _ in range(workers):
+        plan += (take(chunk * k * ((rows - 1) * wp + ow) if packs else 0,
+                      dtype),
+                 take(chunk * cout * rows * wp, dtype),
+                 take(chunk * cout * rows * (ow // 2), dtype) if pool else None)
+    return plan
 
 
 def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
@@ -321,17 +444,24 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
 def _conv_forward(x, w2, bias, padding, relu, plan, out, code=None):
     """The conv of x [B, C, H, W] by w2 [Cout, K] into out (and code):
     _conv_block per block of plan (_conv_plan), each chunk of samples
-    padded into the plan's buffer as the walk reaches it."""
-    geom, chunks, strips, xp, cols, y, half = plan
+    padded into the plan's buffer as the walk reaches it, and its strips
+    dealt round-robin to the plan's workers (_on_workers), each on its
+    own buffers."""
+    geom, chunks, strips, xp, *bufs = plan
     stride, wp = geom[2], geom[4]
-    pool = half is not None
-    for c in chunks:
-        xf = _padded(x[c], padding, xp)
-        for r0, rows in strips:
+    pool, workers = bufs[2] is not None, len(bufs) // 3
+
+    def work(k):   # worker k's strips of chunk c
+        cols, y, half = bufs[3 * k:3 * k + 3]
+        for r0, rows in strips[k::workers]:
             p = slice(r0 >> pool, (r0 + rows) >> pool)
             _conv_block(xf[:, :, r0 * stride * wp:], w2, geom, bias, relu,
                         cols, y, out[c, :, p], half,
                         None if code is None else code[c, :, p])
+
+    for c in chunks:
+        xf = _padded(x[c], padding, xp)
+        _on_workers(work, workers)
 
 
 def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,

@@ -24,12 +24,12 @@ file's bytes, so each constant is copied once), and validates every
 shape and every constant the interpreter indexes by once, in its
 constructor.  A ``Session`` allocates two buffers when it is created:
 one block of node outputs, and one scratch buffer that every node uses
-in turn, sized by the largest need, conv2's at full size.  A CONV2D runs
-``ops._conv_forward`` on its ``ops._conv_plan``, the tape's ``conv2d``
-plan: at batch 1 of the full-size graph, one strip of output rows at a
-time, whose columns fit ``ops.STRIP_BYTES``.
-A warm ``run`` allocates only its output copies, as ``bench`` measures
-with tracemalloc.
+in turn, sized by the largest need, conv1's at full size, whose output
+is conv2's padded input.  A CONV2D runs ``ops._conv_forward`` on its
+``ops._conv_plan`` for ``ops.WORKERS`` workers: at batch 1 of the
+full-size graph, strips of output rows on two cores, whose columns fit
+a worker's share of ``ops.STRIP_BYTES``.  A warm ``run`` allocates only
+its output copies, as ``bench`` measures with tracemalloc.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ import numpy as np
 from .errors import DataError, ExportError, GraphError, ShapeError
 from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
                     quadrant_tap_grid)
-from .ops import (_axis, _broadcast, _concat_shape, _conv2d_shape,
+from .ops import (WORKERS, _axis, _broadcast, _concat_shape, _conv2d_shape,
                   _conv_forward, _conv_plan, _matmul_shape, _mean_shape,
-                  _require, _silu, _softmax)
+                  _one_blas_thread, _require, _silu, _softmax, _zero_border)
 from .spline import KanLinear, _horner_basis, _horner_scratch
 from .tape import Tape
 from .tensor import read_container, write_container
@@ -510,14 +510,20 @@ class Session:
     """Executes a loaded graph against two buffers, allocated when the
     session is created (``alloc_count``); ``run`` only writes into them.
 
-    One block holds every node output.  One scratch buffer, as large as
-    the largest node's need, holds every node's scratch in turn, since
-    ``run`` executes the nodes in order: no node reads what another, or
-    an earlier run, left there.  A CONV2D's scratch is its
-    ``ops._conv_plan``: its blocks, and the block-sized buffers they
-    reuse.  The graph is frozen and its constants read-only, so sessions
-    may share one graph and run concurrently; its ``shapes`` size the
-    buffers, and it needs no checking, as only a valid graph exists.
+    One block holds every node output: a CONV2D's that only CONV2Ds of
+    one padding p > 0 read is the interior of its zero-bordered grid
+    there (``_grids``), which they read at padding 0.  One scratch
+    buffer, as large as the largest node's need, holds every node's
+    scratch in turn, since ``run`` executes the nodes in order: no node
+    reads what another, or an earlier run, left there.  A CONV2D's
+    scratch is its ``ops._conv_plan`` for ``ops.WORKERS`` workers: its
+    blocks, and the block-sized buffers they reuse.  ``run`` pins BLAS
+    to one thread (``ops._one_blas_thread``), so a conv's strips go to
+    the caller and ``ops``' helper thread, unless a concurrent caller
+    holds it.  The graph is frozen and its constants read-only, so
+    sessions may share one graph and run concurrently; its ``shapes``
+    size the buffers, and it needs no checking, as only a valid graph
+    exists.
     """
 
     def __init__(self, graph: StaticGraph):
@@ -526,14 +532,28 @@ class Session:
         self._values: list[np.ndarray | None] = [None] * graph.n_values
         for vid, arr in enumerate(graph.constants, len(graph.inputs)):
             self._values[vid] = arr
-        outputs = [self.shapes[node.output] for node in graph.nodes]
+        pads = {}   # per value, the padding all its readers share, or 0
+        for node in graph.nodes:
+            for slot, j in enumerate(node.inputs):
+                p = node.attrs[1] if node.op == CONV2D and not slot else 0
+                pads[j] = p if pads.get(j, p) == p else 0
+        held = []   # per node: its output's id, grid border and shape held
+        for node in graph.nodes:
+            shape = self.shapes[node.output]
+            p = pads.get(node.output, 0) if node.op == CONV2D else 0
+            held.append((node.output, p, shape if not p else
+                         (*shape[:2], shape[2] + 2 * p, shape[3] + 2 * p)))
         sizer = _Arena()
-        for shape in outputs:
+        for *_, shape in held:
             sizer.take(shape)
         self._value_block = _aligned_empty(sizer.end)
         values = _Arena(self._value_block)
-        for node, shape in zip(graph.nodes, outputs):
-            self._values[node.output] = values.take(shape)
+        self._grids: dict[int, tuple[np.ndarray, int]] = {}
+        for vid, p, shape in held:
+            out = self._values[vid] = values.take(shape)
+            if p:
+                self._grids[vid] = out, p
+                self._values[vid] = out[:, :, p:-p, p:-p]
         need = 0
         for node in graph.nodes:
             sizer = _Arena()
@@ -550,8 +570,11 @@ class Session:
         """The node's scratch views, each from take(shape, dtype)."""
         shapes = self.shapes
         if node.op == CONV2D:   # attrs: stride, padding, dilation, relu, pool
-            return _conv_plan(shapes[node.inputs[0]], shapes[node.inputs[1]],
-                              *node.attrs[:3], node.attrs[4], np.float32, take)
+            stride, padding, dilation, _, pool = node.attrs
+            grid, p = self._grids.get(node.inputs[0], (None, 0))
+            x = shapes[node.inputs[0]] if grid is None else grid.shape
+            return _conv_plan(x, shapes[node.inputs[1]], stride, padding - p,
+                              dilation, pool, np.float32, take, WORKERS)
         if node.op == SOFTMAX:
             return (take(_mean_shape(shapes[node.inputs[0]], node.attrs[0],
                                      keepdims=True)),)
@@ -580,8 +603,11 @@ class Session:
                     raise GraphError(f"input {name!r} must be float")
                 arr = arr.astype(np.float32)
             self._values[vid] = arr
-        for i, node in enumerate(graph.nodes):
-            self._exec(node, self._scratch[i])
+        for grid, p in self._grids.values():
+            _zero_border(grid, p)
+        with _one_blas_thread():
+            for i, node in enumerate(graph.nodes):
+                self._exec(node, self._scratch[i])
         return {name: self._values[vid].copy()
                 for name, vid in graph.outputs}
 
@@ -591,8 +617,9 @@ class Session:
         ins = [vals[j] for j in node.inputs]
         op, attrs = node.op, node.attrs
         if op == CONV2D:
-            x, w, bias = ins
-            _conv_forward(x, w.reshape(w.shape[0], -1), bias, attrs[1],
+            x, w, bias = ins   # a padded grid is read at padding 0
+            x, p = self._grids.get(node.inputs[0], (x, 0))
+            _conv_forward(x, w.reshape(w.shape[0], -1), bias, attrs[1] - p,
                           attrs[3], scratch, out)
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)

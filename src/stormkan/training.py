@@ -3,7 +3,7 @@ plateau scheduling, early stopping, denormalized metrics, and
 checkpoint round-trips.
 
 A train step runs its batch as passes of at most ``MICRO_BATCH``
-samples on ``WORKERS`` threads, each a forward and backward on its own
+samples on ``WORKERS`` workers, each a forward and backward on its own
 tape, and sums their gradients, weighted by pass size, into one SGD
 update: the batch-mean gradient, at the memory of one pass per worker.
 
@@ -19,13 +19,7 @@ wind, range [5, 200]).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import ctypes
-import functools
-import glob
 import math
-import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -35,6 +29,7 @@ from . import ops
 from .errors import (CheckpointError, ConfigError, DataError, NumericsError,
                      ShapeError, TrainingError)
 from .model import CycloneNet, ModelConfig, build_model
+from .ops import WORKERS
 from .tape import Tape, Var
 from .tensor import Parameter, read_container, write_container
 
@@ -42,9 +37,8 @@ CKPT_MAGIC = b"KFC1"
 CKPT_VERSION = 1
 
 # samples per forward/backward pass of a train step; a larger batch is
-# several passes, on WORKERS threads, summed before one SGD step
+# several passes, on WORKERS workers, summed before one SGD step
 MICRO_BATCH = 2
-WORKERS = 2
 
 # a validation loss is a new best only if below the best by more than this
 IMPROVEMENT_THRESHOLD = 1e-6
@@ -308,36 +302,6 @@ def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
     return loss, compute_metrics(pm, pr, tm, tr)
 
 
-@functools.cache
-def _openblas_threads():
-    """numpy's bundled OpenBLAS thread-count setter and getter, or None."""
-    for lib in map(ctypes.CDLL, glob.glob(np.__path__[0] + ".libs/*blas*")):
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            setter = lib.scipy_openblas_set_num_threads64_
-            getter = lib.scipy_openblas_get_num_threads64_
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return setter, getter
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Yields whether BLAS is pinned to one thread for the block; its
-    previous count is restored on exit."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield False
-        return
-    setter, getter = blas
-    before = getter()
-    setter(1)
-    try:
-        yield True
-    finally:
-        setter(before)
-
-
 class _GradientSum:
     """Per-parameter gradients summed over a batch's passes, read by
     ``sgd_step`` as it reads a tape's ``Gradients``."""
@@ -379,10 +343,10 @@ def _run_pass(model: CycloneNet, cfg: TrainConfig, dataset, idxs,
 
 def _run_step(model: CycloneNet, cfg: TrainConfig, dataset, passes,
               size: int) -> tuple[_GradientSum, list]:
-    """A batch's passes, pass k on worker k % WORKERS, each worker on
-    its own thread if BLAS can be pinned to one, else in turn on this
-    one.  Returns the workers' gradient sums added in worker order, and
-    each pass's loss, exception, or None after a worker's failed pass."""
+    """A batch's passes, pass k on worker k % WORKERS, on two cores
+    while BLAS is pinned to one thread (``ops._on_workers``).  Returns
+    the workers' gradient sums added in worker order, and each pass's
+    loss, exception, or None after a worker's failed pass."""
     sums = [_GradientSum(model.parameters()) for _ in range(WORKERS)]
     outcomes = [None] * len(passes)
 
@@ -396,20 +360,8 @@ def _run_step(model: CycloneNet, cfg: TrainConfig, dataset, passes,
         except Exception as exc:
             outcomes[k] = exc
 
-    with _one_blas_thread() as threaded:
-        threads = []
-        try:
-            for w in range(1, WORKERS) if threaded else ():
-                # a copy of the caller's context carries its np.errstate
-                thread = threading.Thread(
-                    target=contextvars.copy_context().run, args=(work, w))
-                thread.start()
-                threads.append(thread)
-            for w in range(1 if threaded else WORKERS):
-                work(w)
-        finally:
-            for thread in threads:
-                thread.join()
+    with ops._one_blas_thread():
+        ops._on_workers(work, WORKERS)
     for other in sums[1:]:
         sums[0].add(other, 1.0)
     return sums[0], outcomes

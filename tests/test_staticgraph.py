@@ -665,7 +665,9 @@ class TestSession:
                     for r0, n in plan[2]] == [
                 (b, b + 1, r0, min(step, 8 - r0))
                 for b in range(bsz) for r0 in range(0, 8, step)]
-            assert session._scratch[0][1:3] == plan[1:3]
+            assert session._scratch[0][1:3] == ops._conv_plan(
+                (bsz, cin, h, wid), w.shape, stride, padding, dilation, pool,
+                np.float32, lambda n, dtype: None, ops.WORKERS)[1:3]
             x = r.standard_normal((bsz, cin, h, wid)).astype(np.float32)
             np.testing.assert_allclose(
                 session.run({"x": x})["y"],
@@ -719,15 +721,19 @@ class TestSession:
         assert transient < 2**20
 
     def test_two_buffers(self, full_size_graph):
-        # one block of node outputs, and one scratch buffer as large as
-        # the largest node's need (conv2's), every view 64-byte aligned
+        # one block of node outputs, conv1's as the interior of conv2's
+        # padded grid, and one scratch buffer as large as the largest
+        # node's need (conv1's), every view 64-byte aligned
         _, graph = full_size_graph
         session = Session(graph)
         assert session.alloc_count == 2
         values, scratch = session._value_block, session._scratch_block
         outs = [session._values[node.output] for node in graph.nodes]
         assert all(np.shares_memory(out, values) for out in outs)
-        out_bytes = sum(out.nbytes for out in outs)
+        held = [session._grids.get(node.output, (out,))[0]
+                for node, out in zip(graph.nodes, outs)]
+        assert [p for _, p in session._grids.values()] == [1]
+        out_bytes = sum(arr.nbytes for arr in held)
         assert out_bytes <= values.nbytes < out_bytes + 64 * len(outs)
         start = scratch.ctypes.data
         needs = []
@@ -736,11 +742,11 @@ class TestSession:
             assert all(v.ctypes.data % 64 == 0 for v in views)
             needs.append(max((v.ctypes.data + v.nbytes - start
                               for v in views), default=0))
-        assert all(out.ctypes.data % 64 == 0 for out in outs)
+        assert all(arr.ctypes.data % 64 == 0 for arr in held)
         assert scratch.nbytes - 64 < max(needs) <= scratch.nbytes
-        conv2 = graph.nodes[int(np.argmax(needs))]
-        assert (conv2.op, conv2.attrs[3:]) == (CONV2D, (1, 1))
-        assert 6.5 * 2**20 < scratch.nbytes < 7 * 2**20
+        conv1 = graph.nodes[int(np.argmax(needs))]
+        assert (conv1.op, conv1.attrs[3:]) == (CONV2D, (1, 0))
+        assert 4.75 * 2**20 < scratch.nbytes < 5.25 * 2**20
 
     def test_buffers_hold_no_state(self, full_size_graph):
         # whatever the buffers hold before a run, it gives the bits of a
@@ -756,6 +762,33 @@ class TestSession:
         out = session.run(inputs)
         for name in fresh:
             assert out[name].tobytes() == fresh[name].tobytes()
+
+    @pytest.mark.parametrize("c_pad", [None, 1, 2])
+    def test_padded_handoff(self, c_pad):
+        # conv a's output is read by conv b at padding 1 and, unless
+        # None, by conv c at c_pad: read at one padding, a writes into
+        # its readers' padded grid, else into a plain value; each gives
+        # the tape's bits
+        r = np.random.default_rng(5)
+        consts = [r.standard_normal(shape).astype(np.float32)
+                  for cin in (3, 4, 4) for shape in ((4, cin, 3, 3), (4,))]
+        nodes = [GraphNode(CONV2D, (1, 1, 1, 1, 0), (0, 1, 2), 7),
+                 GraphNode(CONV2D, (1, 1, 1, 1, 1), (7, 3, 4), 8)]
+        if c_pad:
+            nodes.append(GraphNode(CONV2D, (1, c_pad, 1, 0, 0), (7, 5, 6), 9))
+        graph = StaticGraph([("x", (2, 3, 12, 12))], consts, nodes,
+                            [("b", 8), ("c", 9)][:len(nodes) - 1])
+        session = Session(graph)
+        assert list(session._grids) == ([] if c_pad == 2 else [7])
+        x = r.standard_normal((2, 3, 12, 12)).astype(np.float32)
+        out = session.run({"x": x})
+        tape = Tape()
+        w = [tape.constant(c) for c in consts]
+        a = ops.conv2d(tape.constant(x), w[0], w[1], 1, 1, relu=True)
+        refs = {"b": ops.conv2d(a, w[2], w[3], 1, 1, relu=True, pool=True),
+                "c": c_pad and ops.conv2d(a, w[4], w[5], 1, c_pad)}
+        for name in out:
+            assert out[name].tobytes() == refs[name].data.tobytes()
 
     def test_concurrent_sessions_identical(self, deploy_graph):
         _, graph = deploy_graph
@@ -776,6 +809,159 @@ class TestSession:
             t.join()
         assert np.array_equal(results[0]["y_msw"], results[1]["y_msw"])
         assert np.array_equal(results[0]["y_rmw"], results[1]["y_rmw"])
+
+
+def _blocks_on_threads(monkeypatch):
+    """The set that each conv block's thread id is added to from now."""
+    seen = set()
+    block = ops._conv_block
+
+    def recorded(*args):
+        seen.add(threading.get_ident())
+        return block(*args)
+
+    monkeypatch.setattr(ops, "_conv_block", recorded)
+    return seen
+
+
+@pytest.fixture
+def pinnable():
+    if ops._openblas_threads() is None:
+        pytest.skip("this numpy build exports no OpenBLAS thread setter")
+    return ops._openblas_threads()
+
+
+def _strip_graph(monkeypatch, pool):
+    """A conv graph at batch 2 whose 16 output rows make 8 strips of
+    two workers' plan, and its inputs."""
+    monkeypatch.setattr(ops, "STRIP_BYTES", 4 * 3 * 9 * 16 * 4)
+    r = np.random.default_rng(pool)
+    w = r.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    b = r.standard_normal(4).astype(np.float32)
+    graph = conv_graph((2, 3, 16, 16), w, b, 1, 1, 1, 1, pool)
+    return graph, {"x": r.standard_normal((2, 3, 16, 16)).astype(np.float32)}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("inline", ["helper_busy", "no_blas_setter"])
+    @pytest.mark.parametrize("case", ["full_size", "conv", "conv_pool"])
+    def test_helper_path_matches_inline(self, request, monkeypatch,
+                                        pinnable, case, inline):
+        # the strips on the caller and the helper, or all on the caller
+        # when the helper is busy or BLAS cannot be pinned: the same bits
+        if case == "full_size":
+            graph = request.getfixturevalue("full_size_graph")[1]
+            r = np.random.default_rng(3)
+            inputs = {name: r.uniform(0, 1, shape).astype(np.float32)
+                      for name, shape in graph.inputs}
+        else:
+            graph, inputs = _strip_graph(monkeypatch, case == "conv_pool")
+        session = Session(graph)
+        seen = _blocks_on_threads(monkeypatch)
+        both = session.run(inputs)
+        assert len(seen) == 2
+        seen.clear()
+        if inline == "helper_busy":
+            with ops._helper_free:   # as a concurrent caller holds it
+                alone = session.run(inputs)
+        else:
+            monkeypatch.setattr(ops, "_openblas_threads", lambda: None)
+            alone = session.run(inputs)
+        assert seen == {threading.get_ident()}
+        for name in both:
+            assert both[name].tobytes() == alone[name].tobytes()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, pinnable):
+        # a strip that fails on the helper raises in the caller, with
+        # BLAS's thread count restored, and the same helper serves the
+        # next run
+        graph, inputs = _strip_graph(monkeypatch, 1)
+        session = Session(graph)
+        setter, getter = pinnable
+        before = getter()
+        fresh = Session(graph).run(inputs)
+        helper = ops._helper
+        block = ops._conv_block
+
+        def failing(*args):
+            if threading.current_thread() is helper:
+                raise ShapeError("worker 1")
+            return block(*args)
+
+        monkeypatch.setattr(ops, "_conv_block", failing)
+        with pytest.raises(ShapeError, match="worker 1"):
+            session.run(inputs)
+        assert getter() == before
+        monkeypatch.setattr(ops, "_conv_block", block)
+        seen = _blocks_on_threads(monkeypatch)
+        again = session.run(inputs)
+        assert ops._helper is helper and helper.ident in seen
+        assert again["y"].tobytes() == fresh["y"].tobytes()
+
+    def test_worker_runs_in_the_callers_errstate(self, monkeypatch, pinnable):
+        # an overflow only in strip 1, worker 1's, raises in the caller
+        # under its np.errstate(over="raise"), and is quiet under "ignore"
+        graph, inputs = _strip_graph(monkeypatch, 0)
+        session = Session(graph)
+        r0, rows = session._scratch[0][2][1]
+        x = inputs["x"].copy()
+        x[:, :, r0:r0 + rows] = np.finfo(np.float32).max
+        with np.errstate(over="raise"), \
+                pytest.raises(FloatingPointError, match="overflow"):
+            session.run({"x": x})
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            session.run({"x": x})
+
+    def test_concurrent_sessions_share_the_helper(self, monkeypatch):
+        # four threads, more than the cores, each running its own session
+        # while the others hold the helper or BLAS pins, switching often:
+        # every run gives the bits of one alone
+        import sys
+        graph, inputs = _strip_graph(monkeypatch, 1)
+        alone = Session(graph).run(inputs)["y"].tobytes()
+        results = []
+
+        def work():
+            session = Session(graph)
+            results.extend(session.run(inputs)["y"].tobytes()
+                           for _ in range(5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [alone] * 20
+
+    def test_one_helper_and_no_thread_per_run(self, full_size_graph,
+                                              pinnable):
+        # after a first run, runs start no thread, one helper serves the
+        # process, and it keeps nothing of a run: a dropped session's
+        # buffers are freed
+        import gc
+        import weakref
+        _, graph = full_size_graph
+        session = Session(graph)
+        inputs = {name: np.ones(shape, np.float32)
+                  for name, shape in graph.inputs}
+        session.run(inputs)
+        count = threading.active_count()
+        for _ in range(3):
+            session.run(inputs)
+        assert threading.active_count() == count
+        assert [t for t in threading.enumerate()
+                if t.name == "stormkan-helper"] == [ops._helper]
+        scratch = weakref.ref(session._scratch_block.base)
+        del session
+        gc.collect()
+        assert scratch() is None
 
 
 def _conv_case(attrs, x_shape=(2, 3, 10, 10)):

@@ -432,6 +432,93 @@ def maxpool2x2(x):
                       pool=True)
 
 
+class TestTwoWorkers:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 40),
+           st.integers(0, 1), st.integers(1, 2**14))
+    def test_worker_plan_strips_tile_the_rows(self, cin, k, pairs, pool,
+                                              strip_bytes):
+        # a plan for WORKERS has a multiple of WORKERS strips of
+        # near-equal heights, even under the pool, that tile the output
+        # rows, each within its share of the budget if one row (pair)
+        # is, and the same buffers per worker; else it is the one-worker
+        # plan
+        oh, ow = 2 * pairs, 6
+        args = ((1, cin, oh + k - 1, ow + k - 1), (3, cin, k, k), 1, 0, 1,
+                pool, np.float32, lambda n, _: n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "STRIP_BYTES", strip_bytes)
+            plan = ops._conv_plan(*args, ops.WORKERS)
+            one = ops._conv_plan(*args)
+        workers = (len(plan) - 4) // 3
+        strips = plan[2]
+        assert [r0 for r0, _ in strips] == [
+            sum(n for _, n in strips[:i]) for i in range(len(strips))]
+        assert sum(n for _, n in strips) == oh
+        if workers == 1:
+            assert plan == one
+            return
+        unit, row = 1 + pool, 4 * cin * k * k * ow
+        heights = [n for _, n in strips]
+        assert workers == ops.WORKERS and len(strips) % workers == 0
+        assert all(n % unit == 0 for n in heights)
+        assert max(heights) - min(heights) <= unit
+        assert max(heights) * row <= max(strip_bytes // workers, unit * row)
+        assert plan[4:7] == plan[7:10]
+
+    @pytest.mark.parametrize("conv,pool,heights", [
+        ((8, 5, 2), 0, {15, 16}), ((16, 3, 1), 1, {18, 20})],
+        ids=["conv1", "conv2"])
+    def test_full_size_worker_plans(self, conv, pool, heights):
+        # at 156^2 and batch 1, conv1's columns fill 10 strips and conv2's
+        # 8, half of them each worker's
+        cin, k, padding = conv
+        x = (1, cin, 156, 156)
+        plan = ops._conv_plan(x, (2 * cin, cin, k, k), 1, padding, 1, pool,
+                              np.float32, lambda n, _: n, ops.WORKERS)
+        assert len(plan) == 4 + 3 * ops.WORKERS
+        assert len(plan[2]) == {0: 10, 1: 8}[pool]
+        assert {n for _, n in plan[2]} == heights
+
+    def test_overlapping_blas_pins(self):
+        # A pins, B pins, A leaves, B leaves: B still runs on one thread,
+        # and the last one out restores the count the first one found
+        import threading
+        blas = ops._openblas_threads()
+        if blas is None:
+            pytest.skip("this numpy build exports no OpenBLAS thread setter")
+        setter, getter = blas
+        before = getter()
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def a():
+            with ops._one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with ops._one_blas_thread():
+                b_in.set()
+                a_out.wait(10)
+                seen["b"] = getter()
+
+        setter(2)   # not the count the pins set
+        try:
+            threads = [threading.Thread(target=f) for f in (a, b)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == {"b": 1}
+            assert getter() == 2
+        finally:
+            setter(before)
+
+
 class TestMaxPool:
     def test_constant_input(self):
         tape = Tape()

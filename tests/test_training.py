@@ -13,7 +13,7 @@ from stormkan.errors import (CheckpointError, ConfigError, ShapeError,
                              StormkanError, TrainingError)
 from stormkan.model import COMPRESSED, ModelConfig, build_model
 from stormkan.tape import Tape
-from stormkan import training
+from stormkan import ops, training
 from stormkan.training import (PlateauTracker, TrainConfig, compute_metrics,
                                denormalize, evaluate, load_checkpoint, mae,
                                mae_loss, model_from_checkpoint,
@@ -414,9 +414,9 @@ class TestWorkers:
     @pytest.fixture
     def blas(self):
         """The BLAS thread-count setter and getter train pins with."""
-        if training._openblas_threads() is None:
+        if ops._openblas_threads() is None:
             pytest.skip("this numpy build exports no OpenBLAS thread setter")
-        return training._openblas_threads()
+        return ops._openblas_threads()
 
     @pytest.mark.parametrize("workers", [training.WORKERS, 4])
     def test_threaded_matches_sequential(self, tiny_sets, blas, workers,
@@ -434,7 +434,7 @@ class TestWorkers:
         sys.setswitchinterval(1e-5)
         try:
             threaded = _run(train_ds, val_ds, cfg)
-            monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+            monkeypatch.setattr(ops, "_openblas_threads", lambda: None)
             sequential = _run(train_ds, val_ds, cfg)
         finally:
             setter(before)
@@ -443,7 +443,7 @@ class TestWorkers:
 
     def test_sequential_repeats_at_default_blas(self, tiny_sets,
                                                 monkeypatch):
-        monkeypatch.setattr(training, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(ops, "_openblas_threads", lambda: None)
         train_ds, val_ds = tiny_sets
         cfg = TrainConfig(lr=0.01, batch=8, max_epochs=2, seed=3)
         _assert_same_bits(_run(train_ds, val_ds, cfg),
@@ -453,7 +453,8 @@ class TestWorkers:
                                                         blas, monkeypatch):
         # pass 1, worker 1's first, raises ShapeError and pass 2, worker
         # 0's second, another error: train raises pass 1's, unchanged,
-        # and leaves no thread and no changed BLAS thread count behind
+        # and a second call starts no thread, nor does either leave a
+        # changed BLAS thread count behind
         import threading
         from stormkan.errors import DataError
         train_ds, val_ds = tiny_sets
@@ -474,11 +475,13 @@ class TestWorkers:
         before = getter()
         setter(2)   # not the count train pins
         try:
-            threads, blas_threads = threading.active_count(), getter()
-            with pytest.raises(ShapeError) as err:
-                train(build_model(TINY, seed=4), train_ds, val_ds, cfg)
-            assert threading.active_count() == threads
-            assert getter() == blas_threads
+            blas_threads, threads = getter(), []
+            for _ in range(2):
+                with pytest.raises(ShapeError) as err:
+                    train(build_model(TINY, seed=4), train_ds, val_ds, cfg)
+                threads.append(threading.active_count())
+                assert getter() == blas_threads
+            assert threads[1] == threads[0]
         finally:
             setter(before)
         assert err.value is failing[tuple(order[micro:2 * micro])]
