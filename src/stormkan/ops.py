@@ -15,8 +15,11 @@ packs the taps of the flat padded grid (``_taps``), runs one batched
 GEMM (``_conv_block``), then the 2x2 max-pool, bias and ReLU while the
 block is in cache.  Columns and padding are never kept: backward
 repacks them, block by block.  ``Session`` deals a sample's strips to
-``WORKERS`` workers that share the budget (``_on_workers``).  Average
-pools are products with constant averaging matrices, through ``matmul``.
+``WORKERS`` workers that share the budget (``_on_workers``).  A 1x1
+conv packs its columns like any other.  Average pools are products with
+constant averaging matrices, through ``matmul``.  ``lstm`` records no
+node of its own: it is composed of ``linear``, ``add``, ``slice_``,
+``sigmoid``, ``tanh`` and ``mul``, whose rules give its gradient.
 """
 
 from __future__ import annotations
@@ -302,13 +305,11 @@ def _taps(xf, geom, n, writeable=False):
 
 
 def _pack(xf, geom, n, buf):
-    """The [b, C*kh*kw, n] GEMM columns of the flat grid xf: xf itself
-    for a 1x1, stride-1 kernel, else its taps copied into the front of
-    the flat buffer buf, a contiguous run of n per tap and channel."""
-    kh, kw, stride, dilation, _ = geom
+    """The [b, C*kh*kw, n] GEMM columns of the flat grid xf: its taps
+    copied into the front of the flat buffer buf, a contiguous run of n
+    per tap and channel."""
+    kh, kw = geom[:2]
     b, c = xf.shape[:2]
-    if (kh, kw, stride, dilation) == (1, 1, 1, 1):
-        return xf[:, :, :n]
     cols = buf[:b * c * kh * kw * n].reshape(b, c * kh * kw, n)
     np.copyto(cols.reshape(b, c, kh, kw, n), _taps(xf, geom, n))
     return cols
@@ -372,7 +373,7 @@ def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take,
     shorter; for several, strips are near-equal, within a worker's share
     of the budget, and a multiple of `workers` in number, or if too few
     rows allow that, the one-worker plan's.  The buffers are one block's
-    padded samples, then per worker its columns (both empty if unused),
+    padded samples (empty without padding), then per worker its columns,
     GEMM grid and, with the pool, half-pooled rows (else None)."""
     bsz, cin, h, wid = x
     cout, _, kh, kw = w
@@ -394,13 +395,11 @@ def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take,
         bounds = [*range(0, units, most), units]
     strips = [(a << pool, (b - a) << pool) for a, b in zip(bounds, bounds[1:])]
     rows = max(n for _, n in strips)
-    packs = (kh, kw, stride, dilation) != (1, 1, 1, 1)
     plan = ((kh, kw, stride, dilation, wp),
             [slice(b0, b0 + chunk) for b0 in range(0, bsz, chunk)], strips,
             take(chunk * cin * hp * wp if padding else 0, dtype))
     for _ in range(workers):
-        plan += (take(chunk * k * ((rows - 1) * wp + ow) if packs else 0,
-                      dtype),
+        plan += (take(chunk * k * ((rows - 1) * wp + ow), dtype),
                  take(chunk * cout * rows * wp, dtype),
                  take(chunk * cout * rows * (ow // 2), dtype) if pool else None)
     return plan
@@ -559,13 +558,9 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
                 dw += np.matmul(c3, gn.transpose(0, 2, 1)).sum(axis=0)
                 if dx is None:
                     continue
-                dxf = dxg[c, :, start:]
-                if not n_cols:   # a 1x1 packs nothing: its strips tile dxg
-                    np.matmul(w2.T, gn, out=dxf[:, :, :n])
-                    continue
                 np.matmul(w2.T, gn, out=c3)  # dcols overwrite the columns
                 dcols = c3.reshape(bc, cin, kh, kw, n)
-                taps = _taps(dxf, geom, n, writeable=True)
+                taps = _taps(dxg[c, :, start:], geom, n, writeable=True)
                 for i, j in np.ndindex(kh, kw):
                     tap = taps[:, :, i, j]
                     np.add(tap, dcols[:, :, i, j], out=tap)
@@ -645,6 +640,12 @@ def silu(x: Var) -> Var:
         return (g * (sig * (1.0 + xd * (1.0 - sig))),)
 
     return x.tape.record("silu", (x,), out, backward)
+
+
+def sigmoid(x: Var) -> Var:
+    out = 1.0 / (1.0 + np.exp(-x.data))
+    return x.tape.record("sigmoid", (x,), out,
+                         lambda g: (g * (out * (1.0 - out)),))
 
 
 def tanh(x: Var) -> Var:
@@ -795,12 +796,13 @@ def mean(x: Var, axis=None, keepdims: bool = False) -> Var:
 def lstm(x: Var, wx: Var, wh: Var, b: Var) -> Var:
     """Single-layer LSTM over [B, T, F]; returns the final hidden state.
 
-    Gate packing along the 4H axis is (input, forget, cell, output);
-    the backward rule runs full backpropagation through time.
+    Gate packing along the 4H axis is (input, forget, cell, output).  It
+    is composed of tape ops, step by step from a zero state whose terms
+    step 0 skips, so its gradient is theirs: backpropagation through time.
     """
     xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
     _require(xd.ndim == 3, "lstm input must be [B, T, F]")
-    bsz, t_steps, feat = xd.shape
+    _, t_steps, feat = xd.shape
     _require(t_steps >= 1, "lstm needs at least one time step")
     _require(wxd.ndim == 2 and wxd.shape[0] % 4 == 0,
              "lstm wx must be [4H, F]")
@@ -811,47 +813,15 @@ def lstm(x: Var, wx: Var, wh: Var, b: Var) -> Var:
              f"lstm wh shape {whd.shape} must be [4H, H]")
     _require(bd.shape == (4 * hid,), f"lstm bias shape {bd.shape} must be [4H]")
 
-    h = np.zeros((bsz, hid), dtype=xd.dtype)
-    c = np.zeros((bsz, hid), dtype=xd.dtype)
-    ctx = []
+    h = c = None
     for t in range(t_steps):
-        xt = xd[:, t, :]
-        z = xt @ wxd.T + h @ whd.T + bd
-        i = 1.0 / (1.0 + np.exp(-z[:, :hid]))
-        f = 1.0 / (1.0 + np.exp(-z[:, hid:2 * hid]))
-        g = np.tanh(z[:, 2 * hid:3 * hid])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * hid:]))
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        ctx.append((xt, h, c, i, f, g, o, tc))
-        h = o * tc
-        c = c_new
-    out = h
-
-    def backward(grad):
-        dwx = np.zeros_like(wxd)
-        dwh = np.zeros_like(whd)
-        db = np.zeros_like(bd)
-        dx = np.zeros_like(xd)
-        dh = grad
-        dc = np.zeros((bsz, hid), dtype=xd.dtype)
-        for t in range(t_steps - 1, -1, -1):
-            xt, h_prev, c_prev, i, f, g, o, tc = ctx[t]
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            di, dg, df = dc * g, dc * i, dc * c_prev
-            dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ], axis=1)
-            dwx += dz.T @ xt
-            dwh += dz.T @ h_prev
-            db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ wxd
-            dh = dz @ whd
-            dc = dc * f
-        return dx, dwx, dwh, db
-
-    return x.tape.record("lstm", (x, wx, wh, b), out, backward)
+        z = linear(slice_(x, (slice(None), t)), wx)
+        if h is not None:
+            z = add(z, linear(h, wh))
+        z = add(z, b)
+        i, f, g, o = (slice_(z, (slice(None), slice(k * hid, (k + 1) * hid)))
+                      for k in range(4))
+        i, f, g, o = sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+        c = mul(i, g) if c is None else add(mul(f, c), mul(i, g))
+        h = mul(o, tanh(c))
+    return h

@@ -165,7 +165,7 @@ class KanLinear:
                             x.data.shape[:-1] + (width,))
         sw2 = ops.reshape(tape.param(self.spline_weight),
                           (self.out_dim, width))
-        return ops.add(base, ops.matmul(bases, ops.transpose(sw2, (1, 0))))
+        return ops.add(base, ops.linear(bases, sw2))
 
 
 def kan_init(name: str, in_dim: int, out_dim: int, grid: SplineGrid,

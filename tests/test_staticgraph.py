@@ -913,6 +913,32 @@ class TestWorkers:
             warnings.simplefilter("error")
             session.run({"x": x})
 
+    def test_blas_pinned_over_the_whole_run(self, full_size_graph,
+                                            monkeypatch, pinnable):
+        # every node of a run, convs and the rest, sees BLAS at one
+        # thread, and the caller's count is back once run returns
+        _, graph = full_size_graph
+        session = Session(graph)
+        inputs = {name: np.ones(shape, np.float32)
+                  for name, shape in graph.inputs}
+        setter, getter = pinnable
+        seen = []
+        exec_ = Session._exec
+
+        def counted(self, node, scratch):
+            seen.append(getter())
+            return exec_(self, node, scratch)
+
+        monkeypatch.setattr(Session, "_exec", counted)
+        before = getter()
+        setter(2)   # not the count the pin sets
+        try:
+            session.run(inputs)
+            assert getter() == 2
+        finally:
+            setter(before)
+        assert seen == [1] * len(graph.nodes)
+
     def test_concurrent_sessions_share_the_helper(self, monkeypatch):
         # four threads, more than the cores, each running its own session
         # while the others hold the helper or BLAS pins, switching often:

@@ -615,6 +615,7 @@ class TestAdaptivePool:
 ELEMENTWISE_CASES = {
     "relu": lambda t, v: ops.relu(v),
     "silu": lambda t, v: ops.silu(v),
+    "sigmoid": lambda t, v: ops.sigmoid(v),
     "tanh": lambda t, v: ops.tanh(v),
     "softmax": lambda t, v: ops.softmax(v, axis=1),
     "add": lambda t, v: ops.add(v, t.constant(np.linspace(-1, 1, 12).reshape(3, 4))),
@@ -743,6 +744,27 @@ class TestLstm:
         g, o = np.tanh(z[:, 2 * hid:3 * hid]), sigmoid(z[:, 3 * hid:])
         c = i * g
         np.testing.assert_allclose(out.data, o * np.tanh(c), atol=1e-12)
+
+    def test_three_steps_match_hand_unrolled_cell(self):
+        feat, hid = 4, 3
+        wx, wh, b = self._params(feat, hid)
+        x = rng.standard_normal((2, 3, feat))
+        tape = Tape()
+        out = ops.lstm(tape.constant(x), tape.constant(wx),
+                       tape.constant(wh), tape.constant(b))
+
+        def sigmoid(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        h = c = np.zeros((2, hid))
+        for t in range(3):
+            z = x[:, t] @ wx.T + h @ wh.T + b
+            i, f = sigmoid(z[:, :hid]), sigmoid(z[:, hid:2 * hid])
+            g, o = np.tanh(z[:, 2 * hid:3 * hid]), sigmoid(z[:, 3 * hid:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+        assert out.data.dtype == np.float64
+        np.testing.assert_allclose(out.data, h, rtol=0, atol=1e-12)
 
     def test_reference_shape(self):
         wx, wh, b = self._params(5, 64, scale=0.1)
