@@ -42,7 +42,8 @@ tape = Tape()
 img = tape.leaf(np.random.default_rng(0).uniform(0, 1, (1, 1, 8, 8)),
                 requires_grad=True)
 kernel = tape.leaf(np.full((1, 1, 3, 3), 1 / 9.0), requires_grad=True)
-pooled = ops.conv2d(img, kernel, padding=1, pool=True)
+bias = tape.leaf(np.zeros(1), requires_grad=True)
+pooled = ops.conv2d(img, kernel, bias, padding=1, pool=True)
 # the scalar sum of the pooled map: its flattening times a ones column
 flat = ops.reshape(pooled, (1, -1))
 total = ops.matmul(flat, tape.constant(np.ones((flat.shape[1], 1))))

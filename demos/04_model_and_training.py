@@ -15,7 +15,7 @@ cfg = ModelConfig(image_hw=40, r_center=20, ring_count=9)
 model = build_model(cfg, seed=0)
 print("parameters:", model.param_count())
 
-ds = SyntheticDataset(range(6), 4, seed=3, image_hw=40, cache=True)
+ds = list(SyntheticDataset(range(6), 4, seed=3, image_hw=40))
 xs, xi, tm, tr = collate(ds, range(8))
 
 # one annotated forward pass

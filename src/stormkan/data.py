@@ -179,27 +179,21 @@ class SyntheticDataset:
     """Lazy sequence of TcSamples over (storm, step, rotation) triples."""
 
     def __init__(self, storm_ids, steps_per_storm: int, seed: int,
-                 image_hw: int = 156, augment: bool = False,
-                 cache: bool = False):
+                 image_hw: int = 156, augment: bool = False):
         rots = ROTATIONS if augment else ("none",)
         self.seed = seed
         self.image_hw = image_hw
         self.index = [(sid, t, rot) for sid in storm_ids
                       for t in range(steps_per_storm) for rot in rots]
-        self._cache: dict[int, TcSample] | None = {} if cache else None
 
     def __len__(self):
         return len(self.index)
 
     def __getitem__(self, i: int) -> TcSample:
-        if self._cache is not None and i in self._cache:
-            return self._cache[i]
         sid, t, rot = self.index[i]
         sample = generate_sample(sid, t, self.seed, self.image_hw)
         if rot != "none":
             sample = rotate_sample(sample, rot)
-        if self._cache is not None:
-            self._cache[i] = sample
         return sample
 
 

@@ -107,11 +107,11 @@ def _concat_shape(shapes, axis: int) -> tuple[int, ...]:
 
 
 def _conv2d_shape(x, w, bias, stride, padding, dilation, pool):
-    """Output shape of conv2d, pooled with `pool`; bias is a shape or None."""
+    """Output shape of conv2d, pooled with `pool`; bias is a shape."""
     if len(x) != 4 or len(w) != 4 or x[1] != w[1]:
         raise ShapeError(f"conv2d needs an NCHW input and an OIHW kernel of "
                          f"its channel count, got {x} and {w}")
-    if bias is not None and tuple(bias) != w[:1]:
+    if tuple(bias) != w[:1]:
         raise ShapeError(f"conv2d bias {bias} must be [{w[0]}]")
     if not (stride >= 1 and padding >= 0 and dilation >= 1):
         raise ShapeError(f"conv2d needs stride >= 1, padding >= 0 and "
@@ -377,7 +377,7 @@ def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take,
     GEMM grid and, with the pool, half-pooled rows (else None)."""
     bsz, cin, h, wid = x
     cout, _, kh, kw = w
-    oh, ow = (n << pool for n in _conv2d_shape(x, w, None, stride, padding,
+    oh, ow = (n << pool for n in _conv2d_shape(x, w, w[:1], stride, padding,
                                                 dilation, pool)[2:])
     hp, wp = h + 2 * padding, wid + 2 * padding
     k = cin * kh * kw
@@ -410,10 +410,10 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
     """The conv of one block of output rows into out [b, Cout, rows, OW]:
     the taps of the flat grid xf [b, C, L], whose row 0 is the block's
     first input row, packed into cols (_pack), times w2 [Cout, K] into
-    the front of y over the block's grid, then + bias [Cout] unless it is
-    None, and the ReLU if `relu`.  Given the flat buffer half, out is the
-    pooled block [b, Cout, rows/2, OW/2]: the 2x2 max runs on the GEMM's
-    output, before the bias and the ReLU, which commute with it.  Given
+    the front of y over the block's grid, then + bias [Cout], and the
+    ReLU if `relu`.  Given the flat buffer half, out is the pooled block
+    [b, Cout, rows/2, OW/2]: the 2x2 max runs on the GEMM's output,
+    before the bias and the ReLU, which commute with it.  Given
     code too, of out's shape, it records each window's winner there
     (_max2x2), plus 1 where the ReLU passed a gradient (out > 0)."""
     wp = geom[-1]
@@ -424,14 +424,11 @@ def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
     grid = y[:b * cout * rows * wp].reshape(b, cout, rows * wp)
     np.matmul(w2, _pack(xf, geom, n, cols), out=grid[:, :, :n])
     yv = grid.reshape(b, cout, rows, wp)[..., :ow]
-    bias = None if bias is None else bias.reshape(-1, 1, 1)
+    bias = bias.reshape(-1, 1, 1)
     if pool:
         _max2x2(yv, half[:b * cout * rows * (ow // 2)].reshape(
             b, cout, rows, ow // 2), out, code)
-        if bias is not None:
-            out += bias
-    elif bias is None:
-        np.copyto(out, yv)
+        out += bias
     else:
         np.add(yv, bias, out=out)
     if relu:
@@ -463,10 +460,9 @@ def _conv_forward(x, w2, bias, padding, relu, plan, out, code=None):
         _on_workers(work, workers)
 
 
-def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
-           padding: int = 0, dilation: int = 1, relu: bool = False,
-           pool: bool = False) -> Var:
-    """2-d cross-correlation with optional per-channel bias, then
+def conv2d(x: Var, w: Var, bias: Var, stride: int = 1, padding: int = 0,
+           dilation: int = 1, relu: bool = False, pool: bool = False) -> Var:
+    """2-d cross-correlation plus a per-channel bias, then
     optionally ReLU and the 2x2, stride-2 max-pool (``_conv2d_shape``
     gives the extents it accepts), by ``_conv_forward`` on a fresh plan.
 
@@ -484,9 +480,7 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     routing keeps each sum.
     """
     xd, wd = x.data, w.data
-    has_bias = bias is not None
-    out_shape = _conv2d_shape(xd.shape, wd.shape,
-                              bias.data.shape if has_bias else None, stride,
+    out_shape = _conv2d_shape(xd.shape, wd.shape, bias.data.shape, stride,
                               padding, dilation, pool)
     bsz, cin, h, wid = xd.shape
     cout = wd.shape[0]
@@ -496,13 +490,12 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
     # capture plain flags, not Vars: a Var in the closure would create a
     # tape <-> closure cycle and delay freeing whole forward passes
     x_needs_grad = x.requires_grad
-    needs_grad = x_needs_grad or w.requires_grad or (
-        has_bias and bias.requires_grad)
+    needs_grad = x_needs_grad or w.requires_grad or bias.requires_grad
 
     out = np.empty(out_shape, dtype=dtype)
     # a forward-only pool records no code
     code = np.empty(out_shape, np.uint8) if pool and needs_grad else None
-    _conv_forward(xd, w2, bias.data if has_bias else None, padding, relu,
+    _conv_forward(xd, w2, bias.data, padding, relu,
                   _conv_plan(*plan_args, np.empty), out, code)
     # the output is kept only for the ReLU's mask of a conv without the pool
     relu_out = out if relu and not pool else None
@@ -518,7 +511,7 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
         gg = np.zeros(n_grid, dtype=g.dtype)
         hit = np.empty(g[chunks[0], :, :strips[0][1] >> pool].size, bool)
         dw = np.zeros(w2.shape[::-1], dtype=g.dtype)
-        db = np.zeros(cout, dtype=g.dtype) if has_bias else None
+        db = np.zeros(cout, dtype=g.dtype)
         dx = dxg = None
         if x_needs_grad:   # dx is the interior of its flat padded grid dxg
             dxg = np.zeros((bsz, cin, (h + 2 * padding) * wp), dtype=g.dtype)
@@ -542,10 +535,10 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
                         np.equal(cc, 2 * win + relu, out=hc)
                         np.multiply(gc, hc,
                                     out=gv[..., win >> 1::2, win & 1::2])
-                    if has_bias and relu:
+                    if relu:
                         np.bitwise_and(cc, 1, out=hc.view(np.uint8))
                         db += np.multiply(gc, hc).sum(axis=(0, 2, 3))
-                    elif has_bias:
+                    else:
                         db += gc.sum(axis=(0, 2, 3))
                 elif relu:
                     np.multiply(gc, np.greater(relu_out[c, :, p], 0, out=hc),
@@ -553,7 +546,7 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
                 else:
                     np.copyto(gv, gc)
                 gn = grid.reshape(bc, cout, rs * wp)[:, :, :n]
-                if has_bias and not pool:
+                if not pool:
                     db += gn.sum(axis=(0, 2))
                 dw += np.matmul(c3, gn.transpose(0, 2, 1)).sum(axis=0)
                 if dx is None:
@@ -565,10 +558,9 @@ def conv2d(x: Var, w: Var, bias: Var | None = None, stride: int = 1,
                     tap = taps[:, :, i, j]
                     np.add(tap, dcols[:, :, i, j], out=tap)
         dw = np.ascontiguousarray(dw.T).reshape(wd.shape)
-        return (dx, dw, db) if has_bias else (dx, dw)
+        return dx, dw, db
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return x.tape.record("conv2d", parents, out, backward)
+    return x.tape.record("conv2d", (x, w, bias), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +736,8 @@ def concat(vars_: list[Var], axis: int) -> Var:
 
 
 def slice_(x: Var, key) -> Var:
-    """Basic (non-strided) slicing; backward scatters into zeros."""
+    """Basic slicing by a tuple key; backward scatters into zeros."""
     xd = x.data
-    if not isinstance(key, tuple):
-        key = (key,)
     out = xd[key]
 
     def backward(g):
@@ -774,16 +764,14 @@ def transpose(x: Var, axes) -> Var:
                          lambda g: (np.transpose(g, inv),))
 
 
-def mean(x: Var, axis=None, keepdims: bool = False) -> Var:
+def mean(x: Var, axis=None) -> Var:
     xd = x.data
-    _mean_shape(xd.shape, axis, keepdims)
-    out = xd.mean(axis=axis, keepdims=keepdims)
+    _mean_shape(xd.shape, axis)
+    out = xd.mean(axis=axis)
     count = xd.size // max(out.size, 1)
 
     def backward(g):
-        gb = g
-        if not keepdims and axis is not None:
-            gb = np.expand_dims(g, axis)
+        gb = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gb / count, xd.shape),)
 
     return x.tape.record("mean", (x,), out, backward)

@@ -27,17 +27,18 @@ from .tensor import Parameter
 
 @dataclass(frozen=True)
 class SplineGrid:
-    """Uniform, extended knot grid: grid_size intervals of degree
-    spline_order, and its ``precompute_basis_coefficients`` table."""
+    """Uniform, extended knot grid on [lo, hi] = [-1, 1]: grid_size
+    intervals of degree spline_order, and its
+    ``precompute_basis_coefficients`` table."""
 
+    lo = -1.0   # class constants, not fields
+    hi = 1.0
     grid_size: int = 5
     spline_order: int = 3
-    lo: float = -1.0
-    hi: float = 1.0
     coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.grid_size < 1 or self.spline_order < 0 or not self.hi > self.lo:
+        if self.grid_size < 1 or self.spline_order < 0:
             raise ShapeError(f"degenerate grid: {self}")
         object.__setattr__(self, "coefficients",
                            precompute_basis_coefficients(self))

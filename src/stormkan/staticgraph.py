@@ -346,7 +346,7 @@ def _lower_dense(b: _Builder, layer, x_id, coeff_cache, n=1):
     """Lower a KanLinear or LinearBlock applied to a 2-d value of n rows."""
     if isinstance(layer, KanLinear):
         grid = layer.grid
-        key = (grid.grid_size, grid.spline_order, grid.lo, grid.hi)
+        key = (grid.grid_size, grid.spline_order)
         if key not in coeff_cache:
             coeffs = grid.coefficients.astype(np.float32)
             meta = np.array([grid.lo, grid.step, grid.grid_size],

@@ -1,14 +1,13 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
 Every forward op appends a TapeNode holding the op name, the indices of
-its parent nodes, the output array, and a backward rule (a closure over
-whatever forward context the rule needs), and returns a Var that holds
-the same array.  ``Tape.backprop`` walks the nodes in reverse,
+its parent nodes and a backward rule (a closure over whatever forward
+context the rule needs), and returns a Var that holds the output array;
+no node holds it.  ``Tape.backprop`` walks the nodes in reverse,
 accumulating output-gradients and handing each node's contribution to
-its parents.  As the walk reaches an op's node it drops the node's
-output, and after that node's backward its closure, so an array lives
-only while a caller's Var or a backward still to run holds it.  A tape
-is backpropagated once.
+its parents.  It drops each node's backward closure once it has run,
+so an array lives only while a caller's Var or a backward still to run
+holds it.  A tape is backpropagated once.
 
 A tape is confined to one logical thread while it is being built and
 differentiated; independent tapes may run concurrently.
@@ -25,12 +24,11 @@ from .tensor import Parameter
 
 
 class TapeNode:
-    __slots__ = ("op", "inputs", "output", "backward", "requires_grad")
+    __slots__ = ("op", "inputs", "backward", "requires_grad")
 
-    def __init__(self, op, inputs, output, backward, requires_grad):
+    def __init__(self, op, inputs, backward, requires_grad):
         self.op = op
         self.inputs = inputs          # indices of parent nodes
-        self.output = output          # np.ndarray; None once backprop passed
         self.backward = backward      # grad_out -> tuple of parent grads
         self.requires_grad = requires_grad
 
@@ -95,9 +93,8 @@ class Tape:
 
     grad=False makes a forward-only tape: every leaf, parameters
     included, is a constant, so ``record`` keeps no backward closure nor
-    anything it captured, and no node keeps its output (its Var does), so
-    each array dies with the last Var that holds it; ``backprop`` finds
-    no gradient.
+    anything it captured, and each array dies with the last Var that
+    holds it; ``backprop`` finds no gradient.
     """
 
     def __init__(self, checked: bool = False, grad: bool = True):
@@ -113,8 +110,7 @@ class Tape:
         if self.checked and not np.all(np.isfinite(output)):
             raise NumericsError(f"non-finite values in output of node "
                                 f"{len(self.nodes)}, op '{op}'")
-        self.nodes.append(TapeNode(op, inputs, output if self.grad else None,
-                                   backward, requires_grad))
+        self.nodes.append(TapeNode(op, inputs, backward, requires_grad))
         return Var(self, len(self.nodes) - 1, output)
 
     def leaf(self, array, requires_grad: bool = False) -> Var:
@@ -159,9 +155,8 @@ class Tape:
         """Accumulate d(loss)/d(node) for every grad-requiring leaf.
 
         The loss must be scalar, and a tape is backpropagated once.  Each
-        op node's output is dropped as the walk reaches it, before its
-        backward runs, and its gradient and backward closure as soon as
-        that backward has run; an array that a caller's Var or an earlier
+        node's gradient and backward closure are dropped as soon as that
+        backward has run; an array that a caller's Var or an earlier
         node's backward still holds stays alive until they let it go.
         """
         if loss.tape is not self:
@@ -177,8 +172,6 @@ class Tape:
         retained: dict[int, np.ndarray] = {}
         for i in range(loss.idx, -1, -1):
             node = self.nodes[i]
-            if node.inputs:
-                node.output = None
             grad_out = grads.pop(i, None)
             owned.discard(i)
             if grad_out is None or not node.requires_grad:

@@ -141,7 +141,8 @@ def adaptive_avgpool2d(x, out_h, out_w):
             c0, c1 = j * w // out_w, -(-(j + 1) * w // out_w)
             crop = ops.slice_(x, (slice(None), slice(None), slice(r0, r1),
                                   slice(c0, c1)))
-            cells.append(ops.mean(crop, axis=(2, 3), keepdims=True))
+            cells.append(ops.reshape(ops.mean(crop, axis=(2, 3)),
+                                     x.shape[:2] + (1, 1)))
         rows.append(ops.concat(cells, axis=3))
     return ops.concat(rows, axis=2)
 

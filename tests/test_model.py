@@ -78,6 +78,23 @@ class TestRingGeometry:
         assert bounds[38] == (1, 153)              # 152x152 outermost
         assert bounds[38][1] <= 156
 
+    def test_geometry_error_matches_the_crops(self):
+        # the closed-form reach agrees with the crops ring_crops returns:
+        # an error exactly when the lowest start is below 1 or the
+        # highest end past the image, checked in that order
+        for n in range(1, 12):
+            for r in range(-3, 30):
+                crops = ops.ring_crops(r, n)
+                lo, hi = min(c[0] for c in crops), max(c[1] for c in crops)
+                for size in range(1, 40):
+                    want = ("outermost crop starts before row 1" if lo < 1
+                            else "outermost crop exceeds image"
+                            if hi > size else None)
+                    assert ops.ring_geometry_error(r, n, size) == want
+        assert ops.ring_geometry_error(20, 0, 40).startswith("ring_count")
+        # a stored config's count is checked without building its crops
+        assert ops.ring_geometry_error(77, 10**12, 156) is not None
+
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("cfg", [ModelConfig(), TINY],
                              ids=["full_size", "tiny"])

@@ -412,8 +412,10 @@ def deploy_blob(deploy_graph):
 
 class TestFuzzLoad:
     """Byte mutations of the tiny deploy graph: load_graph, and a Session
-    run of whatever loads, raise only StormkanError subclasses."""
+    run of whatever loads, raise only StormkanError subclasses.  A
+    mutated constant may make a MATMUL overflow, which warns."""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=250, deadline=None)
     @given(st.data())
     def test_mutations_fail_typed(self, deploy_blob, data):

@@ -26,6 +26,11 @@ def leafy(tape, arr):
     return tape.leaf(arr, requires_grad=True)
 
 
+def zero_bias(w):
+    """A constant zero bias for the conv kernel Var w."""
+    return w.tape.constant(np.zeros(w.shape[0], w.dtype))
+
+
 class TestMatmul:
     def test_identity(self):
         tape = Tape()
@@ -101,8 +106,8 @@ class TestConv2d:
     def test_identity_channel_mix(self):
         tape = Tape()
         x = rng.standard_normal((2, 3, 7, 7))
-        w = np.eye(3).reshape(3, 3, 1, 1)
-        out = ops.conv2d(tape.constant(x), tape.constant(w))
+        w = tape.constant(np.eye(3).reshape(3, 3, 1, 1))
+        out = ops.conv2d(tape.constant(x), w, zero_bias(w))
         np.testing.assert_allclose(out.data, x)
 
     def test_reference_extents(self):
@@ -110,7 +115,8 @@ class TestConv2d:
         tape = Tape()
         x = tape.constant(rng.standard_normal((1, 8, 156, 156)).astype(np.float32))
         w = tape.constant(rng.standard_normal((16, 8, 5, 5)).astype(np.float32))
-        assert ops.conv2d(x, w, stride=1, padding=2).shape == (1, 16, 156, 156)
+        assert ops.conv2d(x, w, zero_bias(w), stride=1,
+                          padding=2).shape == (1, 16, 156, 156)
 
     def test_dilation_receptive_field(self):
         # dilation-3 3x3 kernel acts like a zero-interleaved 7x7 kernel
@@ -119,9 +125,10 @@ class TestConv2d:
         w_stuffed = np.zeros((3, 2, 7, 7))
         w_stuffed[:, :, ::3, ::3] = w
         tape = Tape()
-        a = ops.conv2d(tape.constant(x), tape.constant(w), dilation=3,
+        w, w_stuffed = tape.constant(w), tape.constant(w_stuffed)
+        a = ops.conv2d(tape.constant(x), w, zero_bias(w), dilation=3,
                        padding=3)
-        b = ops.conv2d(tape.constant(x), tape.constant(w_stuffed), dilation=1,
+        b = ops.conv2d(tape.constant(x), w_stuffed, zero_bias(w), dilation=1,
                        padding=3)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
@@ -169,8 +176,8 @@ class TestConv2d:
             mp.setattr(ops, "STRIP_BYTES", strip_bytes)
             tape = Tape()
             xv, wv = leafy(tape, x), leafy(tape, w)
-            out = ops.conv2d(xv, wv, stride=stride, padding=padding,
-                             dilation=dilation)
+            out = ops.conv2d(xv, wv, zero_bias(wv), stride=stride,
+                             padding=padding, dilation=dilation)
             grads = tape.backprop(total(ops.mul(out, tape.constant(g))))
         np.testing.assert_allclose(
             out.data, naive_conv2d(x, w, stride, padding, dilation),
@@ -267,10 +274,11 @@ class TestConv2d:
         w = r.standard_normal((2, 4, 5, 5))
         tape = Tape()
         xv, wv = leafy(tape, x), leafy(tape, w)
+        bv = zero_bias(wv)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = ops.conv2d(xv, wv, padding=2)
+            out = ops.conv2d(xv, wv, bv, padding=2)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -413,23 +421,24 @@ class TestConv2d:
 
     def test_non_integral_extent_rejected(self):
         tape = Tape()
+        w = tape.constant(np.ones((1, 1, 2, 2)))
         with pytest.raises(ShapeError):
-            ops.conv2d(tape.constant(np.ones((1, 1, 7, 7))),
-                       tape.constant(np.ones((1, 1, 2, 2))), stride=2)
+            ops.conv2d(tape.constant(np.ones((1, 1, 7, 7))), w, zero_bias(w),
+                       stride=2)
 
     def test_channel_mismatch(self):
         tape = Tape()
+        w = tape.constant(np.ones((1, 2, 3, 3)))
         with pytest.raises(ShapeError):
-            ops.conv2d(tape.constant(np.ones((1, 3, 7, 7))),
-                       tape.constant(np.ones((1, 2, 3, 3))))
+            ops.conv2d(tape.constant(np.ones((1, 3, 7, 7))), w, zero_bias(w))
 
 
 def maxpool2x2(x):
     """The bare 2x2, stride-2 max-pool: conv2d's pool epilogue after a
     1x1 identity kernel, which copies x exactly."""
     c = x.shape[1]
-    return ops.conv2d(x, x.tape.constant(np.eye(c).reshape(c, c, 1, 1)),
-                      pool=True)
+    w = x.tape.constant(np.eye(c).reshape(c, c, 1, 1))
+    return ops.conv2d(x, w, zero_bias(w), pool=True)
 
 
 class TestTwoWorkers:
@@ -545,9 +554,10 @@ class TestMaxPool:
         for shape in [(1, 1, 5, 6), (1, 1, 6, 3)]:
             with pytest.raises(ShapeError):
                 maxpool2x2(tape.constant(np.ones(shape)))
+        w = tape.constant(np.ones((1, 1, 3, 3)))
         with pytest.raises(ShapeError):  # odd after a 3x3 conv: 9 -> 7
-            ops.conv2d(tape.constant(np.ones((1, 1, 8, 9))),
-                       tape.constant(np.ones((1, 1, 3, 3))), pool=True)
+            ops.conv2d(tape.constant(np.ones((1, 1, 8, 9))), w, zero_bias(w),
+                       pool=True)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 4),
@@ -683,7 +693,7 @@ class TestShapeRules:
         ids=["stride_0", "dilation_0", "padding_-1", "stride_-1"])
     def test_bad_conv_geometry(self, kwargs):
         with pytest.raises(ShapeError, match="stride >= 1"):
-            ops.conv2d(*_ones((1, 2, 6, 6), (3, 2, 3, 3)), **kwargs)
+            ops.conv2d(*_ones((1, 2, 6, 6), (3, 2, 3, 3), (3,)), **kwargs)
 
     def test_conv_bias_extent(self):
         with pytest.raises(ShapeError, match=r"bias \(2,\) must be \[3\]"):
@@ -825,17 +835,31 @@ class TestBackprop:
             tape.backprop(loss)
 
     def test_outputs_dropped_as_backprop_passes(self):
-        # each op node lets go of its output; a caller's Var keeps its own
+        # no node holds an op's output and backprop drops each closure
+        # once it has run, so after it only a caller's Var keeps an
+        # output alive: the caller's h until it is dropped, then none
         tape = Tape()
+        outputs = []
+        record = tape.record
+
+        def keeping(op, inputs, output, backward):
+            outputs.append(weakref.ref(output))
+            return record(op, inputs, output, backward)
+
+        tape.record = keeping
         x = leafy(tape, rng.standard_normal((3, 4)))
         h = ops.tanh(x)
         want = np.tanh(x.data)
-        grads = tape.backprop(total(ops.mul(h, h)))
-        assert all(node.output is None for node in tape.nodes if node.inputs)
-        assert tape.nodes[x.idx].output is x.data
+        grads = tape.backprop(total(ops.mul(h, ops.silu(h))))
+        assert len(outputs) == 6
+        assert [ref() is not None for ref in outputs] == [True] + [False] * 5
         np.testing.assert_array_equal(h.data, want)
-        np.testing.assert_allclose(grads.wrt(x), 2 * want * (1 - want ** 2),
-                                   rtol=1e-12)
+        sig = 1 / (1 + np.exp(-want))
+        np.testing.assert_allclose(
+            grads.wrt(x), (want * sig * (2 + want * (1 - sig)))
+            * (1 - want ** 2), rtol=1e-12)
+        del h
+        assert all(ref() is None for ref in outputs)
 
     def test_forward_only_tape_keeps_no_outputs(self):
         # an intermediate dies with its Var: no node or closure holds it
@@ -846,7 +870,6 @@ class TestBackprop:
         y = ops.tanh(h)
         del h
         assert alive() is None
-        assert all(node.output is None for node in tape.nodes)
         np.testing.assert_array_equal(y.data, np.tanh(np.tanh(x.data)))
 
     def test_disconnected_param_zero_gradient(self):
@@ -863,11 +886,13 @@ class TestBackprop:
 
         def run():
             tape = Tape()
-            out = ops.conv2d(tape.constant(x), tape.constant(w), padding=1)
+            wv = tape.constant(w)
+            out = ops.conv2d(tape.constant(x), wv, zero_bias(wv), padding=1)
             return ops.mean(ops.silu(out)).data.copy()
 
         assert np.array_equal(run(), run())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_checked_mode_flags_nonfinite(self):
         from stormkan.errors import NumericsError
         tape = Tape(checked=True)

@@ -200,9 +200,8 @@ class TestMetrics:
 
 @pytest.fixture(scope="module")
 def tiny_sets():
-    train_ds = SyntheticDataset(range(4), 4, seed=5, image_hw=40, cache=True)
-    val_ds = SyntheticDataset(range(100, 102), 4, seed=5, image_hw=40,
-                              cache=True)
+    train_ds = list(SyntheticDataset(range(4), 4, seed=5, image_hw=40))
+    val_ds = list(SyntheticDataset(range(100, 102), 4, seed=5, image_hw=40))
     return train_ds, val_ds
 
 
@@ -269,8 +268,6 @@ class TestTrainLoop:
         from stormkan.training import collate
         train_ds, _ = tiny_sets
         idxs = [3, 0, 2]
-        for i in idxs:   # the set caches each sample on first access
-            train_ds[i]
         for dtype in (np.float32, np.float64):
             tracemalloc.start()
             try:
@@ -323,6 +320,7 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             train(build_model(TINY, seed=0), [], [], TrainConfig())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostic(self, tiny_sets):
         train_ds, val_ds = tiny_sets
         model = build_model(TINY, seed=6)
@@ -379,7 +377,7 @@ class TestMicroBatch:
         # arrays: a batch of 4 passes per worker peaks at the memory of
         # one pass per worker
         import tracemalloc
-        ds = SyntheticDataset(range(8), 4, seed=5, image_hw=40, cache=True)
+        ds = SyntheticDataset(range(8), 4, seed=5, image_hw=40)
         micro = training.WORKERS * training.MICRO_BATCH
         samples = [ds[i] for i in range(4 * micro)]
         peaks = []
