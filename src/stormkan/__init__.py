@@ -17,9 +17,9 @@ from .spline import (KanLinear, SplineGrid, bspline_basis, kan_init,
 from .model import CycloneNet, ModelConfig, build_model
 from .training import (Metrics, PlateauTracker, TrainConfig, TrainResult,
                        compute_metrics, denormalize, evaluate, mae, mae_loss,
-                       model_from_checkpoint, multitask_loss, normalize,
-                       predict, read_checkpoint, rmse, save_checkpoint,
-                       sgd_step, train, write_checkpoint)
+                       model_from_checkpoint, multitask_loss, predict,
+                       read_checkpoint, rmse, save_checkpoint, sgd_step,
+                       train, write_checkpoint)
 from .data import (SyntheticDataset, TcSample, VortexParams,
                    augment_rotations, estimate_latents, generate_sample,
                    load_dataset, save_dataset, split_dataset, split_storm_ids)

@@ -190,37 +190,34 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_record(config: dict) -> tuple[int, float, float, float]:
-    """(seed, train_frac, alpha, beta) of a checkpoint's ``run`` record,
-    each its default where the record has none."""
+def _run_record(config: dict) -> tuple[int, float]:
+    """(seed, train_frac) of a checkpoint's ``run`` record, each its
+    default where the record has none."""
     run = config.get("run", {})
     train_cfg = run.get("train", {}) if isinstance(run, dict) else None
     if not isinstance(train_cfg, dict):
         raise CheckpointError("checkpoint run record must be an object "
                               "whose 'train' is an object")
     values = {"seed": train_cfg.get("seed", 0),
-              "train_frac": run.get("train_frac", 0.7),
-              "alpha": train_cfg.get("alpha", 1.0),
-              "beta": train_cfg.get("beta", 1.0)}
+              "train_frac": run.get("train_frac", 0.7)}
     for name, value in values.items():
         kinds = (int,) if name == "seed" else (int, float)
         if type(value) not in kinds or not math.isfinite(value):
             raise CheckpointError(f"checkpoint run record: {name} {value!r} "
                                   f"is not a finite {kinds[-1].__name__}")
-    seed, *reals = values.values()
-    return seed, *map(float, reals)
+    return values["seed"], float(values["train_frac"])
 
 
 def cmd_eval(args) -> int:
     model, config = model_from_checkpoint(args.ckpt)
-    seed, train_frac, alpha, beta = _run_record(config)
+    seed, train_frac = _run_record(config)
     samples = load_dataset(args.data)
     splits = dict(zip(("train", "val", "test"),
                       split_dataset(samples, train_frac, seed)))
     subset = splits[args.split]
     if not subset:
         raise ConfigError(f"split {args.split!r} is empty")
-    _, metrics = evaluate(model, subset, alpha, beta)
+    _, metrics = evaluate(model, subset)
 
     train_msw = np.array([s.y_msw_norm for s in splits["train"]])
     train_rmw = np.array([s.y_rmw_norm for s in splits["train"]])
@@ -335,7 +332,7 @@ def cmd_ablate(args) -> int:
         cfg = dataclasses.replace(run.model, **flags)
         model = build_model(cfg, seed=run.train.seed)
         train(model, train_set, val_set, run.train)
-        _, metrics = evaluate(model, eval_set, run.train.alpha, run.train.beta)
+        _, metrics = evaluate(model, eval_set)
         rows.append((name, metrics))
         print(f"# done: {name}")
     header = (f"{'variant':<16}{'MSW MAE':>9}{'MSW RMSE':>10}"

@@ -39,6 +39,9 @@ from .tape import Tape, Var
 from .tensor import Parameter
 
 IMG_CHANNELS = 8
+SEQ_LEN = 3          # time steps of the temporal sequence
+SEQ_FEAT = 5         # features per time step
+FLAT_SEQ = SEQ_LEN * SEQ_FEAT
 ATTN_CHANNEL = 6     # 0-based index of the long-wave infrared channel
 CONV1_CH = 16
 CONV2_CH = 32
@@ -70,8 +73,6 @@ class ModelConfig:
     ring_count: int = 39
     r_center: int = 77
     image_hw: int = 156
-    seq_len: int = 3
-    seq_feat: int = 5
     variant: str = "full"
     no_seq: bool = False
     mlp_extract: bool = False
@@ -102,10 +103,6 @@ class ModelConfig:
             raise ConfigError(f"ring geometry invalid: {err}")
         if self.image_hw % 2 != 0:
             raise ConfigError("image_hw must be even (2x2 max-pool stage)")
-
-    @property
-    def flat_seq(self) -> int:
-        return self.seq_len * self.seq_feat
 
     @property
     def flatten_width(self) -> int:
@@ -311,27 +308,21 @@ class CycloneNet:
         g = self.grid
         dt = self.dtype
 
-        # temporal path
-        self.lstm = None
-        self.seq_proj = None
-        self.deploy_seq1 = self.deploy_seq2 = None
-        self.noseq1 = self.noseq2 = None
+        # temporal path, applied in order (``temporal_features``)
+        hid, dim = cfg.lstm_hidden, cfg.task_dim
         if cfg.no_seq:
-            self.noseq1 = LinearBlock("temporal.enc1", cfg.seq_feat,
-                                      cfg.lstm_hidden, "tanh", rng, dt)
-            self.noseq2 = LinearBlock("temporal.enc2", cfg.lstm_hidden,
-                                      cfg.task_dim, "tanh", rng, dt)
+            self.temporal = [
+                LinearBlock("temporal.enc1", SEQ_FEAT, hid, "tanh", rng, dt),
+                LinearBlock("temporal.enc2", hid, dim, "tanh", rng, dt)]
         elif cfg.variant == "deploy":
-            self.deploy_seq1 = kan_init("temporal.kan1", cfg.flat_seq,
-                                        cfg.lstm_hidden, g, rng, dt)
-            self.deploy_seq2 = kan_init("temporal.kan2", cfg.lstm_hidden,
-                                        cfg.task_dim, g, rng, dt)
+            self.temporal = [
+                kan_init("temporal.kan1", FLAT_SEQ, hid, g, rng, dt),
+                kan_init("temporal.kan2", hid, dim, g, rng, dt)]
         else:
-            self.lstm = LstmLayer("temporal.lstm", cfg.seq_feat,
-                                  cfg.lstm_hidden, rng, dt)
-            self.seq_proj = _proj("temporal.proj", cfg.lstm_hidden,
-                                  cfg.task_dim, g, rng, dt,
-                                  cfg.mlp_extract, "relu")
+            self.temporal = [
+                LstmLayer("temporal.lstm", SEQ_FEAT, hid, rng, dt),
+                _proj("temporal.proj", hid, dim, g, rng, dt,
+                      cfg.mlp_extract, "relu")]
 
         # spatial trunk
         self.conv1 = Conv2dLayer("spatial.conv1", IMG_CHANNELS, CONV1_CH,
@@ -366,16 +357,11 @@ class CycloneNet:
     # -- parameters --------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        layers = [self.lstm, self.seq_proj, self.deploy_seq1,
-                  self.deploy_seq2, self.noseq1, self.noseq2,
-                  self.conv1, self.conv2, self.res, *self.dilated,
-                  self.reduce, self.img_proj, self.head_msw, self.head_rmw,
-                  self.k_msw2rmw, self.k_rmw2msw, self.dec_msw, self.dec_rmw]
-        out = []
-        for layer in layers:
-            if layer is not None:
-                out.extend(layer.parameters())
-        return out
+        layers = [*self.temporal, self.conv1, self.conv2, self.res,
+                  *self.dilated, self.reduce, self.img_proj, self.head_msw,
+                  self.head_rmw, self.k_msw2rmw, self.k_rmw2msw,
+                  self.dec_msw, self.dec_rmw]
+        return [p for layer in layers for p in layer.parameters()]
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -401,14 +387,14 @@ class CycloneNet:
 
     def temporal_features(self, tape: Tape, x_seq: np.ndarray) -> Var:
         cfg = self.cfg
-        xs = tape.constant(np.asarray(x_seq, dtype=self.dtype))
+        h = tape.constant(np.asarray(x_seq, dtype=self.dtype))
         if cfg.no_seq:
-            last = ops.slice_(xs, (slice(None), cfg.seq_len - 1))
-            return self.noseq2.forward(self.noseq1.forward(last))
-        if self.deploy_seq1 is not None:
-            flat = ops.reshape(xs, (-1, cfg.flat_seq))
-            return self.deploy_seq2.forward(self.deploy_seq1.forward(flat))
-        return self.seq_proj.forward(self.lstm.forward(xs))
+            h = ops.slice_(h, (slice(None), SEQ_LEN - 1))
+        elif cfg.variant == "deploy":
+            h = ops.reshape(h, (-1, FLAT_SEQ))
+        for layer in self.temporal:
+            h = layer.forward(h)
+        return h
 
     def spatial_features(self, tape: Tape, x_img: np.ndarray) -> Var:
         """Only conv1 and conv2 see full-resolution maps: conv1 with its
@@ -484,7 +470,7 @@ class CycloneNet:
         cfg = self.cfg
         if x_img.shape[1:] != (IMG_CHANNELS, cfg.image_hw, cfg.image_hw):
             raise ShapeError(f"image shape {x_img.shape} does not match config")
-        if x_seq.shape[1:] != (cfg.seq_len, cfg.seq_feat):
+        if x_seq.shape[1:] != (SEQ_LEN, SEQ_FEAT):
             raise ShapeError(f"sequence shape {x_seq.shape} does not match config")
         f_seq = self.temporal_features(tape, x_seq)
         f_img = self.spatial_features(tape, x_img)
@@ -496,17 +482,17 @@ class CycloneNet:
         return self.fuse_decode(a_msw, a_rmw, gamma_r2m, gamma_m2r, f_shared)
 
     def forward_deploy(self, tape: Tape, x_seq_flat, x_img) -> tuple[Var, Var]:
-        """``forward`` of a deploy-variant model on the flat [B, seq_len *
-        seq_feat] sequence that the static graph takes."""
+        """``forward`` of a deploy-variant model on the flat [B, FLAT_SEQ]
+        sequence that the static graph takes."""
         cfg = self.cfg
         if cfg.variant != "deploy":
             raise ConfigError("forward_deploy requires a deploy-variant model")
         x_seq_flat = np.asarray(x_seq_flat)
-        if x_seq_flat.ndim != 2 or x_seq_flat.shape[1] != cfg.flat_seq:
+        if x_seq_flat.ndim != 2 or x_seq_flat.shape[1] != FLAT_SEQ:
             raise ShapeError(
-                f"flattened sequence must be [B, {cfg.flat_seq}], "
+                f"flattened sequence must be [B, {FLAT_SEQ}], "
                 f"got {x_seq_flat.shape}")
-        x_seq = x_seq_flat.reshape(-1, cfg.seq_len, cfg.seq_feat)
+        x_seq = x_seq_flat.reshape(-1, SEQ_LEN, SEQ_FEAT)
         return self.forward(tape, x_seq, x_img)
 
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ExportError, GraphError, ShapeError
-from .model import (ATTN_CHANNEL, IMG_CHANNELS, _ring_mean_matrix,
-                    quadrant_tap_grid)
+from .model import (ATTN_CHANNEL, FLAT_SEQ, IMG_CHANNELS, LstmLayer,
+                    _ring_mean_matrix, quadrant_tap_grid)
 from .ops import (WORKERS, _axis, _broadcast, _concat_shape, _conv2d_shape,
                   _conv_forward, _conv_plan, _matmul_shape, _mean_shape,
                   _one_blas_thread, _require, _silu, _softmax, _zero_border)
@@ -383,7 +383,7 @@ def _lower_conv(b, layer, x_id, relu=0, pool=0, attrs=None):
 def export(model) -> StaticGraph:
     """Lower a deploy-variant model to a validated static graph."""
     cfg = model.cfg
-    if getattr(model, "lstm", None) is not None:
+    if any(isinstance(layer, LstmLayer) for layer in model.temporal):
         raise ExportError(
             "cannot lower op 'lstm': the recurrent temporal path has no "
             "static-graph form; rebuild the model with variant='deploy'")
@@ -393,12 +393,12 @@ def export(model) -> StaticGraph:
 
     b = _Builder()
     coeff_cache: dict = {}
-    x_seq = b.input("x_seq_flat", (1, cfg.flat_seq))
+    f_seq = b.input("x_seq_flat", (1, FLAT_SEQ))
     x_img = b.input("x_img", (1, IMG_CHANNELS, cfg.image_hw, cfg.image_hw))
 
     # temporal path
-    f_seq = _lower_dense(b, model.deploy_seq1, x_seq, coeff_cache)
-    f_seq = _lower_dense(b, model.deploy_seq2, f_seq, coeff_cache)
+    for layer in model.temporal:
+        f_seq = _lower_dense(b, layer, f_seq, coeff_cache)
 
     # spatial trunk
     h = _lower_conv(b, model.conv1, x_img, relu=1)
@@ -632,13 +632,7 @@ class Session:
                         for a in range(len(attrs) // 2))
             np.copyto(out, ins[0][key])
         elif op == CONCAT:
-            axis = attrs[0]
-            pos = 0
-            for arr in ins:
-                key = [slice(None)] * arr.ndim
-                key[axis] = slice(pos, pos + arr.shape[axis])
-                np.copyto(out[tuple(key)], arr)
-                pos += arr.shape[axis]
+            np.concatenate(ins, axis=attrs[0], out=out)
         elif op == RESHAPE:
             np.copyto(out, ins[0].reshape(attrs))
         elif op == TRANSPOSE:

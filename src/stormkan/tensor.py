@@ -33,10 +33,10 @@ _DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def _as_supported(array, dtype=None) -> np.ndarray:
+def _as_supported(array) -> np.ndarray:
     """array as a contiguous, native-order float64 if it is a float64 of
     either byte order, else as a float32."""
-    arr = np.asarray(array, dtype=dtype)
+    arr = np.asarray(array)
     wide = arr.dtype.kind == "f" and arr.itemsize == 8
     return np.asarray(arr, np.float64 if wide else np.float32, order="C")
 
@@ -168,9 +168,9 @@ class Parameter:
 
     __slots__ = ("name", "data")
 
-    def __init__(self, name: str, data, dtype=None):
+    def __init__(self, name: str, data):
         self.name = name
-        self.data = _as_supported(data, dtype)
+        self.data = _as_supported(data)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"

@@ -42,6 +42,11 @@ MICRO_BATCH = 2
 
 # a validation loss is a new best only if below the best by more than this
 IMPROVEMENT_THRESHOLD = 1e-6
+# the lr is cut by PLATEAU_FACTOR at every PLATEAU_PATIENCE epochs without
+# a new best, and training stops at EARLY_STOP_PATIENCE of them
+PLATEAU_PATIENCE = 5
+PLATEAU_FACTOR = 0.5
+EARLY_STOP_PATIENCE = 10
 
 MSW_RANGE = (19.0, 170.0)   # knots
 RMW_RANGE = (5.0, 200.0)    # nautical miles
@@ -53,9 +58,6 @@ class TrainConfig:
     lr: float = 0.001
     batch: int = 128
     max_epochs: int = 200
-    plateau_patience: int = 5
-    plateau_factor: float = 0.5
-    early_stop_patience: int = 10
     alpha: float = 1.0
     beta: float = 1.0
     seed: int = 0
@@ -67,14 +69,10 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if not 0 < self.plateau_factor < 1:
-            raise ConfigError("plateau_factor must lie in (0, 1)")
         if self.alpha < 0 or self.beta < 0 or (self.alpha == 0 and self.beta == 0):
             raise ConfigError("task weights must be >= 0 and not both zero")
         if self.batch < 1 or self.max_epochs < 1:
             raise ConfigError("batch and max_epochs must be >= 1")
-        if self.plateau_patience < 1 or self.early_stop_patience < 1:
-            raise ConfigError("patiences must be >= 1")
 
 
 @dataclass
@@ -128,11 +126,6 @@ def denormalize(y_norm, task: str):
     return lo + np.asarray(y_norm) * (hi - lo)
 
 
-def normalize(value, task: str):
-    lo, hi = _RANGES[task]
-    return (np.asarray(value) - lo) / (hi - lo)
-
-
 def compute_metrics(pred_msw_norm, pred_rmw_norm,
                     t_msw_norm, t_rmw_norm) -> Metrics:
     pm, tm = denormalize(pred_msw_norm, "msw"), denormalize(t_msw_norm, "msw")
@@ -158,13 +151,12 @@ def sgd_step(params: list[Parameter], grads, lr: float) -> list[Parameter]:
 
 class PlateauTracker:
     """The best validation loss and the epochs since it last improved by
-    more than ``IMPROVEMENT_THRESHOLD``: the lr is cut by
-    ``plateau_factor`` at every ``plateau_patience`` of those epochs, and
-    training stops at ``early_stop_patience`` of them."""
+    more than ``IMPROVEMENT_THRESHOLD``: the lr, starting at `lr`, is cut
+    by ``PLATEAU_FACTOR`` at every ``PLATEAU_PATIENCE`` of those epochs,
+    and training stops at ``EARLY_STOP_PATIENCE`` of them."""
 
-    def __init__(self, cfg: TrainConfig):
-        self.cfg = cfg
-        self.lr = cfg.lr
+    def __init__(self, lr: float):
+        self.lr = lr
         self.best = np.inf
         self.stale = 0
 
@@ -175,13 +167,13 @@ class PlateauTracker:
             self.stale = 0
             return True
         self.stale += 1
-        if self.stale % self.cfg.plateau_patience == 0:
-            self.lr *= self.cfg.plateau_factor
+        if self.stale % PLATEAU_PATIENCE == 0:
+            self.lr *= PLATEAU_FACTOR
         return False
 
     @property
     def stop(self) -> bool:
-        return self.stale >= self.cfg.early_stop_patience
+        return self.stale >= EARLY_STOP_PATIENCE
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +223,10 @@ def model_from_checkpoint(data_or_path) -> tuple[CycloneNet, dict]:
         raise CheckpointError(f"checkpoint/config mismatch: {exc}") from exc
     # a corrupt size must not make build_model allocate far past the
     # file: in checkpoints this package writes none exceeds the widest
-    # stored extent (seq_len and an all-MLP model's grid size no tensor)
+    # stored extent (an all-MLP model's grid size no tensor)
     widest = max((max(a.shape, default=1) for a in state.values()), default=0)
     for name in ("d_attn", "lstm_hidden", "task_dim", "reduce_channels",
-                 "seq_len", "seq_feat", "grid_size", "spline_order"):
+                 "grid_size", "spline_order"):
         if getattr(cfg, name) > widest:
             raise CheckpointError(f"{name} exceeds every stored extent")
     model = build_model(cfg, seed=0, dtype=dtype)
@@ -265,10 +257,12 @@ class TrainResult:
 
 
 def collate(dataset, indices, dtype=np.float32):
-    xs = np.stack([dataset[i].x_seq for i in indices])
-    xi = np.stack([dataset[i].x_img for i in indices])
-    tm = np.array([[dataset[i].y_msw_norm] for i in indices], dtype=dtype)
-    tr = np.array([[dataset[i].y_rmw_norm] for i in indices], dtype=dtype)
+    # one read per sample: a lazy dataset builds the sample on each read
+    samples = [dataset[i] for i in indices]
+    xs = np.stack([s.x_seq for s in samples])
+    xi = np.stack([s.x_img for s in samples])
+    tm = np.array([[s.y_msw_norm] for s in samples], dtype=dtype)
+    tr = np.array([[s.y_rmw_norm] for s in samples], dtype=dtype)
     return xs.astype(dtype, copy=False), xi.astype(dtype, copy=False), tm, tr
 
 
@@ -406,7 +400,7 @@ def train(model: CycloneNet, train_set, val_set, cfg: TrainConfig,
         raise TrainingError("empty train or validation set")
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
-    plateau = PlateauTracker(cfg)
+    plateau = PlateauTracker(cfg.lr)
     best_epoch = 0
     best_state = {k: v.copy() for k, v in model.state().items()}
     result = TrainResult(0, 0, np.inf)

@@ -15,6 +15,7 @@ from stormkan.data import (CH_AFFINE, PIXEL_SCALE, SyntheticDataset, TcSample,
                            load_dataset, radial_profile, rotate_sample,
                            save_dataset, split_dataset, split_storm_ids)
 from stormkan.errors import DataError, ShapeError, StormkanError
+from stormkan.model import SEQ_FEAT, SEQ_LEN
 
 rng = np.random.default_rng(23)
 
@@ -44,7 +45,7 @@ class TestGenerateSample:
 
     def test_shapes(self):
         s = generate_sample(0, 0, seed=0)
-        assert s.x_seq.shape == (3, 5)
+        assert s.x_seq.shape == (SEQ_LEN, SEQ_FEAT)
         assert s.x_img.shape == (8, 156, 156)
 
     def test_frames_are_affine_rescalings(self):

@@ -11,6 +11,7 @@ from stormkan.errors import ConfigError
 from stormkan.model import (ABLATIONS, ATTN_CHANNEL, COMPRESSED, VARIANTS,
                             CycloneNet, ModelConfig, build_model,
                             quadrant_tap_matrix)
+from stormkan.spline import KanLinear
 from stormkan.tape import Tape
 from stormkan.training import multitask_loss
 
@@ -458,7 +459,7 @@ class TestAblations:
     def test_no_lstm_uses_deploy_temporal_path(self):
         cfg = replace(TINY, **ABLATIONS["no_lstm"])
         m = build_model(cfg, seed=12)
-        assert m.lstm is None and m.deploy_seq1 is not None
+        assert [type(layer) for layer in m.temporal] == [KanLinear, KanLinear]
 
 
 class TestParameterBudget:

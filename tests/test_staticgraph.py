@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stormkan import ops, staticgraph
 from stormkan.errors import ExportError, GraphError, ShapeError, StormkanError
-from stormkan.model import COMPRESSED, ModelConfig, build_model
+from stormkan.model import COMPRESSED, FLAT_SEQ, ModelConfig, build_model
 from stormkan.spline import (SplineGrid, bspline_basis,
                              precompute_basis_coefficients)
 from stormkan.staticgraph import (ADD, AVGPOOL2D, CONCAT, CONV2D, MATMUL,
@@ -550,11 +550,10 @@ class TestSession:
 
     def test_matches_dynamic_forward_full_size(self, full_size_graph):
         model, graph = full_size_graph
-        cfg = model.cfg
         session = Session(graph)
         r = np.random.default_rng(8)
         for _ in range(2):
-            xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
+            xs = r.uniform(0, 1, (1, FLAT_SEQ)).astype(np.float32)
             xi = r.uniform(0, 1, (1, 8, 156, 156)).astype(np.float32)
             out = session.run({"x_seq_flat": xs, "x_img": xi})
             ym, yr = model.forward_deploy(Tape(), xs, xi)
@@ -568,7 +567,7 @@ class TestSession:
         model = build_model(cfg, seed=6)
         session = Session(load_graph(save_graph(export(model))))
         r = np.random.default_rng(9)
-        xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
+        xs = r.uniform(0, 1, (1, FLAT_SEQ)).astype(np.float32)
         xi = r.uniform(0, 1, (1, 8, 254, 254)).astype(np.float32)
         out = session.run({"x_seq_flat": xs, "x_img": xi})
         ym, yr = model.forward_deploy(Tape(), xs, xi)
@@ -583,7 +582,7 @@ class TestSession:
         model = build_model(cfg, seed=7)
         session = Session(load_graph(save_graph(export(model))))
         r = np.random.default_rng(10)
-        xs = r.uniform(0, 1, (1, cfg.flat_seq)).astype(np.float32)
+        xs = r.uniform(0, 1, (1, FLAT_SEQ)).astype(np.float32)
         xi = r.uniform(0, 1, (1, 8, 276, 276)).astype(np.float32)
         out = session.run({"x_seq_flat": xs, "x_img": xi})
         ym, yr = model.forward_deploy(Tape(), xs, xi)
