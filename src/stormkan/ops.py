@@ -42,7 +42,7 @@ from .tape import Var
 # workers shares it, each strip packing at most its share.  Swept on the
 # full-size graph at B=1, one worker: 3 to 5 MiB run equally fast, 1 MiB
 # (a dispatch per 8 rows) about 25% slower.  Each MiB of a worker's
-# share costs up to about 1.35 MiB of the session's scratch buffer (its
+# share costs up to about 1.35 MiB of the session's buffer (its
 # columns, GEMM output and half-pooled rows), on top of conv1's 0.8 MiB
 # padded input
 STRIP_BYTES = 4 * 2**20

@@ -22,18 +22,20 @@ round-trips bit-exactly.  A ``StaticGraph`` is frozen, owns read-only
 copies of its constants (``load_graph`` makes them from views of the
 file's bytes, so each constant is copied once), and validates every
 shape and every constant the interpreter indexes by once, in its
-constructor.  A ``Session`` allocates two buffers when it is created:
-one block of node outputs, and one scratch buffer that every node uses
-in turn, sized by the largest need, conv1's at full size, whose output
-is conv2's padded input.  A CONV2D runs ``ops._conv_forward`` on its
-``ops._conv_plan`` for ``ops.WORKERS`` workers: at batch 1 of the
-full-size graph, strips of output rows on two cores, whose columns fit
-a worker's share of ``ops.STRIP_BYTES``.  A warm ``run`` allocates only
-its output copies, as ``bench`` measures with tracemalloc.
+constructor.  A ``Session`` allocates one buffer when it is created,
+planned by lifetime: node outputs and node scratch share its bytes
+wherever their lives do not meet, and conv1's output, at full size, is
+the interior of conv2's padded input.  A CONV2D runs
+``ops._conv_forward`` on its ``ops._conv_plan`` for ``ops.WORKERS``
+workers: at batch 1 of the full-size graph, strips of output rows on
+two cores, whose columns fit a worker's share of ``ops.STRIP_BYTES``.
+A warm ``run`` allocates only its output copies, as ``bench`` measures
+with tracemalloc.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 import tracemalloc
@@ -54,7 +56,7 @@ from .tensor import read_container, write_container
 MAGIC = b"KFG1"
 VERSION = 5   # older files need a re-export from their .kfc checkpoint
 MAX_RANK = 32   # numpy 1.x's array rank limit
-_ALIGN = 64   # byte alignment of every view of a Session's two buffers
+_ALIGN = 64   # byte alignment of every view of a Session's buffer
 
 # node ops, each named by the tape op whose shape rule and kernel it
 # shares
@@ -482,15 +484,16 @@ def export(model) -> StaticGraph:
 
 
 class _Arena:
-    """Hands out views of one flat byte buffer, front to back, each at a
-    64-byte-aligned offset; with no buffer it only counts the bytes they
-    span (``end``), which sizes the buffer."""
+    """Hands out views of one flat byte buffer, front to back from byte
+    `end`, each at a 64-byte-aligned offset; with no buffer it only
+    counts the bytes they span (``end``), which sizes a need."""
 
-    def __init__(self, buf=None):
-        self.buf, self.end = buf, 0
+    def __init__(self, buf=None, end=0):
+        self.buf, self.end = buf, end
 
     def take(self, shape, dtype=np.float32):
-        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        if isinstance(shape, int):
+            shape = (shape,)
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         start = self.end
         self.end += -(-nbytes // _ALIGN) * _ALIGN
@@ -506,73 +509,102 @@ def _aligned_empty(nbytes: int) -> np.ndarray:
     return raw[skip:skip + nbytes]
 
 
-class Session:
-    """Executes a loaded graph against two buffers, allocated when the
-    session is created (``alloc_count``); ``run`` only writes into them.
+def _first_fit(needs) -> tuple[list[int], int]:
+    """(offsets, end): each need (first, last, nbytes), in order of
+    first, lives from node `first` to node `last` and is placed at the
+    lowest 64-byte-aligned offset that overlaps no placed need still
+    live at its first node; end is where the highest need ends."""
+    live, offsets = [], []   # live: (start, stop, last), by start
+    for first, last, nbytes in needs:
+        live = [e for e in live if e[2] >= first]
+        at = 0
+        for start, stop, _ in live:   # disjoint, so at <= start < stop
+            if at + nbytes <= start:
+                break
+            at = stop
+        bisect.insort(live, (at, at + -(-nbytes // _ALIGN) * _ALIGN, last))
+        offsets.append(at)
+    return offsets, max((at + n for at, (*_, n) in zip(offsets, needs)),
+                        default=0)
 
-    One block holds every node output: a CONV2D's that only CONV2Ds of
-    one padding p > 0 read is the interior of its zero-bordered grid
-    there (``_grids``), which they read at padding 0.  One scratch
-    buffer, as large as the largest node's need, holds every node's
-    scratch in turn, since ``run`` executes the nodes in order: no node
-    reads what another, or an earlier run, left there.  A CONV2D's
-    scratch is its ``ops._conv_plan`` for ``ops.WORKERS`` workers: its
-    blocks, and the block-sized buffers they reuse.  ``run`` pins BLAS
-    to one thread (``ops._one_blas_thread``), so a conv's strips go to
-    the caller and ``ops``' helper thread, unless a concurrent caller
-    holds it.  The graph is frozen and its constants read-only, so
-    sessions may share one graph and run concurrently; its ``shapes``
-    size the buffers, and it needs no checking, as only a valid graph
-    exists.
+
+class Session:
+    """Executes a loaded graph in one buffer, allocated when the session
+    is created (``alloc_count``); ``run`` only writes into it.
+
+    The buffer is planned by lifetime (``_first_fit``): a node output
+    lives from its node to its last reader, or to the end of the run if
+    the graph returns it, and a node's scratch for its node alone, so
+    needs whose lives do not meet share bytes.  No node reads what
+    another, or an earlier run, left there.  A CONV2D's output that only
+    CONV2Ds of one padding p > 0 read is the interior of its padded grid
+    (``_grids``), which they read at padding 0; its border is zeroed
+    just before the CONV2D writes the interior, since earlier nodes may
+    use those bytes.  A CONV2D's scratch is its ``ops._conv_plan`` for
+    ``ops.WORKERS`` workers: its blocks, and the block-sized buffers
+    they reuse.  ``run`` pins BLAS to one thread
+    (``ops._one_blas_thread``), so a conv's strips go to the caller and
+    ``ops``' helper thread, unless a concurrent caller holds it.  The
+    graph is frozen and its constants read-only, so sessions may share
+    one graph and run concurrently; its ``shapes`` size the buffer, and
+    it needs no checking, as only a valid graph exists.
     """
 
     def __init__(self, graph: StaticGraph):
         self.graph = graph
         self.shapes = graph.shapes
+        nodes = graph.nodes
         self._values: list[np.ndarray | None] = [None] * graph.n_values
         for vid, arr in enumerate(graph.constants, len(graph.inputs)):
             self._values[vid] = arr
-        pads = {}   # per value, the padding all its readers share, or 0
-        for node in graph.nodes:
+        pads, last = {}, {}   # per value: the padding all its readers
+        for i, node in enumerate(nodes):   # share, or 0, and its last one
             for slot, j in enumerate(node.inputs):
                 p = node.attrs[1] if node.op == CONV2D and not slot else 0
                 pads[j] = p if pads.get(j, p) == p else 0
-        held = []   # per node: its output's id, grid border and shape held
-        for node in graph.nodes:
+                last[j] = i
+        for _, vid in graph.outputs:
+            last[vid] = len(nodes)
+        grids = {}   # per padded grid's value id: its shape and border
+        held, needs, sizer = [], [], _Arena()
+        for i, node in enumerate(nodes):
             shape = self.shapes[node.output]
             p = pads.get(node.output, 0) if node.op == CONV2D else 0
-            held.append((node.output, p, shape if not p else
-                         (*shape[:2], shape[2] + 2 * p, shape[3] + 2 * p)))
-        sizer = _Arena()
-        for *_, shape in held:
-            sizer.take(shape)
-        self._value_block = _aligned_empty(sizer.end)
-        values = _Arena(self._value_block)
-        self._grids: dict[int, tuple[np.ndarray, int]] = {}
-        for vid, p, shape in held:
-            out = self._values[vid] = values.take(shape)
             if p:
-                self._grids[vid] = out, p
-                self._values[vid] = out[:, :, p:-p, p:-p]
-        need = 0
-        for node in graph.nodes:
-            sizer = _Arena()
-            self._node_scratch(node, sizer.take)
-            need = max(need, sizer.end)
-        self._scratch_block = _aligned_empty(need)
-        self._scratch = [self._node_scratch(node,
-                                            _Arena(self._scratch_block).take)
-                         for node in graph.nodes]
-        self.alloc_count = 2
+                shape = (*shape[:2], shape[2] + 2 * p, shape[3] + 2 * p)
+                grids[node.output] = shape, p
+            nbytes = 4 * math.prod(shape)   # float32
+            needs.append((i, last.get(node.output, i), nbytes))
+            start = sizer.end
+            self._node_scratch(node, sizer.take, grids)
+            held.append((node, shape, nbytes, p, sizer.end > start))
+            if sizer.end > start:
+                needs.append((i, i, sizer.end - start))
+        offsets, end = _first_fit(needs)
+        self._block = block = _aligned_empty(end)
+        offsets = iter(offsets)
+        self._grids: dict[int, tuple[np.ndarray, int]] = {}
+        self._scratch = []
+        for node, shape, nbytes, p, scratch in held:
+            at = next(offsets)
+            out = block[at:at + nbytes].view(np.float32).reshape(shape)
+            self._values[node.output] = out[:, :, p:-p, p:-p] if p else out
+            if p:
+                self._grids[node.output] = out, p
+            self._scratch.append(self._node_scratch(
+                node, _Arena(block, next(offsets)).take, grids)
+                if scratch else ())
+        self.alloc_count = 1
         self._input_ids = {name: i for i, (name, _) in enumerate(graph.inputs)}
 
-    def _node_scratch(self, node: GraphNode, take):
-        """The node's scratch views, each from take(shape, dtype)."""
+    def _node_scratch(self, node: GraphNode, take, grids):
+        """The node's scratch views, each from take(shape, dtype); grids
+        gives each padded grid's shape and border by value id."""
         shapes = self.shapes
         if node.op == CONV2D:   # attrs: stride, padding, dilation, relu, pool
             stride, padding, dilation, _, pool = node.attrs
-            grid, p = self._grids.get(node.inputs[0], (None, 0))
-            x = shapes[node.inputs[0]] if grid is None else grid.shape
+            # a padded grid is read at padding 0
+            x, p = grids.get(node.inputs[0], (shapes[node.inputs[0]], 0))
             return _conv_plan(x, shapes[node.inputs[1]], stride, padding - p,
                               dilation, pool, np.float32, take, WORKERS)
         if node.op == SOFTMAX:
@@ -603,8 +635,6 @@ class Session:
                     raise GraphError(f"input {name!r} must be float")
                 arr = arr.astype(np.float32)
             self._values[vid] = arr
-        for grid, p in self._grids.values():
-            _zero_border(grid, p)
         with _one_blas_thread():
             for i, node in enumerate(graph.nodes):
                 self._exec(node, self._scratch[i])
@@ -619,6 +649,8 @@ class Session:
         if op == CONV2D:
             x, w, bias = ins   # a padded grid is read at padding 0
             x, p = self._grids.get(node.inputs[0], (x, 0))
+            if node.output in self._grids:   # earlier nodes used its border
+                _zero_border(*self._grids[node.output])
             _conv_forward(x, w.reshape(w.shape[0], -1), bias, attrs[1] - p,
                           attrs[3], scratch, out)
         elif op == RELU:

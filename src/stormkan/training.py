@@ -266,32 +266,36 @@ def collate(dataset, indices, dtype=np.float32):
     return xs.astype(dtype, copy=False), xi.astype(dtype, copy=False), tm, tr
 
 
-def predict(model: CycloneNet, dataset, batch: int = 64):
-    """Normalized predictions over a dataset, [N] per task, on
-    forward-only tapes: no op keeps its backward context, nor any node
-    its output."""
+def _predictions(model: CycloneNet, dataset, batch: int):
+    """(pm, pr, tm, tr), each [N]: the normalized predictions per task,
+    from forward-only tapes, and the targets of the batches that collate
+    gives them, so each sample is read once."""
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
     if len(dataset) == 0:
         raise ShapeError("predict on an empty dataset")
-    preds_m, preds_r = [], []
+    parts = []
     for start in range(0, len(dataset), batch):
         idxs = range(start, min(start + batch, len(dataset)))
-        xs, xi, _, _ = collate(dataset, idxs, dtype=model.dtype)
+        xs, xi, tm, tr = collate(dataset, idxs, dtype=model.dtype)
         ym, yr = model.forward(Tape(grad=False), xs, xi)
-        preds_m.append(ym.data[:, 0].copy())
-        preds_r.append(yr.data[:, 0].copy())
-    return np.concatenate(preds_m), np.concatenate(preds_r)
+        parts.append((ym.data[:, 0], yr.data[:, 0], tm[:, 0], tr[:, 0]))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def predict(model: CycloneNet, dataset, batch: int = 64):
+    """Normalized predictions over a dataset, [N] per task, on
+    forward-only tapes: no op keeps its backward context, nor any node
+    its output."""
+    pm, pr, _, _ = _predictions(model, dataset, batch)
+    return pm, pr
 
 
 def evaluate(model: CycloneNet, dataset, alpha: float = 1.0,
              beta: float = 1.0, batch: int = 64):
-    """(multitask normalized MAE, denormalized Metrics) over a dataset."""
-    pm, pr = predict(model, dataset, batch)
-    samples = [dataset[i] for i in range(len(dataset))]
-    # targets in the model's precision, as collate gives them to training
-    tm = np.array([s.y_msw_norm for s in samples], dtype=model.dtype)
-    tr = np.array([s.y_rmw_norm for s in samples], dtype=model.dtype)
+    """(multitask normalized MAE, denormalized Metrics) over a dataset;
+    the targets are in the model's precision, as training gets them."""
+    pm, pr, tm, tr = _predictions(model, dataset, batch)
     loss = alpha * mae(pm, tm) + beta * mae(pr, tr)
     return loss, compute_metrics(pm, pr, tm, tr)
 

@@ -721,36 +721,45 @@ class TestSession:
             tracemalloc.stop()
         assert transient < 2**20
 
-    def test_two_buffers(self, full_size_graph):
-        # one block of node outputs, conv1's as the interior of conv2's
-        # padded grid, and one scratch buffer as large as the largest
-        # node's need (conv1's), every view 64-byte aligned
+    def test_one_block(self, full_size_graph):
+        # every node output and scratch view is a 64-byte-aligned view of
+        # one block, conv1's output the interior of conv2's padded grid,
+        # and no two needs whose lives meet share a byte
         _, graph = full_size_graph
         session = Session(graph)
-        assert session.alloc_count == 2
-        values, scratch = session._value_block, session._scratch_block
-        outs = [session._values[node.output] for node in graph.nodes]
-        assert all(np.shares_memory(out, values) for out in outs)
-        held = [session._grids.get(node.output, (out,))[0]
-                for node, out in zip(graph.nodes, outs)]
-        assert [p for _, p in session._grids.values()] == [1]
-        out_bytes = sum(arr.nbytes for arr in held)
-        assert out_bytes <= values.nbytes < out_bytes + 64 * len(outs)
-        start = scratch.ctypes.data
-        needs = []
-        for views in session._scratch:
-            views = [v for v in views if isinstance(v, np.ndarray)]
-            assert all(v.ctypes.data % 64 == 0 for v in views)
-            needs.append(max((v.ctypes.data + v.nbytes - start
-                              for v in views), default=0))
-        assert all(arr.ctypes.data % 64 == 0 for arr in held)
-        assert scratch.nbytes - 64 < max(needs) <= scratch.nbytes
-        conv1 = graph.nodes[int(np.argmax(needs))]
-        assert (conv1.op, conv1.attrs[3:]) == (CONV2D, (1, 0))
-        assert 4.75 * 2**20 < scratch.nbytes < 5.25 * 2**20
+        assert session.alloc_count == 1
+        block = session._block
+        lo, hi = block.ctypes.data, block.ctypes.data + block.nbytes
+        last = {}   # per value, its last reader, past the end if returned
+        for i, node in enumerate(graph.nodes):
+            for j in node.inputs:
+                last[j] = i
+        last.update((vid, len(graph.nodes)) for _, vid in graph.outputs)
+        needs = []   # (first node, last node, first byte, end byte)
+        for i, (node, scratch) in enumerate(zip(graph.nodes,
+                                                session._scratch)):
+            out = session._values[node.output]
+            out = session._grids.get(node.output, (out,))[0]
+            views = [v for v in scratch
+                     if isinstance(v, np.ndarray) and v.nbytes]
+            for v in [out, *views]:
+                assert v.ctypes.data % 64 == 0
+                assert lo <= v.ctypes.data and v.ctypes.data + v.nbytes <= hi
+            needs.append((i, last.get(node.output, i), out.ctypes.data,
+                          out.ctypes.data + out.nbytes))
+            needs += [(i, i, v.ctypes.data, v.ctypes.data + v.nbytes)
+                      for v in views]
+        for k, (f1, l1, a1, b1) in enumerate(needs):
+            for f2, l2, a2, b2 in needs[k + 1:]:
+                if f1 <= l2 and f2 <= l1:
+                    assert b1 <= a2 or b2 <= a1
+        conv1 = next(node for node in graph.nodes if node.op == CONV2D)
+        assert [(vid, p) for vid, (_, p) in session._grids.items()] == [
+            (conv1.output, 1)]
+        assert block.nbytes <= 7.25e6
 
     def test_buffers_hold_no_state(self, full_size_graph):
-        # whatever the buffers hold before a run, it gives the bits of a
+        # whatever the block holds before a run, it gives the bits of a
         # fresh session
         _, graph = full_size_graph
         r = np.random.default_rng(12)
@@ -758,11 +767,61 @@ class TestSession:
                   for name, shape in graph.inputs}
         fresh = Session(graph).run(inputs)
         session = Session(graph)
-        session._value_block.view(np.float32).fill(np.nan)
-        session._scratch_block.view(np.float32).fill(np.nan)
+        session._block.view(np.float32).fill(np.nan)
         out = session.run(inputs)
         for name in fresh:
             assert out[name].tobytes() == fresh[name].tobytes()
+
+    def test_grid_border_zeroed_after_earlier_nodes_use_it(self):
+        # the RELU's output is last read by the TANH, so conv a's padded
+        # grid is planned over its bytes, border included: the border
+        # must be zeroed when a runs, not when the run starts
+        r = np.random.default_rng(13)
+        consts = [r.standard_normal(shape).astype(np.float32)
+                  for shape in ((2, 8, 3, 3), (2,), (3, 2, 3, 3), (3,))]
+        nodes = [GraphNode(RELU, (), (0,), 5),
+                 GraphNode(TANH, (), (5,), 6),
+                 GraphNode(CONV2D, (1, 1, 1, 1, 0), (6, 1, 2), 7),
+                 GraphNode(CONV2D, (1, 1, 1, 0, 0), (7, 3, 4), 8)]
+        graph = StaticGraph([("x", (1, 8, 12, 12))], consts, nodes,
+                            [("y", 8)])
+        session = Session(graph)
+        grid, p = session._grids[7]
+        assert p == 1 and np.shares_memory(grid[..., :1, :],
+                                           session._values[5])
+        session._block.view(np.float32).fill(np.nan)
+        x = r.standard_normal((1, 8, 12, 12)).astype(np.float32)
+        tape = Tape()
+        w = [tape.constant(c) for c in consts]
+        a = ops.conv2d(ops.tanh(ops.relu(tape.constant(x))), w[0], w[1], 1,
+                       1, relu=True)
+        ref = ops.conv2d(a, w[2], w[3], 1, 1).data
+        for _ in range(2):
+            assert session.run({"x": x})["y"].tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4),
+                              st.integers(1, 300)), max_size=30))
+    def test_first_fit_keeps_live_needs_apart(self, raw):
+        # needs in order of their first node: each aligned, no two that
+        # are live at once share a byte, and the span is at least the
+        # most bytes live at once
+        needs, first = [], 0
+        for step, life, nbytes in raw:
+            first += step
+            needs.append((first, first + life, nbytes))
+        offsets, end = staticgraph._first_fit(needs)
+        assert len(offsets) == len(needs)
+        assert all(at % 64 == 0 for at in offsets)
+        spans = [(f, l, at, at + n)
+                 for (f, l, n), at in zip(needs, offsets)]
+        assert all(b <= end for *_, b in spans)
+        for k, (f1, l1, a1, b1) in enumerate(spans):
+            for f2, l2, a2, b2 in spans[k + 1:]:
+                if f1 <= l2 and f2 <= l1:
+                    assert b1 <= a2 or b2 <= a1
+        assert end >= max((sum(n for f, l, n in needs if f <= t <= l)
+                           for t in range(first + 5)), default=0)
 
     @pytest.mark.parametrize("c_pad", [None, 1, 2])
     def test_padded_handoff(self, c_pad):
@@ -971,7 +1030,7 @@ class TestWorkers:
                                               pinnable):
         # after a first run, runs start no thread, one helper serves the
         # process, and it keeps nothing of a run: a dropped session's
-        # buffers are freed
+        # block is freed
         import gc
         import weakref
         _, graph = full_size_graph
@@ -985,10 +1044,10 @@ class TestWorkers:
         assert threading.active_count() == count
         assert [t for t in threading.enumerate()
                 if t.name == "stormkan-helper"] == [ops._helper]
-        scratch = weakref.ref(session._scratch_block.base)
+        block = weakref.ref(session._block.base)
         del session
         gc.collect()
-        assert scratch() is None
+        assert block() is None
 
 
 def _conv_case(attrs, x_shape=(2, 3, 10, 10)):

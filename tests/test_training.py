@@ -309,9 +309,9 @@ class TestTrainLoop:
         assert Counting.reads == 3
         Counting.reads = 0
         evaluate(build_model(TINY, seed=2), Counting())
-        # predict's collate reads each sample once, then evaluate reads
-        # each once more for its targets
-        assert Counting.reads == 8
+        # evaluate takes its targets from the batches predict's loop
+        # collates, so it too reads each sample once
+        assert Counting.reads == 4
 
     def test_early_stop_fires_on_constant_loss(self, tiny_sets):
         train_ds, val_ds = tiny_sets
