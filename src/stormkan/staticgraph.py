@@ -13,19 +13,20 @@ MATMUL pair computes the tap means of all four
 (``model.quadrant_tap_grid``), and each is a SLICE and a CONV2D at
 stride k.  The ring means are two MATMULs on one averaging matrix.
 
-The ``.kfg`` file ("KFG1", version 5) is the ``.kfc`` container
+The ``.kfg`` file ("KFG1", version 6) is the ``.kfc`` container
 (``tensor.write_container``): a JSON header of inputs ``[[name,
 shape]]``, nodes ``[[op name, attrs, inputs]]`` and outputs ``[[name,
 value id]]``, then the constants as tensors named by their value ids,
 which follow the inputs'; node outputs take the ids after them.  It
-round-trips bit-exactly.  A ``StaticGraph`` is frozen, owns read-only
-copies of its constants (``load_graph`` makes them from views of the
-file's bytes, so each constant is copied once), and validates every
-shape and every constant the interpreter indexes by once, in its
-constructor.  A ``Session`` allocates one buffer when it is created,
-planned by lifetime: node outputs and node scratch share its bytes
-wherever their lives do not meet, and conv1's output, at full size, is
-the interior of conv2's padded input.  A CONV2D runs
+round-trips bit-exactly.  A ``StaticGraph`` is frozen and validates
+every shape and every constant the interpreter indexes by once, in its
+constructor.  Its constants are read-only: a constant that is an
+aligned, read-only float32 view of a ``bytes`` object is kept as it
+is, so ``load_graph`` of a ``bytes`` payload copies none of them, and
+every other constant is copied.  A ``Session`` allocates one buffer
+when it is created, planned by lifetime: node outputs and node scratch
+share its bytes wherever their lives do not meet, and conv1's output,
+at full size, is the interior of conv2's padded input.  A CONV2D runs
 ``ops._conv_forward`` on its ``ops._conv_plan`` for ``ops.WORKERS``
 workers: at batch 1 of the full-size graph, strips of output rows on
 two cores, whose columns fit a worker's share of ``ops.STRIP_BYTES``.
@@ -54,7 +55,7 @@ from .tape import Tape
 from .tensor import read_container, write_container
 
 MAGIC = b"KFG1"
-VERSION = 5   # older files need a re-export from their .kfc checkpoint
+VERSION = 6   # older files need a re-export from their .kfc checkpoint
 MAX_RANK = 32   # numpy 1.x's array rank limit
 _ALIGN = 64   # byte alignment of every view of a Session's buffer
 
@@ -95,7 +96,8 @@ class StaticGraph:
     """A graph that is valid by construction: the constructor checks
     every shape and every constant the interpreter indexes by, raising
     GraphError, and keeps each value's shape in ``shapes``.  Constant i,
-    a read-only float32 copy, is value id len(inputs) + i."""
+    read-only float32, is value id len(inputs) + i: the array given when
+    it is a frozen view of a ``bytes`` object, else a copy."""
 
     inputs: tuple[tuple[str, tuple[int, ...]], ...]
     constants: tuple[np.ndarray, ...]
@@ -104,7 +106,9 @@ class StaticGraph:
     shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        constants = tuple(np.array(arr, order="C") for arr in self.constants)
+        constants = tuple(arr if _frozen_view(arr)
+                          else np.array(arr, order="C")
+                          for arr in self.constants)
         if any(arr.dtype != np.float32 for arr in constants):
             raise GraphError("graph constants must be float32")
         for arr in constants:
@@ -147,6 +151,22 @@ class StaticGraph:
 
     def parameter_count(self) -> int:
         return int(sum(c.size for c in self.constants))
+
+
+def _frozen_view(arr) -> bool:
+    """arr is an aligned, C-contiguous float32 view of a bytes object
+    through no writeable array, so nothing can change its data."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float32
+            and arr.flags.c_contiguous and arr.flags.aligned):
+        return False
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    return type(base) is bytes
 
 
 def _checked_shape(shape: tuple[int, ...], what: str) -> tuple[int, ...]:

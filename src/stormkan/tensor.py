@@ -10,9 +10,12 @@ into a fresh array.
 
 A container (``.kfc`` checkpoint, ``.kfg`` static graph) is a 4-byte
 magic, a u32 version, a u32-length UTF-8 JSON header, a u32 tensor
-count, then per tensor a u16-length UTF-8 name and its KFT1 record.
+count, then per tensor a u16-length UTF-8 name and its KFT1 record,
+with zero bytes between the record's header and its data so that the
+data starts at a multiple of ``ALIGN`` bytes from the payload's start.
 ``read_container`` checks the magic and the version before it parses
-anything else, and raises only ``DataError``.
+anything else, and raises only ``DataError``; its arrays are aligned
+views of the payload, which a ``bytes`` payload can keep in place.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .errors import DataError, ShapeError
 
 MAGIC = b"KFT1"
+ALIGN = 64   # byte alignment of a container's tensor data in its payload
 
 _DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -109,13 +113,19 @@ def _array(raw, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
 
 def write_container(magic: bytes, version: int, header,
                     tensors: dict[str, np.ndarray]) -> bytes:
-    """Serialize a JSON header and named tensors (in the dict's order)."""
+    """Serialize a JSON header and named tensors (in the dict's order),
+    each tensor's data padded to an ``ALIGN``-byte offset."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [magic, struct.pack("<II", version, len(blob)), blob,
              struct.pack("<I", len(tensors))]
+    size = len(magic) + 12 + len(blob)
     for name, arr in tensors.items():
         raw = name.encode("utf-8")
-        parts += [struct.pack("<H", len(raw)), raw, *_record(arr)]
+        head, data = _record(arr)
+        size += 2 + len(raw) + len(head)
+        pad = -size % ALIGN
+        parts += [struct.pack("<H", len(raw)), raw, head, bytes(pad), data]
+        size += pad + data.nbytes
     return b"".join(parts)
 
 
@@ -123,7 +133,8 @@ def read_container(data: bytes, magic: bytes, version: int,
                    stale: str = "") -> tuple[object, dict[str, np.ndarray]]:
     """(header, {name: array}) of a container; ``stale`` is appended to
     the message for a version other than ``version``.  The arrays are
-    read-only views of data, not copies."""
+    read-only views of data, not copies: each at an ``ALIGN``-byte
+    offset, after zero padding."""
     fp = io.BytesIO(data)
     view = memoryview(data)
 
@@ -153,7 +164,11 @@ def read_container(data: bytes, magic: bytes, version: int,
         if name in tensors:
             raise DataError(f"duplicate tensor name {name!r}")
         dtype, shape, nbytes = _record_header(fp)
+        if any(take(-fp.tell() % ALIGN)):
+            raise DataError(f"nonzero padding before tensor {name!r}")
         start = fp.tell()
+        if start + nbytes > view.nbytes:
+            raise DataError("truncated tensor data block")
         arr = _array(view[start:start + nbytes], dtype, shape)
         arr.flags.writeable = False
         tensors[name] = arr

@@ -8,7 +8,7 @@ tape, and sums their gradients, weighted by pass size, into one SGD
 update: the batch-mean gradient, at the memory of one pass per worker.
 
 A ``.kfc`` checkpoint is a ``tensor.write_container`` payload (magic
-"KFC1", version 1): the JSON header holds the model config, the dtype
+"KFC1", version 2): the JSON header holds the model config, the dtype
 and any run record, and each parameter is a tensor named by its state
 key, in sorted order.
 
@@ -34,7 +34,7 @@ from .tape import Tape, Var
 from .tensor import Parameter, read_container, write_container
 
 CKPT_MAGIC = b"KFC1"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 # samples per forward/backward pass of a train step; a larger batch is
 # several passes, on WORKERS workers, summed before one SGD step
@@ -199,7 +199,8 @@ def write_checkpoint(path, model: CycloneNet, extra: dict | None = None):
 
 def load_checkpoint(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     try:
-        return read_container(data, CKPT_MAGIC, CKPT_VERSION)
+        return read_container(data, CKPT_MAGIC, CKPT_VERSION,
+                              "; re-train the model")
     except DataError as exc:
         raise CheckpointError(f"invalid checkpoint: {exc}") from exc
 
@@ -210,10 +211,14 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def model_from_checkpoint(data_or_path) -> tuple[CycloneNet, dict]:
-    if isinstance(data_or_path, (bytes, bytearray)):
-        config, state = load_checkpoint(bytes(data_or_path))
-    else:
+    """The model and stored config of a payload (any bytes-like object)
+    or of the checkpoint file at a path."""
+    try:
+        memoryview(data_or_path)
+    except TypeError:   # not bytes-like, so a path
         config, state = read_checkpoint(data_or_path)
+    else:
+        config, state = load_checkpoint(bytes(data_or_path))
     try:
         cfg = ModelConfig(**config["model"])
         dtype = np.dtype(config.get("dtype", "float32"))

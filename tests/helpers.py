@@ -11,7 +11,7 @@ import numpy as np
 from stormkan import ops
 from stormkan.staticgraph import MAGIC, VERSION, GraphNode, StaticGraph
 from stormkan.tape import Tape
-from stormkan.tensor import read_tensor, write_container
+from stormkan.tensor import write_container
 
 
 def total(x):
@@ -209,34 +209,53 @@ def cox_de_boor(x: np.ndarray, grid, with_deriv: bool = False):
     return b, deriv * inside
 
 
+def _container_tensors(blob):
+    """(start, header end, data start, end) of each named tensor of a
+    container: its data starts at the first multiple of 64 bytes from
+    the payload's start at or after the end of its KFT1 header, and the
+    bytes between them are padding."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    pos = 16 + n
+    while pos < len(blob):
+        start = pos
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        pos += 2 + name_len
+        assert blob[pos:pos + 4] == b"KFT1"
+        code, rank = blob[pos + 4], blob[pos + 5]
+        shape = struct.unpack_from(f"<{rank}I", blob, pos + 6)
+        head = pos + 6 + 4 * rank
+        data = head + -head % 64
+        pos = data + int(np.prod(shape)) * (4, 8)[code]
+        yield start, head, data, pos
+
+
+def tensor_paddings(blob):
+    """(start, end) of each nonempty tensor padding of a container."""
+    return [(head, data) for _, head, data, _ in _container_tensors(blob)
+            if data > head]
+
+
 def container_sections(blob):
     """(start, end) of the magic/version, the JSON header with its
-    length, the tensor count and each named tensor of a container
-    (.kfc or .kfg)."""
+    length, the tensor count, each named tensor of a container (.kfc or
+    .kfg), and each tensor's padding on its own."""
     (n,) = struct.unpack_from("<I", blob, 8)
     spans = [(0, 8), (8, 12 + n), (12 + n, 16 + n)]
-    fp = io.BytesIO(blob)
-    fp.seek(16 + n)
-    while fp.tell() < len(blob):
-        start = fp.tell()
-        (name_len,) = struct.unpack("<H", fp.read(2))
-        fp.seek(name_len, io.SEEK_CUR)
-        read_tensor(fp)
-        spans.append((start, fp.tell()))
-    return spans
+    spans += [(start, end) for start, _, _, end in _container_tensors(blob)]
+    return spans + tensor_paddings(blob)
 
 
 def reference_checkpoint(model, extra=None) -> bytes:
-    """A version 1 .kfc checkpoint packed field by field, as the
-    checkpoint writer did before the container was shared (reference):
+    """A version 2 .kfc checkpoint packed field by field (reference):
     each tensor is a KFT1 record of magic, dtype code (0 float32, 1
-    float64), rank, u32 extents and little-endian data."""
+    float64), rank and u32 extents, then zero bytes up to the next
+    multiple of 64 from the payload's start, then little-endian data."""
     config = {"model": asdict(model.cfg), "dtype": model.dtype.name}
     if extra:
         config["run"] = extra
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     out = io.BytesIO()
-    out.write(b"KFC1" + struct.pack("<II", 1, len(blob)) + blob)
+    out.write(b"KFC1" + struct.pack("<II", 2, len(blob)) + blob)
     state = model.state()
     out.write(struct.pack("<I", len(state)))
     for name in sorted(state):
@@ -245,6 +264,7 @@ def reference_checkpoint(model, extra=None) -> bytes:
         arr = state[name]
         out.write(b"KFT1" + struct.pack(
             f"<BB{arr.ndim}I", {"float32": 0, "float64": 1}[arr.dtype.name],
-            arr.ndim, *arr.shape) + arr.astype(arr.dtype.newbyteorder("<"))
-            .tobytes())
+            arr.ndim, *arr.shape))
+        out.write(bytes(-out.tell() % 64))
+        out.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
     return out.getvalue()

@@ -27,7 +27,8 @@ from stormkan.tensor import read_container, write_container
 from stormkan.training import multitask_loss, sgd_step
 
 from helpers import (container_sections, graph_bytes, naive_conv2d,
-                     naive_maxpool2d, one_node_graph, one_node_parts)
+                     naive_maxpool2d, one_node_graph, one_node_parts,
+                     tensor_paddings)
 
 rng = np.random.default_rng(31)
 
@@ -173,9 +174,9 @@ class TestExport:
         for name in ("y_msw", "y_rmw"):
             assert np.array_equal(before[name], after[name])
 
-    def test_load_graph_copies_constants_once(self, full_size_graph):
-        # the container's arrays are views of the blob, so the graph's
-        # own copies are the only ones load_graph makes
+    def test_load_graph_copies_no_constant(self, full_size_graph):
+        # every constant's data sits at a 64-byte offset of the bytes
+        # payload, so the graph keeps the container's read-only views
         blob = save_graph(full_size_graph[1])
         tracemalloc.start()
         try:
@@ -186,9 +187,44 @@ class TestExport:
             tracemalloc.stop()
         constants = sum(arr.nbytes for arr in graph.constants)
         assert constants > 900_000
-        assert peak < 1.3 * constants
+        assert peak < 0.15 * constants
         raw = np.frombuffer(blob, np.uint8)
-        assert not any(np.shares_memory(arr, raw) for arr in graph.constants)
+        for arr in graph.constants:
+            assert np.shares_memory(arr, raw)
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_mutable_or_unaligned_payload_constants_are_copies(
+            self, deploy_graph):
+        # a bytearray can change after loading, even behind a read-only
+        # view, and an odd start leaves the data unaligned: the graph
+        # copies the constants of all three
+        _, graph = deploy_graph
+        blob = save_graph(graph)
+        inputs = dict(zip(("x_seq_flat", "x_img"), tiny_io(5)))
+        before = Session(graph).run(inputs)
+        sources = [bytearray(blob), bytearray(blob)]
+        loaded = [load_graph(sources[0]),
+                  load_graph(memoryview(sources[1]).toreadonly())]
+        for source in sources:
+            source[:] = bytes(len(source))
+        odd = b"x" + blob
+        shifted = load_graph(memoryview(odd)[1:])
+        raw = np.frombuffer(odd, np.uint8)
+        assert not any(np.shares_memory(arr, raw)
+                       for arr in shifted.constants)
+        for back in (*loaded, shifted):
+            assert save_graph(back) == blob
+            after = Session(back).run(inputs)
+            for name in ("y_msw", "y_rmw"):
+                assert np.array_equal(before[name], after[name])
+
+    def test_tensor_data_at_aligned_offsets(self, deploy_blob):
+        _, tensors = read_container(deploy_blob, staticgraph.MAGIC,
+                                    staticgraph.VERSION)
+        base = np.frombuffer(deploy_blob, np.uint8).ctypes.data
+        assert tensors and all((arr.ctypes.data - base) % 64 == 0
+                               for arr in tensors.values())
 
     def test_save_graph_copies_constants_once(self, full_size_graph):
         # each constant's buffer goes straight into the one output bytes
@@ -281,11 +317,12 @@ class TestValidation:
 
     def test_version_1_graph_rejected(self, deploy_graph):
         # version 1 held average pools, version 2 max-pool and bias nodes,
-        # version 3 had its own section layout, version 4 numbered its ops
+        # version 3 had its own section layout, version 4 numbered its ops,
+        # version 5 put tensor data right after its header
         payload = save_graph(deploy_graph[1])
-        assert struct.unpack_from("<I", payload, 4) == (5,)
+        assert struct.unpack_from("<I", payload, 4) == (6,)
         load_graph(payload)
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             old = payload[:4] + struct.pack("<I", version) + payload[8:]
             with pytest.raises(GraphError, match=rf"version {version} .*\.kfc"):
                 load_graph(old)
@@ -376,6 +413,19 @@ class TestCorruptBytes:
         with pytest.raises(GraphError, match="float32"):
             load_graph(write_container(staticgraph.MAGIC, staticgraph.VERSION,
                                        header, tensors))
+
+    def test_nonzero_padding_rejected(self, deploy_blob):
+        for start, end in tensor_paddings(deploy_blob):
+            bad = deploy_blob[:end - 1] + b"\x01" + deploy_blob[end:]
+            with pytest.raises(GraphError, match="nonzero padding"):
+                load_graph(bad)
+
+    def test_payload_cut_inside_padding_rejected(self, deploy_blob):
+        paddings = tensor_paddings(deploy_blob)
+        assert paddings
+        for start, end in paddings:
+            with pytest.raises(GraphError, match="truncated"):
+                load_graph(deploy_blob[:(start + end) // 2])
 
     def test_bad_constant_blob(self):
         blob = save_graph(spline_graph())

@@ -1022,6 +1022,16 @@ class TestTensorSerialization:
         np.testing.assert_array_equal(back, arr)
         assert path.read_bytes()[-arr.nbytes:] == arr.tobytes()
 
+    def test_sample_records_keep_the_plain_layout(self):
+        # only the container pads: a sample record is its header, then
+        # its data, with no byte between them
+        from stormkan.data import generate_sample
+        sample = generate_sample(0, 0, seed=1)
+        for arr in (sample.x_seq, sample.x_img):
+            assert record_bytes(arr) == (
+                b"KFT1" + struct.pack(f"<BB{arr.ndim}I", 0, arr.ndim,
+                                      *arr.shape) + arr.astype("<f4").tobytes())
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_mutations_fail_typed(self, data):

@@ -21,7 +21,8 @@ from stormkan.training import (MSW_RANGE, RMW_RANGE, PlateauTracker,
                                predict, rmse, save_checkpoint, sgd_step,
                                train)
 
-from helpers import container_sections, reference_checkpoint, total
+from helpers import (container_sections, reference_checkpoint,
+                     tensor_paddings, total)
 
 rng = np.random.default_rng(11)
 
@@ -585,18 +586,51 @@ class TestCheckpoints:
                           variant="deploy"),
         ModelConfig(image_hw=40, r_center=20, ring_count=9, **COMPRESSED),
     ], ids=["full", "deploy", "compressed"])
-    def test_bytes_equal_the_version_1_layout(self, cfg):
-        # the shared container writer keeps .kfc bytes as they were
+    def test_bytes_equal_the_version_2_layout(self, cfg):
+        # the shared container writer packs .kfc bytes field by field
         model = build_model(cfg, seed=13)
         assert save_checkpoint(model) == reference_checkpoint(model)
         assert (save_checkpoint(model, extra={"note": 1})
                 == reference_checkpoint(model, extra={"note": 1}))
 
     def test_other_version_rejected(self):
+        # version 1 put tensor data right after its header
         payload = save_checkpoint(build_model(TINY, seed=9))
-        bad = payload[:4] + struct.pack("<I", 2) + payload[8:]
-        with pytest.raises(CheckpointError, match="version 2"):
-            load_checkpoint(bad)
+        assert struct.unpack_from("<I", payload, 4) == (2,)
+        for version in (1, 3):
+            bad = payload[:4] + struct.pack("<I", version) + payload[8:]
+            with pytest.raises(CheckpointError,
+                               match=f"version {version} .*re-train"):
+                load_checkpoint(bad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensor_data_at_aligned_offsets(self, dtype):
+        payload = save_checkpoint(build_model(TINY, seed=9, dtype=dtype))
+        _, state = load_checkpoint(payload)
+        base = np.frombuffer(payload, np.uint8).ctypes.data
+        assert all(arr.dtype == dtype and (arr.ctypes.data - base) % 64 == 0
+                   for arr in state.values())
+
+    def test_nonzero_or_cut_padding_rejected(self, fuzz_checkpoint):
+        paddings = tensor_paddings(fuzz_checkpoint)
+        assert paddings
+        for start, end in paddings:
+            bad = (fuzz_checkpoint[:start] + b"\x01"
+                   + fuzz_checkpoint[start + 1:])
+            with pytest.raises(CheckpointError, match="nonzero padding"):
+                load_checkpoint(bad)
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(fuzz_checkpoint[:(start + end) // 2])
+
+    def test_any_bytes_like_payload(self, fuzz_checkpoint):
+        # a memoryview is a payload, not a path to open
+        model, _ = model_from_checkpoint(memoryview(fuzz_checkpoint))
+        assert save_checkpoint(model) == fuzz_checkpoint
+        corrupt = bytearray(fuzz_checkpoint)
+        corrupt[:4] = b"XXXX"
+        for bad in (memoryview(corrupt), memoryview(fuzz_checkpoint)[:99]):
+            with pytest.raises(CheckpointError):
+                model_from_checkpoint(bad)
 
     def test_deeply_nested_config_rejected(self):
         # json.loads raises RecursionError on this, not a JSON error
