@@ -9,12 +9,16 @@ ShapeError, and ``add``, ``sub`` and ``mul`` with ``_broadcast``;
 kernel, called with fresh buffers here and with preallocated ones by
 ``staticgraph.Session``.  A conv walks one plan (``_conv_plan``), in
 ``conv2d``'s forward and backward and in ``Session``: blocks of whole
-samples or strips of one sample's output rows whose columns fit
-``STRIP_BYTES``, and the block-sized buffers they reuse.  Per block it
-packs the taps of the flat padded grid (``_taps``), runs one batched
-GEMM (``_conv_block``), then the 2x2 max-pool, bias and ReLU while the
-block is in cache.  Columns and padding are never kept: backward
-repacks them, block by block.  ``Session`` deals a sample's strips to
+samples or strips of one sample's output rows whose columns fit the
+caller's budget (``STRIP_BYTES`` on the tape), the block-sized buffers
+they reuse and, for a forward, each block's views of those buffers and
+of its output rows, built with the plan.  Per chunk of samples the
+forward makes one view of the taps of the flat padded grid (``_taps``);
+per block (``_conv_block``) it packs its slice of them, runs one
+batched GEMM, then the 2x2 max-pool, bias and ReLU while the block is
+in cache, and does no other Python work: two workers' Python contends
+for the GIL.  Columns and padding are never kept: backward repacks
+them, block by block.  ``Session`` deals a sample's strips to
 ``WORKERS`` workers that share the budget (``_on_workers``).  A 1x1
 conv packs its columns like any other.  Average pools are products with
 constant averaging matrices, through ``matmul``.  ``lstm`` records no
@@ -37,14 +41,11 @@ import numpy as np
 from .errors import ShapeError
 from .tape import Var
 
-# im2col columns packed per conv GEMM call, in each block of a
-# _conv_plan, forward and backward, tape and Session; a plan for several
-# workers shares it, each strip packing at most its share.  Swept on the
-# full-size graph at B=1, one worker: 3 to 5 MiB run equally fast, 1 MiB
-# (a dispatch per 8 rows) about 25% slower.  Each MiB of a worker's
-# share costs up to about 1.35 MiB of the session's buffer (its
-# columns, GEMM output and half-pooled rows), on top of conv1's 0.8 MiB
-# padded input
+# the tape's im2col columns packed per conv GEMM call, in each block of
+# a _conv_plan, forward and backward (a Session plans at its own
+# staticgraph.SESSION_STRIP_BYTES).  A smaller budget adds strips, and
+# each backward strip still builds its views itself, so training keeps
+# 4 MiB
 STRIP_BYTES = 4 * 2**20
 WORKERS = 2   # of a Session's conv and a train step, on two cores
 
@@ -304,17 +305,6 @@ def _taps(xf, geom, n, writeable=False):
         writeable=writeable)
 
 
-def _pack(xf, geom, n, buf):
-    """The [b, C*kh*kw, n] GEMM columns of the flat grid xf: its taps
-    copied into the front of the flat buffer buf, a contiguous run of n
-    per tap and channel."""
-    kh, kw = geom[:2]
-    b, c = xf.shape[:2]
-    cols = buf[:b * c * kh * kw * n].reshape(b, c * kh * kw, n)
-    np.copyto(cols.reshape(b, c, kh, kw, n), _taps(xf, geom, n))
-    return cols
-
-
 def _padded(xc, padding, buf):
     """The chunk xc [b, C, H, W] zero-padded by `padding` on each side of
     H and W, as its flat grid [b, C, Hp*Wp]: a view of xc, or its copy
@@ -336,18 +326,18 @@ def _zero_border(xp, p):
     xp[..., :p, :] = xp[..., -p:, :] = xp[..., :p] = xp[..., -p:] = 0
 
 
-def _max2x2(y, half, out, code=None):
-    """2x2, stride-2 max of y [.., H, W] into out [.., H/2, W/2]: first
-    over each row's column pair into half, then over each pair of those
-    rows.  Given the uint8 array code, of out's shape, it records each
-    window's winner there as 4 * row + 2 * column; both comparisons are
-    strict, so ties go to the first flat index of the window."""
-    c0, c1 = y[..., 0::2], y[..., 1::2]
+def _max2x2(c0, c1, half, r0, r1, out, code=None):
+    """2x2, stride-2 max of y [.., H, W] into out [.., H/2, W/2], given
+    y's even and odd columns c0 and c1 and the even and odd rows r0 and
+    r1 of half, of c0's shape: first over each row's column pair into
+    half, then over each pair of those rows.  Given the uint8 array code,
+    of out's shape, it records each window's winner there as 4 * row + 2
+    * column; both comparisons are strict, so ties go to the first flat
+    index of the window."""
     if code is not None:   # whether the right column won, per window row
-        up = np.greater(y[..., 0::2, 1::2], y[..., 0::2, 0::2])
-        down = np.greater(y[..., 1::2, 1::2], y[..., 1::2, 0::2])
+        up = np.greater(c1[..., 0::2, :], c0[..., 0::2, :])
+        down = np.greater(c1[..., 1::2, :], c0[..., 1::2, :])
     np.maximum(c0, c1, out=half)
-    r0, r1 = half[..., 0::2, :], half[..., 1::2, :]
     if code is not None:
         lower = code.view(bool)            # the row pick, in code itself
         np.greater(r1, r0, out=lower)
@@ -360,21 +350,26 @@ def _max2x2(y, half, out, code=None):
     np.maximum(r0, r1, out=out)
 
 
-def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take,
-               workers=1):
-    """(geom, chunks, strips, xp, cols, y, half, ...): the walk of a conv
-    of input shape x and kernel shape w, and the flat buffers every block
-    reuses, each take(size, dtype).  geom is _taps' (kh, kw, stride,
-    dilation, Wp).  A block is a chunk (a slice of the batch) and a
-    strip (r0, rows) of its output rows, before the pool: as many whole
-    samples as fit STRIP_BYTES of columns, if one does, else strips of
-    one sample's rows, an even count with the pool.  For one worker a
-    strip is as tall as fits, and the last chunk or strip may be
+def _conv_plan(x, w, stride, padding, dilation, pool, dtype, budget, take,
+               workers=1, out=None, code=None):
+    """(geom, chunks, strips, xp, cols, y, half, ..., blocks): the walk of
+    a conv of input shape x and kernel shape w, the flat buffers every
+    block reuses, each take(size, dtype), and given its output out (and
+    code), the views each block reads and writes.  geom is _taps' (kh,
+    kw, stride, dilation, Wp).  A block is a chunk (a slice of the batch)
+    and a strip (r0, rows) of its output rows, before the pool: as many
+    whole samples as fit `budget` bytes of columns, if one does, else
+    strips of one sample's rows, an even count with the pool.  For one
+    worker a strip is as tall as fits, and the last chunk or strip may be
     shorter; for several, strips are near-equal, within a worker's share
     of the budget, and a multiple of `workers` in number, or if too few
     rows allow that, the one-worker plan's.  The buffers are one block's
     padded samples (empty without padding), then per worker its columns,
-    GEMM grid and, with the pool, half-pooled rows (else None)."""
+    GEMM grid and, with the pool, half-pooled rows (else None).  blocks
+    is None without out, else (n, per chunk and worker the list of its
+    strips' _conv_block views), where n is the grid columns of the whole
+    output, the extent of a chunk's _taps; chunks of one size share all
+    but their output rows."""
     bsz, cin, h, wid = x
     cout, _, kh, kw = w
     oh, ow = (n << pool for n in _conv2d_shape(x, w, w[:1], stride, padding,
@@ -383,81 +378,96 @@ def _conv_plan(x, w, stride, padding, dilation, pool, dtype, take,
     k = cin * kh * kw
     row = k * ow * np.dtype(dtype).itemsize   # one output row's columns
     units = oh >> pool   # strips hold whole row pairs under the pool
-    most = max(1, STRIP_BYTES // workers // (row << pool))
+    most = max(1, budget // workers // (row << pool))
     n = workers * -(-units // (workers * most))   # strips for workers
-    chunk = max(1, min(bsz, STRIP_BYTES // (row * oh)))
-    if row * oh <= STRIP_BYTES:
+    chunk = max(1, min(bsz, budget // (row * oh)))
+    if row * oh <= budget:
         bounds, workers = [0, units], 1
     elif 1 < workers and n <= units:
         bounds = [i * units // n for i in range(n + 1)]
     else:
-        workers, most = 1, max(1, STRIP_BYTES // (row << pool))
+        workers, most = 1, max(1, budget // (row << pool))
         bounds = [*range(0, units, most), units]
     strips = [(a << pool, (b - a) << pool) for a, b in zip(bounds, bounds[1:])]
     rows = max(n for _, n in strips)
-    plan = ((kh, kw, stride, dilation, wp),
-            [slice(b0, b0 + chunk) for b0 in range(0, bsz, chunk)], strips,
+    chunks = [slice(b0, b0 + chunk) for b0 in range(0, bsz, chunk)]
+    plan = ((kh, kw, stride, dilation, wp), chunks, strips,
             take(chunk * cin * hp * wp if padding else 0, dtype))
     for _ in range(workers):
         plan += (take(chunk * k * ((rows - 1) * wp + ow), dtype),
                  take(chunk * cout * rows * wp, dtype),
                  take(chunk * cout * rows * (ow // 2), dtype) if pool else None)
-    return plan
+    if out is None:
+        return plan + (None,)
+
+    @functools.cache
+    def strip(i, r0, rows, b):
+        """The views of worker i's buffers for strip (r0, rows) of b
+        samples, which every chunk of b samples shares."""
+        n = (rows - 1) * wp + ow
+        cols, y, half = plan[4 + 3 * i:7 + 3 * i]
+        cols = cols[:b * k * n].reshape(b, k, n)
+        grid = y[:b * cout * rows * wp].reshape(b, cout, rows, wp)
+        yv, pairs = grid[..., :ow], None
+        if pool:
+            half = half[:b * cout * rows * (ow // 2)].reshape(
+                b, cout, rows, ow // 2)
+            pairs = (yv[..., 0::2], yv[..., 1::2], half, half[..., 0::2, :],
+                     half[..., 1::2, :])
+        return (r0 * wp, r0 * wp + n, cols.reshape(b, cin, kh, kw, n), cols,
+                grid.reshape(b, cout, rows * wp)[:, :, :n], yv, pairs)
+
+    def block(i, r0, rows, c):   # and the chunk's output (and code) rows
+        p = slice(r0 >> pool, (r0 + rows) >> pool)
+        return strip(i, r0, rows, len(range(bsz)[c])) + (
+            out[c, :, p], None if code is None else code[c, :, p])
+
+    return plan + (((oh - 1) * wp + ow, [
+        [[block(i, *s, c) for s in strips[i::workers]]
+         for i in range(workers)] for c in chunks]),)
 
 
-def _conv_block(xf, w2, geom, bias, relu, cols, y, out, half=None,
-                code=None):
-    """The conv of one block of output rows into out [b, Cout, rows, OW]:
-    the taps of the flat grid xf [b, C, L], whose row 0 is the block's
-    first input row, packed into cols (_pack), times w2 [Cout, K] into
-    the front of y over the block's grid, then + bias [Cout], and the
-    ReLU if `relu`.  Given the flat buffer half, out is the pooled block
-    [b, Cout, rows/2, OW/2]: the 2x2 max runs on the GEMM's output,
-    before the bias and the ReLU, which commute with it.  Given
-    code too, of out's shape, it records each window's winner there
-    (_max2x2), plus 1 where the ReLU passed a gradient (out > 0)."""
-    wp = geom[-1]
-    b, cout = out.shape[:2]
-    pool = half is not None
-    rows, ow = out.shape[2] << pool, out.shape[3] << pool
-    n = (rows - 1) * wp + ow
-    grid = y[:b * cout * rows * wp].reshape(b, cout, rows * wp)
-    np.matmul(w2, _pack(xf, geom, n, cols), out=grid[:, :, :n])
-    yv = grid.reshape(b, cout, rows, wp)[..., :ow]
-    bias = bias.reshape(-1, 1, 1)
-    if pool:
-        _max2x2(yv, half[:b * cout * rows * (ow // 2)].reshape(
-            b, cout, rows, ow // 2), out, code)
-        out += bias
-    else:
+def _conv_block(taps, w2, bias, relu, block):
+    """The conv of one block of output rows, from its views (_conv_plan):
+    its taps [start:stop] of the chunk's _taps view packed into the
+    columns, times w2 [Cout, K] into the front of its GEMM grid, then +
+    bias [Cout, 1, 1] into its output rows [b, Cout, rows, OW], and the
+    ReLU if `relu`.  With the pool, its output rows are pooled [b, Cout,
+    rows/2, OW/2]: the 2x2 max (_max2x2) runs on the GEMM's output,
+    before the bias and the ReLU, which commute with it.  Given code
+    rows too, of the output rows' shape, it records each window's winner
+    there, plus 1 where the ReLU passed a gradient (out > 0)."""
+    start, stop, cols5, cols, grid, yv, pairs, out, code = block
+    np.copyto(cols5, taps[..., start:stop])
+    np.matmul(w2, cols, out=grid)
+    if pairs is None:
         np.add(yv, bias, out=out)
+    else:
+        _max2x2(*pairs, out, code)
+        out += bias
     if relu:
         np.maximum(out, 0, out=out)
         if code is not None:
             code |= np.greater(out, 0)
 
 
-def _conv_forward(x, w2, bias, padding, relu, plan, out, code=None):
-    """The conv of x [B, C, H, W] by w2 [Cout, K] into out (and code):
-    _conv_block per block of plan (_conv_plan), each chunk of samples
-    padded into the plan's buffer as the walk reaches it, and its strips
-    dealt round-robin to the plan's workers (_on_workers), each on its
-    own buffers."""
-    geom, chunks, strips, xp, *bufs = plan
-    stride, wp = geom[2], geom[4]
-    pool, workers = bufs[2] is not None, len(bufs) // 3
+def _conv_forward(x, w2, bias, padding, relu, plan):
+    """The conv of x [B, C, H, W] by w2 [Cout, K] into the output the
+    plan (_conv_plan) was given: per chunk of samples, padded into the
+    plan's buffer as the walk reaches it, one _taps view, and
+    _conv_block per block, its strips dealt round-robin to the plan's
+    workers (_on_workers), each on its own buffers."""
+    geom, chunks, _, xp = plan[:4]
+    n, blocks = plan[-1]
+    bias = bias.reshape(-1, 1, 1)
 
-    def work(k):   # worker k's strips of chunk c
-        cols, y, half = bufs[3 * k:3 * k + 3]
-        for r0, rows in strips[k::workers]:
-            p = slice(r0 >> pool, (r0 + rows) >> pool)
-            _conv_block(xf[:, :, r0 * stride * wp:], w2, geom, bias, relu,
-                        cols, y, out[c, :, p], half,
-                        None if code is None else code[c, :, p])
+    def work(k):   # worker k's blocks of the chunk
+        for block in by_worker[k]:
+            _conv_block(taps, w2, bias, relu, block)
 
-    for c in chunks:
-        xf = _padded(x[c], padding, xp)
-        _on_workers(work, workers)
+    for c, by_worker in zip(chunks, blocks):
+        taps = _taps(_padded(x[c], padding, xp), geom, n)
+        _on_workers(work, len(by_worker))
 
 
 def conv2d(x: Var, w: Var, bias: Var, stride: int = 1, padding: int = 0,
@@ -486,7 +496,8 @@ def conv2d(x: Var, w: Var, bias: Var, stride: int = 1, padding: int = 0,
     cout = wd.shape[0]
     w2 = np.ascontiguousarray(wd.reshape(cout, -1))
     dtype = np.result_type(xd, wd)
-    plan_args = (xd.shape, wd.shape, stride, padding, dilation, pool, dtype)
+    plan_args = (xd.shape, wd.shape, stride, padding, dilation, pool, dtype,
+                 STRIP_BYTES)
     # capture plain flags, not Vars: a Var in the closure would create a
     # tape <-> closure cycle and delay freeing whole forward passes
     x_needs_grad = x.requires_grad
@@ -496,7 +507,7 @@ def conv2d(x: Var, w: Var, bias: Var, stride: int = 1, padding: int = 0,
     # a forward-only pool records no code
     code = np.empty(out_shape, np.uint8) if pool and needs_grad else None
     _conv_forward(xd, w2, bias.data, padding, relu,
-                  _conv_plan(*plan_args, np.empty), out, code)
+                  _conv_plan(*plan_args, np.empty, out=out, code=code))
     # the output is kept only for the ReLU's mask of a conv without the pool
     relu_out = out if relu and not pool else None
 
@@ -504,7 +515,7 @@ def conv2d(x: Var, w: Var, bias: Var, stride: int = 1, padding: int = 0,
         # the plan again, on fresh buffers but for the half-pooled rows.
         # Whatever a block's row count, the Wp - OW extra columns of each
         # grid row sit at the same flat offsets modulo Wp: never written
-        geom, chunks, strips, n_pad, n_cols, n_grid, _ = _conv_plan(
+        geom, chunks, strips, n_pad, n_cols, n_grid, _, _ = _conv_plan(
             *plan_args, lambda n, _: n)
         kh, kw, wp, ow = geom[0], geom[1], geom[4], g.shape[3] << pool
         xp, cols = np.empty(n_pad, dtype), np.empty(n_cols, dtype)
@@ -519,12 +530,17 @@ def conv2d(x: Var, w: Var, bias: Var, stride: int = 1, padding: int = 0,
                 :, :, padding:padding + h, padding:padding + wid]
         for c in chunks:
             xf = _padded(xd[c], padding, xp)
+            bc = len(xf)
             for r0, rs in strips:
                 n, start = (rs - 1) * wp + ow, r0 * stride * wp
-                c3 = _pack(xf[:, :, start:], geom, n, cols)
+                # the block's columns, a contiguous run of n per tap and
+                # channel in the front of the buffer
+                c3 = cols[:bc * cin * kh * kw * n].reshape(
+                    bc, cin * kh * kw, n)
+                np.copyto(c3.reshape(bc, cin, kh, kw, n),
+                          _taps(xf[:, :, start:], geom, n))
                 p = slice(r0 >> pool, (r0 + rs) >> pool)
                 gc = g[c, :, p]
-                bc = len(gc)
                 hc = hit[:gc.size].reshape(gc.shape)
                 grid = gg[:bc * cout * rs * wp].reshape(bc, cout, rs, wp)
                 gv = grid[..., :ow]

@@ -28,8 +28,9 @@ when it is created, planned by lifetime: node outputs and node scratch
 share its bytes wherever their lives do not meet, and conv1's output,
 at full size, is the interior of conv2's padded input.  A CONV2D runs
 ``ops._conv_forward`` on its ``ops._conv_plan`` for ``ops.WORKERS``
-workers: at batch 1 of the full-size graph, strips of output rows on
-two cores, whose columns fit a worker's share of ``ops.STRIP_BYTES``.
+workers, whose block views are built when the session is created: at
+batch 1 of the full-size graph, strips of output rows on two cores,
+whose columns fit a worker's share of ``SESSION_STRIP_BYTES``.
 A warm ``run`` allocates only its output copies, as ``bench`` measures
 with tracemalloc.
 """
@@ -58,6 +59,11 @@ MAGIC = b"KFG1"
 VERSION = 6   # older files need a re-export from their .kfc checkpoint
 MAX_RANK = 32   # numpy 1.x's array rank limit
 _ALIGN = 64   # byte alignment of every view of a Session's buffer
+# a Session's conv columns per block, shared by its workers (the tape
+# plans at ops.STRIP_BYTES).  The full-size graph's buffer is 3.4 MiB at
+# 1 MiB, against 6.9 MiB at 4 MiB, and its peak moves from conv2 to
+# conv1's padded input and output
+SESSION_STRIP_BYTES = 2**20
 
 # node ops, each named by the tape op whose shape rule and kernel it
 # shares
@@ -561,8 +567,10 @@ class Session:
     (``_grids``), which they read at padding 0; its border is zeroed
     just before the CONV2D writes the interior, since earlier nodes may
     use those bytes.  A CONV2D's scratch is its ``ops._conv_plan`` for
-    ``ops.WORKERS`` workers: its blocks, and the block-sized buffers
-    they reuse.  ``run`` pins BLAS to one thread
+    ``ops.WORKERS`` workers at ``SESSION_STRIP_BYTES``: its blocks, the
+    block-sized buffers they reuse, and each block's views of them and
+    of the node's output, built here, so a run only slices and fills
+    them.  ``run`` pins BLAS to one thread
     (``ops._one_blas_thread``), so a conv's strips go to the caller and
     ``ops``' helper thread, unless a concurrent caller holds it.  The
     graph is frozen and its constants read-only, so sessions may share
@@ -619,14 +627,17 @@ class Session:
 
     def _node_scratch(self, node: GraphNode, take, grids):
         """The node's scratch views, each from take(shape, dtype); grids
-        gives each padded grid's shape and border by value id."""
+        gives each padded grid's shape and border by value id.  A
+        CONV2D's plan holds its blocks' views once its output is placed:
+        while the buffer is sized, that value is still None."""
         shapes = self.shapes
         if node.op == CONV2D:   # attrs: stride, padding, dilation, relu, pool
             stride, padding, dilation, _, pool = node.attrs
             # a padded grid is read at padding 0
             x, p = grids.get(node.inputs[0], (shapes[node.inputs[0]], 0))
             return _conv_plan(x, shapes[node.inputs[1]], stride, padding - p,
-                              dilation, pool, np.float32, take, WORKERS)
+                              dilation, pool, np.float32, SESSION_STRIP_BYTES,
+                              take, WORKERS, self._values[node.output])
         if node.op == SOFTMAX:
             return (take(_mean_shape(shapes[node.inputs[0]], node.attrs[0],
                                      keepdims=True)),)
@@ -672,7 +683,7 @@ class Session:
             if node.output in self._grids:   # earlier nodes used its border
                 _zero_border(*self._grids[node.output])
             _conv_forward(x, w.reshape(w.shape[0], -1), bias, attrs[1] - p,
-                          attrs[3], scratch, out)
+                          attrs[3], scratch)
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)
         elif op == SILU:

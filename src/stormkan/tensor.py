@@ -66,7 +66,16 @@ def write_tensor(fp: BinaryIO, array) -> None:
 
 def read_tensor(fp: BinaryIO) -> np.ndarray:
     """The array of the KFT1 record at fp, read into a fresh array."""
-    dtype, shape, nbytes = _record_header(fp)
+
+    def left() -> int:   # a stream that cannot seek may hold any amount
+        if not fp.seekable():
+            return 2**63 - 1
+        here = fp.tell()
+        end = fp.seek(0, io.SEEK_END)
+        fp.seek(here)
+        return end - here
+
+    dtype, shape, nbytes = _record_header(fp.read, left)
     try:
         arr = np.empty(shape, dtype)
     except ValueError as exc:  # e.g. a rank beyond numpy's limit
@@ -76,15 +85,17 @@ def read_tensor(fp: BinaryIO) -> np.ndarray:
     return arr
 
 
-def _record_header(fp: BinaryIO) -> tuple[np.dtype, tuple[int, ...], int]:
-    """The dtype, shape and data bytes of the KFT1 record at fp."""
-    head = fp.read(6)
+def _record_header(read, left) -> tuple[np.dtype, tuple[int, ...], int]:
+    """The dtype, shape and data bytes of the KFT1 record that read(n)
+    returns the next bytes of, like a stream; left() is how many bytes
+    follow its header."""
+    head = read(6)
     if len(head) < 6 or head[:4] != MAGIC:
         raise DataError("bad tensor header (magic mismatch or truncated)")
     code, rank = head[4], head[5]
     if code not in _CODE_DTYPES:
         raise DataError(f"unknown dtype code {code}")
-    raw_shape = fp.read(4 * rank)
+    raw_shape = read(4 * rank)
     if len(raw_shape) < 4 * rank:
         raise DataError("truncated tensor shape block")
     shape = struct.unpack(f"<{rank}I", raw_shape)
@@ -93,12 +104,7 @@ def _record_header(fp: BinaryIO) -> tuple[np.dtype, tuple[int, ...], int]:
     # a corrupt shape must not ask a stream for 2**63 bytes or more, nor
     # a file for more than it holds: the buffer for 2**53 bytes fails
     # with MemoryError
-    left = 2**63 - 1
-    if fp.seekable():
-        here = fp.tell()
-        left = fp.seek(0, io.SEEK_END) - here
-        fp.seek(here)
-    if nbytes > left:
+    if nbytes > left():
         raise DataError("truncated tensor data block")
     return dtype, shape, nbytes
 
@@ -135,16 +141,22 @@ def read_container(data: bytes, magic: bytes, version: int,
     the message for a version other than ``version``.  The arrays are
     read-only views of data, not copies: each at an ``ALIGN``-byte
     offset, after zero padding."""
-    fp = io.BytesIO(data)
-    view = memoryview(data)
+    view = memoryview(data)   # its fields are read through it: no copy
+    at = 0
+
+    def read(n: int) -> bytes:   # at most n bytes from `at`, as a stream
+        nonlocal at
+        raw = bytes(view[at:at + n])
+        at += len(raw)
+        return raw
 
     def take(n: int) -> bytes:
-        raw = fp.read(n)
+        raw = read(n)
         if len(raw) < n:
             raise DataError(f"truncated {magic.decode()} payload")
         return raw
 
-    if fp.read(4) != magic:
+    if read(4) != magic:
         raise DataError(f"bad magic: not a {magic.decode()} payload")
     (found,) = struct.unpack("<I", take(4))
     if found != version:
@@ -163,17 +175,17 @@ def read_container(data: bytes, magic: bytes, version: int,
             raise DataError(f"corrupt tensor name: {exc}") from exc
         if name in tensors:
             raise DataError(f"duplicate tensor name {name!r}")
-        dtype, shape, nbytes = _record_header(fp)
-        if any(take(-fp.tell() % ALIGN)):
+        dtype, shape, nbytes = _record_header(read,
+                                              lambda: view.nbytes - at)
+        if any(take(-at % ALIGN)):
             raise DataError(f"nonzero padding before tensor {name!r}")
-        start = fp.tell()
-        if start + nbytes > view.nbytes:
+        if at + nbytes > view.nbytes:
             raise DataError("truncated tensor data block")
-        arr = _array(view[start:start + nbytes], dtype, shape)
+        arr = _array(view[at:at + nbytes], dtype, shape)
         arr.flags.writeable = False
         tensors[name] = arr
-        fp.seek(start + nbytes)
-    if fp.read(1):
+        at += nbytes
+    if at < view.nbytes:
         raise DataError("trailing bytes after the last tensor")
     return header, tensors
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stormkan import ops
+from stormkan import ops, staticgraph
 from stormkan.errors import DataError, ShapeError
 from stormkan.tape import Tape
 from stormkan.tensor import Parameter, read_tensor, write_tensor
@@ -454,12 +454,10 @@ class TestTwoWorkers:
         # plan
         oh, ow = 2 * pairs, 6
         args = ((1, cin, oh + k - 1, ow + k - 1), (3, cin, k, k), 1, 0, 1,
-                pool, np.float32, lambda n, _: n)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ops, "STRIP_BYTES", strip_bytes)
-            plan = ops._conv_plan(*args, ops.WORKERS)
-            one = ops._conv_plan(*args)
-        workers = (len(plan) - 4) // 3
+                pool, np.float32, strip_bytes, lambda n, _: n)
+        plan = ops._conv_plan(*args, ops.WORKERS)
+        one = ops._conv_plan(*args)
+        workers = (len(plan) - 5) // 3
         strips = plan[2]
         assert [r0 for r0, _ in strips] == [
             sum(n for _, n in strips[:i]) for i in range(len(strips))]
@@ -479,15 +477,21 @@ class TestTwoWorkers:
         ((8, 5, 2), 0, {15, 16}), ((16, 3, 1), 1, {18, 20})],
         ids=["conv1", "conv2"])
     def test_full_size_worker_plans(self, conv, pool, heights):
-        # at 156^2 and batch 1, conv1's columns fill 10 strips and conv2's
-        # 8, half of them each worker's
+        # at 156^2 and batch 1, a 4 MiB budget of columns fills 10 strips
+        # of conv1 and 8 of conv2, and the Session's 1 MiB 40 of each,
+        # half of them each worker's
         cin, k, padding = conv
         x = (1, cin, 156, 156)
-        plan = ops._conv_plan(x, (2 * cin, cin, k, k), 1, padding, 1, pool,
-                              np.float32, lambda n, _: n, ops.WORKERS)
-        assert len(plan) == 4 + 3 * ops.WORKERS
-        assert len(plan[2]) == {0: 10, 1: 8}[pool]
-        assert {n for _, n in plan[2]} == heights
+        for budget, strips, tall in (
+                (ops.STRIP_BYTES, {0: 10, 1: 8}, heights),
+                (staticgraph.SESSION_STRIP_BYTES, {0: 40, 1: 40},
+                 {0: {3, 4}, 1: {2, 4}}[pool])):
+            plan = ops._conv_plan(x, (2 * cin, cin, k, k), 1, padding, 1,
+                                  pool, np.float32, budget, lambda n, _: n,
+                                  ops.WORKERS)
+            assert len(plan) == 5 + 3 * ops.WORKERS
+            assert len(plan[2]) == strips[pool]
+            assert {n for _, n in plan[2]} == tall
 
     def test_overlapping_blas_pins(self):
         # A pins, B pins, A leaves, B leaves: B still runs on one thread,
