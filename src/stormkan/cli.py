@@ -299,6 +299,7 @@ def cmd_bench(args) -> int:
     print(f"parameters: {report['param_count']}; "
           f"serialized size: {report['graph_bytes']} bytes; "
           f"steady-state allocs: {report['steady_state_allocs']}; "
+          f"session buffer: {report['buffer_bytes']} bytes; "
           f"measured allocation per run: "
           f"{report['alloc_mib_per_run']:.3f} MiB")
     if args.out:

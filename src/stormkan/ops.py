@@ -18,9 +18,17 @@ per block (``_conv_block``) it packs its slice of them, runs one
 batched GEMM, then the 2x2 max-pool, bias and ReLU while the block is
 in cache, and does no other Python work: two workers' Python contends
 for the GIL.  Columns and padding are never kept: backward repacks
-them, block by block.  ``Session`` deals a sample's strips to
-``WORKERS`` workers that share the budget (``_on_workers``).  A 1x1
-conv packs its columns like any other.  Average pools are products with
+them, block by block.  ``Session`` deals a sample's strips
+round-robin to ``WORKERS`` workers that share the budget
+(``_on_workers``).  It streams a conv without the pool into the
+stride-1 conv that alone reads it (``_stream_plan``,
+``_stream_forward``): each worker takes a contiguous range of the
+reader's strips and, per strip, copies the input rows it needs into a
+zero-bordered band, runs the producer's blocks for the strip's new rows
+into a second band, runs the reader's block on that band, and slides
+the halo rows the next strip shares to its front; both convs' blocks
+go through ``_conv_block`` on one worker's columns and GEMM grid.  A
+1x1 conv packs its columns like any other.  Average pools are products with
 constant averaging matrices, through ``matmul``.  ``lstm`` records no
 node of its own: it is composed of ``linear``, ``add``, ``slice_``,
 ``sigmoid``, ``tanh`` and ``mul``, whose rules give its gradient.
@@ -316,14 +324,9 @@ def _padded(xc, padding, buf):
     p = padding
     xp = buf[:b * c * (h + 2 * p) * (w + 2 * p)].reshape(b, c, h + 2 * p,
                                                           w + 2 * p)
-    _zero_border(xp, p)
+    xp[..., :p, :] = xp[..., -p:, :] = xp[..., :p] = xp[..., -p:] = 0
     xp[:, :, p:-p, p:-p] = xc
     return xp.reshape(b, c, -1)
-
-
-def _zero_border(xp, p):
-    """Zeroes the `p` outer rows and columns of the grids xp [.., Hp, Wp]."""
-    xp[..., :p, :] = xp[..., -p:, :] = xp[..., :p] = xp[..., -p:] = 0
 
 
 def _max2x2(c0, c1, half, r0, r1, out, code=None):
@@ -404,18 +407,8 @@ def _conv_plan(x, w, stride, padding, dilation, pool, dtype, budget, take,
     def strip(i, r0, rows, b):
         """The views of worker i's buffers for strip (r0, rows) of b
         samples, which every chunk of b samples shares."""
-        n = (rows - 1) * wp + ow
-        cols, y, half = plan[4 + 3 * i:7 + 3 * i]
-        cols = cols[:b * k * n].reshape(b, k, n)
-        grid = y[:b * cout * rows * wp].reshape(b, cout, rows, wp)
-        yv, pairs = grid[..., :ow], None
-        if pool:
-            half = half[:b * cout * rows * (ow // 2)].reshape(
-                b, cout, rows, ow // 2)
-            pairs = (yv[..., 0::2], yv[..., 1::2], half, half[..., 0::2, :],
-                     half[..., 1::2, :])
-        return (r0 * wp, r0 * wp + n, cols.reshape(b, cin, kh, kw, n), cols,
-                grid.reshape(b, cout, rows * wp)[:, :, :n], yv, pairs)
+        n, *views = _views(*plan[4 + 3 * i:7 + 3 * i], b, w, rows, wp, ow)
+        return (r0 * wp, r0 * wp + n, *views)
 
     def block(i, r0, rows, c):   # and the chunk's output (and code) rows
         p = slice(r0 >> pool, (r0 + rows) >> pool)
@@ -425,6 +418,147 @@ def _conv_plan(x, w, stride, padding, dilation, pool, dtype, budget, take,
     return plan + (((oh - 1) * wp + ow, [
         [[block(i, *s, c) for s in strips[i::workers]]
          for i in range(workers)] for c in chunks]),)
+
+
+def _views(cols, y, half, b, w, rows, wp, ow):
+    """(n, the 5-d tap-shaped columns, the columns, the GEMM's n grid
+    columns, their [..., :OW] view, and given half the pool's five pair
+    views, else None): a block's views of the fronts of the flat buffers
+    cols, y and half, for b samples and `rows` output rows (before the
+    pool) of a conv of kernel shape w on a grid Wp wide, OW of it output."""
+    cout, cin, kh, kw = w
+    n = (rows - 1) * wp + ow
+    cols = cols[:b * cin * kh * kw * n].reshape(b, cin * kh * kw, n)
+    grid = y[:b * cout * rows * wp].reshape(b, cout, rows, wp)
+    yv, pairs = grid[..., :ow], None
+    if half is not None:
+        half = half[:b * cout * rows * (ow // 2)].reshape(b, cout, rows,
+                                                           ow // 2)
+        pairs = (yv[..., 0::2], yv[..., 1::2], half, half[..., 0::2, :],
+                 half[..., 1::2, :])
+    return (n, cols.reshape(b, cin, kh, kw, n), cols,
+            grid.reshape(b, cout, rows * wp)[:, :, :n], yv, pairs)
+
+
+def _stream_plan(x, w, stride, padding, dilation, w2, padding2, dilation2,
+                 pool, dtype, budget, take, workers=1, out=None):
+    """(chunks, per worker its input band, band, columns, GEMM grid and
+    half-pooled rows (else None), walks): a conv of input shape x and
+    kernel shape w, without the pool, streamed in row bands into the
+    stride-1 conv of kernel shape w2 (padding2, dilation2, pool) that
+    alone reads its output, each buffer take(size, dtype).  The reader's
+    chunks and strips are its _conv_plan's at `budget`, each worker a
+    contiguous range of the strips.  A worker's band holds the rows of
+    the producer's output, zero-bordered by padding2, that a strip (r0,
+    rows) reads: padded rows r0 to r0 + rows + halo - 1, whose last halo
+    = dilation2 * (kh2 - 1) rows the next strip starts with; its input
+    band holds the rows of x one producer block reads, zero-bordered by
+    `padding`.
+    A producer block is as tall as a worker's share of the budget holds,
+    and a worker's blocks of both convs share its columns and GEMM grid.
+    walks is None without the reader's output out, else per chunk and
+    worker (the producer's _taps of its input band, the reader's of its
+    band, and per strip: the views it zeroes, its producer blocks, each
+    (the input band if it is zeroed first, else None, the input band
+    rows it fills, the rows of x it copies there, its _conv_block
+    views), the reader's _conv_block views, and the (front, halo) rows
+    of the band whose copy starts the next strip, else None)."""
+    bsz, cin, h, wid = x
+    cout, _, kh, kw = w
+    h1, w1 = _conv2d_shape(x, w, w[:1], stride, padding, dilation, 0)[2:]
+    sizes = _conv_plan((bsz, cout, h1, w1), w2, 1, padding2, dilation2, pool,
+                       dtype, budget, lambda n, _: n, workers)
+    geom2, chunks, strips = sizes[:3]
+    workers, chunk = (len(sizes) - 5) // 3, chunks[0].stop
+    k, wp, wp2 = cin * kh * kw, wid + 2 * padding, geom2[4]
+    halo, ow2 = dilation2 * (w2[2] - 1), wp2 - dilation2 * (w2[3] - 1)
+    depth = max(n for _, n in strips) + halo   # a band's rows
+    row = chunk * k * w1 * np.dtype(dtype).itemsize   # a producer row's
+    most = max(1, min(depth, h1, budget // workers // row))   # columns
+    need = stride * (most - 1) + dilation * (kh - 1) + 1   # its x rows
+    plan = (chunks,)
+    for _ in range(workers):
+        plan += (take(chunk * cin * need * wp, dtype),
+                 take(chunk * cout * depth * wp2, dtype),
+                 take(max(sizes[4], chunk * k * ((most - 1) * wp + w1)),
+                      dtype),
+                 take(max(sizes[5], chunk * cout * most * wp), dtype),
+                 take(sizes[6], dtype) if pool else None)
+    if out is None:
+        return plan + (None,)
+    geom, per = (kh, kw, stride, dilation, wp), len(strips) // workers
+
+    def walk(i, c):   # worker i's taps and strips over chunk c
+        b = len(range(bsz)[c])
+        inb, band, cols, y, half = plan[1 + 5 * i:6 + 5 * i]
+        inb = inb[:b * cin * need * wp].reshape(b, cin, need, wp)
+        band = band[:b * cout * depth * wp2].reshape(b, cout, depth, wp2)
+        mine, steps = strips[i * per:(i + 1) * per], []
+        for s, (r0, rows) in enumerate(mine):
+            # band rows [lo, end) are new; producer row q is band row
+            # q + top, and the rows outside [top, bottom) are padding
+            lo, end = halo if s else 0, rows + halo
+            top, bottom = padding2 - r0, padding2 + h1 - r0
+            zeros = [band[:, :, a:z] for a, z in (
+                (lo, min(top, end)), (max(lo, bottom), end)) if a < z]
+            blocks, stop = [], min(end, bottom)
+            for j in range(max(lo, top), stop, most):
+                m = min(most, stop - j)
+                t = stride * (j - top)   # its first padded x row
+                span = stride * (m - 1) + dilation * (kh - 1) + 1
+                a = max(t, padding)
+                z = max(a, min(t + span, padding + h))
+                n, *views = _views(cols, y, None, b, w, m, wp, w1)
+                blocks.append((
+                    inb if z - a < span else None,   # padding rows read
+                    inb[:, :, a - t:z - t, padding:padding + wid],
+                    slice(a - padding, z - padding),
+                    (0, n, *views, band[:, :, j:j + m, padding2:padding2 + w1],
+                     None)))
+            n, *views = _views(cols, y, half, b, w2, rows, wp2, ow2)
+            steps.append((
+                zeros if s else [band, inb], blocks,
+                (0, n, *views, out[c, :, r0 >> pool:(r0 + rows) >> pool],
+                 None),
+                (band[:, :, :halo], band[:, :, rows:end])
+                if halo and s + 1 < len(mine) else None))
+        return (_taps(inb.reshape(b, cin, -1), geom, (most - 1) * wp + w1),
+                _taps(band.reshape(b, cout, -1), geom2,
+                      (depth - halo - 1) * wp2 + ow2), steps)
+
+    return plan + ([[walk(i, c) for i in range(workers)] for c in chunks],)
+
+
+def _stream_forward(x, first, second, plan):
+    """The conv first of x [B, C, H, W], streamed into the conv second
+    that reads its output, into the second's output that the plan
+    (_stream_plan) was given; each conv is (w2 [Cout, K], bias [Cout],
+    relu).  Per chunk of samples, each worker (_on_workers) walks its
+    strips: it fills its input band with the rows of x each producer
+    block reads and runs the block (_conv_block) into its band, runs
+    the reader's block on the band, then moves the band's halo rows to
+    its front for the next strip."""
+    chunks, walks = plan[0], plan[-1]
+    first, second = ((w2, bias.reshape(-1, 1, 1), relu)
+                     for w2, bias, relu in (first, second))
+
+    def work(k):   # worker k's strips of the chunk
+        taps, taps2, steps = by_worker[k]
+        for zeros, blocks, block2, slide in steps:
+            for view in zeros:
+                view.fill(0)
+            for clear, rows, src, block in blocks:
+                if clear is not None:
+                    clear.fill(0)
+                np.copyto(rows, xc[:, :, src])
+                _conv_block(taps, *first, block)
+            _conv_block(taps2, *second, block2)
+            if slide is not None:
+                np.copyto(*slide)
+
+    for c, by_worker in zip(chunks, walks):
+        xc = x[c]
+        _on_workers(work, len(by_worker))
 
 
 def _conv_block(taps, w2, bias, relu, block):

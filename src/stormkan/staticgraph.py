@@ -25,14 +25,17 @@ aligned, read-only float32 view of a ``bytes`` object is kept as it
 is, so ``load_graph`` of a ``bytes`` payload copies none of them, and
 every other constant is copied.  A ``Session`` allocates one buffer
 when it is created, planned by lifetime: node outputs and node scratch
-share its bytes wherever their lives do not meet, and conv1's output,
-at full size, is the interior of conv2's padded input.  A CONV2D runs
+share its bytes wherever their lives do not meet.  A CONV2D runs
 ``ops._conv_forward`` on its ``ops._conv_plan`` for ``ops.WORKERS``
 workers, whose block views are built when the session is created: at
 batch 1 of the full-size graph, strips of output rows on two cores,
-whose columns fit a worker's share of ``SESSION_STRIP_BYTES``.
-A warm ``run`` allocates only its output copies, as ``bench`` measures
-with tracemalloc.
+whose columns fit a worker's share of ``SESSION_STRIP_BYTES``.  A
+CONV2D without the pool that the graph does not return and whose one
+reader is a stride-1 CONV2D has no buffer: its reader's node streams
+it in row bands into its own strips (``ops._stream_forward``), so the
+full-size graph keeps no conv1 map and no padded copy of the image,
+and its buffer is 2,241,536 bytes.  A warm ``run`` allocates only its
+output copies, as ``bench`` measures with tracemalloc.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from .model import (ATTN_CHANNEL, FLAT_SEQ, IMG_CHANNELS, LstmLayer,
                     _ring_mean_matrix, quadrant_tap_grid)
 from .ops import (WORKERS, _axis, _broadcast, _concat_shape, _conv2d_shape,
                   _conv_forward, _conv_plan, _matmul_shape, _mean_shape,
-                  _one_blas_thread, _require, _silu, _softmax, _zero_border)
+                  _one_blas_thread, _require, _silu, _softmax, _stream_forward,
+                  _stream_plan)
 from .spline import KanLinear, _horner_basis, _horner_scratch
 from .tape import Tape
 from .tensor import read_container, write_container
@@ -60,9 +64,11 @@ VERSION = 6   # older files need a re-export from their .kfc checkpoint
 MAX_RANK = 32   # numpy 1.x's array rank limit
 _ALIGN = 64   # byte alignment of every view of a Session's buffer
 # a Session's conv columns per block, shared by its workers (the tape
-# plans at ops.STRIP_BYTES).  The full-size graph's buffer is 3.4 MiB at
-# 1 MiB, against 6.9 MiB at 4 MiB, and its peak moves from conv2 to
-# conv1's padded input and output
+# plans at ops.STRIP_BYTES), and by both convs of a streamed pair.  The
+# full-size graph's buffer is 2,241,536 bytes at 1 MiB, its peak at
+# conv2's node: the two workers' bands and block buffers (731,264 bytes
+# each, 508,800 of them a 4-row conv1 block's columns) and conv2's
+# pooled output
 SESSION_STRIP_BYTES = 2**20
 
 # node ops, each named by the tape op whose shape rule and kernel it
@@ -562,15 +568,20 @@ class Session:
     lives from its node to its last reader, or to the end of the run if
     the graph returns it, and a node's scratch for its node alone, so
     needs whose lives do not meet share bytes.  No node reads what
-    another, or an earlier run, left there.  A CONV2D's output that only
-    CONV2Ds of one padding p > 0 read is the interior of its padded grid
-    (``_grids``), which they read at padding 0; its border is zeroed
-    just before the CONV2D writes the interior, since earlier nodes may
-    use those bytes.  A CONV2D's scratch is its ``ops._conv_plan`` for
-    ``ops.WORKERS`` workers at ``SESSION_STRIP_BYTES``: its blocks, the
-    block-sized buffers they reuse, and each block's views of them and
-    of the node's output, built here, so a run only slices and fills
-    them.  ``run`` pins BLAS to one thread
+    another, or an earlier run, left there.  A CONV2D's scratch is its
+    ``ops._conv_plan`` for ``ops.WORKERS`` workers at
+    ``SESSION_STRIP_BYTES``: its blocks, the block-sized buffers they
+    reuse, and each block's views of them and of the node's output,
+    built here, so a run only slices and fills them.  A CONV2D without
+    the pool that the graph does not return, whose one reader is a
+    CONV2D at stride 1 that reads it as its input and is not itself
+    fed, is streamed into that reader (``_fed``): it has no output and
+    no scratch, and the reader's node runs both convs
+    (``ops._stream_forward``) on an ``ops._stream_plan``, whose bands
+    it zeroes as it walks them, and reads the streamed conv's inputs,
+    which live until it runs.  A conv output that several nodes read
+    is a plain value, which each conv reader pads into its own plan's
+    buffer.  ``run`` pins BLAS to one thread
     (``ops._one_blas_thread``), so a conv's strips go to the caller and
     ``ops``' helper thread, unless a concurrent caller holds it.  The
     graph is frozen and its constants read-only, so sessions may share
@@ -585,57 +596,73 @@ class Session:
         self._values: list[np.ndarray | None] = [None] * graph.n_values
         for vid, arr in enumerate(graph.constants, len(graph.inputs)):
             self._values[vid] = arr
-        pads, last = {}, {}   # per value: the padding all its readers
-        for i, node in enumerate(nodes):   # share, or 0, and its last one
-            for slot, j in enumerate(node.inputs):
-                p = node.attrs[1] if node.op == CONV2D and not slot else 0
-                pads[j] = p if pads.get(j, p) == p else 0
-                last[j] = i
-        for _, vid in graph.outputs:
-            last[vid] = len(nodes)
-        grids = {}   # per padded grid's value id: its shape and border
-        held, needs, sizer = [], [], _Arena()
+        readers = {}   # per value, the nodes that read it, once per read
         for i, node in enumerate(nodes):
-            shape = self.shapes[node.output]
-            p = pads.get(node.output, 0) if node.op == CONV2D else 0
-            if p:
-                shape = (*shape[:2], shape[2] + 2 * p, shape[3] + 2 * p)
-                grids[node.output] = shape, p
-            nbytes = 4 * math.prod(shape)   # float32
-            needs.append((i, last.get(node.output, i), nbytes))
+            for j in node.inputs:
+                readers.setdefault(j, []).append(i)
+        returned = {vid for _, vid in graph.outputs}
+        # per reader's output: the conv streamed into it (a pair, no chain)
+        self._fed: dict[int, GraphNode] = {}
+        for node in nodes:
+            read = readers.get(node.output, ())
+            reader = nodes[read[0]] if len(read) == 1 else None
+            if (node.op == CONV2D and not node.attrs[4]
+                    and node.output not in returned
+                    and node.output not in self._fed and reader is not None
+                    and reader.op == CONV2D and reader.attrs[0] == 1
+                    and reader.inputs[0] == node.output):
+                self._fed[reader.output] = node
+        streamed = {node.output for node in self._fed.values()}
+        last = {}   # per value, its last reader, past the end if returned
+        for i, node in enumerate(nodes):   # a reader reads its fed conv's
+            fed = self._fed.get(node.output)   # inputs too
+            for j in node.inputs + (fed.inputs if fed else ()):
+                last[j] = i
+        last.update((vid, len(nodes)) for vid in returned)
+        held, needs, sizer = [], [], _Arena()   # held: per node, has scratch
+        for i, node in enumerate(nodes):
+            if node.output in streamed:   # no output: its reader runs it
+                held.append(None)
+                continue
+            needs.append((i, last.get(node.output, i),
+                          4 * math.prod(self.shapes[node.output])))
             start = sizer.end
-            self._node_scratch(node, sizer.take, grids)
-            held.append((node, shape, nbytes, p, sizer.end > start))
-            if sizer.end > start:
+            self._node_scratch(node, sizer.take)
+            held.append(sizer.end > start)
+            if held[-1]:
                 needs.append((i, i, sizer.end - start))
         offsets, end = _first_fit(needs)
         self._block = block = _aligned_empty(end)
         offsets = iter(offsets)
-        self._grids: dict[int, tuple[np.ndarray, int]] = {}
-        self._scratch = []
-        for node, shape, nbytes, p, scratch in held:
-            at = next(offsets)
-            out = block[at:at + nbytes].view(np.float32).reshape(shape)
-            self._values[node.output] = out[:, :, p:-p, p:-p] if p else out
-            if p:
-                self._grids[node.output] = out, p
+        self._scratch = []   # per node; None for a streamed conv
+        for node, scratch in zip(nodes, held):
+            if scratch is None:
+                self._scratch.append(None)
+                continue
+            at, shape = next(offsets), self.shapes[node.output]
+            self._values[node.output] = block[
+                at:at + 4 * math.prod(shape)].view(np.float32).reshape(shape)
             self._scratch.append(self._node_scratch(
-                node, _Arena(block, next(offsets)).take, grids)
-                if scratch else ())
+                node, _Arena(block, next(offsets)).take) if scratch else ())
         self.alloc_count = 1
         self._input_ids = {name: i for i, (name, _) in enumerate(graph.inputs)}
 
-    def _node_scratch(self, node: GraphNode, take, grids):
-        """The node's scratch views, each from take(shape, dtype); grids
-        gives each padded grid's shape and border by value id.  A
+    def _node_scratch(self, node: GraphNode, take):
+        """The node's scratch views, each from take(shape, dtype).  A
         CONV2D's plan holds its blocks' views once its output is placed:
         while the buffer is sized, that value is still None."""
         shapes = self.shapes
         if node.op == CONV2D:   # attrs: stride, padding, dilation, relu, pool
             stride, padding, dilation, _, pool = node.attrs
-            # a padded grid is read at padding 0
-            x, p = grids.get(node.inputs[0], (shapes[node.inputs[0]], 0))
-            return _conv_plan(x, shapes[node.inputs[1]], stride, padding - p,
+            w = shapes[node.inputs[1]]
+            fed = self._fed.get(node.output)
+            if fed is not None:
+                return _stream_plan(
+                    shapes[fed.inputs[0]], shapes[fed.inputs[1]],
+                    *fed.attrs[:3], w, padding, dilation, pool, np.float32,
+                    SESSION_STRIP_BYTES, take, WORKERS,
+                    self._values[node.output])
+            return _conv_plan(shapes[node.inputs[0]], w, stride, padding,
                               dilation, pool, np.float32, SESSION_STRIP_BYTES,
                               take, WORKERS, self._values[node.output])
         if node.op == SOFTMAX:
@@ -678,12 +705,16 @@ class Session:
         ins = [vals[j] for j in node.inputs]
         op, attrs = node.op, node.attrs
         if op == CONV2D:
-            x, w, bias = ins   # a padded grid is read at padding 0
-            x, p = self._grids.get(node.inputs[0], (x, 0))
-            if node.output in self._grids:   # earlier nodes used its border
-                _zero_border(*self._grids[node.output])
-            _conv_forward(x, w.reshape(w.shape[0], -1), bias, attrs[1] - p,
-                          attrs[3], scratch)
+            x, w, bias = ins
+            w = w.reshape(w.shape[0], -1)
+            fed = self._fed.get(node.output)
+            if fed is not None:   # runs the conv streamed into it too
+                x, w1, b1 = (vals[j] for j in fed.inputs)
+                _stream_forward(x, (w1.reshape(w1.shape[0], -1), b1,
+                                    fed.attrs[3]), (w, bias, attrs[3]),
+                                scratch)
+            elif scratch is not None:   # else its reader runs it
+                _conv_forward(x, w, bias, attrs[1], attrs[3], scratch)
         elif op == RELU:
             np.maximum(ins[0], 0.0, out=out)
         elif op == SILU:
@@ -721,8 +752,9 @@ class Session:
 
 def bench(graph: StaticGraph, n_warmup: int = 5, n_runs: int = 50,
           inputs: dict[str, np.ndarray] | None = None) -> dict:
-    """Per-sample latency statistics on a private session, and the memory
-    one warm run allocates (``alloc_mib_per_run``, from tracemalloc)."""
+    """Per-sample latency statistics on a private session, the bytes of
+    its one buffer (``buffer_bytes``) and the memory one warm run
+    allocates (``alloc_mib_per_run``, from tracemalloc)."""
     if n_runs < 1:
         raise ShapeError("bench needs n_runs >= 1")
     session = Session(graph)
@@ -760,5 +792,6 @@ def bench(graph: StaticGraph, n_warmup: int = 5, n_runs: int = 50,
         "warmup": n_warmup,
         "param_count": graph.parameter_count(),
         "steady_state_allocs": session.alloc_count - allocs_before,
+        "buffer_bytes": session._block.nbytes,
         "alloc_mib_per_run": alloc_bytes / 2**20,
     }

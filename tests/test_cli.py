@@ -286,6 +286,7 @@ class TestExportInferBench:
         assert data["graph_bytes"] > 0
         out = capsys.readouterr().out
         assert "p95" in out
+        assert f"session buffer: {data['buffer_bytes']} bytes" in out
 
     def test_missing_graph_nonzero_exit(self, tmp_path):
         rc = main(["bench", "--graph", str(tmp_path / "missing.kfg")])

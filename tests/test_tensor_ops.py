@@ -478,20 +478,45 @@ class TestTwoWorkers:
         ids=["conv1", "conv2"])
     def test_full_size_worker_plans(self, conv, pool, heights):
         # at 156^2 and batch 1, a 4 MiB budget of columns fills 10 strips
-        # of conv1 and 8 of conv2, and the Session's 1 MiB 40 of each,
-        # half of them each worker's
+        # of conv1 and 8 of conv2, and the Session's 1 MiB 40 of conv2,
+        # half of them each worker's.  There conv1 streams into conv2
+        # (ops._stream_plan): each worker takes 20 contiguous strips of
+        # conv2 and runs one block of conv1 per strip, for the strip's
+        # new rows, so the workers compute conv1's 156 rows, and the 2
+        # halo rows at their seam twice, in 731,264 bytes of buffers
+        # each: an input band, a band, and columns, GEMM grid and
+        # half-pooled rows shared by both convs
         cin, k, padding = conv
         x = (1, cin, 156, 156)
-        for budget, strips, tall in (
-                (ops.STRIP_BYTES, {0: 10, 1: 8}, heights),
-                (staticgraph.SESSION_STRIP_BYTES, {0: 40, 1: 40},
-                 {0: {3, 4}, 1: {2, 4}}[pool])):
+        plan = ops._conv_plan(x, (2 * cin, cin, k, k), 1, padding, 1, pool,
+                              np.float32, ops.STRIP_BYTES, lambda n, _: n,
+                              ops.WORKERS)
+        assert len(plan) == 5 + 3 * ops.WORKERS
+        assert len(plan[2]) == {0: 10, 1: 8}[pool]
+        assert {n for _, n in plan[2]} == heights
+        budget = staticgraph.SESSION_STRIP_BYTES
+        if pool:
             plan = ops._conv_plan(x, (2 * cin, cin, k, k), 1, padding, 1,
                                   pool, np.float32, budget, lambda n, _: n,
                                   ops.WORKERS)
             assert len(plan) == 5 + 3 * ops.WORKERS
-            assert len(plan[2]) == strips[pool]
-            assert {n for _, n in plan[2]} == tall
+            assert len(plan[2]) == 40
+            assert {n for _, n in plan[2]} == {2, 4}
+            return
+        plan = ops._stream_plan(x, (16, 8, 5, 5), 1, 2, 1, (32, 16, 3, 3),
+                                1, 1, 1, np.float32, budget,
+                                lambda n, dtype: np.empty(n, dtype),
+                                ops.WORKERS,
+                                np.empty((1, 32, 78, 78), np.float32))
+        assert len(plan) == 2 + 5 * ops.WORKERS
+        assert [v.nbytes for v in plan[1:-1]] == [
+            40960, 60672, 508800, 80896, 39936] * ops.WORKERS
+        assert 508800 <= budget // ops.WORKERS
+        (_, _, first), (_, _, second) = plan[-1][0]
+        tall = [[[block[3][-2].shape[2] for block in blocks]
+                 for _, blocks, _, _ in steps] for steps in (first, second)]
+        assert tall == [[[3]] + [[4]] * 19, [[4]] * 19 + [[3]]]
+        assert sum(m for steps in tall for ms in steps for m in ms) == 158
 
     def test_overlapping_blas_pins(self):
         # A pins, B pins, A leaves, B leaves: B still runs on one thread,
